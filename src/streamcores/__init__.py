@@ -31,23 +31,11 @@ from .selection import (
     selection_counts,
     temporal_jaccard_distance,
 )
-from .stream import (
-    AdjacencyEventTable,
-    StaticGraph,
-    StepFunction,
-    StreamGraph,
-    TimeNodeSet,
-    build_event_table,
-    degree_profile,
-    induced_static_graph,
-    induced_substream,
-    induced_substream_between,
-)
+from .stream import StaticGraph, StreamGraph, TimeNodeSet, induced_static_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyEventTable",
     "AttributeContext",
     "BiCoreResult",
     "ClosedPatternRecord",
@@ -59,24 +47,19 @@ __all__ = [
     "SelectionConfig",
     "StaticGraph",
     "StaticPatternRecord",
-    "StepFunction",
     "StreamGraph",
     "TimeNodeSet",
     "apply_core",
     "apply_static_core",
     "bha_bicore",
-    "build_event_table",
     "closure",
     "count_by_intent_size",
     "coverage_at_least",
-    "degree_profile",
     "extent",
     "filter_min_intent",
     "g_beta_select",
     "ha_core",
     "induced_static_graph",
-    "induced_substream",
-    "induced_substream_between",
     "intent",
     "mine",
     "read_patterns",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import random
 import sys
 import time
@@ -159,14 +158,12 @@ def _resolve_core(manifest: RunManifest) -> str:
 
 
 def _miner_config(manifest: RunManifest, universe) -> MinerConfig:
-    threads = int(os.environ.get("STREAMCORES_THREADS", "1"))
     return MinerConfig(
         core=CoreSpec.parse(manifest.core),
         min_support=manifest.min_support,
         min_intent_size=manifest.min_intent_size,
         item_order=_item_order(manifest.item_order, universe),
         support_measure=manifest.support_measure,
-        threads=max(1, threads),
     )
 
 

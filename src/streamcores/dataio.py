@@ -17,6 +17,7 @@ configurable ticks-per-second resolution and must land on the grid.
 from __future__ import annotations
 
 import logging
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -27,6 +28,10 @@ from .stream import StreamGraph
 log = logging.getLogger(__name__)
 
 PathOrLines = Union[str, Path, Iterable[str]]
+
+# the default limit of Python's own int() on decimal text; it also keeps
+# an exponent such as 1e999999999 from building a huge integer
+MAX_TIMESTAMP_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -64,19 +69,46 @@ def _split(text: str) -> List[str]:
 
 
 def to_ticks(value: str | float | int, resolution: int, source: str, row: int) -> int:
-    """Convert a timestamp in seconds to integer ticks; must land on the grid."""
+    """Convert a timestamp in seconds to integer ticks; must land on the grid.
+
+    The text is parsed exactly, as an integer mantissa and a power of
+    ten, so an off-grid value is rejected at any magnitude. Non-finite
+    values and values written with more than MAX_TIMESTAMP_DIGITS
+    digits are rejected too.
+    """
+    text = value if isinstance(value, str) else str(value)
     try:
-        number = float(value)
+        seconds = int(text)
     except ValueError:
+        pass
+    else:
+        # a product keeps a spare digit in memory, which adds up over many rows
+        return seconds if resolution == 1 else seconds * resolution
+    try:
+        number = Decimal(text)
+    except InvalidOperation:
         raise ParseError(f"bad timestamp {value!r}", source, row) from None
-    scaled = number * resolution
-    ticks = round(scaled)
-    if abs(scaled - ticks) > 1e-9 * max(1.0, abs(scaled)):
+    if not number.is_finite():
+        raise ParseError(f"timestamp {value!r} is not finite", source, row)
+    sign, digits, exponent = number.as_tuple()
+    if max(len(digits), len(digits) + exponent) > MAX_TIMESTAMP_DIGITS:
         raise ParseError(
-            f"timestamp {value!r} is not representable at {resolution} ticks/second",
-            source, row,
+            f"timestamp {value!r} has more than {MAX_TIMESTAMP_DIGITS} digits", source, row
         )
-    return int(ticks)
+    scaled = int("".join(map(str, digits))) * resolution
+    if exponent >= 0:
+        scaled *= 10 ** exponent
+    else:
+        # a nonzero integer with fewer than k bits is below 10**k
+        rest = scaled
+        if -exponent <= scaled.bit_length():
+            scaled, rest = divmod(scaled, 10 ** -exponent)
+        if rest:
+            raise ParseError(
+                f"timestamp {value!r} is not representable at {resolution} ticks/second",
+                source, row,
+            )
+    return -scaled if sign else scaled
 
 
 def ingest_link_stream(

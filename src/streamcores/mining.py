@@ -8,18 +8,22 @@ closed pattern through a second branch: a closure containing an already
 finished item is skipped, and each finished item is added to the mask
 only after its whole subtree was explored. Children run against a
 snapshot of the mask, siblings see it grow.
+
+One enumerator serves both miners: `mine` runs it over time-node sets
+of a stream with a stream core, `static_mine` over node sets of the
+time-collapsed graph with the static core. Only the support type, the
+core, the size and the closure differ.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .context import AttributeContext, Pattern, extent, intent
+from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core, apply_static_core
 from .intervals import IntervalSet
 from .stream import StaticGraph, StreamGraph, TimeNodeSet
@@ -36,7 +40,6 @@ class MinerConfig:
     min_intent_size: int = 0
     item_order: Optional[Sequence[str]] = None  # permutation of the universe, default file order
     support_measure: str = "duration"  # threshold unit: node-ticks or distinct nodes
-    threads: int = 1
 
     def validate(self, universe) -> Tuple[str, ...]:
         """Check the config against an item universe; returns the item order."""
@@ -46,8 +49,6 @@ class MinerConfig:
             raise ValueError("minimum intent size cannot be negative")
         if self.support_measure not in SUPPORT_MEASURES:
             raise ValueError(f"support measure must be one of {SUPPORT_MEASURES}")
-        if self.threads < 1:
-            raise ValueError("thread count must be at least 1")
         if self.item_order is None:
             return universe.items
         order = tuple(self.item_order)
@@ -78,16 +79,63 @@ def _restrict_to_item(support: TimeNodeSet, ctx: AttributeContext, bit: Pattern)
 
 
 class _Frame:
-    __slots__ = ("mask", "support", "excluded", "position", "pending", "depth", "candidates")
+    __slots__ = ("mask", "support", "excluded", "position", "pending", "depth")
 
-    def __init__(self, mask, support, excluded, depth, candidates=None):
+    def __init__(self, mask, support, excluded, depth):
         self.mask = mask
         self.support = support
         self.excluded = excluded
         self.position = 0
         self.pending = 0
         self.depth = depth
-        self.candidates = candidates
+
+
+def _enumerate(universe, order, cfg, root_support, extend, size, closure, make_record):
+    """Depth-first closed-pattern enumeration shared by both miners.
+
+    `extend(support, bit)` is the core of `support` restricted to the
+    item's carriers, `size` measures a support against the threshold,
+    `closure` maps a support to its intent mask and
+    `make_record(mask, support, size, parent_item, depth)` builds the
+    output record. The stack is explicit, so depth is not bounded by
+    the interpreter's recursion limit.
+    """
+    bits = tuple(universe.bit(name) for name in order)
+    names = {universe.bit(name): name for name in order}
+
+    root_mask = closure(root_support)
+    records = [make_record(root_mask, root_support, size(root_support), None, 0)]
+
+    stack = [_Frame(root_mask, root_support, 0, 0)]
+    while stack:
+        frame = stack[-1]
+        if frame.pending:
+            frame.excluded |= frame.pending
+            frame.pending = 0
+        pushed = False
+        while frame.position < len(bits):
+            bit = bits[frame.position]
+            frame.position += 1
+            if frame.mask & bit:
+                continue
+            support = extend(frame.support, bit)
+            n = size(support)
+            if n < cfg.min_support:
+                continue
+            closed = closure(support)
+            if closed & frame.excluded:
+                continue
+            records.append(make_record(closed, support, n, names[bit], frame.depth + 1))
+            frame.pending = bit
+            stack.append(_Frame(closed, support, frame.excluded, frame.depth + 1))
+            pushed = True
+            break
+        if not pushed:
+            stack.pop()
+
+    if cfg.min_intent_size:
+        records = filter_min_intent(records, cfg.min_intent_size)
+    return records
 
 
 def mine(
@@ -105,24 +153,11 @@ def mine(
     if not stream.nodes:
         log.warning("mining an empty stream: no patterns")
         return []
-    bits = tuple(universe.bit(name) for name in order)
-    names = {universe.bit(name): name for name in order}
 
-    def core(x: TimeNodeSet) -> TimeNodeSet:
-        return apply_core(cfg.core, stream, x)
-
-    def evaluate(support: TimeNodeSet, bit: Pattern) -> Tuple[TimeNodeSet, int]:
-        got = core(_restrict_to_item(support, ctx, bit))
-        return got, _support_size(got, cfg.support_measure)
-
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-
-    def candidates_for(frame: _Frame) -> Optional[Dict[Pattern, Tuple[TimeNodeSet, int]]]:
-        if pool is None:
-            return None
-        todo = [bit for bit in bits if not frame.mask & bit]
-        done = pool.map(lambda b: evaluate(frame.support, b), todo)
-        return dict(zip(todo, done))
+    # apply_core and intent are looked up at call time, so that
+    # instrumentation rebinding them on this module sees every call
+    def extend(support: TimeNodeSet, bit: Pattern) -> TimeNodeSet:
+        return apply_core(cfg.core, stream, _restrict_to_item(support, ctx, bit))
 
     def make_record(mask, support, size, parent, depth) -> ClosedPatternRecord:
         return ClosedPatternRecord(
@@ -136,53 +171,14 @@ def mine(
             below_min_support=size < cfg.min_support,
         )
 
-    root_support = core(stream.presence_set())
-    root_mask = intent(root_support, ctx)
-    root_size = _support_size(root_support, cfg.support_measure)
-    records = [make_record(root_mask, root_support, root_size, None, 0)]
-
-    root = _Frame(root_mask, root_support, 0, 0)
-    root.candidates = candidates_for(root)
-    stack = [root]
-    try:
-        while stack:
-            frame = stack[-1]
-            if frame.pending:
-                frame.excluded |= frame.pending
-                frame.pending = 0
-            pushed = False
-            while frame.position < len(bits):
-                bit = bits[frame.position]
-                frame.position += 1
-                if frame.mask & bit:
-                    continue
-                if frame.candidates is not None:
-                    support, size = frame.candidates[bit]
-                else:
-                    support, size = evaluate(frame.support, bit)
-                if size < cfg.min_support:
-                    continue
-                closed = intent(support, ctx)
-                if closed & frame.excluded:
-                    continue
-                records.append(
-                    make_record(closed, support, size, names[bit], frame.depth + 1)
-                )
-                frame.pending = bit
-                child = _Frame(closed, support, frame.excluded, frame.depth + 1)
-                child.candidates = candidates_for(child)
-                stack.append(child)
-                pushed = True
-                break
-            if not pushed:
-                stack.pop()
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    if cfg.min_intent_size:
-        records = filter_min_intent(records, cfg.min_intent_size)
-    return records
+    return _enumerate(
+        universe, order, cfg,
+        apply_core(cfg.core, stream, stream.presence_set()),
+        extend,
+        lambda support: _support_size(support, cfg.support_measure),
+        lambda support: intent(support, ctx),
+        make_record,
+    )
 
 
 def count_by_intent_size(records: Sequence[ClosedPatternRecord]) -> Dict[int, int]:
@@ -217,70 +213,46 @@ class StaticPatternRecord:
 def static_mine(
     graph: StaticGraph, ctx: AttributeContext, cfg: MinerConfig
 ) -> List[StaticPatternRecord]:
-    """The same enumeration on a static graph; supports are node sets."""
+    """The same enumeration on a static graph; supports are node sets.
+
+    The threshold always counts nodes, whatever cfg.support_measure says.
+    """
     universe = ctx.universe
     order = cfg.validate(universe)
     if not graph.nodes:
         log.warning("mining an empty graph: no patterns")
         return []
-    bits = tuple(universe.bit(name) for name in order)
-    names = {universe.bit(name): name for name in order}
 
-    def core(x: FrozenSet[str]) -> FrozenSet[str]:
-        return apply_static_core(cfg.core, graph, x)
+    def extend(support: FrozenSet[str], bit: Pattern) -> FrozenSet[str]:
+        # a set, not a generator: the hub-authority core iterates it twice
+        carriers = frozenset(v for v in support if ctx.description(v) & bit)
+        return apply_static_core(cfg.core, graph, carriers)
 
-    def closed_of(support: FrozenSet[str]) -> Pattern:
+    def closure(support: FrozenSet[str]) -> Pattern:
         mask = universe.full_mask
         for v in support:
             mask &= ctx.description(v)
         return mask
 
-    def make_record(mask, support, parent, depth) -> StaticPatternRecord:
+    def make_record(mask, support, size, parent, depth) -> StaticPatternRecord:
         return StaticPatternRecord(
             items=universe.items_of(mask),
             support=support,
-            node_count=len(support),
+            node_count=size,
             mask=mask,
             parent_item=parent,
             depth=depth,
-            below_min_support=len(support) < cfg.min_support,
+            below_min_support=size < cfg.min_support,
         )
 
-    root_support = core(frozenset(graph.nodes))
-    root_mask = closed_of(root_support)
-    records = [make_record(root_mask, root_support, None, 0)]
-
-    stack = [_Frame(root_mask, root_support, 0, 0)]
-    while stack:
-        frame = stack[-1]
-        if frame.pending:
-            frame.excluded |= frame.pending
-            frame.pending = 0
-        pushed = False
-        while frame.position < len(bits):
-            bit = bits[frame.position]
-            frame.position += 1
-            if frame.mask & bit:
-                continue
-            support = core(frozenset(
-                v for v in frame.support if ctx.description(v) & bit
-            ))
-            if len(support) < cfg.min_support:
-                continue
-            closed = closed_of(support)
-            if closed & frame.excluded:
-                continue
-            records.append(make_record(closed, support, names[bit], frame.depth + 1))
-            frame.pending = bit
-            stack.append(_Frame(closed, support, frame.excluded, frame.depth + 1))
-            pushed = True
-            break
-        if not pushed:
-            stack.pop()
-
-    if cfg.min_intent_size:
-        records = [rec for rec in records if len(rec.items) >= cfg.min_intent_size]
-    return records
+    return _enumerate(
+        universe, order, cfg,
+        apply_static_core(cfg.core, graph, frozenset(graph.nodes)),
+        extend,
+        len,
+        closure,
+        make_record,
+    )
 
 
 # -- pattern files ------------------------------------------------------------

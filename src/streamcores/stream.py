@@ -10,7 +10,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .intervals import EMPTY, IntervalSet, Span
 
@@ -238,159 +238,8 @@ class StaticGraph:
     edges: frozenset
     directed: bool = False
 
-    def neighbors(self, node: str) -> Tuple[str, ...]:
-        if self.directed:
-            raise ValueError("use out_neighbors/in_neighbors on a directed graph")
-        out = [v for u, v in self.edges if u == node] + [u for u, v in self.edges if v == node]
-        return tuple(sorted(out))
-
-    def out_neighbors(self, node: str) -> Tuple[str, ...]:
-        return tuple(sorted(v for u, v in self.edges if u == node))
-
-    def in_neighbors(self, node: str) -> Tuple[str, ...]:
-        return tuple(sorted(u for u, v in self.edges if v == node))
-
-
-Event = Tuple[int, str, int]  # (tick, other node, +1 start / -1 end)
-
-
-@dataclass(frozen=True)
-class AdjacencyEventTable:
-    """Per-node interaction events sorted by time.
-
-    Ties at the same tick put ends (-1) before starts (+1), then sort by
-    the other node's id. For directed streams `inbound` carries the
-    mirror table; it is None otherwise.
-    """
-
-    events: Mapping[str, Tuple[Event, ...]]
-    inbound: Optional[Mapping[str, Tuple[Event, ...]]] = None
-
-
-def _event_list(adjacency: Mapping[str, IntervalSet]) -> Tuple[Event, ...]:
-    events: List[Event] = []
-    for other, ivs in adjacency.items():
-        for a, b in ivs.spans:
-            events.append((a, other, 1))
-            events.append((b, other, -1))
-    events.sort(key=lambda e: (e[0], e[2], e[1]))
-    return tuple(events)
-
-
-def build_event_table(stream: StreamGraph) -> AdjacencyEventTable:
-    out = {v: _event_list(stream.adjacency(v)) for v in stream.nodes}
-    if not stream.directed:
-        return AdjacencyEventTable(events=out)
-    inbound = {v: _event_list(stream.in_adjacency(v)) for v in stream.nodes}
-    return AdjacencyEventTable(events=out, inbound=inbound)
-
-
-def induced_substream(stream: StreamGraph, wp: TimeNodeSet) -> StreamGraph:
-    """Substream induced by a time-node subset of the presence set."""
-    if not wp.issubset(stream.presence_set()):
-        raise ValueError("the inducing set is not contained in the stream's presence")
-    interactions = {}
-    for (u, v), ivs in stream.interaction_items():
-        clipped = ivs.intersect(wp.get(u)).intersect(wp.get(v))
-        if clipped:
-            interactions[(u, v)] = clipped
-    return StreamGraph(
-        interactions,
-        presence={v: ivs for v, ivs in wp.items()},
-        horizon=stream.horizon,
-        directed=stream.directed,
-        nodes=wp.nodes(),
-    )
-
-
-def induced_substream_between(stream: StreamGraph, w1: TimeNodeSet, w2: TimeNodeSet) -> StreamGraph:
-    """Directed substream keeping interactions from w1 into w2."""
-    if not stream.directed:
-        raise ValueError("two-sided induction needs a directed stream")
-    w = stream.presence_set()
-    if not (w1.issubset(w) and w2.issubset(w)):
-        raise ValueError("the inducing sets are not contained in the stream's presence")
-    interactions = {}
-    for (u, v), ivs in stream.interaction_items():
-        clipped = ivs.intersect(w1.get(u)).intersect(w2.get(v))
-        if clipped:
-            interactions[(u, v)] = clipped
-    union = w1.union(w2)
-    return StreamGraph(
-        interactions,
-        presence={v: ivs for v, ivs in union.items()},
-        horizon=stream.horizon,
-        directed=True,
-        nodes=union.nodes(),
-    )
-
 
 def induced_static_graph(stream: StreamGraph) -> StaticGraph:
     edges = frozenset(key for key, _ in stream.interaction_items())
     names = sorted({n for pair in edges for n in pair})
     return StaticGraph(nodes=tuple(names), edges=edges, directed=stream.directed)
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant integer function over the stream horizon."""
-
-    segments: Tuple[Tuple[int, int, int], ...]  # (start, end, value), contiguous
-
-    def value(self, tick: int) -> int:
-        for a, b, val in self.segments:
-            if a <= tick < b:
-                return val
-        raise ValueError(f"tick {tick} outside the profiled horizon")
-
-    def breakpoints(self) -> Tuple[int, ...]:
-        return tuple(seg[0] for seg in self.segments[1:])
-
-
-def degree_profile(stream: StreamGraph, node: str, direction: Optional[str] = None) -> StepFunction:
-    """Number of distinct active neighbors of `node` as a function of time.
-
-    `direction` must be None for undirected streams and "out" or "in"
-    for directed ones.
-    """
-    if stream.directed:
-        if direction == "out":
-            adjacency = stream.adjacency(node)
-        elif direction == "in":
-            adjacency = stream.in_adjacency(node)
-        else:
-            raise ValueError("directed streams need direction='out' or 'in'")
-    else:
-        if direction is not None:
-            raise ValueError("undirected streams take no direction")
-        adjacency = stream.adjacency(node)
-
-    alpha, omega = stream.horizon
-    events: List[Tuple[int, int]] = []
-    for ivs in adjacency.values():
-        for a, b in ivs.spans:
-            events.append((a, 1))
-            events.append((b, -1))
-    events.sort()
-
-    segments: List[Tuple[int, int, int]] = []
-    cursor, count = alpha, 0
-    i, n = 0, len(events)
-    while i < n:
-        t = events[i][0]
-        if t > cursor:
-            segments.append((cursor, t, count))
-            cursor = t
-        while i < n and events[i][0] == t:
-            count += events[i][1]
-            i += 1
-    if cursor < omega or not segments:
-        segments.append((cursor, omega, count))
-    # merge equal-valued neighbors produced by touching intervals
-    merged: List[Tuple[int, int, int]] = []
-    for seg in segments:
-        if merged and merged[-1][2] == seg[2] and merged[-1][1] == seg[0]:
-            merged[-1] = (merged[-1][0], seg[1], seg[2])
-        else:
-            merged.append(seg)
-    return StepFunction(tuple(merged))

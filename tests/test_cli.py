@@ -74,6 +74,16 @@ class TestMineCommand:
         code = run("mine", "--stream", bad, "--output", tmp_path / "out.jsonl")
         assert code == 1
 
+    @pytest.mark.parametrize("stamp", ["inf", "nan"])
+    def test_non_finite_timestamp_is_an_input_error(self, tmp_path, capsys, stamp):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"20 a b\n{stamp} a b\n")
+        code = run("mine", "--stream", bad, "--output", tmp_path / "out.jsonl")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "bad.csv:2" in err
+        assert "Traceback" not in err
+
     def test_manifest_rerun_is_byte_identical(self, demo, tmp_path):
         first = tmp_path / "first.jsonl"
         code = run(

@@ -63,6 +63,41 @@ class TestToTicks:
         with pytest.raises(ParseError, match="not representable"):
             to_ticks("2.3", 2, "", 1)
 
+    @pytest.mark.parametrize("value", [
+        "1385982020.5",  # epoch seconds, past where a float tolerance can see half a tick
+        "12345678901234567890123456789.5",  # beyond Decimal's 28-digit context
+        "1e-999999999",
+    ])
+    def test_off_grid_rejected_at_any_magnitude(self, value):
+        with pytest.raises(ParseError, match="not representable"):
+            to_ticks(value, 1, "", 1)
+
+    def test_exact_at_any_magnitude(self):
+        assert to_ticks("1385982020", 1, "", 1) == 1385982020
+        assert to_ticks("1385982020.5", 2, "", 1) == 2771964041
+        assert to_ticks("12345678901234567890123456789.5", 2, "", 1) == (
+            24691357802469135780246913579
+        )
+        assert to_ticks("1.5e1", 1, "", 1) == 15
+        assert to_ticks("-2.5", 2, "", 1) == -5
+        assert to_ticks("0e-999999999", 1, "", 1) == 0
+        assert to_ticks(2.5, 2, "", 1) == 5
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "Infinity", float("nan")],
+                             ids=["inf", "-inf", "nan", "Infinity", "float-nan"])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ParseError, match="not finite"):
+            to_ticks(value, 1, "", 1)
+
+    @pytest.mark.parametrize("value", ["1e999999999", "1." + "0" * 5000], ids=["exp", "long"])
+    def test_too_many_digits_rejected(self, value):
+        with pytest.raises(ParseError, match="digits"):
+            to_ticks(value, 1, "", 1)
+
+    def test_bad_text_rejected(self):
+        with pytest.raises(ParseError, match="bad timestamp"):
+            to_ticks("1/2", 2, "", 1)
+
 
 class TestReadLinkStream:
     def test_triples_with_comments(self):

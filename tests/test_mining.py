@@ -67,61 +67,89 @@ class TestMineReferenceContext:
         assert_mining_invariants(mine(stream, ctx, cfg), stream, ctx, cfg)
 
 
+def contact_triple():
+    """The reference context with its three nodes in pairwise contact over [0, 1).
+
+    Under the identity core its stream patterns are the reference
+    context's, and its time-collapsed graph keeps all three nodes.
+    """
+    _, ctx = triple_context_stream()
+    stream = StreamGraph({("1", "2"): [(0, 1)], ("1", "3"): [(0, 1)], ("2", "3"): [(0, 1)]})
+    return stream, ctx
+
+
 class TestMineEdgeCases:
+    """Contracts of the stream miner; TestStaticMineEdgeCases re-runs them on the static one."""
+
+    empty_warning = "empty stream"
+
+    @staticmethod
+    def run(stream, ctx, cfg):
+        return mine(stream, ctx, cfg)
+
+    @staticmethod
+    def whole(stream):
+        return stream.presence_set()
+
     def test_empty_universe_single_record(self):
         s = StreamGraph({("x", "y"): [(0, 2)]})
         ctx = AttributeContext(ItemUniverse([]), {})
-        records = mine(s, ctx, MinerConfig(min_support=1))
+        records = self.run(s, ctx, MinerConfig(min_support=1))
         assert len(records) == 1
         assert records[0].items == ()
-        assert records[0].support == s.presence_set()
+        assert records[0].support == self.whole(s)
 
     def test_empty_stream_warns_and_returns_nothing(self, caplog):
         ctx = AttributeContext(ItemUniverse(["a"]), {})
         with caplog.at_level(logging.WARNING):
-            records = mine(StreamGraph({}), ctx, MinerConfig(min_support=1))
+            records = self.run(StreamGraph({}), ctx, MinerConfig(min_support=1))
         assert records == []
-        assert "empty stream" in caplog.text
+        assert self.empty_warning in caplog.text
 
     def test_nonpositive_support_rejected(self):
-        stream, ctx = triple_context_stream()
+        stream, ctx = contact_triple()
         with pytest.raises(ValueError):
-            mine(stream, ctx, MinerConfig(min_support=0))
+            self.run(stream, ctx, MinerConfig(min_support=0))
 
     def test_root_below_support_is_flagged_not_dropped(self):
-        stream, ctx = triple_context_stream()
-        records = mine(stream, ctx, MinerConfig(min_support=99))
+        stream, ctx = contact_triple()
+        records = self.run(stream, ctx, MinerConfig(min_support=99))
         assert len(records) == 1
         assert records[0].below_min_support
 
     def test_bad_item_order_rejected(self):
-        stream, ctx = triple_context_stream()
+        stream, ctx = contact_triple()
         with pytest.raises(ValueError, match="permutation"):
-            mine(stream, ctx, MinerConfig(item_order=["a", "b"]))
+            self.run(stream, ctx, MinerConfig(item_order=["a", "b"]))
 
     def test_item_order_changes_traversal_not_the_set(self):
-        stream, ctx = triple_context_stream()
-        base = {r.items for r in mine(stream, ctx, MinerConfig(min_support=1))}
+        stream, ctx = contact_triple()
+        base = [r.items for r in self.run(stream, ctx, MinerConfig(min_support=1))]
         for order in (["d", "c", "b", "a"], ["b", "d", "a", "c"]):
-            got = {r.items for r in mine(stream, ctx, MinerConfig(min_support=1, item_order=order))}
-            assert got == base
+            cfg = MinerConfig(min_support=1, item_order=order)
+            got = [r.items for r in self.run(stream, ctx, cfg)]
+            assert got != base
+            assert sorted(got) == sorted(base)
 
     def test_node_count_support_measure(self):
-        stream, ctx = triple_context_stream()
-        records = mine(stream, ctx, MinerConfig(min_support=2, support_measure="nodes"))
+        # the static miner always counts nodes, so it must agree here
+        stream, ctx = contact_triple()
+        records = self.run(stream, ctx, MinerConfig(min_support=2, support_measure="nodes"))
         assert {r.items for r in records if not r.below_min_support} == {
             ("a",), ("a", "b"), ("a", "c"), ("a", "d"),
         }
 
-    def test_threads_do_not_change_output(self):
-        rng = random.Random(123)
-        for _ in range(5):
-            s = random_stream(rng)
-            ctx = random_context(rng, s)
-            spec = random_core_spec(rng, directed=False)
-            one = mine(s, ctx, MinerConfig(core=spec, min_support=1, threads=1))
-            four = mine(s, ctx, MinerConfig(core=spec, min_support=1, threads=4))
-            assert [(r.items, r.support) for r in one] == [(r.items, r.support) for r in four]
+
+class TestStaticMineEdgeCases(TestMineEdgeCases):
+    empty_warning = "empty graph"
+
+    @staticmethod
+    def run(stream, ctx, cfg):
+        return static_mine(induced_static_graph(stream), ctx, cfg)
+
+    @staticmethod
+    def whole(stream):
+        return frozenset(induced_static_graph(stream).nodes)
 
 
 class TestMineAgainstOracle:

@@ -2,13 +2,10 @@ import random
 
 import pytest
 
-from streamcores import (
-    IntervalSet,
-    StreamGraph,
-    TimeNodeSet,
+from streamcores import IntervalSet, StreamGraph, TimeNodeSet, induced_static_graph
+from streamcores.oracle import (
     build_event_table,
     degree_profile,
-    induced_static_graph,
     induced_substream,
     induced_substream_between,
 )
