@@ -10,19 +10,15 @@ from .cores import (
     ha_core,
     star_satellite_core,
     star_satellite_split,
-    static_ha_core,
-    static_star_satellite_core,
 )
 from .intervals import EMPTY, IntervalSet, coverage_at_least
 from .mining import (
     ClosedPatternRecord,
     MinerConfig,
-    StaticPatternRecord,
     count_by_intent_size,
     filter_min_intent,
     mine,
     read_patterns,
-    static_mine,
     write_patterns,
 )
 from .selection import (
@@ -31,7 +27,7 @@ from .selection import (
     selection_counts,
     temporal_jaccard_distance,
 )
-from .stream import StaticGraph, StreamGraph, TimeNodeSet, induced_static_graph
+from .stream import StreamGraph, TimeNodeSet, induced_static_graph
 
 __version__ = "0.1.0"
 
@@ -45,8 +41,6 @@ __all__ = [
     "ItemUniverse",
     "MinerConfig",
     "SelectionConfig",
-    "StaticGraph",
-    "StaticPatternRecord",
     "StreamGraph",
     "TimeNodeSet",
     "apply_core",
@@ -66,9 +60,6 @@ __all__ = [
     "selection_counts",
     "star_satellite_core",
     "star_satellite_split",
-    "static_ha_core",
-    "static_mine",
-    "static_star_satellite_core",
     "temporal_jaccard_distance",
     "write_patterns",
 ]

@@ -22,14 +22,7 @@ from typing import List, Optional, Sequence
 
 from . import dataio
 from .cores import CoreSpec
-from .mining import (
-    MinerConfig,
-    mine,
-    read_patterns,
-    static_mine,
-    write_patterns,
-    write_static_patterns,
-)
+from .mining import MinerConfig, mine, read_patterns, write_patterns, write_static_patterns
 from .selection import SelectionConfig, g_beta_select, selection_counts
 from .stream import induced_static_graph
 
@@ -255,14 +248,15 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
     cfg = _miner_config(manifest, ctx.universe)
 
     stream_records = [rec for rec in mine(stream, ctx, cfg) if not rec.below_min_support]
-    graph = induced_static_graph(stream)
+    # every node of the collapsed stream is present for one tick, so
+    # either support measure counts nodes
     static_cfg = MinerConfig(
         core=cfg.core,
         min_support=manifest.static_min_support,
         min_intent_size=cfg.min_intent_size,
         item_order=cfg.item_order,
     )
-    static_records = [rec for rec in static_mine(graph, ctx, static_cfg)
+    static_records = [rec for rec in mine(induced_static_graph(stream), ctx, static_cfg)
                       if not rec.below_min_support]
 
     if args.stream_output:
@@ -287,22 +281,23 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--resolution", type=int, default=1,
-                        help="ticks per second (default 1)")
-    common.add_argument("--delta", type=float, default=20.0,
-                        help="instant-contact extension in seconds (default 20)")
-    common.add_argument("--min-support", type=int, default=1, dest="min_support",
-                        help="minimum core support size")
-    common.add_argument("--min-intent-size", type=int, default=0, dest="min_intent_size",
-                        help="drop patterns with fewer items")
-    common.add_argument("--core", default="auto",
-                        help="core operator: identity, star-sat:K or ha:H,A "
-                             "(default: star-sat:2, or ha:2,2 for directed streams)")
-    common.add_argument("--beta", type=float, default=0.0,
-                        help="selection distance threshold")
     common.add_argument("--manifest", help="re-run a recorded manifest")
 
+    # each subcommand takes only the options it reads: these go on mine
+    # and static-compare
     stream_opts = argparse.ArgumentParser(add_help=False)
+    stream_opts.add_argument("--resolution", type=int, default=1,
+                             help="ticks per second (default 1)")
+    stream_opts.add_argument("--delta", type=float, default=20.0,
+                             help="instant-contact extension in seconds, a whole number "
+                                  "of ticks (default 20)")
+    stream_opts.add_argument("--min-support", type=int, default=1, dest="min_support",
+                             help="minimum core support size")
+    stream_opts.add_argument("--min-intent-size", type=int, default=0, dest="min_intent_size",
+                             help="drop patterns with fewer items")
+    stream_opts.add_argument("--core", default="auto",
+                             help="core operator: identity, star-sat:K or ha:H,A "
+                                  "(default: star-sat:2, or ha:2,2 for directed streams)")
     stream_opts.add_argument("--stream", help="link-stream file")
     stream_opts.add_argument("--format", default="auto",
                              choices=["auto", "triples", "quadruples", "contacts"])
@@ -329,6 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="greedy diverse-subset selection on mined patterns")
     p.add_argument("--input", help="mined pattern JSONL")
     p.add_argument("--output", help="filtered JSONL to write")
+    p.add_argument("--beta", type=float, default=0.0,
+                   help="selection distance threshold")
     p.add_argument("--betas", default=DEFAULT_BETAS,
                    help="comma-separated sweep for the report")
     p.add_argument("--g", default="duration",

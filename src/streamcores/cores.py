@@ -1,4 +1,4 @@
-"""Interior (core) operators on time-node sets and their static counterparts.
+"""Interior (core) operators on time-node sets.
 
 star_satellite_core keeps the time-nodes that, inside the induced
 substream, either have at least k simultaneous neighbors (stars) or
@@ -14,10 +14,10 @@ the substream induced by the current pair until nothing changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Dict, FrozenSet, Iterable
 
 from .intervals import IntervalSet, coverage_at_least
-from .stream import StaticGraph, StreamGraph, TimeNodeSet
+from .stream import StreamGraph, TimeNodeSet
 
 
 @dataclass(frozen=True)
@@ -202,65 +202,6 @@ def apply_core(spec: CoreSpec, stream: StreamGraph, x: TimeNodeSet) -> TimeNodeS
     return ha_core(stream, x, spec.h, spec.a)
 
 
-# -- static counterparts ----------------------------------------------------
-
-
-def _static_adjacency(graph: StaticGraph) -> Dict[str, Set[str]]:
-    adj: Dict[str, Set[str]] = {v: set() for v in graph.nodes}
-    for u, v in graph.edges:
-        adj[u].add(v)
-        if not graph.directed:
-            adj[v].add(u)
-    return adj
-
-
-def static_star_satellite_core(graph: StaticGraph, x: Iterable[str], k: int) -> FrozenSet[str]:
-    """Time-collapsed analogue: degree counted in the induced subgraph."""
-    if graph.directed:
-        raise ValueError("star-satellite cores are defined on undirected graphs")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    members = frozenset(x)
-    if k == 0:
-        return members
-    adj = _static_adjacency(graph)
-    degree = {v: len(adj.get(v, ()) & members) for v in members if v in adj}
-    stars = {v for v, d in degree.items() if d >= k}
-    sats = {v for v in members if v in adj and adj[v] & stars}
-    return frozenset(stars | sats)
-
-
-def static_bha_bicore(
-    graph: StaticGraph, x1: Iterable[str], x2: Iterable[str], h: int, a: int
-) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    if not graph.directed:
-        raise ValueError("hub-authority cores are defined on directed graphs")
-    hubs, auths = set(x1), set(x2)
-    out_adj: Dict[str, Set[str]] = {v: set() for v in graph.nodes}
-    in_adj: Dict[str, Set[str]] = {v: set() for v in graph.nodes}
-    for u, v in graph.edges:
-        out_adj[u].add(v)
-        in_adj[v].add(u)
-    while True:
-        new_hubs = hubs if h == 0 else {
-            v for v in hubs if len(out_adj.get(v, set()) & auths) >= h
-        }
-        new_auths = auths if a == 0 else {
-            v for v in auths if len(in_adj.get(v, set()) & new_hubs) >= a
-        }
-        if new_hubs == hubs and new_auths == auths:
-            return frozenset(hubs), frozenset(auths)
-        hubs, auths = new_hubs, new_auths
-
-
-def static_ha_core(graph: StaticGraph, x: Iterable[str], h: int, a: int) -> FrozenSet[str]:
-    hubs, auths = static_bha_bicore(graph, x, x, h, a)
-    return hubs | auths
-
-
-def apply_static_core(spec: CoreSpec, graph: StaticGraph, x: Iterable[str]) -> FrozenSet[str]:
-    if spec.kind == "identity":
-        return frozenset(x)
-    if spec.kind == "star-sat":
-        return static_star_satellite_core(graph, x, spec.k)
-    return static_ha_core(graph, x, spec.h, spec.a)
+def apply_static_core(spec: CoreSpec, graph: StreamGraph, nodes: Iterable[str]) -> FrozenSet[str]:
+    """Static core of a node set on a time-collapsed stream (`induced_static_graph`)."""
+    return frozenset(apply_core(spec, graph, graph.presence_set().restrict(nodes)).nodes())

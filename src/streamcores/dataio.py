@@ -168,14 +168,22 @@ def read_link_stream(
 
     `fmt` is one of "auto", "triples", "quadruples", "contacts". The
     contacts format is the tab-separated `t i j Ci Cj` face-to-face
-    export; its class columns are skipped here.
+    export; its class columns are skipped here. The instant extension
+    must be a whole number of ticks; anything else is a ValueError.
     """
     if fmt not in ("auto", "triples", "quadruples", "contacts"):
         raise ValueError(f"unknown stream format {fmt!r}")
-    source, rows = _iter_rows(data)
-    delta = round(instant_extension_seconds * resolution)
+    try:
+        delta = to_ticks(instant_extension_seconds, resolution, "", 0)
+    except ParseError:
+        # a bad setting, not bad input: ValueError is the configuration error
+        raise ValueError(
+            f"instant extension {instant_extension_seconds!r} s is not a finite whole "
+            f"number of ticks at {resolution} ticks/second"
+        ) from None
     if delta <= 0 and fmt != "quadruples":
         raise ValueError("instant extension must be positive")
+    source, rows = _iter_rows(data)
     records = []
     for row, text in rows:
         fields = _split(text)

@@ -9,10 +9,8 @@ finished item is skipped, and each finished item is added to the mask
 only after its whole subtree was explored. Children run against a
 snapshot of the mask, siblings see it grow.
 
-One enumerator serves both miners: `mine` runs it over time-node sets
-of a stream with a stream core, `static_mine` over node sets of the
-time-collapsed graph with the static core. Only the support type, the
-core, the size and the closure differ.
+Static closed patterns are mined by the same loop on the time-collapsed
+stream (`induced_static_graph`).
 """
 
 from __future__ import annotations
@@ -21,12 +19,12 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .context import AttributeContext, Pattern, intent
-from .cores import CoreSpec, apply_core, apply_static_core
+from .cores import CoreSpec, apply_core
 from .intervals import IntervalSet
-from .stream import StaticGraph, StreamGraph, TimeNodeSet
+from .stream import StreamGraph, TimeNodeSet
 
 log = logging.getLogger(__name__)
 
@@ -90,21 +88,42 @@ class _Frame:
         self.depth = depth
 
 
-def _enumerate(universe, order, cfg, root_support, extend, size, closure, make_record):
-    """Depth-first closed-pattern enumeration shared by both miners.
+def mine(
+    stream: StreamGraph, ctx: AttributeContext, cfg: MinerConfig
+) -> List[ClosedPatternRecord]:
+    """Enumerate every core closed pattern with support at least cfg.min_support.
 
-    `extend(support, bit)` is the core of `support` restricted to the
-    item's carriers, `size` measures a support against the threshold,
-    `closure` maps a support to its intent mask and
-    `make_record(mask, support, size, parent_item, depth)` builds the
-    output record. The stack is explicit, so depth is not bounded by
+    The closure of the whole presence set is always emitted first; when
+    its support falls short of the threshold it is flagged instead of
+    dropped. Output order is the deterministic depth-first order induced
+    by the item order. The stack is explicit, so depth is not bounded by
     the interpreter's recursion limit.
     """
-    bits = tuple(universe.bit(name) for name in order)
-    names = {universe.bit(name): name for name in order}
+    universe = ctx.universe
+    order = cfg.validate(universe)
+    if not stream.nodes:
+        log.warning("mining an empty stream: no patterns")
+        return []
+    candidates = tuple((universe.bit(name), name) for name in order)
 
-    root_mask = closure(root_support)
-    records = [make_record(root_mask, root_support, size(root_support), None, 0)]
+    def record(mask, support, size, parent_item, depth) -> ClosedPatternRecord:
+        return ClosedPatternRecord(
+            items=universe.items_of(mask),
+            support=support,
+            support_measure=support.measure(),
+            node_count=support.node_count(),
+            mask=mask,
+            parent_item=parent_item,
+            depth=depth,
+            below_min_support=size < cfg.min_support,
+        )
+
+    # apply_core and intent are looked up at call time, so that
+    # instrumentation rebinding them on this module sees every call
+    root_support = apply_core(cfg.core, stream, stream.presence_set())
+    root_mask = intent(root_support, ctx)
+    records = [record(root_mask, root_support,
+                      _support_size(root_support, cfg.support_measure), None, 0)]
 
     stack = [_Frame(root_mask, root_support, 0, 0)]
     while stack:
@@ -113,19 +132,19 @@ def _enumerate(universe, order, cfg, root_support, extend, size, closure, make_r
             frame.excluded |= frame.pending
             frame.pending = 0
         pushed = False
-        while frame.position < len(bits):
-            bit = bits[frame.position]
+        while frame.position < len(candidates):
+            bit, name = candidates[frame.position]
             frame.position += 1
             if frame.mask & bit:
                 continue
-            support = extend(frame.support, bit)
-            n = size(support)
+            support = apply_core(cfg.core, stream, _restrict_to_item(frame.support, ctx, bit))
+            n = _support_size(support, cfg.support_measure)
             if n < cfg.min_support:
                 continue
-            closed = closure(support)
+            closed = intent(support, ctx)
             if closed & frame.excluded:
                 continue
-            records.append(make_record(closed, support, n, names[bit], frame.depth + 1))
+            records.append(record(closed, support, n, name, frame.depth + 1))
             frame.pending = bit
             stack.append(_Frame(closed, support, frame.excluded, frame.depth + 1))
             pushed = True
@@ -136,49 +155,6 @@ def _enumerate(universe, order, cfg, root_support, extend, size, closure, make_r
     if cfg.min_intent_size:
         records = filter_min_intent(records, cfg.min_intent_size)
     return records
-
-
-def mine(
-    stream: StreamGraph, ctx: AttributeContext, cfg: MinerConfig
-) -> List[ClosedPatternRecord]:
-    """Enumerate every core closed pattern with support at least cfg.min_support.
-
-    The closure of the whole presence set is always emitted first; when
-    its support falls short of the threshold it is flagged instead of
-    dropped. Output order is the deterministic depth-first order induced
-    by the item order.
-    """
-    universe = ctx.universe
-    order = cfg.validate(universe)
-    if not stream.nodes:
-        log.warning("mining an empty stream: no patterns")
-        return []
-
-    # apply_core and intent are looked up at call time, so that
-    # instrumentation rebinding them on this module sees every call
-    def extend(support: TimeNodeSet, bit: Pattern) -> TimeNodeSet:
-        return apply_core(cfg.core, stream, _restrict_to_item(support, ctx, bit))
-
-    def make_record(mask, support, size, parent, depth) -> ClosedPatternRecord:
-        return ClosedPatternRecord(
-            items=universe.items_of(mask),
-            support=support,
-            support_measure=support.measure(),
-            node_count=support.node_count(),
-            mask=mask,
-            parent_item=parent,
-            depth=depth,
-            below_min_support=size < cfg.min_support,
-        )
-
-    return _enumerate(
-        universe, order, cfg,
-        apply_core(cfg.core, stream, stream.presence_set()),
-        extend,
-        lambda support: _support_size(support, cfg.support_measure),
-        lambda support: intent(support, ctx),
-        make_record,
-    )
 
 
 def count_by_intent_size(records: Sequence[ClosedPatternRecord]) -> Dict[int, int]:
@@ -194,65 +170,6 @@ def filter_min_intent(
 ) -> List[ClosedPatternRecord]:
     """Keep records with at least n items, preserving order."""
     return [rec for rec in records if len(rec.items) >= n]
-
-
-# -- static-graph miner -------------------------------------------------------
-
-
-@dataclass
-class StaticPatternRecord:
-    items: Tuple[str, ...]
-    support: FrozenSet[str]
-    node_count: int
-    mask: Optional[Pattern] = None
-    parent_item: Optional[str] = None
-    depth: int = 0
-    below_min_support: bool = False
-
-
-def static_mine(
-    graph: StaticGraph, ctx: AttributeContext, cfg: MinerConfig
-) -> List[StaticPatternRecord]:
-    """The same enumeration on a static graph; supports are node sets.
-
-    The threshold always counts nodes, whatever cfg.support_measure says.
-    """
-    universe = ctx.universe
-    order = cfg.validate(universe)
-    if not graph.nodes:
-        log.warning("mining an empty graph: no patterns")
-        return []
-
-    def extend(support: FrozenSet[str], bit: Pattern) -> FrozenSet[str]:
-        # a set, not a generator: the hub-authority core iterates it twice
-        carriers = frozenset(v for v in support if ctx.description(v) & bit)
-        return apply_static_core(cfg.core, graph, carriers)
-
-    def closure(support: FrozenSet[str]) -> Pattern:
-        mask = universe.full_mask
-        for v in support:
-            mask &= ctx.description(v)
-        return mask
-
-    def make_record(mask, support, size, parent, depth) -> StaticPatternRecord:
-        return StaticPatternRecord(
-            items=universe.items_of(mask),
-            support=support,
-            node_count=size,
-            mask=mask,
-            parent_item=parent,
-            depth=depth,
-            below_min_support=size < cfg.min_support,
-        )
-
-    return _enumerate(
-        universe, order, cfg,
-        apply_static_core(cfg.core, graph, frozenset(graph.nodes)),
-        extend,
-        len,
-        closure,
-        make_record,
-    )
 
 
 # -- pattern files ------------------------------------------------------------
@@ -278,13 +195,14 @@ def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path
 
 
 def write_static_patterns(
-    records: Sequence[StaticPatternRecord], path: Union[str, Path]
+    records: Sequence[ClosedPatternRecord], path: Union[str, Path]
 ) -> None:
+    """Static patterns mined on `induced_static_graph`: supports are node lists."""
     with open(path, "w") as handle:
         for rec in records:
             payload = {
                 "intent": list(rec.items),
-                "support": sorted(rec.support),
+                "support": list(rec.support.nodes()),
                 "node_count": rec.node_count,
             }
             if rec.below_min_support:

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 from .context import AttributeContext, Pattern
 from .cores import CoreSpec
 from .intervals import IntervalSet
-from .stream import StaticGraph, StreamGraph, TimeNodeSet
+from .stream import StreamGraph, TimeNodeSet
 
 Sample = Tuple[int, str]
 
@@ -167,8 +167,10 @@ def brute_enumerate(
 # -- static graphs -----------------------------------------------------------
 
 
-def brute_static_core(graph: StaticGraph, x: FrozenSet[str], spec: CoreSpec) -> FrozenSet[str]:
+def brute_static_core(graph: StreamGraph, x: FrozenSet[str], spec: CoreSpec) -> FrozenSet[str]:
+    """Static core by node-degree pruning; `graph` is a time-collapsed stream."""
     x = frozenset(x)
+    edges = [key for key, _ in graph.interaction_items()]
     if spec.kind == "identity":
         return x
     if spec.kind == "star-sat":
@@ -176,13 +178,13 @@ def brute_static_core(graph: StaticGraph, x: FrozenSet[str], spec: CoreSpec) -> 
             return x
         while True:
             degree = {v: 0 for v in x}
-            for u, v in graph.edges:
+            for u, v in edges:
                 if u in x and v in x:
                     degree[u] += 1
                     degree[v] += 1
             stars = {v for v, deg in degree.items() if deg >= spec.k}
             keep = set(stars)
-            for u, v in graph.edges:
+            for u, v in edges:
                 if u in x and v in x:
                     if u in stars:
                         keep.add(v)
@@ -196,7 +198,7 @@ def brute_static_core(graph: StaticGraph, x: FrozenSet[str], spec: CoreSpec) -> 
     while True:
         outdeg = {v: 0 for v in hubs}
         indeg = {v: 0 for v in auths}
-        for u, v in graph.edges:
+        for u, v in edges:
             if u in hubs and v in auths:
                 outdeg[u] += 1
                 indeg[v] += 1
@@ -208,7 +210,7 @@ def brute_static_core(graph: StaticGraph, x: FrozenSet[str], spec: CoreSpec) -> 
 
 
 def brute_static_enumerate(
-    graph: StaticGraph,
+    graph: StreamGraph,
     ctx: AttributeContext,
     spec: CoreSpec,
     min_support: int,

@@ -9,8 +9,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .intervals import EMPTY, IntervalSet, Span
 
@@ -142,11 +141,12 @@ class StreamGraph:
             names.add(u)
             names.add(v)
 
-        default_presence: Dict[str, IntervalSet] = {}
+        # collect first and normalise once per node: a union per pair is quadratic
+        node_spans: Dict[str, List[Span]] = {}
         for (u, v), ivs in pairs.items():
             for w in (u, v):
-                cur = default_presence.get(w, EMPTY)
-                default_presence[w] = cur.union(ivs)
+                node_spans.setdefault(w, []).extend(ivs.spans)
+        default_presence = {w: IntervalSet(spans) for w, spans in node_spans.items()}
 
         if presence is None:
             pres = default_presence
@@ -230,16 +230,15 @@ class StreamGraph:
         )
 
 
-@dataclass(frozen=True)
-class StaticGraph:
-    """Time-collapsed graph: an edge wherever a pair interacts at least once."""
+def induced_static_graph(stream: StreamGraph) -> StreamGraph:
+    """The time-collapsed graph, as a stream over the single tick [0, 1).
 
-    nodes: Tuple[str, ...]
-    edges: frozenset
-    directed: bool = False
-
-
-def induced_static_graph(stream: StreamGraph) -> StaticGraph:
-    edges = frozenset(key for key, _ in stream.interaction_items())
-    names = sorted({n for pair in edges for n in pair})
-    return StaticGraph(nodes=tuple(names), edges=edges, directed=stream.directed)
+    Every interacting pair, and with it every node of such a pair, is
+    present over [0, 1). A graph is a stream whose nodes and links are
+    present at all times, so on this stream the stream cores and `mine`
+    compute the static cores and the static closed patterns.
+    """
+    always = IntervalSet.span(0, 1)
+    return StreamGraph(
+        {key: always for key, _ in stream.interaction_items()}, directed=stream.directed
+    )

@@ -20,7 +20,6 @@ from streamcores import (
     induced_static_graph,
     mine,
     selection_counts,
-    static_mine,
     temporal_jaccard_distance,
 )
 from streamcores.context import closure, extent, intent
@@ -225,7 +224,7 @@ def test_c7_stream_static_containment():
     stream, ctx = compare_toy()
     cfg = MinerConfig(core=CoreSpec.star_satellite(2), min_support=1)
     stream_intents = {rec.items for rec in mining_records(stream, ctx, cfg)}
-    static_records = [rec for rec in static_mine(induced_static_graph(stream), ctx, cfg)
+    static_records = [rec for rec in mine(induced_static_graph(stream), ctx, cfg)
                       if not rec.below_min_support]
     static_intents = {rec.items for rec in static_records}
     assert len(static_intents) == 4 and len(stream_intents) == 3
@@ -239,7 +238,7 @@ def test_c7_stream_static_containment():
         k = rng.randint(0, 3)
         run_cfg = MinerConfig(core=CoreSpec.star_satellite(k), min_support=1)
         mined = {rec.mask for rec in mining_records(s, c, run_cfg)}
-        static = {rec.mask for rec in static_mine(induced_static_graph(s), c, run_cfg)
+        static = {rec.mask for rec in mine(induced_static_graph(s), c, run_cfg)
                   if not rec.below_min_support}
         assert mined <= static
         instances += 1

@@ -16,6 +16,19 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.mark.parametrize("command,option", [
+    (["mine", "--stream", "s.csv", "--output", "out.jsonl"], ["--beta", "0.4"]),
+    (["select", "--input", "in.jsonl", "--output", "out.jsonl"], ["--core", "identity"]),
+    (["inspect", "--input", "in.jsonl"], ["--min-support", "2"]),
+])
+def test_option_of_another_subcommand_is_refused(capsys, command, option):
+    # each subcommand accepts only the options it reads
+    with pytest.raises(SystemExit) as err:
+        run(*command, *option)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 class TestMineCommand:
     def test_reference_context(self, demo, tmp_path, capsys):
         out = tmp_path / "patterns.jsonl"
@@ -73,6 +86,15 @@ class TestMineCommand:
         bad.write_text("1 2 3 4 5 6\n")
         code = run("mine", "--stream", bad, "--output", tmp_path / "out.jsonl")
         assert code == 1
+
+    @pytest.mark.parametrize("delta", ["20.4", "inf", "nan"])
+    def test_delta_off_the_tick_grid_is_a_config_error(self, tmp_path, capsys, delta):
+        stream = tmp_path / "s.csv"
+        stream.write_text("20 a b\n40 a b\n")
+        code = run("mine", "--stream", stream, "--delta", delta,
+                   "--output", tmp_path / "out.jsonl")
+        assert code == 2
+        assert "instant extension" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stamp", ["inf", "nan"])
     def test_non_finite_timestamp_is_an_input_error(self, tmp_path, capsys, stamp):
@@ -256,3 +278,20 @@ class TestStaticCompareCommand:
         assert code == 0
         assert len(read_patterns(stream_out)) == 3
         assert len(static_out.read_text().splitlines()) == 4
+
+    def test_static_output_golden(self, demo, tmp_path):
+        static_out = tmp_path / "static.jsonl"
+        code = run(
+            "static-compare",
+            "--stream", demo["compare_stream"],
+            "--attributes", demo["compare_attrs"],
+            "--core", "star-sat:2",
+            "--static-output", static_out,
+        )
+        assert code == 0
+        assert static_out.read_text() == (
+            '{"intent": ["a"], "support": ["p", "q", "r", "u", "x", "y"], "node_count": 6}\n'
+            '{"intent": ["a", "g", "h"], "support": ["p", "q", "r"], "node_count": 3}\n'
+            '{"intent": ["a", "h"], "support": ["p", "q", "r", "u"], "node_count": 4}\n'
+            '{"intent": ["a", "b"], "support": ["u", "x", "y"], "node_count": 3}\n'
+        )

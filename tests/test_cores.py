@@ -5,7 +5,6 @@ import pytest
 from streamcores import (
     CoreSpec,
     IntervalSet,
-    StaticGraph,
     StreamGraph,
     TimeNodeSet,
     apply_core,
@@ -15,8 +14,6 @@ from streamcores import (
     induced_static_graph,
     star_satellite_core,
     star_satellite_split,
-    static_ha_core,
-    static_star_satellite_core,
 )
 from streamcores.oracle import brute_core, brute_static_core, discretize, sample_set
 from streamcores.toys import bipartite_toy_stream, compare_toy, star_toy_stream
@@ -274,23 +271,28 @@ class TestInteriorLaws:
 
 
 class TestStaticCores:
+    """Static cores: stream cores on the time-collapsed stream."""
+
     def test_zero_threshold(self):
-        g = StaticGraph(("a", "b"), frozenset({("a", "b")}))
-        assert static_star_satellite_core(g, {"a", "b"}, 0) == {"a", "b"}
+        g = induced_static_graph(StreamGraph({("a", "b"): [(3, 7)]}))
+        assert apply_static_core(CoreSpec.star_satellite(0), g, {"a", "b"}) == {"a", "b"}
 
     def test_compare_toy_graph(self):
         stream, _ = compare_toy()
         g = induced_static_graph(stream)
-        assert static_star_satellite_core(g, set(g.nodes), 2) == set(g.nodes)
-        assert static_star_satellite_core(g, {"u", "x", "y"}, 2) == {"u", "x", "y"}
-        assert static_star_satellite_core(g, {"q", "r"}, 2) == set()
+        k2 = CoreSpec.star_satellite(2)
+        assert apply_static_core(k2, g, set(g.nodes)) == set(g.nodes)
+        assert apply_static_core(k2, g, {"u", "x", "y"}) == {"u", "x", "y"}
+        assert apply_static_core(k2, g, {"q", "r"}) == set()
 
     def test_directed_static_ha(self):
-        g = StaticGraph(("u", "v", "w"),
-                        frozenset({("u", "v"), ("u", "w"), ("v", "w")}),
-                        directed=True)
-        assert static_ha_core(g, set(g.nodes), 2, 1) == {"u", "v", "w"}
-        assert static_ha_core(g, {"u", "v"}, 2, 1) == set()
+        g = induced_static_graph(StreamGraph(
+            {("u", "v"): [(0, 2)], ("u", "w"): [(5, 6)], ("v", "w"): [(9, 12)]},
+            directed=True,
+        ))
+        ha = CoreSpec.hub_authority(2, 1)
+        assert apply_static_core(ha, g, set(g.nodes)) == {"u", "v", "w"}
+        assert apply_static_core(ha, g, {"u", "v"}) == set()
 
     def test_matches_brute_force(self):
         rng = random.Random(90)

@@ -122,6 +122,13 @@ class TestReadLinkStream:
                              instant_extension_seconds=0.5)
         assert s.pair("a", "b") == IntervalSet.span(15, 20)
 
+    @pytest.mark.parametrize("delta", [20.4, float("inf"), float("nan")])
+    def test_extension_must_be_whole_ticks(self, delta):
+        # a configuration error, not an input error: never ParseError
+        with pytest.raises(ValueError, match="instant extension") as err:
+            read_link_stream(["40 a b"], instant_extension_seconds=delta)
+        assert not isinstance(err.value, ParseError)
+
     def test_malformed_row_reported_with_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1 3 a b\nbogus row here nope nope nope\n")

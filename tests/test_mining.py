@@ -15,7 +15,6 @@ from streamcores import (
     induced_static_graph,
     mine,
     read_patterns,
-    static_mine,
     write_patterns,
 )
 from streamcores.mining import write_static_patterns
@@ -79,9 +78,7 @@ def contact_triple():
 
 
 class TestMineEdgeCases:
-    """Contracts of the stream miner; TestStaticMineEdgeCases re-runs them on the static one."""
-
-    empty_warning = "empty stream"
+    """Contracts of the miner; TestStaticMineEdgeCases re-runs them on the collapsed stream."""
 
     @staticmethod
     def run(stream, ctx, cfg):
@@ -104,7 +101,7 @@ class TestMineEdgeCases:
         with caplog.at_level(logging.WARNING):
             records = self.run(StreamGraph({}), ctx, MinerConfig(min_support=1))
         assert records == []
-        assert self.empty_warning in caplog.text
+        assert "empty stream" in caplog.text
 
     def test_nonpositive_support_rejected(self):
         stream, ctx = contact_triple()
@@ -132,7 +129,7 @@ class TestMineEdgeCases:
             assert sorted(got) == sorted(base)
 
     def test_node_count_support_measure(self):
-        # the static miner always counts nodes, so it must agree here
+        # on the collapsed stream both measures count nodes, so it must agree here
         stream, ctx = contact_triple()
         records = self.run(stream, ctx, MinerConfig(min_support=2, support_measure="nodes"))
         assert {r.items for r in records if not r.below_min_support} == {
@@ -141,15 +138,13 @@ class TestMineEdgeCases:
 
 
 class TestStaticMineEdgeCases(TestMineEdgeCases):
-    empty_warning = "empty graph"
-
     @staticmethod
     def run(stream, ctx, cfg):
-        return static_mine(induced_static_graph(stream), ctx, cfg)
+        return mine(induced_static_graph(stream), ctx, cfg)
 
     @staticmethod
     def whole(stream):
-        return frozenset(induced_static_graph(stream).nodes)
+        return induced_static_graph(stream).presence_set()
 
 
 class TestMineAgainstOracle:
@@ -223,7 +218,7 @@ class TestStaticMine:
         cfg = MinerConfig(core=CoreSpec.star_satellite(2), min_support=1)
         stream_intents = {r.items for r in mining_records(stream, ctx, cfg)}
         graph = induced_static_graph(stream)
-        static_records = [r for r in static_mine(graph, ctx, cfg) if not r.below_min_support]
+        static_records = [r for r in mine(graph, ctx, cfg) if not r.below_min_support]
         static_intents = {r.items for r in static_records}
         assert len(stream_intents) == 3
         assert len(static_intents) == 4
@@ -231,14 +226,14 @@ class TestStaticMine:
         extra = (static_intents - stream_intents).pop()
         assert extra == ("a", "b")
         lost = next(r for r in static_records if r.items == ("a", "b"))
-        assert lost.support == frozenset({"u", "x", "y"})
+        assert frozenset(lost.support.nodes()) == frozenset({"u", "x", "y"})
 
     def test_simultaneous_toy_counts_match(self):
         stream, ctx = simultaneous_toy()
         cfg = MinerConfig(core=CoreSpec.star_satellite(2), min_support=1)
         stream_count = len(mining_records(stream, ctx, cfg))
         static_records = [
-            r for r in static_mine(induced_static_graph(stream), ctx, cfg)
+            r for r in mine(induced_static_graph(stream), ctx, cfg)
             if not r.below_min_support
         ]
         assert stream_count == len(static_records) == 3
@@ -252,8 +247,8 @@ class TestStaticMine:
             ctx = random_context(rng, s)
             spec = random_core_spec(rng, directed)
             got = frozenset(
-                (r.mask, r.support)
-                for r in static_mine(g, ctx, MinerConfig(core=spec, min_support=1))
+                (r.mask, frozenset(r.support.nodes()))
+                for r in mine(g, ctx, MinerConfig(core=spec, min_support=1))
                 if not r.below_min_support
             )
             assert got == brute_static_enumerate(g, ctx, spec, 1)
@@ -267,7 +262,7 @@ class TestStaticMine:
             cfg = MinerConfig(core=spec, min_support=1)
             stream_intents = {r.mask for r in mining_records(s, ctx, cfg)}
             static_intents = {
-                r.mask for r in static_mine(induced_static_graph(s), ctx, cfg)
+                r.mask for r in mine(induced_static_graph(s), ctx, cfg)
                 if not r.below_min_support
             }
             assert stream_intents <= static_intents
@@ -306,7 +301,7 @@ class TestPatternFiles:
     def test_static_writer(self, tmp_path):
         stream, ctx = compare_toy()
         cfg = MinerConfig(core=CoreSpec.star_satellite(2), min_support=1)
-        records = static_mine(induced_static_graph(stream), ctx, cfg)
+        records = mine(induced_static_graph(stream), ctx, cfg)
         path = tmp_path / "static.jsonl"
         write_static_patterns(records, path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]

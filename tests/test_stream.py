@@ -43,6 +43,16 @@ class TestStreamGraph:
         assert s.presence("b") == IntervalSet.span(0, 2)
         assert s.horizon == (0, 7)
 
+    def test_default_presence_matches_pairwise_unions(self):
+        rng = random.Random(44)
+        for trial in range(60):
+            s = random_stream(rng, directed=bool(trial % 2), max_intervals=20)
+            want = {}
+            for (u, v), ivs in s.interaction_items():
+                for w in (u, v):
+                    want[w] = want.get(w, IntervalSet()).union(ivs)
+            assert {v: s.presence(v) for v in want} == want
+
     def test_undirected_pair_key_is_normalized(self):
         s = StreamGraph({("b", "a"): [(0, 1)]})
         assert s.pair("a", "b") == s.pair("b", "a") == IntervalSet.span(0, 1)
@@ -160,18 +170,30 @@ class TestInducedSubstream:
         assert not t.pair("b", "a")
 
 
+def edges(graph):
+    return frozenset(key for key, _ in graph.interaction_items())
+
+
 class TestInducedStaticGraph:
     def test_empty(self):
         g = induced_static_graph(StreamGraph({}))
-        assert g.nodes == () and not g.edges
+        assert g.nodes == () and not edges(g)
 
     def test_star_toy_edges(self):
         g = induced_static_graph(star_toy_stream())
-        assert ("a", "b") in g.edges and ("b", "d") in g.edges
+        assert ("a", "b") in edges(g) and ("b", "d") in edges(g)
 
     def test_disjoint_times_collapse_to_one_edge(self):
         g = induced_static_graph(StreamGraph({("a", "b"): [(0, 1), (5, 6)]}))
-        assert g.edges == frozenset({("a", "b")})
+        assert edges(g) == frozenset({("a", "b")})
+
+    def test_everything_present_over_one_tick(self):
+        s = StreamGraph({("a", "b"): [(2, 4)], ("c", "b"): [(7, 9)]}, nodes=["a", "b", "c", "z"],
+                        directed=True)
+        g = induced_static_graph(s)
+        assert g.directed and g.nodes == ("a", "b", "c") and g.horizon == (0, 1)
+        assert all(ivs == IntervalSet.span(0, 1) for _, ivs in g.interaction_items())
+        assert all(g.presence(v) == IntervalSet.span(0, 1) for v in g.nodes)
 
 
 class TestDegreeProfile:
