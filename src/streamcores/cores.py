@@ -8,7 +8,10 @@ non-qualifying time-nodes are dropped.
 
 The hub/authority bi-core on directed streams prunes the hub side by
 out-degree and the authority side by in-degree, alternating passes on
-the substream induced by the current pair until nothing changes.
+the substream induced by the current pair until nothing changes. After
+the first full pass, a pass re-prunes only the nodes next to a node of
+the other side that changed (a worklist), and the number of passes is
+capped by the measure of the two input sides.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable
 
-from .intervals import IntervalSet, coverage_at_least
+from .intervals import EMPTY, IntervalSet, coverage_at_least
 from .stream import StreamGraph, TimeNodeSet
 
 
@@ -132,33 +135,6 @@ def star_satellite_core(stream: StreamGraph, wp: TimeNodeSet, k: int) -> TimeNod
     return star_satellite_split(stream, wp, k).flattened()
 
 
-def _prune_side(
-    stream: StreamGraph,
-    keep: TimeNodeSet,
-    opposite: TimeNodeSet,
-    threshold: int,
-    incoming: bool,
-) -> TimeNodeSet:
-    if threshold == 0:
-        return keep
-    out: Dict[str, IntervalSet] = {}
-    for u in keep.nodes():
-        adjacency = stream.in_adjacency(u) if incoming else stream.adjacency(u)
-        clipped = []
-        own = keep.get(u)
-        for v, ivs in adjacency.items():
-            other = opposite.get(v)
-            if other:
-                got = ivs.intersect(own).intersect(other)
-                if got:
-                    clipped.append(got)
-        if clipped:
-            got = coverage_at_least(clipped, threshold)
-            if got:
-                out[u] = got
-    return TimeNodeSet._raw(out)
-
-
 def bha_bicore(
     stream: StreamGraph, w1: TimeNodeSet, w2: TimeNodeSet, h: int, a: int
 ) -> BiCoreResult:
@@ -167,25 +143,60 @@ def bha_bicore(
     Hubs need out-degree >= h towards the authority side, authorities
     need in-degree >= a from the hub side, both inside the substream the
     pair induces; a node present on both sides must satisfy both.
+
+    Each pass re-prunes hubs, then authorities, against the other side.
+    The first pass prunes every node; later passes prune only the nodes
+    with a neighbour on the other side that changed since their own last
+    pruning, since no other node's clipped degree can have changed. The
+    loop stops after a pass that leaves no hub to re-prune, i.e. one in
+    which no authority with a hub in-neighbour changed.
+
+    Bound: every pass but the last removes at least one node-tick from
+    the authorities and neither side ever gains one, so at most
+    w1.measure() + w2.measure() + 1 passes run.
     """
     if not stream.directed:
         raise ValueError("hub-authority cores are defined on directed streams")
     if h < 0 or a < 0:
         raise ValueError("thresholds must be non-negative")
 
-    # each changing pass removes at least one atom of some node's intervals
-    atoms = sum(len(ivs.spans) * 2 for _, ivs in w1.items())
-    atoms += sum(len(ivs.spans) * 2 for _, ivs in w2.items())
-    atoms += sum(len(ivs.spans) * 2 for _, ivs in stream.interaction_items())
-    cap = (len(stream.nodes) + 1) * (atoms + 2)
-
-    hubs, auths = w1, w2
-    for _ in range(cap):
-        new_hubs = _prune_side(stream, hubs, auths, h, incoming=False)
-        new_auths = _prune_side(stream, auths, new_hubs, a, incoming=True)
-        if new_hubs == hubs and new_auths == auths:
-            return BiCoreResult(hubs, auths)
-        hubs, auths = new_hubs, new_auths
+    hubs = dict(w1.items())
+    auths = dict(w2.items())
+    # (side, its threshold, its adjacency towards the other side, the other side)
+    sides = (
+        (hubs, h, stream.adjacency, auths),
+        (auths, a, stream.in_adjacency, hubs),
+    )
+    dirty = [set(hubs), set(auths)]
+    for _ in range(w1.measure() + w2.measure() + 1):
+        for side, (keep, threshold, adjacency, opposite) in enumerate(sides):
+            changed = []
+            if threshold:
+                for u in dirty[side]:
+                    own = keep.get(u)
+                    if own is None:
+                        continue
+                    clipped = []
+                    for v, ivs in adjacency(u).items():
+                        other = opposite.get(v)
+                        if other is not None:
+                            got = ivs.intersect(own).intersect(other)
+                            if got:
+                                clipped.append(got)
+                    got = coverage_at_least(clipped, threshold) if clipped else EMPTY
+                    if got != own:
+                        changed.append(u)
+                        if got:
+                            keep[u] = got
+                        else:
+                            del keep[u]
+            dirty[side] = set()
+            # a changed node's neighbours on the other side see a new degree
+            far = dirty[1 - side]
+            for u in changed:
+                far.update(v for v in adjacency(u) if v in opposite)
+        if not dirty[0]:
+            return BiCoreResult(TimeNodeSet._raw(hubs), TimeNodeSet._raw(auths))
     raise RuntimeError("bi-core pruning failed to reach a fixed point within its bound")
 
 

@@ -8,9 +8,15 @@ given point set, which makes structural equality set equality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Optional, Tuple
 
 Span = Tuple[int, int]
+
+# intersect bisects the shorter span list into the longer one when it has at
+# most 1/_BISECT_RATIO as many spans, and merges the two lists otherwise; on
+# hs-shaped presences the two cost the same at about this ratio
+_BISECT_RATIO = 6
 
 
 def _normalize(spans: Iterable[Span]) -> Tuple[Span, ...]:
@@ -31,6 +37,30 @@ def _normalize(spans: Iterable[Span]) -> Tuple[Span, ...]:
         else:
             merged.append((a, b))
     return tuple(merged)
+
+
+def _clip_into(xs: Tuple[Span, ...], ys: Tuple[Span, ...]) -> Tuple[Span, ...]:
+    """Canonical xs ∩ ys, bisecting each span of the short xs into the long ys.
+
+    Costs O(len(xs) · log len(ys) + output) instead of a merge's
+    O(len(xs) + len(ys)) (Demaine, López-Ortiz & Munro, SODA 2000).
+    """
+    out: list[Span] = []
+    n = len(ys)
+    j = 0
+    for a, b in xs:
+        j = bisect_left(ys, (a,), j)  # first span of ys starting at or after a
+        if j and ys[j - 1][1] > a:
+            j -= 1
+        while j < n:
+            c, d = ys[j]
+            if c >= b:
+                break
+            out.append((a if a > c else c, b if b < d else d))
+            if d > b:  # the span may also meet the next span of xs
+                break
+            j += 1
+    return tuple(out)
 
 
 class IntervalSet:
@@ -104,17 +134,33 @@ class IntervalSet:
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         xs, ys = self._spans, other._spans
-        i = j = 0
+        nx, ny = len(xs), len(ys)
+        if ny < nx:
+            xs, ys, nx, ny = ys, xs, ny, nx
+        if not nx:
+            return EMPTY
+        if nx * _BISECT_RATIO <= ny:
+            return IntervalSet._raw(_clip_into(xs, ys))
         out: list[Span] = []
-        while i < len(xs) and j < len(ys):
-            a = max(xs[i][0], ys[j][0])
-            b = min(xs[i][1], ys[j][1])
-            if a < b:
-                out.append((a, b))
-            if xs[i][1] <= ys[j][1]:
+        i = j = 0
+        a, b = xs[0]
+        c, d = ys[0]
+        while True:
+            lo = a if a > c else c
+            if b <= d:
+                if lo < b:
+                    out.append((lo, b))
                 i += 1
+                if i == nx:
+                    break
+                a, b = xs[i]
             else:
+                if lo < d:
+                    out.append((lo, d))
                 j += 1
+                if j == ny:
+                    break
+                c, d = ys[j]
         return IntervalSet._raw(tuple(out))
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":

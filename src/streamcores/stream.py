@@ -233,12 +233,15 @@ class StreamGraph:
 def induced_static_graph(stream: StreamGraph) -> StreamGraph:
     """The time-collapsed graph, as a stream over the single tick [0, 1).
 
-    Every interacting pair, and with it every node of such a pair, is
-    present over [0, 1). A graph is a stream whose nodes and links are
-    present at all times, so on this stream the stream cores and `mine`
-    compute the static cores and the static closed patterns.
+    Every node with non-empty presence, isolated or not, and every
+    interacting pair is present over [0, 1). A graph is a stream whose
+    nodes and links are present at all times, so on this stream the
+    stream cores and `mine` compute the static cores and the static
+    closed patterns.
     """
     always = IntervalSet.span(0, 1)
     return StreamGraph(
-        {key: always for key, _ in stream.interaction_items()}, directed=stream.directed
+        {key: always for key, _ in stream.interaction_items()},
+        presence={v: always for v in stream.presence_set().nodes()},
+        directed=stream.directed,
     )

@@ -249,6 +249,21 @@ class TestStaticCompareCommand:
         assert "static patterns: 4" in out
         assert "containment holds" in out
 
+    def test_isolated_present_nodes_are_static_nodes(self, demo, capsys):
+        # the reference context has presence and no links: every node is isolated
+        code = run(
+            "static-compare",
+            "--stream", demo["context_stream"],
+            "--presence", demo["context_presence"],
+            "--attributes", demo["context_attrs"],
+            "--core", "identity",
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "stream patterns: 7" in out
+        assert "static patterns: 7" in out
+        assert "containment holds" in out
+
     def test_simultaneous_stream_counts_match(self, tmp_path, capsys):
         from streamcores import dataio
         from streamcores.toys import simultaneous_toy

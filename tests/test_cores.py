@@ -155,6 +155,35 @@ class TestHubAuthority:
         final = bha_bicore(s, w, w, 2, 2)
         assert final.right.get("x") == IntervalSet.span(3, 5)
 
+    def test_worklist_matches_brute_force_on_larger_streams(self):
+        # 8 nodes and up to 40 intervals, so fixed points take several passes
+        from streamcores.oracle import _bha_pass, brute_bicore
+
+        rng = random.Random(110)
+        deepest = 0
+        for _ in range(80):
+            s = random_stream(rng, directed=True, max_nodes=8, max_intervals=40)
+            spec = CoreSpec.hub_authority(rng.randint(1, 3), rng.randint(1, 3))
+            w = s.presence_set()
+            w1, w2 = random_subset(rng, w), random_subset(rng, w)
+            d = discretize(s)
+            x1, x2 = sample_set(w1), sample_set(w2)
+            want = brute_bicore(d, x1, x2, spec.h, spec.a)
+            got = bha_bicore(s, w1, w2, spec.h, spec.a)
+            assert (sample_set(got.left), sample_set(got.right)) == want
+            passes = 1
+            while (x1, x2) != want:
+                x1, x2 = _bha_pass(d, x1, x2, spec.h, spec.a)
+                passes += 1
+            deepest = max(deepest, passes)
+
+            x = random_subset(rng, w)
+            assert sample_set(ha_core(s, x, spec.h, spec.a)) == brute_core(d, sample_set(x), spec)
+            g = induced_static_graph(s)
+            nodes = frozenset(v for v in g.nodes if rng.random() < 0.8)
+            assert apply_static_core(spec, g, nodes) == brute_static_core(g, nodes, spec)
+        assert deepest >= 4
+
 
 class TestApplyCore:
     def test_identity(self):

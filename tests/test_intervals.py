@@ -92,6 +92,33 @@ class TestMeasure:
         assert IntervalSet([(0, 2), (5, 6)]).measure() == 3
 
 
+@st.composite
+def lopsided_pairs(draw):
+    """A set of 0-3 spans and one of up to 64, their endpoints touching or nested."""
+    long_spans, t = [], draw(st.integers(0, 2))
+    count = draw(st.integers(0, 64))  # a plain list strategy rarely draws long lists
+    for gap, length in draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                                     min_size=count, max_size=count)):
+        long_spans.append((t, t + length))
+        t += length + gap
+    ends = sorted({0, t} | {e for span in long_spans for e in span})
+    point = st.sampled_from(ends).flatmap(lambda e: st.integers(max(0, e - 1), e + 1))
+    short = draw(st.lists(st.tuples(point, point).map(lambda p: (min(p), max(p))),
+                          max_size=3))
+    return IntervalSet(short), IntervalSet(long_spans), t + 2
+
+
+@given(lopsided_pairs())
+def test_lopsided_intersection_matches_pointwise_and_merge(pair):
+    short, long, hi = pair
+    for a, b in ((short, long), (long, short)):
+        got = a & b
+        assert ticks(got, 0, hi) == ticks(a, 0, hi) & ticks(b, 0, hi)
+        # subtract merges the two span lists, independently of intersect
+        assert got == a - (a - b)
+        assert got.spans == IntervalSet(got.spans).spans
+
+
 @given(interval_sets, interval_sets)
 def test_union_matches_pointwise(a, b):
     assert ticks(a | b) == ticks(a) | ticks(b)

@@ -195,6 +195,13 @@ class TestInducedStaticGraph:
         assert all(ivs == IntervalSet.span(0, 1) for _, ivs in g.interaction_items())
         assert all(g.presence(v) == IntervalSet.span(0, 1) for v in g.nodes)
 
+    def test_present_isolated_node_is_kept(self):
+        s = StreamGraph({("a", "b"): [(2, 4)]}, presence={"a": [(2, 4)], "b": [(0, 9)],
+                                                          "c": [(5, 6)]})
+        g = induced_static_graph(s)
+        assert g.nodes == ("a", "b", "c") and edges(g) == frozenset({("a", "b")})
+        assert g.presence("c") == IntervalSet.span(0, 1)
+
 
 class TestDegreeProfile:
     def test_no_interactions_is_constant_zero(self):
