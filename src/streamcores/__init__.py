@@ -22,6 +22,7 @@ from .mining import (
     write_patterns,
 )
 from .selection import (
+    PairDistances,
     SelectionConfig,
     g_beta_select,
     selection_counts,
@@ -40,6 +41,7 @@ __all__ = [
     "IntervalSet",
     "ItemUniverse",
     "MinerConfig",
+    "PairDistances",
     "SelectionConfig",
     "StreamGraph",
     "TimeNodeSet",

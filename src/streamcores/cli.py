@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 from . import dataio
 from .cores import CoreSpec
 from .mining import MinerConfig, mine, read_patterns, write_patterns, write_static_patterns
-from .selection import SelectionConfig, g_beta_select, selection_counts
+from .selection import PairDistances, SelectionConfig, g_beta_select, selection_counts
 from .stream import induced_static_graph
 
 log = logging.getLogger(__name__)
@@ -199,7 +199,8 @@ def cmd_select(args: argparse.Namespace) -> int:
         log.info("ignoring %d record(s) flagged below min-support", len(records) - len(usable))
 
     cfg = SelectionConfig(beta=manifest.beta, g=manifest.g)
-    kept = g_beta_select(usable, cfg)
+    distances = PairDistances(usable)
+    kept = g_beta_select(usable, cfg, distances)
     out = Path(manifest.output)
     write_patterns(kept, out)
     manifest.write(out.with_name(out.name + ".manifest.json"))
@@ -208,7 +209,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     betas = _parse_betas(manifest.betas)
     if betas:
         print("sweep:")
-        for beta, count in selection_counts(usable, betas, g=manifest.g):
+        for beta, count in selection_counts(usable, betas, g=manifest.g, distances=distances):
             print(f"  beta={beta:g} kept={count}")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ capped by the measure of the two input sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from .intervals import EMPTY, IntervalSet, coverage_at_least
 from .stream import StreamGraph, TimeNodeSet
@@ -100,8 +100,10 @@ def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, list]:
     return active
 
 
-def star_satellite_split(stream: StreamGraph, wp: TimeNodeSet, k: int) -> BiCoreResult:
-    """Stars and satellites of the k-star-satellite core, separately."""
+def _stars_and_satellites(
+    stream: StreamGraph, wp: TimeNodeSet, k: int
+) -> Tuple[Dict[str, IntervalSet], Dict[str, IntervalSet]]:
+    """Star and satellite times of each node of wp; both dicts hold only nonempty sets."""
     if stream.directed:
         raise ValueError("star-satellite cores are defined on undirected streams")
     if k < 0:
@@ -127,12 +129,22 @@ def star_satellite_split(stream: StreamGraph, wp: TimeNodeSet, k: int) -> BiCore
             if got:
                 cur = sats.get(v)
                 sats[v] = got if cur is None else cur.union(got)
-    return BiCoreResult(TimeNodeSet(stars), TimeNodeSet(sats))
+    return stars, sats
+
+
+def star_satellite_split(stream: StreamGraph, wp: TimeNodeSet, k: int) -> BiCoreResult:
+    """Stars and satellites of the k-star-satellite core, separately."""
+    stars, sats = _stars_and_satellites(stream, wp, k)
+    return BiCoreResult(TimeNodeSet._raw(stars), TimeNodeSet._raw(sats))
 
 
 def star_satellite_core(stream: StreamGraph, wp: TimeNodeSet, k: int) -> TimeNodeSet:
     """Greatest subset of wp whose members are all stars or satellites at their times."""
-    return star_satellite_split(stream, wp, k).flattened()
+    stars, core = _stars_and_satellites(stream, wp, k)
+    for v, ivs in stars.items():
+        cur = core.get(v)
+        core[v] = ivs if cur is None else ivs.union(cur)
+    return TimeNodeSet._raw(core)
 
 
 def bha_bicore(

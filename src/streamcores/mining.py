@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core
+from .dataio import ParseError
 from .intervals import IntervalSet
 from .stream import StreamGraph, TimeNodeSet
 
@@ -211,6 +212,11 @@ def write_static_patterns(
 
 
 def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
+    """Records written by `write_patterns`.
+
+    A malformed record, or one whose `support_measure` or `node_count`
+    disagrees with its support, raises `dataio.ParseError`.
+    """
     records = []
     with open(path) as handle:
         for i, line in enumerate(handle, start=1):
@@ -223,13 +229,20 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
                     v: IntervalSet((int(a), int(b)) for a, b in spans)
                     for v, spans in obj["support"].items()
                 })
-                records.append(ClosedPatternRecord(
+                rec = ClosedPatternRecord(
                     items=tuple(obj["intent"]),
                     support=support,
                     support_measure=int(obj["support_measure"]),
                     node_count=int(obj["node_count"]),
                     below_min_support=bool(obj.get("below_min_support", False)),
-                ))
+                )
+                if rec.support_measure != support.measure():
+                    raise ValueError(f"support_measure {rec.support_measure} but the "
+                                     f"support covers {support.measure()} node-ticks")
+                if rec.node_count != support.node_count():
+                    raise ValueError(f"node_count {rec.node_count} but the "
+                                     f"support has {support.node_count()} nodes")
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
-                raise ValueError(f"{path}:{i}: bad pattern record: {err}") from None
+                raise ParseError(f"bad pattern record: {err}", source=str(path), row=i) from None
+            records.append(rec)
     return records

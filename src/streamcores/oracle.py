@@ -5,6 +5,10 @@ Everything here trades speed for obviousness: streams are expanded to
 and closures are enumerated over the whole pattern lattice. Intended
 for validating the interval-based engines on small instances only.
 
+The selection section holds the temporal Jaccard distance computed on
+the built union and the greedy beta-scan without a memo; `selection`
+must agree with them bit for bit.
+
 The last section holds reference definitions of stream-graph notions
 (induced substreams, degree profiles, adjacency event tables; Latapy,
 Viard & Magnien, "Stream graphs and link streams for the modeling of
@@ -14,11 +18,13 @@ interactions over time", SNAM 2018). The miner does not use them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .context import AttributeContext, Pattern
 from .cores import CoreSpec
 from .intervals import IntervalSet
+from .mining import ClosedPatternRecord
+from .selection import INTEREST_MEASURES
 from .stream import StreamGraph, TimeNodeSet
 
 Sample = Tuple[int, str]
@@ -229,6 +235,31 @@ def brute_static_enumerate(
             closed &= ctx.description(v)
         found.add((closed, core))
     return frozenset(found)
+
+
+# -- selection ---------------------------------------------------------------
+
+
+def reference_jaccard_distance(wi: TimeNodeSet, wj: TimeNodeSet) -> float:
+    """1 - |intersection| / |union| in node-ticks, with the union built."""
+    union = wi.union(wj).measure()
+    if union == 0:
+        raise ValueError("the distance of two empty supports is undefined")
+    inter = wi.intersect(wj).measure()
+    return 1.0 - inter / union
+
+
+def reference_select(
+    records: Sequence[ClosedPatternRecord], beta: float, g: str = "duration"
+) -> List[ClosedPatternRecord]:
+    """Greedy scan in decreasing interestingness, ties broken by intent, every distance recomputed."""
+    measure = INTEREST_MEASURES[g]
+    ordered = sorted(records, key=lambda rec: (-measure(rec), tuple(sorted(rec.items))))
+    kept: List[ClosedPatternRecord] = []
+    for rec in ordered:
+        if all(reference_jaccard_distance(rec.support, k.support) >= beta for k in kept):
+            kept.append(rec)
+    return kept
 
 
 # -- reference definitions of stream-graph notions ---------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from streamcores import read_patterns, star_satellite_core
+from streamcores import read_patterns, selection, star_satellite_core
 from streamcores.cli import main
 from streamcores.toys import star_toy_stream, write_demo_files
 
@@ -192,6 +192,39 @@ class TestSelectCommand:
     def test_missing_input(self, tmp_path):
         assert run("select", "--input", tmp_path / "nope.jsonl",
                    "--output", tmp_path / "o.jsonl") == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda row: row.update(support_measure=5),
+        lambda row: row.update(node_count=999),
+        lambda row: row.pop("support"),
+    ], ids=["forged-measure", "forged-node-count", "no-support"])
+    def test_bad_record_is_an_input_error(self, mined, tmp_path, capsys, edit):
+        lines = mined.read_text().splitlines()
+        row = json.loads(lines[0])
+        edit(row)
+        lines[0] = json.dumps(row)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "selected.jsonl"
+        assert run("select", "--input", bad, "--output", out) == 1
+        assert f"{bad}:1: bad pattern record" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("inspect", "--input", bad) == 1
+
+    def test_each_distinct_pair_is_measured_once(self, mined, tmp_path, monkeypatch):
+        original = selection.temporal_jaccard_distance
+        calls = []
+
+        def counting(wi, wj, *rest):
+            calls.append(frozenset((id(wi), id(wj))))
+            return original(wi, wj, *rest)
+
+        monkeypatch.setattr(selection, "temporal_jaccard_distance", counting)
+        assert run("select", "--input", mined, "--beta", 0.4,
+                   "--betas", "0,0.2,0.4,0.6,0.8,1", "--output", tmp_path / "s.jsonl") == 0
+        assert calls
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= 7 * 6 // 2
 
 
 class TestInspectCommand:

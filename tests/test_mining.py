@@ -17,6 +17,7 @@ from streamcores import (
     read_patterns,
     write_patterns,
 )
+from streamcores.dataio import ParseError
 from streamcores.mining import write_static_patterns
 from streamcores.oracle import (
     brute_enumerate,
@@ -296,6 +297,19 @@ class TestPatternFiles:
         path = tmp_path / "patterns.jsonl"
         path.write_text('{"intent": []}\n')
         with pytest.raises(ValueError, match="patterns.jsonl:1"):
+            read_patterns(path)
+
+    @pytest.mark.parametrize("field,forged", [("support_measure", 5), ("node_count", 999)])
+    def test_measures_must_match_the_support(self, tmp_path, field, forged):
+        records, _ = reference_records()
+        path = tmp_path / "patterns.jsonl"
+        write_patterns(records, path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        row[field] = forged
+        lines[1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"patterns.jsonl:2: bad pattern record: {field} {forged}"):
             read_patterns(path)
 
     def test_static_writer(self, tmp_path):

@@ -6,6 +6,7 @@ from streamcores import (
     ClosedPatternRecord,
     IntervalSet,
     MinerConfig,
+    PairDistances,
     SelectionConfig,
     TimeNodeSet,
     g_beta_select,
@@ -13,9 +14,16 @@ from streamcores import (
     selection_counts,
     temporal_jaccard_distance,
 )
+from streamcores.oracle import reference_jaccard_distance, reference_select
 from streamcores.toys import triple_context_stream
 
-from helpers import mining_records, random_context, random_core_spec, random_stream
+from helpers import (
+    mining_records,
+    random_context,
+    random_core_spec,
+    random_stream,
+    random_subset,
+)
 
 
 def record(items, support):
@@ -144,6 +152,80 @@ class TestSelect:
             for i, x in enumerate(kept):
                 for y in kept[i + 1:]:
                     assert temporal_jaccard_distance(x.support, y.support) >= beta
+
+
+BETAS = [0.0, 0.1, 0.2, 0.25, 0.4, 0.5, 0.6, 0.75, 0.8, 0.9, 1.0]
+
+
+def _outcome(fn):
+    """What `fn` returns, or the error it raises."""
+    try:
+        return fn()
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def _random_records(rng):
+    """Records over random supports with duplicate supports, tied measures and intents, empties."""
+    w = random_stream(rng).presence_set()
+    supports = [random_subset(rng, w) for _ in range(rng.randint(1, 8))]
+    supports += [rng.choice(supports) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        supports.append(TimeNodeSet())
+    if rng.random() < 0.1:
+        supports.append(TimeNodeSet())
+    rng.shuffle(supports)
+    return [record(rng.sample("abc", rng.randint(0, 2)), sup) for sup in supports]
+
+
+class TestAgainstReference:
+    """The memoised inclusion-exclusion selection equals the union-based, memo-free one."""
+
+    def assert_same_selection(self, records, g):
+        distances = PairDistances(records)
+        for beta in BETAS:
+            got = _outcome(lambda: [id(r) for r in g_beta_select(
+                records, SelectionConfig(beta=beta, g=g), distances)])
+            want = _outcome(lambda: [id(r) for r in reference_select(records, beta, g)])
+            assert got == want
+        got = _outcome(lambda: selection_counts(records, BETAS, g, distances=distances))
+        want = _outcome(lambda: [(b, len(reference_select(records, b, g))) for b in BETAS])
+        assert got == want
+
+    def test_distance_is_bit_identical(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            w = random_stream(rng).presence_set()
+            a = random_subset(rng, w) if rng.random() < 0.9 else TimeNodeSet()
+            b = rng.choice([a, random_subset(rng, w), TimeNodeSet()])
+            want = _outcome(lambda: reference_jaccard_distance(a, b))
+            assert _outcome(lambda: temporal_jaccard_distance(a, b)) == want
+            assert _outcome(lambda: temporal_jaccard_distance(a, b, a.measure(), b.measure())) == want
+
+    def test_mined_records(self):
+        rng = random.Random(5)
+        for _ in range(25):
+            s = random_stream(rng)
+            ctx = random_context(rng, s)
+            cfg = MinerConfig(core=random_core_spec(rng, False), min_support=1)
+            records = mining_records(s, ctx, cfg)
+            for g in ("duration", "nodes", "intent-size"):
+                self.assert_same_selection(records, g)
+
+    def test_random_supports(self):
+        rng = random.Random(13)
+        raised = 0
+        for _ in range(200):
+            records = _random_records(rng)
+            for g in ("duration", "nodes", "intent-size"):
+                self.assert_same_selection(records, g)
+            raised += isinstance(_outcome(lambda: reference_select(records, 0.0)), tuple)
+        assert raised, "two empty supports in one list must raise in both"
+
+    def test_distances_of_another_list_are_refused(self):
+        records, _ = _mined()
+        with pytest.raises(ValueError):
+            g_beta_select(list(records), SelectionConfig(), PairDistances(records))
 
 
 def _mined():
