@@ -29,6 +29,9 @@ log = logging.getLogger(__name__)
 
 PathOrLines = Union[str, Path, Iterable[str]]
 
+# columns per row of each link-stream format
+_FORMAT_WIDTHS = {"triples": 3, "quadruples": 4, "contacts": 5}
+
 # the default limit of Python's own int() on decimal text; it also keeps
 # an exponent such as 1e999999999 from building a huge integer
 MAX_TIMESTAMP_DIGITS = 4300
@@ -146,12 +149,9 @@ def ingest_link_stream(
             raise ParseError(f"interval [{b}, {e}) outside horizon {horizon}", source, i)
         if not directed and u > v:
             u, v = v, u
-        pair_spans.setdefault((u, v), []).append((int(b), int(e)))
+        pair_spans.setdefault((u, v), []).append((b, e))
 
-    interactions = {key: IntervalSet(spans) for key, spans in pair_spans.items()}
-    return StreamGraph(
-        interactions, presence=presence, horizon=horizon, directed=directed
-    )
+    return StreamGraph(pair_spans, presence=presence, horizon=horizon, directed=directed)
 
 
 def read_link_stream(
@@ -171,7 +171,7 @@ def read_link_stream(
     export; its class columns are skipped here. The instant extension
     must be a whole number of ticks; anything else is a ValueError.
     """
-    if fmt not in ("auto", "triples", "quadruples", "contacts"):
+    if fmt != "auto" and fmt not in _FORMAT_WIDTHS:
         raise ValueError(f"unknown stream format {fmt!r}")
     try:
         delta = to_ticks(instant_extension_seconds, resolution, "", 0)
@@ -184,40 +184,24 @@ def read_link_stream(
     if delta <= 0 and fmt != "quadruples":
         raise ValueError("instant extension must be positive")
     source, rows = _iter_rows(data)
+    width = _FORMAT_WIDTHS.get(fmt)  # None until "auto" sees its first row
     records = []
     for row, text in rows:
         fields = _split(text)
-        if fmt == "auto":
-            fmt = {3: "triples", 4: "quadruples", 5: "contacts"}.get(len(fields), "")
-            if not fmt:
-                raise ParseError(f"cannot infer format from {len(fields)} columns", source, row)
-        if fmt == "triples":
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 columns, got {len(fields)}", source, row)
-            t, u, v = fields
-            records.append((to_ticks(t, resolution, source, row), u, v))
-        elif fmt == "quadruples":
-            if len(fields) != 4:
-                raise ParseError(f"expected 4 columns, got {len(fields)}", source, row)
+        if width is None:
+            width = len(fields)
+            if width not in _FORMAT_WIDTHS.values():
+                raise ParseError(f"cannot infer format from {width} columns", source, row)
+        if len(fields) != width:
+            raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
+        if width == 4:
             b, e, u, v = fields
-            records.append((
-                to_ticks(b, resolution, source, row),
-                to_ticks(e, resolution, source, row),
-                u, v,
-            ))
-        else:  # contacts
-            if len(fields) != 5:
-                raise ParseError(f"expected 5 columns, got {len(fields)}", source, row)
-            t, u, v = fields[0], fields[1], fields[2]
-            records.append((to_ticks(t, resolution, source, row), u, v))
-    return ingest_link_stream(
-        records,
-        delta,
-        directed=directed,
-        presence=presence,
-        horizon=horizon,
-        source=source,
-    )
+            records.append((to_ticks(b, resolution, source, row),
+                            to_ticks(e, resolution, source, row), u, v))
+        else:  # an instant contact; the class columns of the contacts format are skipped
+            records.append((to_ticks(fields[0], resolution, source, row), fields[1], fields[2]))
+    return ingest_link_stream(records, delta, directed=directed, presence=presence,
+                              horizon=horizon, source=source)
 
 
 def read_presence(data: PathOrLines, *, resolution: int = 1) -> Dict[str, IntervalSet]:
@@ -267,8 +251,6 @@ def read_attributes(data: PathOrLines, *, stream: Optional[StreamGraph] = None) 
     """
     source, rows = _iter_rows(data)
     descriptions: Dict[str, List[str]] = {}
-    items: List[str] = []
-    seen_items = set()
     for row, text in rows:
         head, _, tail = text.partition(",")
         node = head.strip()
@@ -276,14 +258,8 @@ def read_attributes(data: PathOrLines, *, stream: Optional[StreamGraph] = None) 
             raise ParseError("missing node id", source, row)
         if node in descriptions:
             raise ParseError(f"duplicate description for node {node!r}", source, row)
-        names = [w.strip() for w in tail.split(";") if w.strip()]
-        for name in names:
-            if name not in seen_items:
-                seen_items.add(name)
-                items.append(name)
-        descriptions[node] = names
+        descriptions[node] = [w.strip() for w in tail.split(";") if w.strip()]
 
-    universe = ItemUniverse(items)
     if stream is not None:
         extra = sorted(set(descriptions) - set(stream.nodes))
         missing = sorted(set(stream.nodes) - set(descriptions))
@@ -293,6 +269,14 @@ def read_attributes(data: PathOrLines, *, stream: Optional[StreamGraph] = None) 
         if missing:
             log.warning("%d stream node(s) without attributes get the empty description: %s",
                         len(missing), ", ".join(missing[:5]))
+    return _context(descriptions)
+
+
+def _context(descriptions: Dict[str, List[str]]) -> AttributeContext:
+    """Context over the items of `descriptions`, in first-appearance order."""
+    universe = ItemUniverse(dict.fromkeys(
+        name for names in descriptions.values() for name in names
+    ))
     return AttributeContext(
         universe, {v: universe.mask_of(names) for v, names in descriptions.items()}
     )
@@ -361,18 +345,9 @@ def read_highschool_context(
             if prefix == "F":
                 add(v, f"{prefix}_{u}")  # Facebook friendship is mutual
 
-    items: List[str] = []
-    seen = set()
-    for node in tags:
-        for item in tags[node]:
-            if item not in seen:
-                seen.add(item)
-                items.append(item)
-    universe = ItemUniverse(items)
-    ctx = AttributeContext(universe, {v: universe.mask_of(names) for v, names in tags.items()})
     if stream is not None:
         missing = sorted(set(stream.nodes) - set(tags))
         if missing:
             log.warning("%d stream node(s) without metadata get the empty description",
                         len(missing))
-    return ctx
+    return _context(tags)

@@ -19,6 +19,19 @@ Span = Tuple[int, int]
 _BISECT_RATIO = 6
 
 
+def _merge(spans: list[Span]) -> Tuple[Span, ...]:
+    """Canonical form of a list of nonempty spans; sorts the list in place."""
+    spans.sort()
+    merged: list[Span] = []
+    for a, b in spans:
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return tuple(merged)
+
+
 def _normalize(spans: Iterable[Span]) -> Tuple[Span, ...]:
     cleaned = []
     for a, b in spans:
@@ -28,15 +41,7 @@ def _normalize(spans: Iterable[Span]) -> Tuple[Span, ...]:
             raise ValueError(f"interval start {a} exceeds end {b}")
         if a < b:
             cleaned.append((a, b))
-    cleaned.sort()
-    merged: list[Span] = []
-    for a, b in cleaned:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    return tuple(merged)
+    return _merge(cleaned)
 
 
 def _clip_into(xs: Tuple[Span, ...], ys: Tuple[Span, ...]) -> Tuple[Span, ...]:
@@ -115,22 +120,7 @@ class IntervalSet:
             return other
         if not other._spans:
             return self
-        xs, ys = self._spans, other._spans
-        i = j = 0
-        merged: list[Span] = []
-        while i < len(xs) or j < len(ys):
-            if j >= len(ys) or (i < len(xs) and xs[i] <= ys[j]):
-                a, b = xs[i]
-                i += 1
-            else:
-                a, b = ys[j]
-                j += 1
-            if merged and a <= merged[-1][1]:
-                if b > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], b)
-            else:
-                merged.append((a, b))
-        return IntervalSet._raw(tuple(merged))
+        return IntervalSet._raw(_merge([*self._spans, *other._spans]))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         xs, ys = self._spans, other._spans

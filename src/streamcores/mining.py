@@ -211,11 +211,20 @@ def write_static_patterns(
             handle.write(json.dumps(payload) + "\n")
 
 
+def _typed(value, kind: type, name: str):
+    """`value` itself when its type is exactly `kind` (so a bool is no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
     """Records written by `write_patterns`.
 
     A malformed record, or one whose `support_measure` or `node_count`
-    disagrees with its support, raises `dataio.ParseError`.
+    disagrees with its support, raises `dataio.ParseError`. Values are
+    checked, never coerced: an intent must be a list of strings, the
+    support an object of span lists, and every number a plain integer.
     """
     records = []
     with open(path) as handle:
@@ -225,16 +234,21 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                items = tuple(_typed(obj["intent"], list, "intent"))
+                for item in items:
+                    _typed(item, str, "intent item")
                 support = TimeNodeSet({
-                    v: IntervalSet((int(a), int(b)) for a, b in spans)
-                    for v, spans in obj["support"].items()
+                    v: IntervalSet((_typed(a, int, "span start"), _typed(b, int, "span end"))
+                                   for a, b in spans)
+                    for v, spans in _typed(obj["support"], dict, "support").items()
                 })
                 rec = ClosedPatternRecord(
-                    items=tuple(obj["intent"]),
+                    items=items,
                     support=support,
-                    support_measure=int(obj["support_measure"]),
-                    node_count=int(obj["node_count"]),
-                    below_min_support=bool(obj.get("below_min_support", False)),
+                    support_measure=_typed(obj["support_measure"], int, "support_measure"),
+                    node_count=_typed(obj["node_count"], int, "node_count"),
+                    below_min_support=_typed(obj.get("below_min_support", False), bool,
+                                             "below_min_support"),
                 )
                 if rec.support_measure != support.measure():
                     raise ValueError(f"support_measure {rec.support_measure} but the "

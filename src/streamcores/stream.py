@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .intervals import EMPTY, IntervalSet, Span
+from .intervals import EMPTY, IntervalSet, Span, _merge
 
 
 class TimeNodeSet:
@@ -136,18 +136,15 @@ class StreamGraph:
             prev = pairs.get(key)
             pairs[key] = ivs if prev is None else prev.union(ivs)
 
-        names = set(nodes)
-        for u, v in pairs:
-            names.add(u)
-            names.add(v)
-
         # collect first and normalise once per node: a union per pair is quadratic
         node_spans: Dict[str, List[Span]] = {}
         for (u, v), ivs in pairs.items():
             for w in (u, v):
                 node_spans.setdefault(w, []).extend(ivs.spans)
-        default_presence = {w: IntervalSet(spans) for w, spans in node_spans.items()}
+        # the pair sets are canonical already, so their spans need no second check
+        default_presence = {w: IntervalSet._raw(_merge(spans)) for w, spans in node_spans.items()}
 
+        names = set(nodes)
         if presence is None:
             pres = default_presence
         else:
@@ -163,26 +160,24 @@ class StreamGraph:
                         f"presence of node {v!r} does not cover its interaction intervals"
                     )
 
-        names.update(pres)
+        names.update(pres)  # pres covers every pair's endpoints by now
         self.nodes: Tuple[str, ...] = tuple(sorted(names))
         self._presence = pres
         self._pairs = pairs
 
-        lo: Optional[int] = None
-        hi: Optional[int] = None
-        for ivs in pres.values():
-            b = ivs.bounds()
-            if b is not None:
-                lo = b[0] if lo is None else min(lo, b[0])
-                hi = b[1] if hi is None else max(hi, b[1])
+        # every presence kept is nonempty
+        lo = min((ivs.spans[0][0] for ivs in pres.values()), default=None)
+        hi = max((ivs.spans[-1][1] for ivs in pres.values()), default=None)
         if horizon is None:
             self.horizon: Span = (lo, hi) if lo is not None else (0, 0)
         else:
+            if not all(isinstance(t, int) for t in horizon):
+                raise TypeError(f"horizon bounds must be integers, got {horizon!r}")
             if lo is not None and (lo < horizon[0] or hi > horizon[1]):
                 raise ValueError(
                     f"intervals [{lo},{hi}) fall outside the declared horizon {horizon}"
                 )
-            self.horizon = (int(horizon[0]), int(horizon[1]))
+            self.horizon = (horizon[0], horizon[1])
 
         adj: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in self.nodes}
         in_adj: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in self.nodes} if directed else adj

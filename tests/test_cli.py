@@ -197,7 +197,13 @@ class TestSelectCommand:
         lambda row: row.update(support_measure=5),
         lambda row: row.update(node_count=999),
         lambda row: row.pop("support"),
-    ], ids=["forged-measure", "forged-node-count", "no-support"])
+        lambda row: row.update(intent="ab"),
+        lambda row: row.update(support={v: [[a, b + 0.5] for a, b in spans]
+                                        for v, spans in row["support"].items()}),
+        lambda row: row.update(support_measure=float(row["support_measure"])),
+        lambda row: row.update(node_count=float(row["node_count"])),
+    ], ids=["forged-measure", "forged-node-count", "no-support", "string-intent",
+            "fractional-span", "float-measure", "float-node-count"])
     def test_bad_record_is_an_input_error(self, mined, tmp_path, capsys, edit):
         lines = mined.read_text().splitlines()
         row = json.loads(lines[0])
@@ -326,6 +332,16 @@ class TestStaticCompareCommand:
         assert code == 0
         assert len(read_patterns(stream_out)) == 3
         assert len(static_out.read_text().splitlines()) == 4
+
+    def test_static_output_is_not_a_pattern_file(self, demo, tmp_path, capsys):
+        static_out = tmp_path / "static.jsonl"
+        assert run("static-compare", "--stream", demo["compare_stream"],
+                   "--attributes", demo["compare_attrs"], "--static-output", static_out) == 0
+        capsys.readouterr()
+        assert run("select", "--input", static_out, "--output", tmp_path / "s.jsonl") == 1
+        assert f"{static_out}:1: bad pattern record: support must be of type dict" in (
+            capsys.readouterr().err)
+        assert run("inspect", "--input", static_out) == 1
 
     def test_static_output_golden(self, demo, tmp_path):
         static_out = tmp_path / "static.jsonl"

@@ -49,6 +49,12 @@ class TestIngest:
         with pytest.raises(ParseError, match="outside horizon"):
             ingest_link_stream([(0, 9, "a", "b")], 5, horizon=(0, 5))
 
+    @pytest.mark.parametrize("record", [(1.5, 3.7, "a", "b"), (20.5, "a", "b")])
+    def test_non_integer_ticks_are_refused(self, record):
+        # never truncated to whole ticks
+        with pytest.raises(TypeError, match="must be integers"):
+            ingest_link_stream([record], 20)
+
     def test_bad_record_width_reports_row(self):
         with pytest.raises(ParseError, match="row 2"):
             ingest_link_stream([(0, 2, "a", "b"), (1, 2, 3, "a", "b")], 5)

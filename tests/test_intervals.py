@@ -119,9 +119,14 @@ def test_lopsided_intersection_matches_pointwise_and_merge(pair):
         assert got.spans == IntervalSet(got.spans).spans
 
 
-@given(interval_sets, interval_sets)
-def test_union_matches_pointwise(a, b):
+@given(interval_sets, interval_sets, lopsided_pairs())
+def test_union_matches_pointwise(a, b, pair):
     assert ticks(a | b) == ticks(a) | ticks(b)
+    short, long, hi = pair
+    for x, y in ((short, long), (long, short)):
+        got = x | y
+        assert ticks(got, 0, hi) == ticks(x, 0, hi) | ticks(y, 0, hi)
+        assert got.spans == IntervalSet(got.spans).spans
 
 
 @given(interval_sets, interval_sets)

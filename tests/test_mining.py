@@ -312,6 +312,24 @@ class TestPatternFiles:
         with pytest.raises(ParseError, match=f"patterns.jsonl:2: bad pattern record: {field} {forged}"):
             read_patterns(path)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("intent", "ab", "intent must be of type list, got 'ab'"),
+        ("intent", ["a", 1], "intent item must be of type str, got 1"),
+        ("support", ["v"], "support must be of type dict, got ['v']"),
+        ("support", {"v": [[0, 2.7]]}, "span end must be of type int, got 2.7"),
+        ("support_measure", 2.0, "support_measure must be of type int, got 2.0"),
+        ("node_count", True, "node_count must be of type int, got True"),
+        ("below_min_support", 1, "below_min_support must be of type bool, got 1"),
+    ], ids=["string-intent", "non-string-item", "support-list", "fractional-span",
+            "float-measure", "bool-node-count", "int-flag"])
+    def test_values_are_checked_not_coerced(self, tmp_path, field, value, message):
+        good = {"intent": ["a"], "support": {"v": [[0, 2]]}, "support_measure": 2, "node_count": 1}
+        path = tmp_path / "patterns.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_patterns(path)
+        assert str(err.value) == f"{path}:2: bad pattern record: {message}"
+
     def test_static_writer(self, tmp_path):
         stream, ctx = compare_toy()
         cfg = MinerConfig(core=CoreSpec.star_satellite(2), min_support=1)

@@ -73,6 +73,10 @@ class TestStreamGraph:
         with pytest.raises(ValueError):
             StreamGraph({("a", "b"): [(0, 5)]}, horizon=(0, 3))
 
+    def test_non_integer_horizon_is_refused(self):
+        with pytest.raises(TypeError, match="horizon bounds must be integers"):
+            StreamGraph({("a", "b"): [(1, 3)]}, horizon=(0.5, 9.7))
+
     def test_isolated_node_kept_with_empty_presence(self):
         s = StreamGraph({("a", "b"): [(0, 1)]}, nodes=["a", "b", "z"])
         assert "z" in s.nodes
