@@ -86,13 +86,23 @@ class BiCoreResult:
 
 
 def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, list]:
-    """Per-node neighbor intervals inside the substream induced by wp."""
+    """Per-node neighbor intervals inside the substream induced by wp.
+
+    Each pair u < v of wp is clipped once. For each u the loop walks the
+    smaller side: u's whole stream adjacency, or the nodes of wp after u
+    (wp's nodes are sorted once per call). Mining calls this on small
+    supports of high-degree nodes, where wp is usually the smaller side.
+    """
     active: Dict[str, list] = {}
-    for u in wp.nodes():
+    nodes = wp.nodes()
+    for i, u in enumerate(nodes):
         own = wp.get(u)
-        for v, ivs in stream.adjacency(u).items():
-            if v <= u or v not in wp:
-                continue
+        adjacency = stream.adjacency(u)
+        if len(adjacency) <= len(nodes) - i - 1:
+            pairs = ((v, ivs) for v, ivs in adjacency.items() if v > u and v in wp)
+        else:
+            pairs = ((v, adjacency[v]) for v in nodes[i + 1:] if v in adjacency)
+        for v, ivs in pairs:
             clipped = ivs.intersect(own).intersect(wp.get(v))
             if clipped:
                 active.setdefault(u, []).append((v, clipped))

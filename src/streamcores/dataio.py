@@ -339,7 +339,7 @@ def read_highschool_context(
         for row, text in rows:
             fields = _split(text)
             if len(fields) < 2:
-                raise ParseError(f"expected 2 columns, got {len(fields)}", source, row)
+                raise ParseError(f"expected at least 2 columns, got {len(fields)}", source, row)
             u, v = fields[0], fields[1]
             add(u, f"{prefix}_{v}")
             if prefix == "F":

@@ -2,12 +2,26 @@
 
 The traversal starts from the closure of the empty pattern and adds one
 item at a time. A child's support is the core of the parent's support
-restricted to nodes carrying the new item, which coincides with the
-core of the global extent. An exclusion mask prevents re-reaching a
-closed pattern through a second branch: a closure containing an already
-finished item is skipped, and each finished item is added to the mask
-only after its whole subtree was explored. Children run against a
-snapshot of the mask, siblings see it grow.
+restricted to the nodes carrying the new item (the item's carriers),
+which coincides with the core of the global extent.
+
+Candidates are evaluated by occurrence deliver (Uno, Kiyomi & Arimura,
+LCM ver. 2, FIMI 2004): on a frame's first visit, one pass over the
+frame's support files every node under each untried item it carries,
+and tallies the item's support measure over those carriers. Every core
+operator is contractive (`core(X)` is a subset of `X`), so the tally
+bounds the child's support from above: a candidate whose tally is below
+the threshold is dropped without running the core, and the others queue
+in item order with their carriers. A candidate thus costs its carriers,
+not the parent's whole support.
+
+An exclusion mask prevents re-reaching a closed pattern through a second
+branch: a closure containing an already finished item is skipped, and
+each finished item is added to the mask only after its whole subtree was
+explored. Children run against a snapshot of the mask, siblings see it
+grow. An excluded item is never tried: the child's support holds only
+its carriers (or nothing, whose intent is the full universe), so the
+closure would contain the item itself.
 
 Static closed patterns are mined by the same loop on the time-collapsed
 stream (`induced_static_graph`).
@@ -72,21 +86,45 @@ def _support_size(support: TimeNodeSet, measure: str) -> int:
     return support.node_count() if measure == "nodes" else support.measure()
 
 
-def _restrict_to_item(support: TimeNodeSet, ctx: AttributeContext, bit: Pattern) -> TimeNodeSet:
-    entries = {v: ivs for v, ivs in support.items() if ctx.description(v) & bit}
-    return TimeNodeSet._raw(entries)
+def _deliver(
+    support: TimeNodeSet, ctx: AttributeContext, skip: Pattern, count_nodes: bool
+) -> Tuple[Dict[Pattern, int], Dict[Pattern, Dict[str, IntervalSet]]]:
+    """Occurrence deliver: per item outside `skip`, its support tally and its carriers.
+
+    The tally is the carriers' node-ticks, or their number when
+    `count_nodes`; the carriers map each support node holding the item to
+    its intervals. One pass over the support fills both.
+    """
+    tallies: Dict[Pattern, int] = {}
+    carriers: Dict[Pattern, Dict[str, IntervalSet]] = {}
+    for v, ivs in support.items():
+        rest = ctx.description(v) & ~skip
+        if not rest:
+            continue
+        size = 1 if count_nodes else ivs.measure()
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            tallies[bit] = tallies.get(bit, 0) + size
+            entries = carriers.get(bit)
+            if entries is None:
+                carriers[bit] = {v: ivs}
+            else:
+                entries[v] = ivs
+    return tallies, carriers
 
 
 class _Frame:
-    __slots__ = ("mask", "support", "excluded", "position", "pending", "depth")
+    __slots__ = ("mask", "support", "excluded", "pending", "depth", "queue")
 
     def __init__(self, mask, support, excluded, depth):
         self.mask = mask
         self.support = support
         self.excluded = excluded
-        self.position = 0
         self.pending = 0
         self.depth = depth
+        # candidates that pass the bound, last in item order first; set on the first visit
+        self.queue: Optional[List[Tuple[Pattern, str, Dict[str, IntervalSet]]]] = None
 
 
 def mine(
@@ -105,7 +143,8 @@ def mine(
     if not stream.nodes:
         log.warning("mining an empty stream: no patterns")
         return []
-    candidates = tuple((universe.bit(name), name) for name in order)
+    names = {universe.bit(name): name for name in order}
+    rank = {bit: i for i, bit in enumerate(names)}
 
     def record(mask, support, size, parent_item, depth) -> ClosedPatternRecord:
         return ClosedPatternRecord(
@@ -126,24 +165,38 @@ def mine(
     records = [record(root_mask, root_support,
                       _support_size(root_support, cfg.support_measure), None, 0)]
 
+    full = universe.full_mask
+    count_nodes = cfg.support_measure == "nodes"
+    tried = bound_pruned = core_calls = support_pruned = canonicity_pruned = 0
     stack = [_Frame(root_mask, root_support, 0, 0)]
     while stack:
         frame = stack[-1]
         if frame.pending:
             frame.excluded |= frame.pending
             frame.pending = 0
+        if frame.queue is None:
+            # the excluded set grows only by items already evaluated here, so the
+            # items to try are fixed on the first visit
+            skip = frame.mask | frame.excluded
+            tallies, carriers = _deliver(frame.support, ctx, skip, count_nodes)
+            passing = sorted((bit for bit, tally in tallies.items()
+                              if tally >= cfg.min_support), key=rank.get, reverse=True)
+            frame.queue = [(bit, names[bit], carriers[bit]) for bit in passing]
+            untried = (full & ~skip).bit_count()
+            tried += untried
+            bound_pruned += untried - len(passing)
         pushed = False
-        while frame.position < len(candidates):
-            bit, name = candidates[frame.position]
-            frame.position += 1
-            if frame.mask & bit:
-                continue
-            support = apply_core(cfg.core, stream, _restrict_to_item(frame.support, ctx, bit))
+        while frame.queue:
+            bit, name, entries = frame.queue.pop()
+            core_calls += 1
+            support = apply_core(cfg.core, stream, TimeNodeSet._raw(entries))
             n = _support_size(support, cfg.support_measure)
             if n < cfg.min_support:
+                support_pruned += 1
                 continue
             closed = intent(support, ctx)
             if closed & frame.excluded:
+                canonicity_pruned += 1
                 continue
             records.append(record(closed, support, n, name, frame.depth + 1))
             frame.pending = bit
@@ -153,6 +206,10 @@ def mine(
         if not pushed:
             stack.pop()
 
+    log.info("%d candidates: %d pruned by the support bound, %d core calls, "
+             "%d pruned by support after the core, %d pruned by canonicity, %d emitted",
+             tried, bound_pruned, core_calls, support_pruned, canonicity_pruned,
+             len(records) - 1)
     if cfg.min_intent_size:
         records = filter_min_intent(records, cfg.min_intent_size)
     return records

@@ -5,6 +5,10 @@ Everything here trades speed for obviousness: streams are expanded to
 and closures are enumerated over the whole pattern lattice. Intended
 for validating the interval-based engines on small instances only.
 
+`reference_mine` is the depth-first miner without occurrence deliver:
+it restricts the parent support and runs the core for every candidate,
+with no support bound; `mining.mine` must return the same records.
+
 The selection section holds the temporal Jaccard distance computed on
 the built union and the greedy beta-scan without a memo; `selection`
 must agree with them bit for bit.
@@ -20,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .context import AttributeContext, Pattern
-from .cores import CoreSpec
+from .context import AttributeContext, Pattern, intent
+from .cores import CoreSpec, apply_core
 from .intervals import IntervalSet
-from .mining import ClosedPatternRecord
+from .mining import ClosedPatternRecord, MinerConfig, filter_min_intent
 from .selection import INTEREST_MEASURES
 from .stream import StreamGraph, TimeNodeSet
 
@@ -168,6 +172,53 @@ def brute_enumerate(
             closed &= ctx.description(v)
         found.add((closed, core))
     return frozenset(found)
+
+
+def reference_mine(
+    stream: StreamGraph, ctx: AttributeContext, cfg: MinerConfig
+) -> List[ClosedPatternRecord]:
+    """`mining.mine` as a plain recursion: restrict, then core, for every candidate."""
+    universe = ctx.universe
+    order = cfg.validate(universe)
+    if not stream.nodes:
+        return []
+
+    def size(support: TimeNodeSet) -> int:
+        return support.node_count() if cfg.support_measure == "nodes" else support.measure()
+
+    def record(mask, support, parent_item, depth) -> ClosedPatternRecord:
+        return ClosedPatternRecord(
+            items=universe.items_of(mask),
+            support=support,
+            support_measure=support.measure(),
+            node_count=support.node_count(),
+            mask=mask,
+            parent_item=parent_item,
+            depth=depth,
+            below_min_support=size(support) < cfg.min_support,
+        )
+
+    def expand(mask, support, excluded, depth):
+        for name in order:
+            bit = universe.bit(name)
+            if mask & bit:
+                continue
+            restricted = TimeNodeSet({v: ivs for v, ivs in support.items()
+                                      if ctx.description(v) & bit})
+            child = apply_core(cfg.core, stream, restricted)
+            if size(child) < cfg.min_support:
+                continue
+            closed = intent(child, ctx)
+            if closed & excluded:
+                continue
+            records.append(record(closed, child, name, depth + 1))
+            expand(closed, child, excluded, depth + 1)
+            excluded |= bit
+
+    root = apply_core(cfg.core, stream, stream.presence_set())
+    records = [record(intent(root, ctx), root, None, 0)]
+    expand(records[0].mask, root, 0, 0)
+    return filter_min_intent(records, cfg.min_intent_size)
 
 
 # -- static graphs -----------------------------------------------------------

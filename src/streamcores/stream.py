@@ -173,6 +173,8 @@ class StreamGraph:
         else:
             if not all(isinstance(t, int) for t in horizon):
                 raise TypeError(f"horizon bounds must be integers, got {horizon!r}")
+            if horizon[0] > horizon[1]:
+                raise ValueError(f"horizon {horizon} ends before it starts")
             if lo is not None and (lo < horizon[0] or hi > horizon[1]):
                 raise ValueError(
                     f"intervals [{lo},{hi}) fall outside the declared horizon {horizon}"

@@ -240,3 +240,12 @@ class TestHighschoolAdapter:
     def test_unknown_gender_skipped(self):
         ctx = read_highschool_context(metadata=["650\t2BIO1\tUnknown"])
         assert ctx.universe.items_of(ctx.description("650")) == ("C_2BIO1",)
+
+    @pytest.mark.parametrize("source,prefix", [("facebook", "F"), ("declared", "D"),
+                                               ("diaries", "M")])
+    def test_friendship_rows_need_at_least_two_columns(self, source, prefix):
+        with pytest.raises(ParseError, match="row 2: expected at least 2 columns, got 1"):
+            read_highschool_context(**{source: ["650 27", "650"]})
+        # extra columns are accepted and ignored
+        ctx = read_highschool_context(**{source: ["650 27 1"]})
+        assert ctx.universe.items_of(ctx.description("650")) == (f"{prefix}_27",)

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 
 import pytest
 
@@ -18,11 +19,12 @@ from streamcores import (
     write_patterns,
 )
 from streamcores.dataio import ParseError
-from streamcores.mining import write_static_patterns
+from streamcores.mining import SUPPORT_MEASURES, write_static_patterns
 from streamcores.oracle import (
     brute_enumerate,
     brute_static_enumerate,
     discretize,
+    reference_mine,
     sample_set,
 )
 from streamcores.toys import compare_toy, simultaneous_toy, triple_context_stream
@@ -165,17 +167,18 @@ class TestMineAgainstOracle:
             assert got == want
 
     def test_node_count_mode_against_oracle(self):
-        rng = random.Random(999)
-        for _ in range(20):
-            s = random_stream(rng)
-            ctx = random_context(rng, s)
-            spec = random_core_spec(rng, directed=False)
-            cfg = MinerConfig(core=spec, min_support=2, support_measure="nodes")
-            got = frozenset(
-                (r.mask, sample_set(r.support)) for r in mining_records(s, ctx, cfg)
-            )
-            want = brute_enumerate(discretize(s), ctx, spec, 2, count_nodes=True)
-            assert got == want
+        for directed in (False, True):
+            rng = random.Random(999 + directed)
+            for _ in range(20):
+                s = random_stream(rng, directed=directed)
+                ctx = random_context(rng, s)
+                spec = random_core_spec(rng, directed)
+                cfg = MinerConfig(core=spec, min_support=2, support_measure="nodes")
+                got = frozenset(
+                    (r.mask, sample_set(r.support)) for r in mining_records(s, ctx, cfg)
+                )
+                want = brute_enumerate(discretize(s), ctx, spec, 2, count_nodes=True)
+                assert got == want
 
     def test_invariants_on_random_instances(self):
         rng = random.Random(1234)
@@ -184,6 +187,72 @@ class TestMineAgainstOracle:
             ctx = random_context(rng, s)
             cfg = MinerConfig(core=random_core_spec(rng, False), min_support=1)
             assert_mining_invariants(mining_records(s, ctx, cfg), s, ctx, cfg)
+
+
+def random_config(rng, ctx, directed, measure):
+    """A core, a threshold that often prunes, and a shuffled item order."""
+    order = list(ctx.universe.items)
+    rng.shuffle(order)
+    return MinerConfig(
+        core=random_core_spec(rng, directed),
+        min_support=rng.randint(1, 4 if measure == "nodes" else 40),
+        min_intent_size=rng.randint(0, 2),
+        item_order=order,
+        support_measure=measure,
+    )
+
+
+class TestMineAgainstReference:
+    """Occurrence deliver, the support bound and the excluded-item skip change no record."""
+
+    @pytest.mark.parametrize("measure", SUPPORT_MEASURES)
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_records_equal_field_by_field(self, directed, measure):
+        rng = random.Random(4242 + 2 * directed + SUPPORT_MEASURES.index(measure))
+        for _ in range(80):
+            s = random_stream(rng, directed=directed, max_intervals=16)
+            ctx = random_context(rng, s)
+            cfg = random_config(rng, ctx, directed, measure)
+            got = [vars(rec) for rec in mine(s, ctx, cfg)]
+            assert got == [vars(rec) for rec in reference_mine(s, ctx, cfg)]
+
+
+SEARCH_LOG = re.compile(
+    r"(\d+) candidates: (\d+) pruned by the support bound, (\d+) core calls, "
+    r"(\d+) pruned by support after the core, (\d+) pruned by canonicity, (\d+) emitted"
+)
+
+
+class TestSearchCounters:
+    def counters(self, caplog, s, ctx, cfg):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="streamcores.mining"):
+            records = mine(s, ctx, cfg)
+        found = [SEARCH_LOG.fullmatch(r.getMessage()) for r in caplog.records]
+        (match,) = [m for m in found if m]
+        return records, [int(g) for g in match.groups()]
+
+    def test_reference_context(self, caplog):
+        stream, ctx = triple_context_stream()
+        _, counts = self.counters(caplog, stream, ctx, MinerConfig(min_support=1))
+        # tried: b, c, d under a; c, d under ab; d under abc (no carrier, so
+        # the bound drops it); d under ac. Every other item is in its frame's
+        # intent or already finished.
+        assert counts == [7, 1, 6, 0, 0, 6]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_pruned_and_emitted_add_up_to_candidates(self, caplog, directed):
+        rng = random.Random(55 + directed)
+        for trial in range(30):
+            s = random_stream(rng, directed=directed)
+            ctx = random_context(rng, s)
+            cfg = random_config(rng, ctx, directed, SUPPORT_MEASURES[trial % 2])
+            cfg.min_intent_size = 0
+            records, counts = self.counters(caplog, s, ctx, cfg)
+            tried, bound, cores, support, canonicity, emitted = counts
+            assert bound + support + canonicity + emitted == tried
+            assert cores == tried - bound
+            assert emitted == len(records) - 1
 
 
 class TestIntentSizeTools:

@@ -77,6 +77,14 @@ class TestStreamGraph:
         with pytest.raises(TypeError, match="horizon bounds must be integers"):
             StreamGraph({("a", "b"): [(1, 3)]}, horizon=(0.5, 9.7))
 
+    @pytest.mark.parametrize("interactions", [{}, {("a", "b"): [(1, 3)]}])
+    def test_reversed_horizon_is_refused(self, interactions):
+        with pytest.raises(ValueError, match=r"horizon \(5, 0\) ends before it starts"):
+            StreamGraph(interactions, horizon=(5, 0))
+
+    def test_empty_horizon_is_accepted(self):
+        assert StreamGraph({}, horizon=(5, 5)).horizon == (5, 5)
+
     def test_isolated_node_kept_with_empty_presence(self):
         s = StreamGraph({("a", "b"): [(0, 1)]}, nodes=["a", "b", "z"])
         assert "z" in s.nodes
