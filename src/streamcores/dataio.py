@@ -12,17 +12,32 @@ Record formats (whitespace- or comma-separated, `#` starts a comment):
 
 Timestamps are seconds; they are converted to integer ticks with a
 configurable ticks-per-second resolution and must land on the grid.
+
+Every reader takes its rows from `_iter_rows`, which reads a file as it
+is iterated, numbers its lines as `str.splitlines` would and skips
+blank and comment lines. `read_link_stream` splits each row once,
+parses each distinct timestamp text once with `to_ticks` and keeps one
+object per node name and per timestamp, so the records it hands to
+`ingest_link_stream` share them. The ingest checks each record once
+(width, empty interval, self-loop, horizon, integer ticks; a
+non-integer tick is a TypeError) and merges a pair's spans as they
+arrive: a span that starts inside or at the end of the pair's last
+span extends it. Each distinct pair is then oriented and merged once,
+and `StreamGraph` receives canonical interval sets it need not check
+again.
 """
 
 from __future__ import annotations
 
 import logging
 from decimal import Decimal, InvalidOperation
+from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .context import AttributeContext, ItemUniverse
-from .intervals import IntervalSet
+from .intervals import IntervalSet, Span, _merge
 from .stream import StreamGraph
 
 log = logging.getLogger(__name__)
@@ -31,6 +46,11 @@ PathOrLines = Union[str, Path, Iterable[str]]
 
 # columns per row of each link-stream format
 _FORMAT_WIDTHS = {"triples": 3, "quadruples": 4, "contacts": 5}
+
+# the characters str.splitlines breaks lines at, besides the "\r" and
+# "\r\n" that reading in text mode turns into "\n"
+_LINE_BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_CHUNK_CHARS = 1 << 16
 
 # the default limit of Python's own int() on decimal text; it also keeps
 # an exponent such as 1e999999999 from building a huge integer
@@ -47,22 +67,38 @@ class ParseError(ValueError):
         self.row = row
 
 
-def _iter_rows(data: PathOrLines) -> Tuple[str, Iterable[Tuple[int, str]]]:
+def _iter_rows(data: PathOrLines) -> Tuple[str, Iterator[Tuple[int, str]]]:
+    """(source, rows): numbered rows with blank and `#` lines skipped.
+
+    A file is read as the rows are iterated, in chunks cut where
+    `str.splitlines` cuts, so a row ends at every line break it knows
+    (`\\v`, `\\f`, `\\x1c`-`\\x1e`, `\\x85`, `\\u2028`, `\\u2029` as well
+    as newlines) and row numbers count them all. Each item of a line
+    iterable is one row as it is.
+    """
     if isinstance(data, (str, Path)):
         path = Path(data)
-        lines = path.read_text().splitlines()
-        source = str(path)
-    else:
-        lines = list(data)
-        source = ""
+        return str(path), _numbered(chain.from_iterable(_line_batches(path)))
+    return "", _numbered(data)
 
-    def rows():
-        for i, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+
+def _line_batches(path: Path) -> Iterator[List[str]]:
+    with open(path) as handle:
+        tail = ""
+        for chunk in iter(partial(handle.read, _CHUNK_CHARS), ""):
+            lines = (tail + chunk).splitlines()
+            # a chunk that does not end in a line break ends inside a row
+            tail = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
+            yield lines
+        if tail:
+            yield [tail]
+
+
+def _numbered(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    for i, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text and text[0] != "#":
             yield i, text
-    return source, rows()
 
 
 def _split(text: str) -> List[str]:
@@ -125,33 +161,56 @@ def ingest_link_stream(
 ) -> StreamGraph:
     """Build a stream from (t, u, v) triples and/or (b, e, u, v) quadruples.
 
-    Times are integer ticks here. A triple contributes the interval
-    [t - instant_extension, t), so back-to-back contacts merge into one
-    interval. Quadruples are taken as written.
+    Times are integer ticks here; anything else is a TypeError. A
+    triple contributes the interval [t - instant_extension, t), so
+    back-to-back contacts merge into one interval. Quadruples are taken
+    as written. Errors name the record's position in `records` as its
+    row.
     """
-    pair_spans: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
+    spans_of: Dict[Tuple, List[Span]] = {}  # by the pair as written
     for i, rec in enumerate(records, start=1):
         if len(rec) == 3:
-            t, u, v = rec
+            e, u, v = rec
             if instant_extension <= 0:
                 raise ParseError("instant records need a positive extension", source, i)
-            b, e = t - instant_extension, t
+            b = e - instant_extension
         elif len(rec) == 4:
             b, e, u, v = rec
             if b >= e:
                 raise ParseError(f"empty interval [{b}, {e})", source, i)
         else:
             raise ParseError(f"expected 3 or 4 fields, got {len(rec)}", source, i)
-        u, v = str(u), str(v)
         if u == v and not directed:
             raise ParseError(f"self-interaction on node {u!r}", source, i)
         if horizon is not None and (b < horizon[0] or e > horizon[1]):
             raise ParseError(f"interval [{b}, {e}) outside horizon {horizon}", source, i)
+        if not isinstance(b, int) or not isinstance(e, int):
+            raise TypeError(f"interval endpoints must be integers, got ({b!r}, {e!r})")
+        key = (u, v)
+        spans = spans_of.get(key)
+        if spans is None:
+            spans_of[key] = [(b, e)]
+            continue
+        # rows of a pair mostly arrive in time order: a span that starts
+        # inside or at the end of the pair's last one extends it
+        last_b, last_e = spans[-1]
+        if last_b <= b <= last_e:
+            if e > last_e:
+                spans[-1] = (last_b, e)
+        else:
+            spans.append((b, e))
+
+    # both orientations of an undirected pair meet here; names such as 1
+    # and "1" that meet only as strings are left for StreamGraph to refuse
+    pair_spans: Dict[Tuple[str, str], List[Span]] = {}
+    for (u, v), spans in spans_of.items():
+        u, v = str(u), str(v)
         if not directed and u > v:
             u, v = v, u
-        pair_spans.setdefault((u, v), []).append((b, e))
-
-    return StreamGraph(pair_spans, presence=presence, horizon=horizon, directed=directed)
+        pair_spans.setdefault((u, v), []).extend(spans)
+    # every span is checked above, so one merge per pair makes it canonical
+    return StreamGraph({key: IntervalSet._raw(_merge(spans)) for key, spans in pair_spans.items()},
+                       presence=presence, horizon=horizon, directed=directed)
 
 
 def read_link_stream(
@@ -185,7 +244,10 @@ def read_link_stream(
         raise ValueError("instant extension must be positive")
     source, rows = _iter_rows(data)
     width = _FORMAT_WIDTHS.get(fmt)  # None until "auto" sees its first row
+    names: Dict[str, str] = {}  # one string object per node name
+    ticks: Dict[str, int] = {}  # and per timestamp text
     records = []
+    append, name = records.append, names.setdefault
     for row, text in rows:
         fields = _split(text)
         if width is None:
@@ -194,12 +256,19 @@ def read_link_stream(
                 raise ParseError(f"cannot infer format from {width} columns", source, row)
         if len(fields) != width:
             raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
+        # exports sit on a time grid, so a timestamp text recurs: parse it once
+        t = ticks.get(fields[0])
+        if t is None:
+            t = ticks[fields[0]] = to_ticks(fields[0], resolution, source, row)
         if width == 4:
-            b, e, u, v = fields
-            records.append((to_ticks(b, resolution, source, row),
-                            to_ticks(e, resolution, source, row), u, v))
+            e = ticks.get(fields[1])
+            if e is None:
+                e = ticks[fields[1]] = to_ticks(fields[1], resolution, source, row)
+            u, v = fields[2], fields[3]
+            append((t, e, name(u, u), name(v, v)))
         else:  # an instant contact; the class columns of the contacts format are skipped
-            records.append((to_ticks(fields[0], resolution, source, row), fields[1], fields[2]))
+            u, v = fields[1], fields[2]
+            append((t, name(u, u), name(v, v)))
     return ingest_link_stream(records, delta, directed=directed, presence=presence,
                               horizon=horizon, source=source)
 

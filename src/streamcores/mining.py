@@ -236,7 +236,7 @@ def filter_min_intent(
 def _record_payload(rec: ClosedPatternRecord) -> dict:
     payload = {
         "intent": list(rec.items),
-        "support": {v: [list(span) for span in ivs.spans] for v, ivs in rec.support.items()},
+        "support": {v: ivs.spans for v, ivs in rec.support.items()},  # tuples dump as arrays
         "support_measure": rec.support_measure,
         "node_count": rec.node_count,
     }
@@ -275,13 +275,43 @@ def _typed(value, kind: type, name: str):
     return value
 
 
+def _node_support(node: str, spans) -> IntervalSet:
+    """One node's span list as `write_patterns` writes it, checked in one pass.
+
+    The spans must be [start, end] integer pairs, nonempty, sorted,
+    disjoint and non-touching, and there must be at least one: a list
+    that canonicalisation would change is refused, not repaired.
+    """
+    _typed(spans, list, f"spans of node {node!r}")
+    if not spans:
+        raise ValueError(f"node {node!r} has no spans")
+    out = []
+    end = None
+    for span in spans:
+        if type(span) is not list or len(span) != 2:
+            raise ValueError(f"span of node {node!r} must be a [start, end] pair, got {span!r}")
+        a, b = span
+        if type(a) is not int or type(b) is not int:
+            _typed(a, int, "span start")
+            _typed(b, int, "span end")
+        if a >= b:
+            raise ValueError(f"empty span [{a}, {b}) of node {node!r}")
+        if end is not None and a <= end:
+            raise ValueError(f"span [{a}, {b}) of node {node!r} does not start after "
+                             f"the end {end} of the span before it")
+        out.append((a, b))
+        end = b
+    return IntervalSet._raw(tuple(out))
+
+
 def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
     """Records written by `write_patterns`.
 
     A malformed record, or one whose `support_measure` or `node_count`
     disagrees with its support, raises `dataio.ParseError`. Values are
-    checked, never coerced: an intent must be a list of strings, the
-    support an object of span lists, and every number a plain integer.
+    checked, never coerced or repaired: an intent must be a list of
+    strings, the support an object of canonical span lists (see
+    `_node_support`), and every number a plain integer.
     """
     records = []
     with open(path) as handle:
@@ -294,9 +324,8 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
                 items = tuple(_typed(obj["intent"], list, "intent"))
                 for item in items:
                     _typed(item, str, "intent item")
-                support = TimeNodeSet({
-                    v: IntervalSet((_typed(a, int, "span start"), _typed(b, int, "span end"))
-                                   for a, b in spans)
+                support = TimeNodeSet._raw({
+                    v: _node_support(v, spans)
                     for v, spans in _typed(obj["support"], dict, "support").items()
                 })
                 rec = ClosedPatternRecord(

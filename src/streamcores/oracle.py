@@ -13,6 +13,12 @@ The selection section holds the temporal Jaccard distance computed on
 the built union and the greedy beta-scan without a memo; `selection`
 must agree with them bit for bit.
 
+`reference_read_link_stream` is the link-stream reader row by row: the
+whole file split with `str.splitlines`, each row split and converted
+through `dataio.to_ticks`, one span list per oriented pair, and every
+span checked and merged by `IntervalSet`; `dataio.read_link_stream`
+must build the same stream and raise the same errors.
+
 The last section holds reference definitions of stream-graph notions
 (induced substreams, degree profiles, adjacency event tables; Latapy,
 Viard & Magnien, "Stream graphs and link streams for the modeling of
@@ -22,10 +28,12 @@ interactions over time", SNAM 2018). The miner does not use them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core
+from .dataio import _FORMAT_WIDTHS, ParseError, PathOrLines, to_ticks
 from .intervals import IntervalSet
 from .mining import ClosedPatternRecord, MinerConfig, filter_min_intent
 from .selection import INTEREST_MEASURES
@@ -311,6 +319,81 @@ def reference_select(
         if all(reference_jaccard_distance(rec.support, k.support) >= beta for k in kept):
             kept.append(rec)
     return kept
+
+
+# -- link-stream input -------------------------------------------------------
+
+
+def reference_read_link_stream(
+    data: PathOrLines,
+    *,
+    fmt: str = "auto",
+    resolution: int = 1,
+    instant_extension_seconds: float = 20.0,
+    directed: bool = False,
+    presence: Optional[Mapping[str, IntervalSet]] = None,
+    horizon: Optional[Tuple[int, int]] = None,
+) -> StreamGraph:
+    """`dataio.read_link_stream` with every row held, split and checked on its own."""
+    if fmt != "auto" and fmt not in _FORMAT_WIDTHS:
+        raise ValueError(f"unknown stream format {fmt!r}")
+    try:
+        delta = to_ticks(instant_extension_seconds, resolution, "", 0)
+    except ParseError:
+        raise ValueError(
+            f"instant extension {instant_extension_seconds!r} s is not a finite whole "
+            f"number of ticks at {resolution} ticks/second"
+        ) from None
+    if delta <= 0 and fmt != "quadruples":
+        raise ValueError("instant extension must be positive")
+    if isinstance(data, (str, Path)):
+        lines = Path(data).read_text().splitlines()
+        source = str(Path(data))
+    else:
+        lines = list(data)
+        source = ""
+    width = _FORMAT_WIDTHS.get(fmt)
+    records = []
+    for row, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "," in text:
+            fields = [f.strip() for f in text.split(",")]
+        else:
+            fields = text.split()
+        if width is None:
+            width = len(fields)
+            if width not in _FORMAT_WIDTHS.values():
+                raise ParseError(f"cannot infer format from {width} columns", source, row)
+        if len(fields) != width:
+            raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
+        if width == 4:
+            b, e, u, v = fields
+            records.append((to_ticks(b, resolution, source, row),
+                            to_ticks(e, resolution, source, row), u, v))
+        else:
+            records.append((to_ticks(fields[0], resolution, source, row), fields[1], fields[2]))
+
+    pair_spans: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
+    for i, rec in enumerate(records, start=1):
+        if len(rec) == 3:
+            t, u, v = rec
+            if delta <= 0:
+                raise ParseError("instant records need a positive extension", source, i)
+            b, e = t - delta, t
+        else:
+            b, e, u, v = rec
+            if b >= e:
+                raise ParseError(f"empty interval [{b}, {e})", source, i)
+        if u == v and not directed:
+            raise ParseError(f"self-interaction on node {u!r}", source, i)
+        if horizon is not None and (b < horizon[0] or e > horizon[1]):
+            raise ParseError(f"interval [{b}, {e}) outside horizon {horizon}", source, i)
+        if not directed and u > v:
+            u, v = v, u
+        pair_spans.setdefault((u, v), []).append((b, e))
+    return StreamGraph(pair_spans, presence=presence, horizon=horizon, directed=directed)
 
 
 # -- reference definitions of stream-graph notions ---------------------------

@@ -202,8 +202,14 @@ class TestSelectCommand:
                                         for v, spans in row["support"].items()}),
         lambda row: row.update(support_measure=float(row["support_measure"])),
         lambda row: row.update(node_count=float(row["node_count"])),
+        lambda row: row["support"].update({v: spans[:1] + spans
+                                           for v, spans in row["support"].items()}),
+        lambda row: row["support"].update({v: [[spans[0][0]] * 2]
+                                           for v, spans in row["support"].items()}),
+        lambda row: row["support"].update({v: [] for v in row["support"]}),
     ], ids=["forged-measure", "forged-node-count", "no-support", "string-intent",
-            "fractional-span", "float-measure", "float-node-count"])
+            "fractional-span", "float-measure", "float-node-count", "overlapping-spans",
+            "empty-span", "no-spans"])
     def test_bad_record_is_an_input_error(self, mined, tmp_path, capsys, edit):
         lines = mined.read_text().splitlines()
         row = json.loads(lines[0])

@@ -1,8 +1,10 @@
 import logging
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamcores import IntervalSet, StreamGraph
+from streamcores import IntervalSet, StreamGraph, dataio
 from streamcores.dataio import (
     ParseError,
     ingest_link_stream,
@@ -15,6 +17,7 @@ from streamcores.dataio import (
     write_link_stream,
     write_presence,
 )
+from streamcores.oracle import reference_read_link_stream
 from streamcores.toys import star_toy_stream
 
 import random
@@ -144,6 +147,139 @@ class TestReadLinkStream:
     def test_wrong_column_count_after_first_row(self):
         with pytest.raises(ParseError, match="expected 4 columns"):
             read_link_stream(["1 3 a b", "4 a b"])
+
+
+def _outcome(read, data, **kwargs):
+    """What a reader makes of `data`: the stream's parts, or the error it raises."""
+    try:
+        s = read(data, **kwargs)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+    return (dict(s.interaction_items()), {v: s.presence(v) for v in s.nodes}, s.nodes,
+            s.horizon, s.directed)
+
+
+def _write(path, text):
+    with open(path, "w", newline="") as handle:  # line breaks exactly as given
+        handle.write(text)
+
+
+# the line breaks of str.splitlines; "\r" and "\r\n" also end a row in text mode
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+
+_names = st.sampled_from(["a", "b", "c", "d"])
+_grid_stamps = st.integers(-3, 60).map(str)
+_odd_stamps = st.sampled_from(["2.5", "3.0", "1e1", "0.05", "+7", "nan", "x", "1_0"])
+_separators = st.sampled_from([" ", "\t", "  ", ",", " , "])
+
+
+@st.composite
+def _rows(draw, width=None, stamps=st.one_of(_grid_stamps, _grid_stamps, _odd_stamps)):
+    """One row of any kind, or a well-formed row of `width` columns."""
+    kinds = ["triple", "quad", "quad", "contact", "comment", "blank", "short"]
+    kind = draw(st.sampled_from(kinds)) if width is None else kinds[width - 3]
+    if kind == "comment":
+        return "# " + draw(st.text("ab ,#", max_size=4))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    u = draw(_names)
+    v = draw(_names if width is None else _names.filter(lambda v: v != u))
+    if kind == "triple":
+        fields = [draw(stamps), u, v]
+    elif kind == "contact":
+        fields = [draw(stamps), u, v, "C1", "C2"]
+    elif kind == "short":
+        fields = [draw(stamps), u]
+    else:
+        b = draw(st.integers(0, 50))
+        e = b + draw(st.integers(-2, 12) if width is None else st.integers(1, 12))
+        fields = [draw(stamps), str(e), u, v] if width is None else [str(b), str(e), u, v]
+    return draw(_separators).join(fields)
+
+
+_FORMATS = {3: "triples", 4: "quadruples", 5: "contacts"}
+
+
+@st.composite
+def _cases(draw):
+    """(rows, reader options): mostly well-formed rows of one width, at times one bad row.
+
+    Pairs of a few nodes over a short time, so rows repeat, touch, overlap
+    and arrive out of order, in both orientations of a pair.
+    """
+    width = draw(st.sampled_from([3, 4, 5]))
+    if draw(st.integers(0, 4)) == 0:
+        lines = draw(st.lists(_rows(), max_size=14))
+    else:
+        lines = draw(st.lists(_rows(width, _grid_stamps), max_size=40))
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_rows()))
+    options = draw(st.fixed_dictionaries({
+        "fmt": st.sampled_from(["auto", "auto", _FORMATS[width], _FORMATS[width], "triples"]),
+        "resolution": st.sampled_from([1, 1, 2, 10]),
+        "instant_extension_seconds": st.sampled_from([20.0, 20, 5, 5, 2.5, 0]),
+        "directed": st.booleans(),
+        "horizon": st.sampled_from([None, None, None, (-1000, 1000), (0, 300)]),
+        "presence": st.sampled_from([None, None, None,
+                                     {v: IntervalSet.span(-1000, 1000) for v in "abc"}]),
+    }))
+    return lines, options
+
+
+class TestReadLinkStreamAgainstReference:
+    """The streaming reader builds what the row-by-row reference builds, or fails alike."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=_cases())
+    def test_line_lists(self, case):
+        lines, options = case
+        assert (_outcome(read_link_stream, lines, **options)
+                == _outcome(reference_read_link_stream, lines, **options))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_cases(), breaks=st.lists(st.sampled_from(LINE_BREAKS), min_size=1, max_size=3),
+           last_break=st.booleans(), chunk=st.sampled_from([1, 2, 5, 64]))
+    def test_files(self, tmp_path_factory, case, breaks, last_break, chunk):
+        lines, options = case
+        path = tmp_path_factory.mktemp("streams") / "stream.txt"
+        text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+        _write(path, text if last_break else text.rstrip("".join(LINE_BREAKS)))
+        # small chunks put chunk ends inside rows and between "\r" and "\n"
+        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+            got = _outcome(read_link_stream, path, **options)
+        assert got == _outcome(reference_read_link_stream, path, **options)
+        if breaks == ["\n"] and isinstance(got[0], dict):  # a file reads as its list of rows
+            assert got == _outcome(read_link_stream, lines, **options)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_every_splitlines_break_ends_a_row(self, tmp_path, chunk):
+        path = tmp_path / "breaks.txt"
+        # one row per break; "\v" inside "1 2\va b" makes two short rows, never one
+        rows = [f"{i} {i + 1} a b" for i in range(len(LINE_BREAKS))]
+        _write(path, "".join(row + brk for row, brk in zip(rows, LINE_BREAKS)))
+        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+            s = read_link_stream(path)
+            assert s.pair("a", "b") == IntervalSet.span(0, len(LINE_BREAKS))
+            assert _outcome(read_link_stream, path) == _outcome(reference_read_link_stream, path)
+            _write(path, "# x\u2028 0 1 a b\n1 2\va b\n")
+            with pytest.raises(ParseError, match=r"breaks.txt:3: expected 4 columns, got 2"):
+                read_link_stream(path)
+        with pytest.raises(ParseError, match=r"breaks.txt:3: expected 4 columns, got 2"):
+            reference_read_link_stream(path)
+
+    def test_names_and_timestamps_are_shared(self, monkeypatch):
+        seen = []
+        original = dataio.ingest_link_stream
+
+        def spy(records, *args, **kwargs):
+            seen.append(records)
+            return original(records, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "ingest_link_stream", spy)
+        read_link_stream(["1385982020 alice bob", "1385982020 bob alice"])
+        (first, second), = seen
+        assert first[0] is second[0] and first[1] is second[2] and first[2] is second[1]
 
 
 class TestPresence:

@@ -389,8 +389,23 @@ class TestPatternFiles:
         ("support_measure", 2.0, "support_measure must be of type int, got 2.0"),
         ("node_count", True, "node_count must be of type int, got True"),
         ("below_min_support", 1, "below_min_support must be of type bool, got 1"),
+        # a span list is refused unless it is canonical as written, never merged or dropped
+        ("support", {"v": [[0, 2], [1, 3]]},
+         "span [1, 3) of node 'v' does not start after the end 2 of the span before it"),
+        ("support", {"v": [[0, 1], [1, 2]]},
+         "span [1, 2) of node 'v' does not start after the end 1 of the span before it"),
+        ("support", {"v": [[3, 4], [0, 1]]},
+         "span [0, 1) of node 'v' does not start after the end 4 of the span before it"),
+        ("support", {"v": [[0, 2]], "u": [[5, 5]]}, "empty span [5, 5) of node 'u'"),
+        ("support", {"v": [[2, 0]]}, "empty span [2, 0) of node 'v'"),
+        ("support", {"v": [[0, 2]], "u": []}, "node 'u' has no spans"),
+        ("support", {"v": [[0, 1, 2]]},
+         "span of node 'v' must be a [start, end] pair, got [0, 1, 2]"),
+        ("support", {"v": "ab"}, "spans of node 'v' must be of type list, got 'ab'"),
     ], ids=["string-intent", "non-string-item", "support-list", "fractional-span",
-            "float-measure", "bool-node-count", "int-flag"])
+            "float-measure", "bool-node-count", "int-flag", "overlapping-spans",
+            "touching-spans", "unsorted-spans", "empty-span", "reversed-span", "no-spans",
+            "span-triple", "spans-string"])
     def test_values_are_checked_not_coerced(self, tmp_path, field, value, message):
         good = {"intent": ["a"], "support": {"v": [[0, 2]]}, "support_measure": 2, "node_count": 1}
         path = tmp_path / "patterns.jsonl"
