@@ -22,9 +22,9 @@ object per node name and per timestamp, so the records it hands to
 (width, empty interval, self-loop, horizon, integer ticks; a
 non-integer tick is a TypeError) and merges a pair's spans as they
 arrive: a span that starts inside or at the end of the pair's last
-span extends it. Each distinct pair is then oriented and merged once,
-and `StreamGraph` receives canonical interval sets it need not check
-again.
+span extends it. It hands the span lists, keyed by each pair as
+written, to `StreamGraph`, which orients the pairs and canonicalises
+each pair's spans once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .context import AttributeContext, ItemUniverse
-from .intervals import IntervalSet, Span, _merge
+from .intervals import IntervalSet, Span
 from .stream import StreamGraph
 
 log = logging.getLogger(__name__)
@@ -63,6 +63,7 @@ class ParseError(ValueError):
     def __init__(self, message: str, source: str = "", row: int = 0):
         where = f"{source}:{row}: " if source else f"row {row}: "
         super().__init__(where + message)
+        self.message = message
         self.source = source
         self.row = row
 
@@ -112,10 +113,13 @@ def to_ticks(value: str | float | int, resolution: int, source: str, row: int) -
 
     The text is parsed exactly, as an integer mantissa and a power of
     ten, so an off-grid value is rejected at any magnitude. Non-finite
-    values and values written with more than MAX_TIMESTAMP_DIGITS
-    digits are rejected too.
+    values, values written with more than MAX_TIMESTAMP_DIGITS digits,
+    digit-group underscores and non-ASCII digits are rejected too.
     """
     text = value if isinstance(value, str) else str(value)
+    # int() and Decimal() would read "+4_0" as 40 and "٣٠" as 30
+    if "_" in text or not text.isascii():
+        raise ParseError(f"bad timestamp {value!r}", source, row)
     try:
         seconds = int(text)
     except ValueError:
@@ -164,8 +168,10 @@ def ingest_link_stream(
     Times are integer ticks here; anything else is a TypeError. A
     triple contributes the interval [t - instant_extension, t), so
     back-to-back contacts merge into one interval. Quadruples are taken
-    as written. Errors name the record's position in `records` as its
-    row.
+    as written. Node names are taken as given, not converted to `str`:
+    records naming the node 1 and the node "1" raise (StreamGraph
+    cannot order the two names) instead of meeting as one node. Errors
+    name the record's position in `records` as its row.
     """
     spans_of: Dict[Tuple, List[Span]] = {}  # by the pair as written
     for i, rec in enumerate(records, start=1):
@@ -184,6 +190,7 @@ def ingest_link_stream(
             raise ParseError(f"self-interaction on node {u!r}", source, i)
         if horizon is not None and (b < horizon[0] or e > horizon[1]):
             raise ParseError(f"interval [{b}, {e}) outside horizon {horizon}", source, i)
+        # checked here, not left to StreamGraph: extending a span below drops endpoints
         if not isinstance(b, int) or not isinstance(e, int):
             raise TypeError(f"interval endpoints must be integers, got ({b!r}, {e!r})")
         key = (u, v)
@@ -199,18 +206,7 @@ def ingest_link_stream(
                 spans[-1] = (last_b, e)
         else:
             spans.append((b, e))
-
-    # both orientations of an undirected pair meet here; names such as 1
-    # and "1" that meet only as strings are left for StreamGraph to refuse
-    pair_spans: Dict[Tuple[str, str], List[Span]] = {}
-    for (u, v), spans in spans_of.items():
-        u, v = str(u), str(v)
-        if not directed and u > v:
-            u, v = v, u
-        pair_spans.setdefault((u, v), []).extend(spans)
-    # every span is checked above, so one merge per pair makes it canonical
-    return StreamGraph({key: IntervalSet._raw(_merge(spans)) for key, spans in pair_spans.items()},
-                       presence=presence, horizon=horizon, directed=directed)
+    return StreamGraph(spans_of, presence=presence, horizon=horizon, directed=directed)
 
 
 def read_link_stream(
@@ -248,7 +244,13 @@ def read_link_stream(
     ticks: Dict[str, int] = {}  # and per timestamp text
     records = []
     append, name = records.append, names.setdefault
+    # (record number, its line) wherever skipped lines shift the numbering
+    shifts: List[Tuple[int, int]] = []
+    last = 0
     for row, text in rows:
+        if row != last + 1:
+            shifts.append((len(records) + 1, row))
+        last = row
         fields = _split(text)
         if width is None:
             width = len(fields)
@@ -269,8 +271,17 @@ def read_link_stream(
         else:  # an instant contact; the class columns of the contacts format are skipped
             u, v = fields[1], fields[2]
             append((t, name(u, u), name(v, v)))
-    return ingest_link_stream(records, delta, directed=directed, presence=presence,
-                              horizon=horizon, source=source)
+    try:
+        return ingest_link_stream(records, delta, directed=directed, presence=presence,
+                                  horizon=horizon, source=source)
+    except ParseError as err:
+        # the ingest numbers records; name the file line instead
+        line = err.row
+        for record, first in shifts:
+            if record > err.row:
+                break
+            line = first + err.row - record
+        raise ParseError(err.message, source, line) from None
 
 
 def read_presence(data: PathOrLines, *, resolution: int = 1) -> Dict[str, IntervalSet]:

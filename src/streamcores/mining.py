@@ -6,8 +6,8 @@ restricted to the nodes carrying the new item (the item's carriers),
 which coincides with the core of the global extent.
 
 Candidates are evaluated by occurrence deliver (Uno, Kiyomi & Arimura,
-LCM ver. 2, FIMI 2004): on a frame's first visit, one pass over the
-frame's support files every node under each untried item it carries,
+LCM ver. 2, FIMI 2004): when a frame is pushed, one pass over its
+support files every node under each untried item it carries,
 and tallies the item's support measure over those carriers. Every core
 operator is contractive (`core(X)` is a subset of `X`), so the tally
 bounds the child's support from above: a candidate whose tally is below
@@ -16,12 +16,13 @@ in item order with their carriers. A candidate thus costs its carriers,
 not the parent's whole support.
 
 An exclusion mask prevents re-reaching a closed pattern through a second
-branch: a closure containing an already finished item is skipped, and
-each finished item is added to the mask only after its whole subtree was
-explored. Children run against a snapshot of the mask, siblings see it
-grow. An excluded item is never tried: the child's support holds only
-its carriers (or nothing, whose intent is the full universe), so the
-closure would contain the item itself.
+branch: a closure containing an already expanded item is skipped. A
+frame is the list [queue, excluded, depth]. A child is pushed with the
+parent's mask, and the parent then adds the child's item to its own, so
+the child's subtree runs without the item and the later siblings with
+it. An excluded item is never tried: the child's support holds only its
+carriers (or nothing, whose intent is the full universe), so the closure
+would contain the item itself.
 
 Static closed patterns are mined by the same loop on the time-collapsed
 stream (`induced_static_graph`).
@@ -82,10 +83,6 @@ class ClosedPatternRecord:
     below_min_support: bool = False
 
 
-def _support_size(support: TimeNodeSet, measure: str) -> int:
-    return support.node_count() if measure == "nodes" else support.measure()
-
-
 def _deliver(
     support: TimeNodeSet, ctx: AttributeContext, skip: Pattern, count_nodes: bool
 ) -> Tuple[Dict[Pattern, int], Dict[Pattern, Dict[str, IntervalSet]]]:
@@ -112,19 +109,6 @@ def _deliver(
             else:
                 entries[v] = ivs
     return tallies, carriers
-
-
-class _Frame:
-    __slots__ = ("mask", "support", "excluded", "pending", "depth", "queue")
-
-    def __init__(self, mask, support, excluded, depth):
-        self.mask = mask
-        self.support = support
-        self.excluded = excluded
-        self.pending = 0
-        self.depth = depth
-        # candidates that pass the bound, last in item order first; set on the first visit
-        self.queue: Optional[List[Tuple[Pattern, str, Dict[str, IntervalSet]]]] = None
 
 
 def mine(
@@ -158,52 +142,51 @@ def mine(
             below_min_support=size < cfg.min_support,
         )
 
+    count_nodes = cfg.support_measure == "nodes"
     # apply_core and intent are looked up at call time, so that
     # instrumentation rebinding them on this module sees every call
     root_support = apply_core(cfg.core, stream, stream.presence_set())
     root_mask = intent(root_support, ctx)
-    records = [record(root_mask, root_support,
-                      _support_size(root_support, cfg.support_measure), None, 0)]
+    root_size = root_support.node_count() if count_nodes else root_support.measure()
+    records = [record(root_mask, root_support, root_size, None, 0)]
 
     full = universe.full_mask
-    count_nodes = cfg.support_measure == "nodes"
     tried = bound_pruned = core_calls = support_pruned = canonicity_pruned = 0
-    stack = [_Frame(root_mask, root_support, 0, 0)]
+
+    def frame(mask, support, excluded, depth) -> list:
+        # [queue, excluded, depth]; the queue holds the candidates that pass
+        # the support bound, last in item order first
+        nonlocal tried, bound_pruned
+        skip = mask | excluded
+        tallies, carriers = _deliver(support, ctx, skip, count_nodes)
+        passing = sorted((bit for bit, tally in tallies.items()
+                          if tally >= cfg.min_support), key=rank.get, reverse=True)
+        untried = (full & ~skip).bit_count()
+        tried += untried
+        bound_pruned += untried - len(passing)
+        return [[(bit, names[bit], carriers[bit]) for bit in passing], excluded, depth]
+
+    stack = [frame(root_mask, root_support, 0, 0)]
     while stack:
-        frame = stack[-1]
-        if frame.pending:
-            frame.excluded |= frame.pending
-            frame.pending = 0
-        if frame.queue is None:
-            # the excluded set grows only by items already evaluated here, so the
-            # items to try are fixed on the first visit
-            skip = frame.mask | frame.excluded
-            tallies, carriers = _deliver(frame.support, ctx, skip, count_nodes)
-            passing = sorted((bit for bit, tally in tallies.items()
-                              if tally >= cfg.min_support), key=rank.get, reverse=True)
-            frame.queue = [(bit, names[bit], carriers[bit]) for bit in passing]
-            untried = (full & ~skip).bit_count()
-            tried += untried
-            bound_pruned += untried - len(passing)
-        pushed = False
-        while frame.queue:
-            bit, name, entries = frame.queue.pop()
+        top = stack[-1]
+        queue, excluded, depth = top
+        while queue:
+            bit, name, entries = queue.pop()
             core_calls += 1
             support = apply_core(cfg.core, stream, TimeNodeSet._raw(entries))
-            n = _support_size(support, cfg.support_measure)
+            n = support.node_count() if count_nodes else support.measure()
             if n < cfg.min_support:
                 support_pruned += 1
                 continue
             closed = intent(support, ctx)
-            if closed & frame.excluded:
+            if closed & excluded:
                 canonicity_pruned += 1
                 continue
-            records.append(record(closed, support, n, name, frame.depth + 1))
-            frame.pending = bit
-            stack.append(_Frame(closed, support, frame.excluded, frame.depth + 1))
-            pushed = True
+            records.append(record(closed, support, n, name, depth + 1))
+            stack.append(frame(closed, support, excluded, depth + 1))
+            top[1] = excluded | bit
             break
-        if not pushed:
+        else:
             stack.pop()
 
     log.info("%d candidates: %d pruned by the support bound, %d core calls, "

@@ -370,26 +370,27 @@ def reference_read_link_stream(
             raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
         if width == 4:
             b, e, u, v = fields
-            records.append((to_ticks(b, resolution, source, row),
-                            to_ticks(e, resolution, source, row), u, v))
+            records.append((row, (to_ticks(b, resolution, source, row),
+                                  to_ticks(e, resolution, source, row), u, v)))
         else:
-            records.append((to_ticks(fields[0], resolution, source, row), fields[1], fields[2]))
+            records.append((row, (to_ticks(fields[0], resolution, source, row),
+                                  fields[1], fields[2])))
 
     pair_spans: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-    for i, rec in enumerate(records, start=1):
+    for row, rec in records:
         if len(rec) == 3:
             t, u, v = rec
             if delta <= 0:
-                raise ParseError("instant records need a positive extension", source, i)
+                raise ParseError("instant records need a positive extension", source, row)
             b, e = t - delta, t
         else:
             b, e, u, v = rec
             if b >= e:
-                raise ParseError(f"empty interval [{b}, {e})", source, i)
+                raise ParseError(f"empty interval [{b}, {e})", source, row)
         if u == v and not directed:
-            raise ParseError(f"self-interaction on node {u!r}", source, i)
+            raise ParseError(f"self-interaction on node {u!r}", source, row)
         if horizon is not None and (b < horizon[0] or e > horizon[1]):
-            raise ParseError(f"interval [{b}, {e}) outside horizon {horizon}", source, i)
+            raise ParseError(f"interval [{b}, {e}) outside horizon {horizon}", source, row)
         if not directed and u > v:
             u, v = v, u
         pair_spans.setdefault((u, v), []).append((b, e))

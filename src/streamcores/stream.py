@@ -3,8 +3,10 @@
 A stream holds a finite tick horizon, a set of nodes with presence
 intervals, and per-pair interaction intervals. Undirected pairs are
 stored under their sorted key; directed streams keep ordered (src, dst)
-keys plus separate in/out adjacency. Everything is immutable after
-construction.
+keys plus separate in/out adjacency. `StreamGraph` is the one place
+that orients pair keys and canonicalises the spans it is given: the
+spans of both orientations of a pair become one `IntervalSet`.
+Everything is immutable after construction.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ class TimeNodeSet:
         out = object.__new__(cls)
         out._entries = entries
         return out
-
-    @classmethod
-    def empty(cls) -> "TimeNodeSet":
-        return cls._raw({})
 
     def nodes(self) -> Tuple[str, ...]:
         return tuple(sorted(self._entries))
@@ -122,19 +120,21 @@ class StreamGraph:
         nodes: Iterable[str] = (),
     ) -> None:
         self.directed = directed
-        pairs: Dict[Tuple[str, str], IntervalSet] = {}
+        # both orientations of an undirected pair gather under its sorted key,
+        # so each pair is checked and merged once
+        gathered: Dict[Tuple[str, str], List[Span]] = {}
         for (u, v), spans in interactions.items():
             if u == v:
                 if not directed:
                     raise ValueError(f"self-interaction on node {u!r} in an undirected stream")
             elif not directed and u > v:
                 u, v = v, u
-            ivs = spans if isinstance(spans, IntervalSet) else IntervalSet(spans)
-            if not ivs:
-                continue
-            key = (u, v)
-            prev = pairs.get(key)
-            pairs[key] = ivs if prev is None else prev.union(ivs)
+            gathered.setdefault((u, v), []).extend(spans)
+        pairs: Dict[Tuple[str, str], IntervalSet] = {}
+        for key, spans in gathered.items():
+            ivs = IntervalSet(spans)
+            if ivs:
+                pairs[key] = ivs
 
         # collect first and normalise once per node: a union per pair is quadratic
         node_spans: Dict[str, List[Span]] = {}
@@ -150,7 +150,7 @@ class StreamGraph:
         else:
             pres = {}
             for v, spans in presence.items():
-                ivs = spans if isinstance(spans, IntervalSet) else IntervalSet(spans)
+                ivs = IntervalSet(spans)
                 if ivs:
                     pres[v] = ivs
                 names.add(v)

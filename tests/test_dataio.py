@@ -58,6 +58,18 @@ class TestIngest:
         with pytest.raises(TypeError, match="must be integers"):
             ingest_link_stream([record], 20)
 
+    def test_non_integer_tick_of_an_extended_span_is_refused(self):
+        # the second record extends the first span, whose end 5.5 it replaces
+        with pytest.raises(TypeError, match="must be integers"):
+            ingest_link_stream([(0, 5.5, "a", "b"), (3, 7, "a", "b")], 20)
+
+    def test_node_names_are_taken_as_given(self):
+        assert ingest_link_stream([(10, 1, 2)], 5).nodes == (1, 2)
+        # 1 and "1" are two names that cannot be ordered, not one node
+        for records in ([(10, 1, "b"), (20, "1", "b")], [(10, 1, 2), (20, "1", "2")]):
+            with pytest.raises(TypeError, match="not supported between"):
+                ingest_link_stream(records, 5)
+
     def test_bad_record_width_reports_row(self):
         with pytest.raises(ParseError, match="row 2"):
             ingest_link_stream([(0, 2, "a", "b"), (1, 2, 3, "a", "b")], 5)
@@ -104,8 +116,10 @@ class TestToTicks:
             to_ticks(value, 1, "", 1)
 
     def test_bad_text_rejected(self):
-        with pytest.raises(ParseError, match="bad timestamp"):
-            to_ticks("1/2", 2, "", 1)
+        # int() and Decimal() accept digit-group underscores and non-ASCII digits
+        for value in ["1/2", "+4_0", "\u0663\u0660", "4_0.5", "\u0663\u0660.5", "1_0e1"]:
+            with pytest.raises(ParseError, match="bad timestamp"):
+                to_ticks(value, 2, "", 1)
 
 
 class TestReadLinkStream:
@@ -143,6 +157,18 @@ class TestReadLinkStream:
         path.write_text("1 3 a b\nbogus row here nope nope nope\n")
         with pytest.raises(ParseError, match="bad.csv:2"):
             read_link_stream(path)
+
+    @pytest.mark.parametrize("read", [read_link_stream, reference_read_link_stream])
+    @pytest.mark.parametrize("text, error", [
+        ("# t u v\n\n20 a b\n40 a a\n", "bad.txt:4: self-interaction"),
+        ("0 5 a b\n# x\n1 1 a b\n", "bad.txt:3: empty interval"),
+    ], ids=["selfloop", "empty"])
+    def test_ingest_errors_name_the_file_line(self, tmp_path, read, text, error):
+        # comment and blank lines before the bad row still count
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=error):
+            read(path)
 
     def test_wrong_column_count_after_first_row(self):
         with pytest.raises(ParseError, match="expected 4 columns"):
@@ -215,6 +241,9 @@ def _cases(draw):
         lines = draw(st.lists(_rows(width, _grid_stamps), max_size=40))
         if draw(st.booleans()):
             lines.insert(draw(st.integers(0, len(lines))), draw(_rows()))
+        # skipped lines shift the line numbers that errors must name
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# x", ""])))
     options = draw(st.fixed_dictionaries({
         "fmt": st.sampled_from(["auto", "auto", _FORMATS[width], _FORMATS[width], "triples"]),
         "resolution": st.sampled_from([1, 1, 2, 10]),
