@@ -5,7 +5,7 @@ an output also writes a manifest next to it; re-running with
 --manifest reproduces the output byte for byte.
 
 Exit codes: 0 success, 1 input error, 2 configuration error,
-3 invariant violation.
+3 invariant violation, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import random
 import sys
 import time
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 DEFAULT_BETAS = "0,0.2,0.4,0.6,0.8"
 
@@ -369,7 +371,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`); point stdout at devnull so
+        # that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

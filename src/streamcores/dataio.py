@@ -169,8 +169,9 @@ def ingest_link_stream(
     triple contributes the interval [t - instant_extension, t), so
     back-to-back contacts merge into one interval. Quadruples are taken
     as written. Node names are taken as given, not converted to `str`:
-    records naming the node 1 and the node "1" raise (StreamGraph
-    cannot order the two names) instead of meeting as one node. Errors
+    records naming the node 1 and the node "1" raise a TypeError that
+    names the two (StreamGraph cannot order them) instead of meeting as
+    one node. Errors
     name the record's position in `records` as its row.
     """
     spans_of: Dict[Tuple, List[Span]] = {}  # by the pair as written

@@ -4,17 +4,26 @@ Patterns are scanned in decreasing interestingness; one is kept only
 when its support is at temporal Jaccard distance at least beta from
 every already kept support.
 
-The distance takes |A ∪ B| as |A| + |B| - |A ∩ B|, so it only builds
-the intersection. A `PairDistances` memo over one list of records
-computes each pair's distance at most once, with each |A| summed once;
-a `select` command shares one memo between the scan at its beta and
-every scan of its sweep.
+Most pairs are decided without an intersection, by the two filters of
+set-similarity joins. A scan indexes each node to the kept supports
+that hold it, and compares a support only with the kept ones that share
+a node: the others are at distance 1.0. For those that share one, the
+size filter comes first: with sizes lo <= hi, the distance is at least
+1 - lo / hi, so when that reaches beta the pair passes. The bound holds
+in floating point too, because |A ∩ B| <= lo, |A ∪ B| >= hi, and
+correctly rounded division and subtraction are monotone.
+
+The remaining pairs take |A ∪ B| as |A| + |B| - |A ∩ B|, so they only
+build the intersection. A `PairDistances` memo over one list of records
+computes each such pair's distance at most once, with each |A| summed
+once; a `select` command shares one memo between the scan at its beta
+and every scan of its sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .mining import ClosedPatternRecord
 from .stream import TimeNodeSet
@@ -61,11 +70,16 @@ def temporal_jaccard_distance(
 
 
 class PairDistances:
-    """Distances between the supports of `records`, by position, each computed once."""
+    """Distances between the supports of `records`, by position, each computed once.
+
+    Also holds each support's measure and node tuple, which the scan's
+    filters read.
+    """
 
     def __init__(self, records: Sequence[ClosedPatternRecord]) -> None:
         self.records = records
-        self._measures = [rec.support.measure() for rec in records]
+        self.measures = [rec.support.measure() for rec in records]
+        self.nodes = [rec.support.nodes() for rec in records]
         self._memo: Dict[Tuple[int, int], float] = {}
 
     def __call__(self, i: int, j: int) -> float:
@@ -75,9 +89,28 @@ class PairDistances:
             a, b = key
             got = self._memo[key] = temporal_jaccard_distance(
                 self.records[a].support, self.records[b].support,
-                self._measures[a], self._measures[b],
+                self.measures[a], self.measures[b],
             )
         return got
+
+    def at_least(self, i: int, j: int, beta: float) -> bool:
+        """Whether distance(i, j) >= beta, by the sizes alone when they suffice.
+
+        Both supports must be non-empty.
+        """
+        a, b = self.measures[i], self.measures[j]
+        lo, hi = (a, b) if a <= b else (b, a)
+        return 1.0 - lo / hi >= beta or self(i, j) >= beta
+
+
+def _sharing(holders: Dict[str, List[int]], nodes: Sequence[str]) -> Iterator[int]:
+    """The positions listed under any of `nodes`, each once."""
+    seen = set()
+    for v in nodes:
+        for k in holders.get(v, ()):
+            if k not in seen:
+                seen.add(k)
+                yield k
 
 
 def g_beta_select(
@@ -87,21 +120,32 @@ def g_beta_select(
 ) -> List[ClosedPatternRecord]:
     """Greedy scan in decreasing interestingness, ties broken by intent.
 
-    `distances`, when given, must be built over `records` itself.
+    `distances`, when given, must be built over `records` itself. Two
+    empty supports raise `ValueError` at any beta, as their distance is
+    undefined.
     """
     if distances is None:
         distances = PairDistances(records)
     elif distances.records is not records:
         raise ValueError("the pair distances belong to another record list")
+    # one empty support is at distance 1.0 from every other, so it is
+    # always kept and a second one always meets it
+    if distances.measures.count(0) > 1:
+        raise ValueError("the distance of two empty supports is undefined")
     measure = INTEREST_MEASURES[cfg.g]
     ordered = sorted(
         range(len(records)),
         key=lambda i: (-measure(records[i]), tuple(sorted(records[i].items))),
     )
+    beta = cfg.beta
     kept: List[int] = []
+    holders: Dict[str, List[int]] = {}  # node -> kept positions whose support holds it
     for i in ordered:
-        if all(distances(i, k) >= cfg.beta for k in kept):
+        nodes = distances.nodes[i]
+        if all(distances.at_least(i, k, beta) for k in _sharing(holders, nodes)):
             kept.append(i)
+            for v in nodes:
+                holders.setdefault(v, []).append(i)
     return [records[i] for i in kept]
 
 

@@ -106,6 +106,22 @@ class TimeNodeSet:
         return f"TimeNodeSet({body})"
 
 
+def _refuse_unordered(names: Iterable) -> None:
+    """Raise a TypeError naming two of `names` that cannot be ordered, if two cannot."""
+    firsts: Dict[type, object] = {}  # the first name of each type, in a hash-free order
+    for name in sorted(set(names), key=lambda x: (type(x).__qualname__, repr(x))):
+        for other in firsts.values():
+            if type(other) is not type(name):
+                try:
+                    other < name
+                except TypeError:
+                    raise TypeError(
+                        f"node names {other!r} and {name!r} cannot be ordered; "
+                        "name every node with one type"
+                    ) from None
+        firsts.setdefault(type(name), name)
+
+
 class StreamGraph:
     """Nodes with presence intervals plus timed pairwise interactions."""
 
@@ -123,13 +139,18 @@ class StreamGraph:
         # both orientations of an undirected pair gather under its sorted key,
         # so each pair is checked and merged once
         gathered: Dict[Tuple[str, str], List[Span]] = {}
-        for (u, v), spans in interactions.items():
-            if u == v:
-                if not directed:
-                    raise ValueError(f"self-interaction on node {u!r} in an undirected stream")
-            elif not directed and u > v:
-                u, v = v, u
-            gathered.setdefault((u, v), []).extend(spans)
+        u = v = None  # the handler reads them even when the first key fails to unpack
+        try:
+            for (u, v), spans in interactions.items():
+                if u == v:
+                    if not directed:
+                        raise ValueError(f"self-interaction on node {u!r} in an undirected stream")
+                elif not directed and u > v:
+                    u, v = v, u
+                gathered.setdefault((u, v), []).extend(spans)
+        except TypeError:
+            _refuse_unordered((u, v))
+            raise
         pairs: Dict[Tuple[str, str], IntervalSet] = {}
         for key, spans in gathered.items():
             ivs = IntervalSet(spans)
@@ -161,7 +182,11 @@ class StreamGraph:
                     )
 
         names.update(pres)  # pres covers every pair's endpoints by now
-        self.nodes: Tuple[str, ...] = tuple(sorted(names))
+        try:
+            self.nodes: Tuple[str, ...] = tuple(sorted(names))
+        except TypeError:
+            _refuse_unordered(names)
+            raise
         self._presence = pres
         self._pairs = pairs
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +241,20 @@ class TestSelectCommand:
         assert calls
         assert len(calls) == len(set(calls))
         assert len(calls) <= 7 * 6 // 2
+
+    def test_a_reader_that_leaves_early_ends_it_with_exit_141(self, mined, tmp_path):
+        # the sweep report outgrows a pipe's buffer, so select is still
+        # writing when the reader closes its end
+        env = dict(os.environ, PYTHONPATH=str(Path(selection.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "streamcores.cli", "select", "--input", str(mined),
+             "--betas", ",".join(["1"] * 10000), "--output", str(tmp_path / "s.jsonl")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline() == b"beta=0: kept 7 of 7\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
 
 
 class TestInspectCommand:

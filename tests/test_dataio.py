@@ -65,10 +65,19 @@ class TestIngest:
 
     def test_node_names_are_taken_as_given(self):
         assert ingest_link_stream([(10, 1, 2)], 5).nodes == (1, 2)
-        # 1 and "1" are two names that cannot be ordered, not one node
-        for records in ([(10, 1, "b"), (20, "1", "b")], [(10, 1, 2), (20, "1", "2")]):
-            with pytest.raises(TypeError, match="not supported between"):
-                ingest_link_stream(records, 5)
+        # 1 and "1" are two names that cannot be ordered, not one node; the
+        # clash shows in orienting a pair or in sorting the node names
+        for records, directed, clash in (
+            ([(10, 1, "b"), (20, "1", "b")], False, "1 and 'b'"),
+            ([(10, 1, 2), (20, "1", "2")], False, "1 and '1'"),
+            ([(10, 1, "b"), (20, "1", "b")], True, "1 and '1'"),
+        ):
+            with pytest.raises(TypeError, match=f"^node names {clash} cannot be ordered"):
+                ingest_link_stream(records, 5, directed=directed)
+        with pytest.raises(TypeError, match="^node names 1 and 'a' cannot be ordered"):
+            ingest_link_stream([(10, 1, 2)], 5, presence={"a": IntervalSet([(0, 20)]),
+                                                          1: IntervalSet([(0, 20)]),
+                                                          2: IntervalSet([(0, 20)])})
 
     def test_bad_record_width_reports_row(self):
         with pytest.raises(ParseError, match="row 2"):

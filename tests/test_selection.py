@@ -11,6 +11,7 @@ from streamcores import (
     TimeNodeSet,
     g_beta_select,
     mine,
+    selection,
     selection_counts,
     temporal_jaccard_distance,
 )
@@ -165,11 +166,31 @@ def _outcome(fn):
         return ("ValueError", str(err))
 
 
+def _shifted(support, by):
+    """`support` on the same nodes, moved `by` ticks later."""
+    return TimeNodeSet({v: IntervalSet([(a + by, b + by) for a, b in ivs.spans])
+                        for v, ivs in support.items()})
+
+
+def _renamed(support):
+    """`support` on new nodes, at the same ticks."""
+    return TimeNodeSet({f"{v}'": ivs for v, ivs in support.items()})
+
+
 def _random_records(rng):
-    """Records over random supports with duplicate supports, tied measures and intents, empties."""
+    """Records over random supports, with the shapes the scan's filters decide.
+
+    Besides random subsets: duplicate supports, nested ones, ones on the
+    same nodes with no shared tick and ones on disjoint node sets (the
+    last two tie the measures of the support they copy), tied intents and
+    empty supports.
+    """
     w = random_stream(rng).presence_set()
     supports = [random_subset(rng, w) for _ in range(rng.randint(1, 8))]
     supports += [rng.choice(supports) for _ in range(rng.randint(0, 3))]
+    supports += [random_subset(rng, rng.choice(supports)) for _ in range(rng.randint(0, 2))]
+    supports += [_shifted(rng.choice(supports), 100) for _ in range(rng.randint(0, 2))]
+    supports += [_renamed(rng.choice(supports)) for _ in range(rng.randint(0, 2))]
     if rng.random() < 0.3:
         supports.append(TimeNodeSet())
     if rng.random() < 0.1:
@@ -179,7 +200,7 @@ def _random_records(rng):
 
 
 class TestAgainstReference:
-    """The memoised inclusion-exclusion selection equals the union-based, memo-free one."""
+    """The filtered, memoised selection equals the union-based, memo-free one."""
 
     def assert_same_selection(self, records, g):
         distances = PairDistances(records)
@@ -221,6 +242,43 @@ class TestAgainstReference:
                 self.assert_same_selection(records, g)
             raised += isinstance(_outcome(lambda: reference_select(records, 0.0)), tuple)
         assert raised, "two empty supports in one list must raise in both"
+
+    def test_two_empty_supports_raise_at_every_beta(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            records = [rec for rec in _random_records(rng) if rec.support]
+            records += [record("e", TimeNodeSet()) for _ in range(rng.randint(2, 3))]
+            rng.shuffle(records)
+            for g in ("duration", "nodes", "intent-size"):
+                distances = PairDistances(records)
+                for beta in BETAS:
+                    with pytest.raises(ValueError, match="two empty supports"):
+                        g_beta_select(records, SelectionConfig(beta=beta, g=g), distances)
+                    with pytest.raises(ValueError, match="two empty supports"):
+                        reference_select(records, beta, g)
+                with pytest.raises(ValueError, match="two empty supports"):
+                    selection_counts(records, BETAS, g)
+
+    def test_pairs_the_filters_decide_are_never_measured(self, monkeypatch):
+        original = selection.temporal_jaccard_distance
+        calls = []
+
+        def counting(wi, wj, *rest):
+            calls.append(frozenset((id(wi), id(wj))))
+            return original(wi, wj, *rest)
+
+        monkeypatch.setattr(selection, "temporal_jaccard_distance", counting)
+        big = record("a", tns(u=[(0, 10)]))
+        elsewhere = record("b", tns(v=[(0, 10)]))  # no node shared with big
+        close = record("c", tns(u=[(0, 9)]))  # 1 - 9/10 < beta: needs the intersection
+        short = record("d", tns(u=[(0, 2)]))  # 1 - 2/10 >= beta: decided by length
+        records = [short, close, elsewhere, big]
+        kept = g_beta_select(records, SelectionConfig(beta=0.5))
+        assert kept == [big, elsewhere, short]
+        assert calls == [frozenset((id(big.support), id(close.support)))]
+        calls.clear()
+        assert g_beta_select(records, SelectionConfig(beta=0.0)) == [big, elsewhere, close, short]
+        assert calls == []
 
     def test_distances_of_another_list_are_refused(self):
         records, _ = _mined()
