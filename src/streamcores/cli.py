@@ -1,8 +1,10 @@
 """Command-line front end for reproducible batch runs.
 
-Commands: mine, select, inspect, static-compare. Every run that writes
-an output also writes a manifest next to it; re-running with
---manifest reproduces the output byte for byte.
+Commands: mine, select, inspect, static-compare. `mine` and `select`
+write a manifest next to their output and take --manifest; a re-run
+with it reproduces the output byte for byte. `inspect` and
+`static-compare` record no manifest. `RunManifest` holds the default
+of every option it records; the parsers set none.
 
 Exit codes: 0 success, 1 input error, 2 configuration error,
 3 invariant violation, 141 standard output closed by its reader.
@@ -22,9 +24,12 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import dataio
+from .context import AttributeContext, ItemUniverse
 from .cores import CoreSpec
-from .mining import MinerConfig, mine, read_patterns, write_patterns, write_static_patterns
-from .selection import PairDistances, SelectionConfig, g_beta_select, selection_counts
+from .mining import (SUPPORT_MEASURES, MinerConfig, mine, read_patterns, write_patterns,
+                     write_static_patterns)
+from .selection import (INTEREST_MEASURES, PairDistances, SelectionConfig, g_beta_select,
+                        interest_key, selection_counts)
 from .stream import induced_static_graph
 
 log = logging.getLogger(__name__)
@@ -34,8 +39,6 @@ EXIT_INPUT = 1
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
-
-DEFAULT_BETAS = "0,0.2,0.4,0.6,0.8"
 
 
 class ConfigError(ValueError):
@@ -62,7 +65,7 @@ class RunManifest:
     input: Optional[str] = None
     output: Optional[str] = None
     beta: float = 0.0
-    betas: str = DEFAULT_BETAS
+    betas: str = "0,0.2,0.4,0.6,0.8"
     g: str = "duration"
     static_min_support: int = 1
 
@@ -87,13 +90,10 @@ def _manifest_from_args(command: str, args: argparse.Namespace) -> RunManifest:
                 f"manifest was recorded for {manifest.command!r}, not {command!r}"
             )
         return manifest
-    manifest = RunManifest(command=command)
-    for f in fields(RunManifest):
-        if f.name != "command" and hasattr(args, f.name):
-            value = getattr(args, f.name)
-            if value is not None:
-                setattr(manifest, f.name, value)
-    return manifest
+    # the parsers set no defaults: a field is in `args` only when it was given
+    given = {f.name: getattr(args, f.name) for f in fields(RunManifest)
+             if f.name != "command" and hasattr(args, f.name)}
+    return RunManifest(command, **given)
 
 
 def _item_order(spec: str, universe) -> Optional[List[str]]:
@@ -122,13 +122,22 @@ def _parse_betas(text: str) -> List[float]:
     return values
 
 
-def _load_stream(manifest: RunManifest):
+def _mining_setup(manifest: RunManifest):
+    """(stream, attribute context, miner config) of a mining run.
+
+    An "auto" core is resolved in `manifest` itself, so that its record
+    names the core that ran.
+    """
     if not manifest.stream:
         raise ConfigError("no stream file given")
+    # default family follows the stream kind; thresholds stay explicit
+    if manifest.core == "auto":
+        manifest.core = "ha:2,2" if manifest.directed else "star-sat:2"
+    core = CoreSpec.parse(manifest.core)
     presence = None
     if manifest.presence:
         presence = dataio.read_presence(manifest.presence, resolution=manifest.resolution)
-    return dataio.read_link_stream(
+    stream = dataio.read_link_stream(
         manifest.stream,
         fmt=manifest.format,
         resolution=manifest.resolution,
@@ -136,40 +145,25 @@ def _load_stream(manifest: RunManifest):
         directed=manifest.directed,
         presence=presence,
     )
-
-
-def _load_context(manifest: RunManifest, stream):
     if manifest.attributes:
-        return dataio.read_attributes(manifest.attributes, stream=stream)
-    from .context import AttributeContext, ItemUniverse
-    return AttributeContext(ItemUniverse([]), {})
-
-
-def _resolve_core(manifest: RunManifest) -> str:
-    # default family follows the stream kind; thresholds stay explicit
-    if manifest.core == "auto":
-        return "ha:2,2" if manifest.directed else "star-sat:2"
-    return manifest.core
-
-
-def _miner_config(manifest: RunManifest, universe) -> MinerConfig:
-    return MinerConfig(
-        core=CoreSpec.parse(manifest.core),
+        ctx = dataio.read_attributes(manifest.attributes, stream=stream)
+    else:
+        ctx = AttributeContext(ItemUniverse([]), {})
+    cfg = MinerConfig(
+        core=core,
         min_support=manifest.min_support,
         min_intent_size=manifest.min_intent_size,
-        item_order=_item_order(manifest.item_order, universe),
+        item_order=_item_order(manifest.item_order, ctx.universe),
         support_measure=manifest.support_measure,
     )
+    return stream, ctx, cfg
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("mine", args)
     if not manifest.output:
         raise ConfigError("mine needs --output")
-    manifest.core = _resolve_core(manifest)
-    stream = _load_stream(manifest)
-    ctx = _load_context(manifest, stream)
-    cfg = _miner_config(manifest, ctx.universe)
+    stream, ctx, cfg = _mining_setup(manifest)
 
     started = time.perf_counter()
     records = mine(stream, ctx, cfg)
@@ -195,12 +189,14 @@ def cmd_select(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("select", args)
     if not manifest.input or not manifest.output:
         raise ConfigError("select needs --input and --output")
+    # the whole configuration is checked before any file is read or written
+    cfg = SelectionConfig(beta=manifest.beta, g=manifest.g)
+    betas = _parse_betas(manifest.betas)
     records = read_patterns(manifest.input)
     usable = [rec for rec in records if not rec.below_min_support]
     if len(usable) < len(records):
         log.info("ignoring %d record(s) flagged below min-support", len(records) - len(usable))
 
-    cfg = SelectionConfig(beta=manifest.beta, g=manifest.g)
     distances = PairDistances(usable)
     kept = g_beta_select(usable, cfg, distances)
     out = Path(manifest.output)
@@ -208,7 +204,6 @@ def cmd_select(args: argparse.Namespace) -> int:
     manifest.write(out.with_name(out.name + ".manifest.json"))
 
     print(f"beta={manifest.beta:g}: kept {len(kept)} of {len(usable)}")
-    betas = _parse_betas(manifest.betas)
     if betas:
         print("sweep:")
         for beta, count in selection_counts(usable, betas, g=manifest.g, distances=distances):
@@ -220,12 +215,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("inspect", args)
     if not manifest.input:
         raise ConfigError("inspect needs --input")
-    records = read_patterns(manifest.input)
-    from .selection import INTEREST_MEASURES
-    if manifest.g not in INTEREST_MEASURES:
-        raise ConfigError(f"unknown interestingness measure {manifest.g!r}")
-    measure = INTEREST_MEASURES[manifest.g]
-    records.sort(key=lambda rec: (-measure(rec), tuple(sorted(rec.items))))
+    records = sorted(read_patterns(manifest.input), key=interest_key(manifest.g))
     if args.limit:
         records = records[: args.limit]
 
@@ -245,10 +235,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_static_compare(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("static-compare", args)
-    manifest.core = _resolve_core(manifest)
-    stream = _load_stream(manifest)
-    ctx = _load_context(manifest, stream)
-    cfg = _miner_config(manifest, ctx.universe)
+    stream, ctx, cfg = _mining_setup(manifest)
 
     stream_records = [rec for rec in mine(stream, ctx, cfg) if not rec.below_min_support]
     # every node of the collapsed stream is present for one tick, so
@@ -283,34 +270,36 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--manifest", help="re-run a recorded manifest")
+    # no option of a RunManifest field has a default here: RunManifest holds them
+    def options() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
 
-    # each subcommand takes only the options it reads: these go on mine
-    # and static-compare
-    stream_opts = argparse.ArgumentParser(add_help=False)
-    stream_opts.add_argument("--resolution", type=int, default=1,
-                             help="ticks per second (default 1)")
-    stream_opts.add_argument("--delta", type=float, default=20.0,
+    # each subcommand takes only the options it reads
+    rerun = options()  # mine and select, the commands that write a manifest
+    rerun.add_argument("--manifest", help="re-run a recorded manifest")
+
+    stream_opts = options()  # mine and static-compare
+    stream_opts.add_argument("--resolution", type=int,
+                             help=f"ticks per second (default {RunManifest.resolution})")
+    stream_opts.add_argument("--delta", type=float,
                              help="instant-contact extension in seconds, a whole number "
-                                  "of ticks (default 20)")
-    stream_opts.add_argument("--min-support", type=int, default=1, dest="min_support",
-                             help="minimum core support size")
-    stream_opts.add_argument("--min-intent-size", type=int, default=0, dest="min_intent_size",
-                             help="drop patterns with fewer items")
-    stream_opts.add_argument("--core", default="auto",
+                                  f"of ticks (default {RunManifest.delta:g})")
+    stream_opts.add_argument("--min-support", type=int, help="minimum core support size")
+    stream_opts.add_argument("--min-intent-size", type=int, help="drop patterns with fewer items")
+    stream_opts.add_argument("--core",
                              help="core operator: identity, star-sat:K or ha:H,A "
                                   "(default: star-sat:2, or ha:2,2 for directed streams)")
     stream_opts.add_argument("--stream", help="link-stream file")
-    stream_opts.add_argument("--format", default="auto",
-                             choices=["auto", "triples", "quadruples", "contacts"])
+    stream_opts.add_argument("--format", choices=["auto", *dataio.FORMAT_WIDTHS])
     stream_opts.add_argument("--attributes", help="node attribute file")
     stream_opts.add_argument("--presence", help="explicit presence file")
     stream_opts.add_argument("--directed", action="store_true")
-    stream_opts.add_argument("--support-measure", default="duration", dest="support_measure",
-                             choices=["duration", "nodes"])
-    stream_opts.add_argument("--item-order", default="file", dest="item_order",
-                             help="file, name or seed:N")
+    stream_opts.add_argument("--support-measure", choices=SUPPORT_MEASURES)
+    stream_opts.add_argument("--item-order", help="file, name or seed:N")
+
+    patterns_in = options()  # select and inspect
+    patterns_in.add_argument("--input", help="mined pattern JSONL")
+    patterns_in.add_argument("--g", choices=list(INTEREST_MEASURES))
 
     parser = argparse.ArgumentParser(
         prog="streamcores",
@@ -318,38 +307,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mine", parents=[common, stream_opts],
-                       help="enumerate core closed patterns")
+    def command(name, func, parents, help):
+        p = sub.add_parser(name, parents=parents, help=help,
+                           argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("mine", cmd_mine, [rerun, stream_opts], "enumerate core closed patterns")
     p.add_argument("--output", help="pattern JSONL to write")
-    p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("select", parents=[common],
-                       help="greedy diverse-subset selection on mined patterns")
-    p.add_argument("--input", help="mined pattern JSONL")
+    p = command("select", cmd_select, [rerun, patterns_in],
+                "greedy diverse-subset selection on mined patterns")
     p.add_argument("--output", help="filtered JSONL to write")
-    p.add_argument("--beta", type=float, default=0.0,
-                   help="selection distance threshold")
-    p.add_argument("--betas", default=DEFAULT_BETAS,
-                   help="comma-separated sweep for the report")
-    p.add_argument("--g", default="duration",
-                   choices=["duration", "nodes", "intent-size"])
-    p.set_defaults(func=cmd_select)
+    p.add_argument("--beta", type=float, help="selection distance threshold")
+    p.add_argument("--betas", help="comma-separated sweep for the report")
 
-    p = sub.add_parser("inspect", parents=[common],
-                       help="pretty-print mined patterns")
-    p.add_argument("--input", help="mined pattern JSONL")
-    p.add_argument("--g", default="duration",
-                   choices=["duration", "nodes", "intent-size"])
+    p = command("inspect", cmd_inspect, [patterns_in], "pretty-print mined patterns")
     p.add_argument("--limit", type=int, default=0, help="show only the first N rows")
-    p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("static-compare", parents=[common, stream_opts],
-                       help="mine the stream and its induced graph, check containment")
-    p.add_argument("--static-min-support", type=int, default=1, dest="static_min_support",
+    p = command("static-compare", cmd_static_compare, [stream_opts],
+                "mine the stream and its induced graph, check containment")
+    p.add_argument("--static-min-support", type=int,
                    help="node-count threshold for the static miner")
-    p.add_argument("--stream-output", help="optional JSONL for the stream patterns")
-    p.add_argument("--static-output", help="optional JSONL for the static patterns")
-    p.set_defaults(func=cmd_static_compare)
+    p.add_argument("--stream-output", default=None,
+                   help="optional JSONL for the stream patterns")
+    p.add_argument("--static-output", default=None,
+                   help="optional JSONL for the static patterns")
     return parser
 
 

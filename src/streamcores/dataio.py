@@ -45,7 +45,7 @@ log = logging.getLogger(__name__)
 PathOrLines = Union[str, Path, Iterable[str]]
 
 # columns per row of each link-stream format
-_FORMAT_WIDTHS = {"triples": 3, "quadruples": 4, "contacts": 5}
+FORMAT_WIDTHS = {"triples": 3, "quadruples": 4, "contacts": 5}
 
 # the characters str.splitlines breaks lines at, besides the "\r" and
 # "\r\n" that reading in text mode turns into "\n"
@@ -227,7 +227,7 @@ def read_link_stream(
     export; its class columns are skipped here. The instant extension
     must be a whole number of ticks; anything else is a ValueError.
     """
-    if fmt != "auto" and fmt not in _FORMAT_WIDTHS:
+    if fmt != "auto" and fmt not in FORMAT_WIDTHS:
         raise ValueError(f"unknown stream format {fmt!r}")
     try:
         delta = to_ticks(instant_extension_seconds, resolution, "", 0)
@@ -240,7 +240,7 @@ def read_link_stream(
     if delta <= 0 and fmt != "quadruples":
         raise ValueError("instant extension must be positive")
     source, rows = _iter_rows(data)
-    width = _FORMAT_WIDTHS.get(fmt)  # None until "auto" sees its first row
+    width = FORMAT_WIDTHS.get(fmt)  # None until "auto" sees its first row
     names: Dict[str, str] = {}  # one string object per node name
     ticks: Dict[str, int] = {}  # and per timestamp text
     records = []
@@ -255,7 +255,7 @@ def read_link_stream(
         fields = _split(text)
         if width is None:
             width = len(fields)
-            if width not in _FORMAT_WIDTHS.values():
+            if width not in FORMAT_WIDTHS.values():
                 raise ParseError(f"cannot infer format from {width} columns", source, row)
         if len(fields) != width:
             raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)

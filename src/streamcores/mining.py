@@ -290,8 +290,9 @@ def _node_support(node: str, spans) -> IntervalSet:
 def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
     """Records written by `write_patterns`.
 
-    A malformed record, or one whose `support_measure` or `node_count`
-    disagrees with its support, raises `dataio.ParseError`. Values are
+    A malformed record, one whose `support_measure` or `node_count`
+    disagrees with its support, or one with an empty support that is not
+    flagged `below_min_support`, raises `dataio.ParseError`. Values are
     checked, never coerced or repaired: an intent must be a list of
     strings, the support an object of canonical span lists (see
     `_node_support`), and every number a plain integer.
@@ -319,6 +320,9 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
                     below_min_support=_typed(obj.get("below_min_support", False), bool,
                                              "below_min_support"),
                 )
+                # mine flags every empty support: min_support is at least 1
+                if not support and not rec.below_min_support:
+                    raise ValueError("an empty support must be flagged below_min_support")
                 if rec.support_measure != support.measure():
                     raise ValueError(f"support_measure {rec.support_measure} but the "
                                      f"support covers {support.measure()} node-ticks")

@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core
-from .dataio import _FORMAT_WIDTHS, ParseError, PathOrLines, to_ticks
+from .dataio import FORMAT_WIDTHS, ParseError, PathOrLines, to_ticks
 from .intervals import IntervalSet
 from .mining import ClosedPatternRecord, MinerConfig, filter_min_intent
 from .selection import INTEREST_MEASURES
@@ -335,7 +335,7 @@ def reference_read_link_stream(
     horizon: Optional[Tuple[int, int]] = None,
 ) -> StreamGraph:
     """`dataio.read_link_stream` with every row held, split and checked on its own."""
-    if fmt != "auto" and fmt not in _FORMAT_WIDTHS:
+    if fmt != "auto" and fmt not in FORMAT_WIDTHS:
         raise ValueError(f"unknown stream format {fmt!r}")
     try:
         delta = to_ticks(instant_extension_seconds, resolution, "", 0)
@@ -352,7 +352,7 @@ def reference_read_link_stream(
     else:
         lines = list(data)
         source = ""
-    width = _FORMAT_WIDTHS.get(fmt)
+    width = FORMAT_WIDTHS.get(fmt)
     records = []
     for row, line in enumerate(lines, start=1):
         text = line.strip()
@@ -364,7 +364,7 @@ def reference_read_link_stream(
             fields = text.split()
         if width is None:
             width = len(fields)
-            if width not in _FORMAT_WIDTHS.values():
+            if width not in FORMAT_WIDTHS.values():
                 raise ParseError(f"cannot infer format from {width} columns", source, row)
         if len(fields) != width:
             raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)

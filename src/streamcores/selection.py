@@ -35,6 +35,12 @@ INTEREST_MEASURES: Dict[str, Callable[[ClosedPatternRecord], int]] = {
 }
 
 
+def interest_key(g: str) -> Callable[[ClosedPatternRecord], tuple]:
+    """Sort key for decreasing interestingness `g`, ties broken by intent."""
+    measure = INTEREST_MEASURES[g]
+    return lambda rec: (-measure(rec), tuple(sorted(rec.items)))
+
+
 @dataclass
 class SelectionConfig:
     beta: float = 0.0
@@ -132,11 +138,8 @@ def g_beta_select(
     # always kept and a second one always meets it
     if distances.measures.count(0) > 1:
         raise ValueError("the distance of two empty supports is undefined")
-    measure = INTEREST_MEASURES[cfg.g]
-    ordered = sorted(
-        range(len(records)),
-        key=lambda i: (-measure(records[i]), tuple(sorted(records[i].items))),
-    )
+    key = interest_key(cfg.g)
+    ordered = sorted(range(len(records)), key=lambda i: key(records[i]))
     beta = cfg.beta
     kept: List[int] = []
     holders: Dict[str, List[int]] = {}  # node -> kept positions whose support holds it

@@ -24,6 +24,9 @@ def run(*argv):
     (["mine", "--stream", "s.csv", "--output", "out.jsonl"], ["--beta", "0.4"]),
     (["select", "--input", "in.jsonl", "--output", "out.jsonl"], ["--core", "identity"]),
     (["inspect", "--input", "in.jsonl"], ["--min-support", "2"]),
+    # only mine and select write a manifest, so only they re-run one
+    (["inspect", "--input", "in.jsonl"], ["--manifest", "m.json"]),
+    (["static-compare", "--stream", "s.csv"], ["--manifest", "m.json"]),
 ])
 def test_option_of_another_subcommand_is_refused(capsys, command, option):
     # each subcommand accepts only the options it reads
@@ -211,9 +214,11 @@ class TestSelectCommand:
         lambda row: row["support"].update({v: [[spans[0][0]] * 2]
                                            for v, spans in row["support"].items()}),
         lambda row: row["support"].update({v: [] for v in row["support"]}),
+        # mine flags every empty support, as its min_support is at least 1
+        lambda row: row.update(support={}, support_measure=0, node_count=0),
     ], ids=["forged-measure", "forged-node-count", "no-support", "string-intent",
             "fractional-span", "float-measure", "float-node-count", "overlapping-spans",
-            "empty-span", "no-spans"])
+            "empty-span", "no-spans", "unflagged-empty-support"])
     def test_bad_record_is_an_input_error(self, mined, tmp_path, capsys, edit):
         lines = mined.read_text().splitlines()
         row = json.loads(lines[0])
@@ -226,6 +231,17 @@ class TestSelectCommand:
         assert f"{bad}:1: bad pattern record" in capsys.readouterr().err
         assert not out.exists()
         assert run("inspect", "--input", bad) == 1
+
+    @pytest.mark.parametrize("option", [["--betas", "0,x"], ["--betas", "0,2"], ["--beta", "2"]])
+    def test_configuration_is_checked_before_any_file_is_touched(
+            self, mined, tmp_path, capsys, option):
+        out = tmp_path / "selected.jsonl"
+        assert run("select", "--input", mined, "--output", out, *option) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:")
+        assert captured.out == ""
+        assert not out.exists()
+        assert not (tmp_path / "selected.jsonl.manifest.json").exists()
 
     def test_each_distinct_pair_is_measured_once(self, mined, tmp_path, monkeypatch):
         original = selection.temporal_jaccard_distance

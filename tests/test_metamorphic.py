@@ -1,0 +1,94 @@
+"""Metamorphic tests of the reader and miner on quadruple rows.
+
+Rewriting a row list in a way that keeps every pair's covered ticks
+keeps the mined patterns byte for byte: splitting a span into touching
+pieces (either orientation of an undirected pair), repeating a row, and
+shuffling the rows. Adding a constant to every tick keeps each intent,
+measure and node count and shifts each support by that constant.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from streamcores import AttributeContext, CoreSpec, ItemUniverse, MinerConfig, mine, write_patterns
+from streamcores.dataio import read_link_stream
+
+NODES = "abcde"
+PAIRS = [(u, v) for u in NODES for v in NODES if u != v]
+ITEMS = ("x", "y", "z")
+
+
+@st.composite
+def _runs(draw):
+    """(rows, directed, context, miner config); rows are (b, e, u, v) with u != v."""
+    directed = draw(st.booleans())
+    row = st.tuples(st.integers(0, 40), st.integers(1, 12), st.sampled_from(PAIRS))
+    rows = [(b, b + length, u, v)
+            for b, length, (u, v) in draw(st.lists(row, min_size=1, max_size=14))]
+    masks = draw(st.lists(st.integers(0, 2 ** len(ITEMS) - 1),
+                          min_size=len(NODES), max_size=len(NODES)))
+    ctx = AttributeContext(ItemUniverse(ITEMS), dict(zip(NODES, masks)))
+    if directed:
+        core = CoreSpec.hub_authority(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    else:
+        core = CoreSpec.star_satellite(draw(st.integers(0, 3)))
+    cfg = MinerConfig(core=draw(st.sampled_from([core, CoreSpec.identity()])),
+                      min_support=draw(st.integers(1, 30)))
+    return rows, directed, ctx, cfg
+
+
+def _mined(tmp_path_factory, rows, directed, ctx, cfg) -> bytes:
+    stream = read_link_stream([f"{b} {e} {u} {v}" for b, e, u, v in rows],
+                              fmt="quadruples", directed=directed)
+    path = tmp_path_factory.mktemp("mined") / "patterns.jsonl"
+    write_patterns(mine(stream, ctx, cfg), path)
+    return path.read_bytes()
+
+
+def _split(draw, rows, directed):
+    """Each row of length two or more, cut at one inner tick or left whole."""
+    out = []
+    for b, e, u, v in rows:
+        if e - b < 2 or not draw(st.booleans()):
+            out.append((b, e, u, v))
+            continue
+        m = draw(st.integers(b + 1, e - 1))
+        for lo, hi in ((b, m), (m, e)):
+            swap = not directed and draw(st.booleans())
+            out.append((lo, hi, v, u) if swap else (lo, hi, u, v))
+    return out
+
+
+def _repeat(draw, rows, directed):
+    i = draw(st.integers(0, len(rows) - 1))
+    return rows[:i] + [rows[i]] + rows[i:]
+
+
+def _shuffle(draw, rows, directed):
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_runs(), rewrite=st.sampled_from([_split, _repeat, _shuffle]), data=st.data())
+def test_rewrites_that_keep_the_covered_ticks_keep_the_output(
+        tmp_path_factory, run, rewrite, data):
+    rows, directed, ctx, cfg = run
+    rewritten = rewrite(data.draw, rows, directed)
+    assert (_mined(tmp_path_factory, rewritten, directed, ctx, cfg)
+            == _mined(tmp_path_factory, rows, directed, ctx, cfg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_runs(), shift=st.integers(-1000, 10 ** 12))
+def test_a_time_shift_shifts_every_support(tmp_path_factory, run, shift):
+    rows, directed, ctx, cfg = run
+    moved = [(b + shift, e + shift, u, v) for b, e, u, v in rows]
+    want = [json.loads(line) for line in _mined(tmp_path_factory, rows, directed, ctx, cfg)
+            .decode().splitlines()]
+    for rec in want:
+        rec["support"] = {v: [[a + shift, b + shift] for a, b in spans]
+                          for v, spans in rec["support"].items()}
+    got = [json.loads(line) for line in _mined(tmp_path_factory, moved, directed, ctx, cfg)
+           .decode().splitlines()]
+    assert got == want

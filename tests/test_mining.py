@@ -402,10 +402,12 @@ class TestPatternFiles:
         ("support", {"v": [[0, 1, 2]]},
          "span of node 'v' must be a [start, end] pair, got [0, 1, 2]"),
         ("support", {"v": "ab"}, "spans of node 'v' must be of type list, got 'ab'"),
+        # mine flags every empty support, as min_support is at least 1
+        ("support", {}, "an empty support must be flagged below_min_support"),
     ], ids=["string-intent", "non-string-item", "support-list", "fractional-span",
             "float-measure", "bool-node-count", "int-flag", "overlapping-spans",
             "touching-spans", "unsorted-spans", "empty-span", "reversed-span", "no-spans",
-            "span-triple", "spans-string"])
+            "span-triple", "spans-string", "empty-support"])
     def test_values_are_checked_not_coerced(self, tmp_path, field, value, message):
         good = {"intent": ["a"], "support": {"v": [[0, 2]]}, "support_measure": 2, "node_count": 1}
         path = tmp_path / "patterns.jsonl"
@@ -413,6 +415,13 @@ class TestPatternFiles:
         with pytest.raises(ParseError) as err:
             read_patterns(path)
         assert str(err.value) == f"{path}:2: bad pattern record: {message}"
+
+    def test_a_flagged_empty_support_is_read(self, tmp_path):
+        path = tmp_path / "patterns.jsonl"
+        path.write_text('{"intent": [], "support": {}, "support_measure": 0, "node_count": 0, '
+                        '"below_min_support": true}\n')
+        [rec] = read_patterns(path)
+        assert rec.below_min_support and not rec.support
 
     def test_static_writer(self, tmp_path):
         stream, ctx = compare_toy()
