@@ -1,10 +1,12 @@
 """Command-line front end for reproducible batch runs.
 
 Commands: mine, select, inspect, static-compare. `mine` and `select`
-write a manifest next to their output and take --manifest; a re-run
-with it reproduces the output byte for byte. `inspect` and
-`static-compare` record no manifest. `RunManifest` holds the default
-of every option it records; the parsers set none.
+write a manifest next to their output and take --manifest, alone: a
+re-run with it reproduces the output byte for byte, and any other run
+option given with it is refused. `inspect` and `static-compare` record
+no manifest. `RunManifest` holds the default of every option it
+records; the parsers set none. Every command checks its options before
+it reads a file.
 
 Exit codes: 0 success, 1 input error, 2 configuration error,
 3 invariant violation, 141 standard output closed by its reader.
@@ -21,7 +23,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import dataio
 from .context import AttributeContext, ItemUniverse
@@ -83,32 +85,40 @@ class RunManifest:
 
 
 def _manifest_from_args(command: str, args: argparse.Namespace) -> RunManifest:
+    # the parsers set no defaults: a field is in `args` only when it was given
+    given = {f.name: getattr(args, f.name) for f in fields(RunManifest)
+             if f.name != "command" and hasattr(args, f.name)}
     if getattr(args, "manifest", None):
+        if given:
+            options = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ConfigError(f"--manifest re-runs the recorded options and takes no "
+                              f"others, got {options}")
         manifest = RunManifest.load(args.manifest)
         if manifest.command != command:
             raise ConfigError(
                 f"manifest was recorded for {manifest.command!r}, not {command!r}"
             )
         return manifest
-    # the parsers set no defaults: a field is in `args` only when it was given
-    given = {f.name: getattr(args, f.name) for f in fields(RunManifest)
-             if f.name != "command" and hasattr(args, f.name)}
     return RunManifest(command, **given)
 
 
-def _item_order(spec: str, universe) -> Optional[List[str]]:
+def _item_order(spec: str) -> Callable[[ItemUniverse], Optional[List[str]]]:
+    """The item order that `spec` names, as a function of the item universe."""
     if spec == "file":
-        return None
+        return lambda universe: None
     if spec == "name":
-        return sorted(universe.items)
+        return lambda universe: sorted(universe.items)
     if spec.startswith("seed:"):
         try:
             seed = int(spec.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad item order {spec!r}") from None
-        order = list(universe.items)
-        random.Random(seed).shuffle(order)
-        return order
+
+        def shuffled(universe: ItemUniverse) -> List[str]:
+            order = list(universe.items)
+            random.Random(seed).shuffle(order)
+            return order
+        return shuffled
     raise ConfigError(f"bad item order {spec!r} (use file, name or seed:N)")
 
 
@@ -125,15 +135,26 @@ def _parse_betas(text: str) -> List[float]:
 def _mining_setup(manifest: RunManifest):
     """(stream, attribute context, miner config) of a mining run.
 
-    An "auto" core is resolved in `manifest` itself, so that its record
-    names the core that ran.
+    Every option is checked before any file is read; only the item
+    order waits for the item universe. An "auto" core is resolved in
+    `manifest` itself, so that its record names the core that ran.
     """
     if not manifest.stream:
         raise ConfigError("no stream file given")
     # default family follows the stream kind; thresholds stay explicit
     if manifest.core == "auto":
         manifest.core = "ha:2,2" if manifest.directed else "star-sat:2"
-    core = CoreSpec.parse(manifest.core)
+    cfg = MinerConfig(
+        core=CoreSpec.parse(manifest.core),
+        min_support=manifest.min_support,
+        min_intent_size=manifest.min_intent_size,
+        support_measure=manifest.support_measure,
+    )
+    cfg.check()
+    item_order = _item_order(manifest.item_order)
+    if manifest.resolution <= 0:
+        raise ConfigError("resolution must be a positive number of ticks per second")
+    dataio.extension_ticks(manifest.delta, manifest.resolution, manifest.format)
     presence = None
     if manifest.presence:
         presence = dataio.read_presence(manifest.presence, resolution=manifest.resolution)
@@ -149,13 +170,7 @@ def _mining_setup(manifest: RunManifest):
         ctx = dataio.read_attributes(manifest.attributes, stream=stream)
     else:
         ctx = AttributeContext(ItemUniverse([]), {})
-    cfg = MinerConfig(
-        core=core,
-        min_support=manifest.min_support,
-        min_intent_size=manifest.min_intent_size,
-        item_order=_item_order(manifest.item_order, ctx.universe),
-        support_measure=manifest.support_measure,
-    )
+    cfg.item_order = item_order(ctx.universe)
     return stream, ctx, cfg
 
 
@@ -235,6 +250,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_static_compare(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("static-compare", args)
+    # checked with the other options, before any file is read
+    MinerConfig(min_support=manifest.static_min_support).check()
     stream, ctx, cfg = _mining_setup(manifest)
 
     stream_records = [rec for rec in mine(stream, ctx, cfg) if not rec.below_min_support]

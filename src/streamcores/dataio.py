@@ -15,16 +15,21 @@ configurable ticks-per-second resolution and must land on the grid.
 
 Every reader takes its rows from `_iter_rows`, which reads a file as it
 is iterated, numbers its lines as `str.splitlines` would and skips
-blank and comment lines. `read_link_stream` splits each row once,
-parses each distinct timestamp text once with `to_ticks` and keeps one
-object per node name and per timestamp, so the records it hands to
-`ingest_link_stream` share them. The ingest checks each record once
+blank and comment lines. `read_link_stream` hands `ingest_link_stream`
+a one-shot iterable of records (`_Records`): each row is split, its
+timestamps parsed with `to_ticks` (each distinct text once) and its
+node names shared (one object per name) only when the ingest asks for
+the next record, so no list of the file's records is ever held. The
+ingest takes any iterable of records. It checks each record once
 (width, empty interval, self-loop, horizon, integer ticks; a
 non-integer tick is a TypeError) and merges a pair's spans as they
 arrive: a span that starts inside or at the end of the pair's last
 span extends it. It hands the span lists, keyed by each pair as
 written, to `StreamGraph`, which orients the pairs and canonicalises
-each pair's spans once.
+each pair's spans once. Errors name the file line. A row that cannot be
+parsed (column count, timestamp) is reported before a record that fails
+the ingest's checks on an earlier line, as if every row had been parsed
+before any record was checked.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from decimal import Decimal, InvalidOperation
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, Tuple, Union
 
 from .context import AttributeContext, ItemUniverse
 from .intervals import IntervalSet, Span
@@ -155,7 +160,7 @@ def to_ticks(value: str | float | int, resolution: int, source: str, row: int) -
 
 
 def ingest_link_stream(
-    records: Sequence[Tuple],
+    records: Iterable[Tuple],
     instant_extension: int = 20,
     *,
     directed: bool = False,
@@ -165,32 +170,34 @@ def ingest_link_stream(
 ) -> StreamGraph:
     """Build a stream from (t, u, v) triples and/or (b, e, u, v) quadruples.
 
-    Times are integer ticks here; anything else is a TypeError. A
-    triple contributes the interval [t - instant_extension, t), so
-    back-to-back contacts merge into one interval. Quadruples are taken
-    as written. Node names are taken as given, not converted to `str`:
-    records naming the node 1 and the node "1" raise a TypeError that
-    names the two (StreamGraph cannot order them) instead of meeting as
-    one node. Errors
-    name the record's position in `records` as its row.
+    `records` is any iterable, read once. Times are integer ticks here;
+    anything else is a TypeError. A triple contributes the interval
+    [t - instant_extension, t), so back-to-back contacts merge into one
+    interval. Quadruples are taken as written. Node names are taken as
+    given, not converted to `str`: records naming the node 1 and the
+    node "1" raise a TypeError that names the two (StreamGraph cannot
+    order them) instead of meeting as one node. Errors name the
+    record's position in `records` as its row, or the `line` that
+    `records` is on when it keeps one, as the records that
+    `read_link_stream` hands over do.
     """
     spans_of: Dict[Tuple, List[Span]] = {}  # by the pair as written
     for i, rec in enumerate(records, start=1):
         if len(rec) == 3:
             e, u, v = rec
             if instant_extension <= 0:
-                raise ParseError("instant records need a positive extension", source, i)
+                _refuse("instant records need a positive extension", source, records, i)
             b = e - instant_extension
         elif len(rec) == 4:
             b, e, u, v = rec
             if b >= e:
-                raise ParseError(f"empty interval [{b}, {e})", source, i)
+                _refuse(f"empty interval [{b}, {e})", source, records, i)
         else:
-            raise ParseError(f"expected 3 or 4 fields, got {len(rec)}", source, i)
+            _refuse(f"expected 3 or 4 fields, got {len(rec)}", source, records, i)
         if u == v and not directed:
-            raise ParseError(f"self-interaction on node {u!r}", source, i)
+            _refuse(f"self-interaction on node {u!r}", source, records, i)
         if horizon is not None and (b < horizon[0] or e > horizon[1]):
-            raise ParseError(f"interval [{b}, {e}) outside horizon {horizon}", source, i)
+            _refuse(f"interval [{b}, {e}) outside horizon {horizon}", source, records, i)
         # checked here, not left to StreamGraph: extending a span below drops endpoints
         if not isinstance(b, int) or not isinstance(e, int):
             raise TypeError(f"interval endpoints must be integers, got ({b!r}, {e!r})")
@@ -210,6 +217,83 @@ def ingest_link_stream(
     return StreamGraph(spans_of, presence=presence, horizon=horizon, directed=directed)
 
 
+def _refuse(message: str, source: str, records: Iterable[Tuple], position: int) -> NoReturn:
+    raise ParseError(message, source, getattr(records, "line", position))
+
+
+class _Records:
+    """The records of a link-stream file's rows, parsed as they are iterated.
+
+    One-shot: each iteration goes on where the last one stopped. `line`
+    is the file line of the record handed out last, and `len()` the
+    number of records read once the rows are used up. A row that cannot
+    be parsed raises ParseError and ends the records.
+    """
+
+    def __init__(self, rows: Iterator[Tuple[int, str]], width: Optional[int],
+                 resolution: int, source: str):
+        self.line = 0
+        self._count = 0
+        self._records = self._parse(rows, width, resolution, source)
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return self._records
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _parse(self, rows, width, resolution, source) -> Iterator[Tuple]:
+        names: Dict[str, str] = {}  # one string object per node name
+        ticks: Dict[str, int] = {}  # and per timestamp text
+        name = names.setdefault
+        count = 0
+        for row, text in rows:
+            self.line = row
+            fields = _split(text)
+            if width is None:  # "auto" takes the width of the first row
+                width = len(fields)
+                if width not in FORMAT_WIDTHS.values():
+                    raise ParseError(f"cannot infer format from {width} columns", source, row)
+            if len(fields) != width:
+                raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
+            # exports sit on a time grid, so a timestamp text recurs: parse it once
+            t = ticks.get(fields[0])
+            if t is None:
+                t = ticks[fields[0]] = to_ticks(fields[0], resolution, source, row)
+            count += 1
+            if width == 4:
+                e = ticks.get(fields[1])
+                if e is None:
+                    e = ticks[fields[1]] = to_ticks(fields[1], resolution, source, row)
+                u, v = fields[2], fields[3]
+                yield t, e, name(u, u), name(v, v)
+            else:  # an instant contact; the class columns of the contacts format are skipped
+                u, v = fields[1], fields[2]
+                yield t, name(u, u), name(v, v)
+        self._count = count
+
+
+def extension_ticks(seconds: float, resolution: int, fmt: str = "auto") -> int:
+    """The instant extension of `read_link_stream` in ticks, checked with the format name.
+
+    An unknown format, an extension that is not a finite whole number of
+    ticks, or one that is not positive where triples may be read is a
+    ValueError: a bad setting, not bad input.
+    """
+    if fmt != "auto" and fmt not in FORMAT_WIDTHS:
+        raise ValueError(f"unknown stream format {fmt!r}")
+    try:
+        delta = to_ticks(seconds, resolution, "", 0)
+    except ParseError:
+        raise ValueError(
+            f"instant extension {seconds!r} s is not a finite whole "
+            f"number of ticks at {resolution} ticks/second"
+        ) from None
+    if delta <= 0 and fmt != "quadruples":
+        raise ValueError("instant extension must be positive")
+    return delta
+
+
 def read_link_stream(
     data: PathOrLines,
     *,
@@ -225,64 +309,21 @@ def read_link_stream(
     `fmt` is one of "auto", "triples", "quadruples", "contacts". The
     contacts format is the tab-separated `t i j Ci Cj` face-to-face
     export; its class columns are skipped here. The instant extension
-    must be a whole number of ticks; anything else is a ValueError.
+    must be a whole number of ticks; anything else is a ValueError
+    (see `extension_ticks`).
     """
-    if fmt != "auto" and fmt not in FORMAT_WIDTHS:
-        raise ValueError(f"unknown stream format {fmt!r}")
-    try:
-        delta = to_ticks(instant_extension_seconds, resolution, "", 0)
-    except ParseError:
-        # a bad setting, not bad input: ValueError is the configuration error
-        raise ValueError(
-            f"instant extension {instant_extension_seconds!r} s is not a finite whole "
-            f"number of ticks at {resolution} ticks/second"
-        ) from None
-    if delta <= 0 and fmt != "quadruples":
-        raise ValueError("instant extension must be positive")
+    delta = extension_ticks(instant_extension_seconds, resolution, fmt)
     source, rows = _iter_rows(data)
-    width = FORMAT_WIDTHS.get(fmt)  # None until "auto" sees its first row
-    names: Dict[str, str] = {}  # one string object per node name
-    ticks: Dict[str, int] = {}  # and per timestamp text
-    records = []
-    append, name = records.append, names.setdefault
-    # (record number, its line) wherever skipped lines shift the numbering
-    shifts: List[Tuple[int, int]] = []
-    last = 0
-    for row, text in rows:
-        if row != last + 1:
-            shifts.append((len(records) + 1, row))
-        last = row
-        fields = _split(text)
-        if width is None:
-            width = len(fields)
-            if width not in FORMAT_WIDTHS.values():
-                raise ParseError(f"cannot infer format from {width} columns", source, row)
-        if len(fields) != width:
-            raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
-        # exports sit on a time grid, so a timestamp text recurs: parse it once
-        t = ticks.get(fields[0])
-        if t is None:
-            t = ticks[fields[0]] = to_ticks(fields[0], resolution, source, row)
-        if width == 4:
-            e = ticks.get(fields[1])
-            if e is None:
-                e = ticks[fields[1]] = to_ticks(fields[1], resolution, source, row)
-            u, v = fields[2], fields[3]
-            append((t, e, name(u, u), name(v, v)))
-        else:  # an instant contact; the class columns of the contacts format are skipped
-            u, v = fields[1], fields[2]
-            append((t, name(u, u), name(v, v)))
+    records = _Records(rows, FORMAT_WIDTHS.get(fmt), resolution, source)
     try:
         return ingest_link_stream(records, delta, directed=directed, presence=presence,
                                   horizon=horizon, source=source)
     except ParseError as err:
-        # the ingest numbers records; name the file line instead
-        line = err.row
-        for record, first in shifts:
-            if record > err.row:
-                break
-            line = first + err.row - record
-        raise ParseError(err.message, source, line) from None
+        failure = err
+    # a row further down that cannot be parsed is reported first
+    for _ in records:
+        pass
+    raise failure
 
 
 def read_presence(data: PathOrLines, *, resolution: int = 1) -> Dict[str, IntervalSet]:

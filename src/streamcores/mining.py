@@ -55,14 +55,18 @@ class MinerConfig:
     item_order: Optional[Sequence[str]] = None  # permutation of the universe, default file order
     support_measure: str = "duration"  # threshold unit: node-ticks or distinct nodes
 
-    def validate(self, universe) -> Tuple[str, ...]:
-        """Check the config against an item universe; returns the item order."""
+    def check(self) -> None:
+        """Check the settings that need no item universe; a ValueError if one is bad."""
         if self.min_support <= 0:
             raise ValueError("minimum support must be positive")
         if self.min_intent_size < 0:
             raise ValueError("minimum intent size cannot be negative")
         if self.support_measure not in SUPPORT_MEASURES:
             raise ValueError(f"support measure must be one of {SUPPORT_MEASURES}")
+
+    def validate(self, universe) -> Tuple[str, ...]:
+        """Check the config against an item universe; returns the item order."""
+        self.check()
         if self.item_order is None:
             return universe.items
         order = tuple(self.item_order)

@@ -36,6 +36,31 @@ def test_option_of_another_subcommand_is_refused(capsys, command, option):
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
+_BAD_MINING_OPTIONS = [
+    ["--item-order", "bogus"], ["--item-order", "seed:x"], ["--min-support", "0"],
+    ["--min-intent-size", "-1"], ["--delta", "20.4"], ["--core", "star-sat:two"],
+    # quadruples take no instant extension, so only the resolution check sees it
+    ["--resolution", "0", "--format", "quadruples"],
+]
+
+
+@pytest.mark.parametrize("command,option", [
+    pytest.param(command, option, id=f"{command[0]} {' '.join(option)}")
+    for command, options in [
+        (["mine", "--output", "out.jsonl"], _BAD_MINING_OPTIONS),
+        (["static-compare"], [*_BAD_MINING_OPTIONS, ["--static-min-support", "0"]]),
+    ]
+    for option in options
+])
+def test_every_mining_option_is_checked_before_any_file_is_read(
+        tmp_path, monkeypatch, capsys, command, option):
+    monkeypatch.chdir(tmp_path)
+    # neither file exists, so reading one would be an input error (exit 1)
+    assert run(*command, "--stream", "nope.csv", "--presence", "nope.txt", *option) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 class TestMineCommand:
     def test_reference_context(self, demo, tmp_path, capsys):
         out = tmp_path / "patterns.jsonl"
@@ -150,6 +175,21 @@ class TestMineCommand:
         manifest = json.loads((tmp_path / "out2.jsonl.manifest.json").read_text())
         assert manifest["core"] == "ha:2,2"
 
+    def test_manifest_refuses_other_run_options(self, demo, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        assert run("mine", "--stream", demo["star_stream"], "--output", out) == 0
+        mined = out.read_bytes()
+        capsys.readouterr()
+        other = tmp_path / "other.jsonl"
+        code = run("mine", "--manifest", tmp_path / "out.jsonl.manifest.json",
+                   "--output", other, "--min-support", 99)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "--output" in err and "--min-support" in err
+        assert not other.exists()
+        assert out.read_bytes() == mined
+
     def test_manifest_command_mismatch(self, demo, tmp_path):
         out = tmp_path / "out.jsonl"
         assert run("mine", "--stream", demo["star_stream"], "--output", out) == 0
@@ -242,6 +282,18 @@ class TestSelectCommand:
         assert captured.out == ""
         assert not out.exists()
         assert not (tmp_path / "selected.jsonl.manifest.json").exists()
+
+    def test_manifest_refuses_other_run_options(self, mined, tmp_path, capsys):
+        out = tmp_path / "selected.jsonl"
+        assert run("select", "--input", mined, "--beta", 0, "--output", out) == 0
+        selected = out.read_bytes()
+        capsys.readouterr()
+        code = run("select", "--manifest", tmp_path / "selected.jsonl.manifest.json",
+                   "--beta", 1)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--beta" in err
+        assert out.read_bytes() == selected
 
     def test_each_distinct_pair_is_measured_once(self, mined, tmp_path, monkeypatch):
         original = selection.temporal_jaccard_distance

@@ -311,6 +311,7 @@ class TestReadLinkStreamAgainstReference:
         original = dataio.ingest_link_stream
 
         def spy(records, *args, **kwargs):
+            records = list(records)  # the reader hands over a one-shot iterable
             seen.append(records)
             return original(records, *args, **kwargs)
 
@@ -318,6 +319,59 @@ class TestReadLinkStreamAgainstReference:
         read_link_stream(["1385982020 alice bob", "1385982020 bob alice"])
         (first, second), = seen
         assert first[0] is second[0] and first[1] is second[2] and first[2] is second[1]
+
+
+_records = st.lists(st.one_of(
+    st.tuples(st.integers(-5, 60), _names, _names),
+    st.tuples(st.integers(0, 50), st.integers(-2, 60), _names, _names),
+    st.tuples(st.integers(0, 50), _names),
+), max_size=30)
+
+
+class TestRecordSource:
+    """The ingest reads any iterable once; the reader hands it a one-shot source."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=_records, options=st.fixed_dictionaries({
+        "instant_extension": st.sampled_from([20, 5, 0]),
+        "directed": st.booleans(),
+        "horizon": st.sampled_from([None, (0, 40)]),
+        "source": st.sampled_from(["", "s.txt"]),
+    }))
+    def test_a_generator_ingests_as_its_list_does(self, records, options):
+        # the same stream, or the same error naming the same record position
+        assert (_outcome(ingest_link_stream, (rec for rec in records), **options)
+                == _outcome(ingest_link_stream, records, **options))
+
+    def test_the_ingest_and_the_stream_are_reached_through_the_module(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "stream.txt"
+        path.write_text("# t u v\n\n20 a b\n  \n40 a b\n# x\n60 b c\n")
+        ingest, build = dataio.ingest_link_stream, dataio.StreamGraph
+        seen = []
+
+        def traced_ingest(*args, **kwargs):  # the way a tracer wraps it
+            result = ingest(*args, **kwargs)
+            seen.append(len(args[0]))  # read once the call has returned
+            return result
+
+        def traced_build(*args, **kwargs):
+            seen.append("built")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "ingest_link_stream", traced_ingest)
+        monkeypatch.setattr(dataio, "StreamGraph", traced_build)
+        s = read_link_stream(path)
+        # comment and blank lines are no records
+        assert seen == ["built", 3]
+        assert s.pair("a", "b") == IntervalSet.span(0, 40)
+
+    @pytest.mark.parametrize("read", [read_link_stream, reference_read_link_stream])
+    def test_a_later_parse_error_comes_before_an_earlier_ingest_error(self, read):
+        with pytest.raises(ParseError, match=r"^row 4: bad timestamp 'x'"):
+            read(["20 a a", "# x", "40 a b", "x a b"])
+        with pytest.raises(ParseError, match=r"^row 2: self-interaction"):
+            read(["20 a b", "20 a a", "40 a b"])
 
 
 class TestPresence:

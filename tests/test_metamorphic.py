@@ -5,9 +5,14 @@ keeps the mined patterns byte for byte: splitting a span into touching
 pieces (either orientation of an undirected pair), repeating a row, and
 shuffling the rows. Adding a constant to every tick keeps each intent,
 measure and node count and shifts each support by that constant.
+Multiplying every tick and the support threshold by r keeps each intent
+and node count and multiplies each measure and support by r. Any
+permutation of the items given as the item order yields the same
+records, in another order.
 """
 
 import json
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -38,9 +43,9 @@ def _runs(draw):
     return rows, directed, ctx, cfg
 
 
-def _mined(tmp_path_factory, rows, directed, ctx, cfg) -> bytes:
+def _mined(tmp_path_factory, rows, directed, ctx, cfg, resolution=1) -> bytes:
     stream = read_link_stream([f"{b} {e} {u} {v}" for b, e, u, v in rows],
-                              fmt="quadruples", directed=directed)
+                              fmt="quadruples", directed=directed, resolution=resolution)
     path = tmp_path_factory.mktemp("mined") / "patterns.jsonl"
     write_patterns(mine(stream, ctx, cfg), path)
     return path.read_bytes()
@@ -92,3 +97,31 @@ def test_a_time_shift_shifts_every_support(tmp_path_factory, run, shift):
     got = [json.loads(line) for line in _mined(tmp_path_factory, moved, directed, ctx, cfg)
            .decode().splitlines()]
     assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_runs(), scale=st.integers(2, 7))
+def test_scaling_ticks_and_the_threshold_scales_every_measure(tmp_path_factory, run, scale):
+    rows, directed, ctx, cfg = run
+    want = [json.loads(line) for line in _mined(tmp_path_factory, rows, directed, ctx, cfg)
+            .decode().splitlines()]
+    for rec in want:
+        rec["support"] = {v: [[a * scale, b * scale] for a, b in spans]
+                          for v, spans in rec["support"].items()}
+        rec["support_measure"] *= scale
+    # the rows are read as seconds at `scale` ticks per second
+    scaled = replace(cfg, min_support=cfg.min_support * scale)
+    got = [json.loads(line) for line
+           in _mined(tmp_path_factory, rows, directed, ctx, scaled, resolution=scale)
+           .decode().splitlines()]
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_runs(), order=st.permutations(ITEMS))
+def test_any_item_order_mines_the_same_records(tmp_path_factory, run, order):
+    rows, directed, ctx, cfg = run
+    reordered = replace(cfg, item_order=order)
+    # the depth-first order of the records follows the item order; the records do not
+    assert (sorted(_mined(tmp_path_factory, rows, directed, ctx, reordered).splitlines())
+            == sorted(_mined(tmp_path_factory, rows, directed, ctx, cfg).splitlines()))
