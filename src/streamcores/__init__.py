@@ -15,7 +15,6 @@ from .intervals import EMPTY, IntervalSet, coverage_at_least
 from .mining import (
     ClosedPatternRecord,
     MinerConfig,
-    count_by_intent_size,
     filter_min_intent,
     mine,
     read_patterns,
@@ -49,7 +48,6 @@ __all__ = [
     "apply_static_core",
     "bha_bicore",
     "closure",
-    "count_by_intent_size",
     "coverage_at_least",
     "extent",
     "filter_min_intent",

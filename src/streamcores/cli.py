@@ -3,10 +3,13 @@
 Commands: mine, select, inspect, static-compare. `mine` and `select`
 write a manifest next to their output and take --manifest, alone: a
 re-run with it reproduces the output byte for byte, and any other run
-option given with it is refused. `inspect` and `static-compare` record
-no manifest. `RunManifest` holds the default of every option it
-records; the parsers set none. Every command checks its options before
-it reads a file.
+option given with it is refused. A manifest value of the wrong JSON
+type, or a recorded item order other than the attribute file's, is a
+configuration error. `inspect` and `static-compare` record no
+manifest. `RunManifest` holds the default of every option it records;
+the parsers set none. Every command checks its options before it reads
+a file. Items are mined in the order they first appear in the
+attribute file; there is no item-order option.
 
 Exit codes: 0 success, 1 input error, 2 configuration error,
 3 invariant violation, 141 standard output closed by its reader.
@@ -18,12 +21,11 @@ import argparse
 import json
 import logging
 import os
-import random
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence, get_args, get_type_hints
 
 from . import dataio
 from .context import AttributeContext, ItemUniverse
@@ -47,6 +49,11 @@ class ConfigError(ValueError):
     pass
 
 
+# how a manifest field's type is written in JSON
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", type(None): "null"}
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run."""
@@ -63,7 +70,6 @@ class RunManifest:
     min_support: int = 1
     min_intent_size: int = 0
     support_measure: str = "duration"
-    item_order: str = "file"
     input: Optional[str] = None
     output: Optional[str] = None
     beta: float = 0.0
@@ -76,11 +82,30 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
+        """The manifest at `path`; every field must have its JSON type.
+
+        Manifests of earlier versions record `"item_order": "file"`, the
+        order every run now mines in, so that field is dropped; a run
+        recorded in any other item order cannot be reproduced.
+        """
         data = json.loads(Path(path).read_text())
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if type(data) is not dict or "command" not in data:
+            raise ConfigError("a manifest must be a JSON object with a command field")
+        order = data.pop("item_order", "file")
+        if order != "file":
+            raise ConfigError(f"manifest field item_order is {order!r}: items are mined "
+                              f"in attribute-file order only, so the run cannot be reproduced")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"manifest has unknown fields: {sorted(unknown)}")
+        hints = get_type_hints(cls)
+        for name, value in data.items():
+            kinds = get_args(hints[name]) or (hints[name],)
+            # exact types, so a bool is no number; a float field also takes an integer
+            accepted = (*kinds, int) if float in kinds else kinds
+            if type(value) not in accepted:
+                wanted = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+                raise ConfigError(f"manifest field {name} must be {wanted}, got {value!r}")
         return cls(**data)
 
 
@@ -102,26 +127,6 @@ def _manifest_from_args(command: str, args: argparse.Namespace) -> RunManifest:
     return RunManifest(command, **given)
 
 
-def _item_order(spec: str) -> Callable[[ItemUniverse], Optional[List[str]]]:
-    """The item order that `spec` names, as a function of the item universe."""
-    if spec == "file":
-        return lambda universe: None
-    if spec == "name":
-        return lambda universe: sorted(universe.items)
-    if spec.startswith("seed:"):
-        try:
-            seed = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad item order {spec!r}") from None
-
-        def shuffled(universe: ItemUniverse) -> List[str]:
-            order = list(universe.items)
-            random.Random(seed).shuffle(order)
-            return order
-        return shuffled
-    raise ConfigError(f"bad item order {spec!r} (use file, name or seed:N)")
-
-
 def _parse_betas(text: str) -> List[float]:
     try:
         values = [float(word) for word in text.split(",") if word.strip()]
@@ -135,9 +140,9 @@ def _parse_betas(text: str) -> List[float]:
 def _mining_setup(manifest: RunManifest):
     """(stream, attribute context, miner config) of a mining run.
 
-    Every option is checked before any file is read; only the item
-    order waits for the item universe. An "auto" core is resolved in
-    `manifest` itself, so that its record names the core that ran.
+    Every option is checked before any file is read. An "auto" core is
+    resolved in `manifest` itself, so that its record names the core
+    that ran.
     """
     if not manifest.stream:
         raise ConfigError("no stream file given")
@@ -151,9 +156,6 @@ def _mining_setup(manifest: RunManifest):
         support_measure=manifest.support_measure,
     )
     cfg.check()
-    item_order = _item_order(manifest.item_order)
-    if manifest.resolution <= 0:
-        raise ConfigError("resolution must be a positive number of ticks per second")
     dataio.extension_ticks(manifest.delta, manifest.resolution, manifest.format)
     presence = None
     if manifest.presence:
@@ -170,7 +172,6 @@ def _mining_setup(manifest: RunManifest):
         ctx = dataio.read_attributes(manifest.attributes, stream=stream)
     else:
         ctx = AttributeContext(ItemUniverse([]), {})
-    cfg.item_order = item_order(ctx.universe)
     return stream, ctx, cfg
 
 
@@ -230,6 +231,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("inspect", args)
     if not manifest.input:
         raise ConfigError("inspect needs --input")
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be 0 (every row) or more, got {args.limit}")
     records = sorted(read_patterns(manifest.input), key=interest_key(manifest.g))
     if args.limit:
         records = records[: args.limit]
@@ -261,7 +264,6 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
         core=cfg.core,
         min_support=manifest.static_min_support,
         min_intent_size=cfg.min_intent_size,
-        item_order=cfg.item_order,
     )
     static_records = [rec for rec in mine(induced_static_graph(stream), ctx, static_cfg)
                       if not rec.below_min_support]
@@ -312,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stream_opts.add_argument("--presence", help="explicit presence file")
     stream_opts.add_argument("--directed", action="store_true")
     stream_opts.add_argument("--support-measure", choices=SUPPORT_MEASURES)
-    stream_opts.add_argument("--item-order", help="file, name or seed:N")
 
     patterns_in = options()  # select and inspect
     patterns_in.add_argument("--input", help="mined pattern JSONL")
@@ -340,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", help="comma-separated sweep for the report")
 
     p = command("inspect", cmd_inspect, [patterns_in], "pretty-print mined patterns")
-    p.add_argument("--limit", type=int, default=0, help="show only the first N rows")
+    p.add_argument("--limit", type=int, default=0,
+                   help="show only the first N rows (default 0: every row)")
 
     p = command("static-compare", cmd_static_compare, [stream_opts],
                 "mine the stream and its induced graph, check containment")

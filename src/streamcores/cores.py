@@ -66,13 +66,6 @@ class CoreSpec:
             raise ValueError(f"bad core spec {text!r}: {err}") from None
         raise ValueError(f"bad core spec {text!r}")
 
-    def __str__(self) -> str:
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "star-sat":
-            return f"star-sat:{self.k}"
-        return f"ha:{self.h},{self.a}"
-
 
 @dataclass(frozen=True)
 class BiCoreResult:

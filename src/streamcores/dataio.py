@@ -273,13 +273,21 @@ class _Records:
         self._count = count
 
 
-def extension_ticks(seconds: float, resolution: int, fmt: str = "auto") -> int:
-    """The instant extension of `read_link_stream` in ticks, checked with the format name.
+def _check_resolution(resolution: int) -> None:
+    if resolution <= 0:
+        raise ValueError(f"resolution must be a positive number of ticks per second, "
+                         f"got {resolution!r}")
 
-    An unknown format, an extension that is not a finite whole number of
-    ticks, or one that is not positive where triples may be read is a
-    ValueError: a bad setting, not bad input.
+
+def extension_ticks(seconds: float, resolution: int, fmt: str = "auto") -> int:
+    """The instant extension of `read_link_stream` in ticks, checked with the other settings.
+
+    A resolution that is not positive, an unknown format, an extension
+    that is not a finite whole number of ticks, or one that is not
+    positive where triples may be read is a ValueError: a bad setting,
+    not bad input.
     """
+    _check_resolution(resolution)
     if fmt != "auto" and fmt not in FORMAT_WIDTHS:
         raise ValueError(f"unknown stream format {fmt!r}")
     try:
@@ -309,8 +317,9 @@ def read_link_stream(
     `fmt` is one of "auto", "triples", "quadruples", "contacts". The
     contacts format is the tab-separated `t i j Ci Cj` face-to-face
     export; its class columns are skipped here. The instant extension
-    must be a whole number of ticks; anything else is a ValueError
-    (see `extension_ticks`).
+    must be a whole number of ticks and the resolution positive; anything
+    else is a ValueError raised before any row is read (see
+    `extension_ticks`).
     """
     delta = extension_ticks(instant_extension_seconds, resolution, fmt)
     source, rows = _iter_rows(data)
@@ -327,7 +336,12 @@ def read_link_stream(
 
 
 def read_presence(data: PathOrLines, *, resolution: int = 1) -> Dict[str, IntervalSet]:
-    """Parse `b e v` presence rows into node -> IntervalSet."""
+    """Parse `b e v` presence rows into node -> IntervalSet.
+
+    A resolution that is not positive is a ValueError, raised before any
+    row is read.
+    """
+    _check_resolution(resolution)
     source, rows = _iter_rows(data)
     spans: Dict[str, List[Tuple[int, int]]] = {}
     for row, text in rows:

@@ -24,6 +24,12 @@ it. An excluded item is never tried: the child's support holds only its
 carriers (or nothing, whose intent is the full universe), so the closure
 would contain the item itself.
 
+Items are tried in the universe's order, which `read_attributes` takes
+from the order in which items first appear in the attribute file.
+Under any item order the loop reaches each closed pattern exactly once,
+so another order changes the records' order (and the item order within
+each intent) and nothing else; there is no item-order setting.
+
 Static closed patterns are mined by the same loop on the time-collapsed
 stream (`induced_static_graph`).
 """
@@ -52,27 +58,16 @@ class MinerConfig:
     core: CoreSpec = field(default_factory=CoreSpec.identity)
     min_support: int = 1
     min_intent_size: int = 0
-    item_order: Optional[Sequence[str]] = None  # permutation of the universe, default file order
     support_measure: str = "duration"  # threshold unit: node-ticks or distinct nodes
 
     def check(self) -> None:
-        """Check the settings that need no item universe; a ValueError if one is bad."""
+        """Check every setting; a ValueError if one is bad."""
         if self.min_support <= 0:
             raise ValueError("minimum support must be positive")
         if self.min_intent_size < 0:
             raise ValueError("minimum intent size cannot be negative")
         if self.support_measure not in SUPPORT_MEASURES:
             raise ValueError(f"support measure must be one of {SUPPORT_MEASURES}")
-
-    def validate(self, universe) -> Tuple[str, ...]:
-        """Check the config against an item universe; returns the item order."""
-        self.check()
-        if self.item_order is None:
-            return universe.items
-        order = tuple(self.item_order)
-        if sorted(order) != sorted(universe.items):
-            raise ValueError("item order must be a permutation of the universe")
-        return order
 
 
 @dataclass
@@ -123,16 +118,15 @@ def mine(
     The closure of the whole presence set is always emitted first; when
     its support falls short of the threshold it is flagged instead of
     dropped. Output order is the deterministic depth-first order induced
-    by the item order. The stack is explicit, so depth is not bounded by
-    the interpreter's recursion limit.
+    by the universe's item order. The stack is explicit, so depth is not
+    bounded by the interpreter's recursion limit.
     """
+    cfg.check()
     universe = ctx.universe
-    order = cfg.validate(universe)
     if not stream.nodes:
         log.warning("mining an empty stream: no patterns")
         return []
-    names = {universe.bit(name): name for name in order}
-    rank = {bit: i for i, bit in enumerate(names)}
+    names = {universe.bit(name): name for name in universe.items}
 
     def record(mask, support, size, parent_item, depth) -> ClosedPatternRecord:
         return ClosedPatternRecord(
@@ -159,12 +153,12 @@ def mine(
 
     def frame(mask, support, excluded, depth) -> list:
         # [queue, excluded, depth]; the queue holds the candidates that pass
-        # the support bound, last in item order first
+        # the support bound, last in item order (the largest bit) first
         nonlocal tried, bound_pruned
         skip = mask | excluded
         tallies, carriers = _deliver(support, ctx, skip, count_nodes)
         passing = sorted((bit for bit, tally in tallies.items()
-                          if tally >= cfg.min_support), key=rank.get, reverse=True)
+                          if tally >= cfg.min_support), reverse=True)
         untried = (full & ~skip).bit_count()
         tried += untried
         bound_pruned += untried - len(passing)
@@ -200,14 +194,6 @@ def mine(
     if cfg.min_intent_size:
         records = filter_min_intent(records, cfg.min_intent_size)
     return records
-
-
-def count_by_intent_size(records: Sequence[ClosedPatternRecord]) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for rec in records:
-        n = len(rec.items)
-        out[n] = out.get(n, 0) + 1
-    return dict(sorted(out.items()))
 
 
 def filter_min_intent(

@@ -7,7 +7,8 @@ for validating the interval-based engines on small instances only.
 
 `reference_mine` is the depth-first miner without occurrence deliver:
 it restricts the parent support and runs the core for every candidate,
-with no support bound; `mining.mine` must return the same records.
+in the universe's item order, with no support bound; `mining.mine`
+must return the same records, in the same order.
 
 The selection section holds the temporal Jaccard distance computed on
 the built union and the greedy beta-scan without a memo; `selection`
@@ -17,12 +18,9 @@ must agree with them bit for bit.
 whole file split with `str.splitlines`, each row split and converted
 through `dataio.to_ticks`, one span list per oriented pair, and every
 span checked and merged by `IntervalSet`; `dataio.read_link_stream`
-must build the same stream and raise the same errors.
-
-The last section holds reference definitions of stream-graph notions
-(induced substreams, degree profiles, adjacency event tables; Latapy,
-Viard & Magnien, "Stream graphs and link streams for the modeling of
-interactions over time", SNAM 2018). The miner does not use them.
+must build the same stream and raise the same errors. Both check their
+settings (resolution, format, instant extension) with
+`dataio.extension_ticks` before they read a row.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core
-from .dataio import FORMAT_WIDTHS, ParseError, PathOrLines, to_ticks
+from .dataio import FORMAT_WIDTHS, ParseError, PathOrLines, extension_ticks, to_ticks
 from .intervals import IntervalSet
 from .mining import ClosedPatternRecord, MinerConfig, filter_min_intent
 from .selection import INTEREST_MEASURES
@@ -186,8 +184,8 @@ def reference_mine(
     stream: StreamGraph, ctx: AttributeContext, cfg: MinerConfig
 ) -> List[ClosedPatternRecord]:
     """`mining.mine` as a plain recursion: restrict, then core, for every candidate."""
+    cfg.check()
     universe = ctx.universe
-    order = cfg.validate(universe)
     if not stream.nodes:
         return []
 
@@ -207,7 +205,7 @@ def reference_mine(
         )
 
     def expand(mask, support, excluded, depth):
-        for name in order:
+        for name in universe.items:
             bit = universe.bit(name)
             if mask & bit:
                 continue
@@ -334,18 +332,11 @@ def reference_read_link_stream(
     presence: Optional[Mapping[str, IntervalSet]] = None,
     horizon: Optional[Tuple[int, int]] = None,
 ) -> StreamGraph:
-    """`dataio.read_link_stream` with every row held, split and checked on its own."""
-    if fmt != "auto" and fmt not in FORMAT_WIDTHS:
-        raise ValueError(f"unknown stream format {fmt!r}")
-    try:
-        delta = to_ticks(instant_extension_seconds, resolution, "", 0)
-    except ParseError:
-        raise ValueError(
-            f"instant extension {instant_extension_seconds!r} s is not a finite whole "
-            f"number of ticks at {resolution} ticks/second"
-        ) from None
-    if delta <= 0 and fmt != "quadruples":
-        raise ValueError("instant extension must be positive")
+    """`dataio.read_link_stream` with every row held, split and checked on its own.
+
+    The settings are checked first, by the reader's own `extension_ticks`.
+    """
+    delta = extension_ticks(instant_extension_seconds, resolution, fmt)
     if isinstance(data, (str, Path)):
         lines = Path(data).read_text().splitlines()
         source = str(Path(data))
@@ -396,144 +387,3 @@ def reference_read_link_stream(
         pair_spans.setdefault((u, v), []).append((b, e))
     return StreamGraph(pair_spans, presence=presence, horizon=horizon, directed=directed)
 
-
-# -- reference definitions of stream-graph notions ---------------------------
-
-
-Event = Tuple[int, str, int]  # (tick, other node, +1 start / -1 end)
-
-
-@dataclass(frozen=True)
-class AdjacencyEventTable:
-    """Per-node interaction events sorted by time.
-
-    Ties at the same tick put ends (-1) before starts (+1), then sort by
-    the other node's id. For directed streams `inbound` carries the
-    mirror table; it is None otherwise.
-    """
-
-    events: Mapping[str, Tuple[Event, ...]]
-    inbound: Optional[Mapping[str, Tuple[Event, ...]]] = None
-
-
-def _event_list(adjacency: Mapping[str, IntervalSet]) -> Tuple[Event, ...]:
-    events: List[Event] = []
-    for other, ivs in adjacency.items():
-        for a, b in ivs.spans:
-            events.append((a, other, 1))
-            events.append((b, other, -1))
-    events.sort(key=lambda e: (e[0], e[2], e[1]))
-    return tuple(events)
-
-
-def build_event_table(stream: StreamGraph) -> AdjacencyEventTable:
-    out = {v: _event_list(stream.adjacency(v)) for v in stream.nodes}
-    if not stream.directed:
-        return AdjacencyEventTable(events=out)
-    inbound = {v: _event_list(stream.in_adjacency(v)) for v in stream.nodes}
-    return AdjacencyEventTable(events=out, inbound=inbound)
-
-
-def induced_substream(stream: StreamGraph, wp: TimeNodeSet) -> StreamGraph:
-    """Substream induced by a time-node subset of the presence set."""
-    if not wp.issubset(stream.presence_set()):
-        raise ValueError("the inducing set is not contained in the stream's presence")
-    interactions = {}
-    for (u, v), ivs in stream.interaction_items():
-        clipped = ivs.intersect(wp.get(u)).intersect(wp.get(v))
-        if clipped:
-            interactions[(u, v)] = clipped
-    return StreamGraph(
-        interactions,
-        presence={v: ivs for v, ivs in wp.items()},
-        horizon=stream.horizon,
-        directed=stream.directed,
-        nodes=wp.nodes(),
-    )
-
-
-def induced_substream_between(stream: StreamGraph, w1: TimeNodeSet, w2: TimeNodeSet) -> StreamGraph:
-    """Directed substream keeping interactions from w1 into w2."""
-    if not stream.directed:
-        raise ValueError("two-sided induction needs a directed stream")
-    w = stream.presence_set()
-    if not (w1.issubset(w) and w2.issubset(w)):
-        raise ValueError("the inducing sets are not contained in the stream's presence")
-    interactions = {}
-    for (u, v), ivs in stream.interaction_items():
-        clipped = ivs.intersect(w1.get(u)).intersect(w2.get(v))
-        if clipped:
-            interactions[(u, v)] = clipped
-    union = w1.union(w2)
-    return StreamGraph(
-        interactions,
-        presence={v: ivs for v, ivs in union.items()},
-        horizon=stream.horizon,
-        directed=True,
-        nodes=union.nodes(),
-    )
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant integer function over the stream horizon."""
-
-    segments: Tuple[Tuple[int, int, int], ...]  # (start, end, value), contiguous
-
-    def value(self, tick: int) -> int:
-        for a, b, val in self.segments:
-            if a <= tick < b:
-                return val
-        raise ValueError(f"tick {tick} outside the profiled horizon")
-
-    def breakpoints(self) -> Tuple[int, ...]:
-        return tuple(seg[0] for seg in self.segments[1:])
-
-
-def degree_profile(stream: StreamGraph, node: str, direction: Optional[str] = None) -> StepFunction:
-    """Number of distinct active neighbors of `node` as a function of time.
-
-    `direction` must be None for undirected streams and "out" or "in"
-    for directed ones.
-    """
-    if stream.directed:
-        if direction == "out":
-            adjacency = stream.adjacency(node)
-        elif direction == "in":
-            adjacency = stream.in_adjacency(node)
-        else:
-            raise ValueError("directed streams need direction='out' or 'in'")
-    else:
-        if direction is not None:
-            raise ValueError("undirected streams take no direction")
-        adjacency = stream.adjacency(node)
-
-    alpha, omega = stream.horizon
-    events: List[Tuple[int, int]] = []
-    for ivs in adjacency.values():
-        for a, b in ivs.spans:
-            events.append((a, 1))
-            events.append((b, -1))
-    events.sort()
-
-    segments: List[Tuple[int, int, int]] = []
-    cursor, count = alpha, 0
-    i, n = 0, len(events)
-    while i < n:
-        t = events[i][0]
-        if t > cursor:
-            segments.append((cursor, t, count))
-            cursor = t
-        while i < n and events[i][0] == t:
-            count += events[i][1]
-            i += 1
-    if cursor < omega or not segments:
-        segments.append((cursor, omega, count))
-    # merge equal-valued neighbors produced by touching intervals
-    merged: List[Tuple[int, int, int]] = []
-    for seg in segments:
-        if merged and merged[-1][2] == seg[2] and merged[-1][1] == seg[0]:
-            merged[-1] = (merged[-1][0], seg[1], seg[2])
-        else:
-            merged.append(seg)
-    return StepFunction(tuple(merged))

@@ -72,14 +72,6 @@ class TimeNodeSet:
                     out[v] = got
         return TimeNodeSet._raw(out)
 
-    def difference(self, other: "TimeNodeSet") -> "TimeNodeSet":
-        out = {}
-        for v, ivs in self._entries.items():
-            got = ivs.subtract(other.get(v))
-            if got:
-                out[v] = got
-        return TimeNodeSet._raw(out)
-
     def issubset(self, other: "TimeNodeSet") -> bool:
         return all(ivs.issubset(other.get(v)) for v, ivs in self._entries.items())
 

@@ -51,6 +51,15 @@ def random_context(rng: random.Random, stream: StreamGraph, max_items: int = 6) 
     )
 
 
+def permuted_context(ctx: AttributeContext, order) -> AttributeContext:
+    """`ctx` with its item universe in `order`, a permutation of its items."""
+    universe = ItemUniverse(order)
+    assert sorted(universe.items) == sorted(ctx.universe.items)
+    return AttributeContext(universe, {
+        v: universe.mask_of(ctx.universe.items_of(ctx.description(v))) for v in ctx.nodes()
+    })
+
+
 def random_core_spec(rng: random.Random, directed: bool) -> CoreSpec:
     if directed:
         return CoreSpec.hub_authority(rng.randint(0, 2), rng.randint(0, 2))

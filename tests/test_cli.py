@@ -27,6 +27,8 @@ def run(*argv):
     # only mine and select write a manifest, so only they re-run one
     (["inspect", "--input", "in.jsonl"], ["--manifest", "m.json"]),
     (["static-compare", "--stream", "s.csv"], ["--manifest", "m.json"]),
+    # items are mined in attribute-file order only
+    (["mine", "--stream", "s.csv", "--output", "out.jsonl"], ["--item-order", "name"]),
 ])
 def test_option_of_another_subcommand_is_refused(capsys, command, option):
     # each subcommand accepts only the options it reads
@@ -37,8 +39,8 @@ def test_option_of_another_subcommand_is_refused(capsys, command, option):
 
 
 _BAD_MINING_OPTIONS = [
-    ["--item-order", "bogus"], ["--item-order", "seed:x"], ["--min-support", "0"],
-    ["--min-intent-size", "-1"], ["--delta", "20.4"], ["--core", "star-sat:two"],
+    ["--min-support", "0"], ["--min-intent-size", "-1"], ["--delta", "20.4"],
+    ["--core", "star-sat:two"],
     # quadruples take no instant extension, so only the resolution check sees it
     ["--resolution", "0", "--format", "quadruples"],
 ]
@@ -145,7 +147,6 @@ class TestMineCommand:
             "--stream", demo["compare_stream"],
             "--attributes", demo["compare_attrs"],
             "--core", "star-sat:2",
-            "--item-order", "seed:5",
             "--output", first,
         )
         assert code == 0
@@ -161,6 +162,27 @@ class TestMineCommand:
 
         assert run("mine", "--manifest", rerun_manifest) == 0
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("order, code", [("file", 0), ("name", 2), ("seed:5", 2)])
+    def test_manifest_with_an_item_order(self, demo, tmp_path, capsys, order, code):
+        # earlier versions recorded the item order, "file" unless another was asked for;
+        # only a "file" run can be reproduced
+        first = tmp_path / "first.jsonl"
+        assert run("mine", "--stream", demo["compare_stream"],
+                   "--attributes", demo["compare_attrs"], "--output", first) == 0
+        manifest = json.loads((tmp_path / "first.jsonl.manifest.json").read_text())
+        second = tmp_path / "second.jsonl"
+        manifest.update(item_order=order, output=str(second))
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("mine", "--manifest", old) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and "item_order" in err
+            assert not second.exists()
+        else:
+            assert second.read_bytes() == first.read_bytes()
 
     def test_default_core_follows_stream_kind(self, demo, tmp_path):
         out = tmp_path / "out.jsonl"
@@ -195,6 +217,54 @@ class TestMineCommand:
         assert run("mine", "--stream", demo["star_stream"], "--output", out) == 0
         code = run("select", "--manifest", tmp_path / "out.jsonl.manifest.json")
         assert code == 2
+
+
+@pytest.mark.parametrize("command, field, value, code", [
+    ("mine", "min_support", "2000", 2),
+    ("mine", "directed", "yes", 2),
+    ("mine", "directed", 1, 2),
+    ("mine", "resolution", True, 2),
+    ("mine", "resolution", 1.0, 2),
+    ("mine", "delta", False, 2),
+    ("mine", "core", None, 2),
+    ("mine", "stream", 5, 2),
+    ("mine", "command", ["mine"], 2),
+    ("select", "beta", "0.4", 2),
+    ("select", "output", ["x.jsonl"], 2),
+    # a float field takes any JSON number, an optional field null
+    ("mine", "delta", 20, 0),
+    ("mine", "attributes", None, 0),
+    ("select", "beta", 0, 0),
+])
+def test_manifest_values_must_have_their_json_type(
+        demo, tmp_path, capsys, command, field, value, code):
+    mined = tmp_path / "mined.jsonl"
+    assert run("mine", "--stream", demo["context_stream"], "--presence",
+               demo["context_presence"], "--attributes", demo["context_attrs"],
+               "--core", "identity", "--output", mined) == 0
+    if command == "select":
+        assert run("select", "--input", mined, "--output", tmp_path / "selected.jsonl") == 0
+    recorded = tmp_path / ("selected.jsonl" if command == "select" else "mined.jsonl")
+    manifest = json.loads(recorded.with_name(recorded.name + ".manifest.json").read_text())
+    manifest.update({"output": str(tmp_path / "rerun.jsonl"), field: value})
+    path = tmp_path / "edited.manifest.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(command, "--manifest", path) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"configuration error: manifest field {field} must be")
+        assert not (tmp_path / "rerun.jsonl").exists()
+    else:
+        assert (tmp_path / "rerun.jsonl").exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "{}", '"mine"'])
+def test_manifest_must_be_an_object_with_a_command(tmp_path, capsys, text):
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(text)
+    assert run("mine", "--manifest", path) == 2
+    assert "must be a JSON object with a command field" in capsys.readouterr().err
 
 
 class TestSelectCommand:
@@ -364,6 +434,13 @@ class TestInspectCommand:
         capsys.readouterr()
         assert run("inspect", "--input", out, "--limit", 2) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    def test_negative_limit_is_a_config_error(self, tmp_path, capsys):
+        # checked before the input is read: the file does not exist
+        assert run("inspect", "--input", tmp_path / "nope.jsonl", "--limit", -15) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("configuration error:") and "--limit" in err
+        assert not out
 
 
 class TestStaticCompareCommand:

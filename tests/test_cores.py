@@ -27,12 +27,10 @@ from helpers import (
 
 
 class TestCoreSpec:
-    def test_parse_and_format(self):
+    def test_parse(self):
         assert CoreSpec.parse("identity") == CoreSpec.identity()
         assert CoreSpec.parse("star-sat:2") == CoreSpec.star_satellite(2)
         assert CoreSpec.parse("ha:2,1") == CoreSpec.hub_authority(2, 1)
-        for text in ("identity", "star-sat:3", "ha:1,2"):
-            assert str(CoreSpec.parse(text)) == text
 
     @pytest.mark.parametrize("bad", ["", "star-sat", "star-sat:x", "ha:1", "cores:2", "identity:1"])
     def test_parse_rejects(self, bad):

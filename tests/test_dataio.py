@@ -161,6 +161,23 @@ class TestReadLinkStream:
             read_link_stream(["40 a b"], instant_extension_seconds=delta)
         assert not isinstance(err.value, ParseError)
 
+    @pytest.mark.parametrize("read, options", [
+        (read_link_stream, {"fmt": "triples"}),
+        (read_link_stream, {"fmt": "quadruples"}),
+        (reference_read_link_stream, {"fmt": "quadruples"}),
+        (read_presence, {}),
+    ])
+    @pytest.mark.parametrize("resolution", [0, -2])
+    def test_resolution_must_be_positive(self, read, options, resolution):
+        def rows():
+            raise AssertionError("a row was read")
+            yield
+
+        # a configuration error about the resolution, raised before any row is read
+        with pytest.raises(ValueError, match="resolution must be a positive") as err:
+            read(rows(), resolution=resolution, **options)
+        assert not isinstance(err.value, ParseError)
+
     def test_malformed_row_reported_with_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1 3 a b\nbogus row here nope nope nope\n")

@@ -6,9 +6,12 @@ pieces (either orientation of an undirected pair), repeating a row, and
 shuffling the rows. Adding a constant to every tick keeps each intent,
 measure and node count and shifts each support by that constant.
 Multiplying every tick and the support threshold by r keeps each intent
-and node count and multiplies each measure and support by r. Any
-permutation of the items given as the item order yields the same
-records, in another order.
+and node count and multiplies each measure and support by r. Renaming
+the nodes, in the rows and in the context, renames the nodes of every
+support and changes nothing else, even when the new names sort the
+other way round. Any permutation of the item universe yields the same
+records, in another order and with each intent's items in the new
+order.
 """
 
 import json
@@ -19,9 +22,12 @@ from hypothesis import given, settings, strategies as st
 from streamcores import AttributeContext, CoreSpec, ItemUniverse, MinerConfig, mine, write_patterns
 from streamcores.dataio import read_link_stream
 
+from helpers import permuted_context
+
 NODES = "abcde"
 PAIRS = [(u, v) for u in NODES for v in NODES if u != v]
 ITEMS = ("x", "y", "z")
+RENAMED = {v: chr(ord("z") - i) for i, v in enumerate(NODES)}  # a -> z, ..., e -> v
 
 
 @st.composite
@@ -49,6 +55,10 @@ def _mined(tmp_path_factory, rows, directed, ctx, cfg, resolution=1) -> bytes:
     path = tmp_path_factory.mktemp("mined") / "patterns.jsonl"
     write_patterns(mine(stream, ctx, cfg), path)
     return path.read_bytes()
+
+
+def _parsed(mined: bytes) -> list:
+    return [json.loads(line) for line in mined.decode().splitlines()]
 
 
 def _split(draw, rows, directed):
@@ -89,39 +99,53 @@ def test_rewrites_that_keep_the_covered_ticks_keep_the_output(
 def test_a_time_shift_shifts_every_support(tmp_path_factory, run, shift):
     rows, directed, ctx, cfg = run
     moved = [(b + shift, e + shift, u, v) for b, e, u, v in rows]
-    want = [json.loads(line) for line in _mined(tmp_path_factory, rows, directed, ctx, cfg)
-            .decode().splitlines()]
+    want = _parsed(_mined(tmp_path_factory, rows, directed, ctx, cfg))
     for rec in want:
         rec["support"] = {v: [[a + shift, b + shift] for a, b in spans]
                           for v, spans in rec["support"].items()}
-    got = [json.loads(line) for line in _mined(tmp_path_factory, moved, directed, ctx, cfg)
-           .decode().splitlines()]
-    assert got == want
+    assert _parsed(_mined(tmp_path_factory, moved, directed, ctx, cfg)) == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(run=_runs(), scale=st.integers(2, 7))
 def test_scaling_ticks_and_the_threshold_scales_every_measure(tmp_path_factory, run, scale):
     rows, directed, ctx, cfg = run
-    want = [json.loads(line) for line in _mined(tmp_path_factory, rows, directed, ctx, cfg)
-            .decode().splitlines()]
+    want = _parsed(_mined(tmp_path_factory, rows, directed, ctx, cfg))
     for rec in want:
         rec["support"] = {v: [[a * scale, b * scale] for a, b in spans]
                           for v, spans in rec["support"].items()}
         rec["support_measure"] *= scale
     # the rows are read as seconds at `scale` ticks per second
     scaled = replace(cfg, min_support=cfg.min_support * scale)
-    got = [json.loads(line) for line
-           in _mined(tmp_path_factory, rows, directed, ctx, scaled, resolution=scale)
-           .decode().splitlines()]
+    got = _parsed(_mined(tmp_path_factory, rows, directed, ctx, scaled, resolution=scale))
     assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_runs())
+def test_renaming_the_nodes_renames_every_support(tmp_path_factory, run):
+    rows, directed, ctx, cfg = run
+    renamed = [(b, e, RENAMED[u], RENAMED[v]) for b, e, u, v in rows]
+    renamed_ctx = AttributeContext(ctx.universe, {RENAMED[v]: ctx.description(v) for v in NODES})
+    got = _parsed(_mined(tmp_path_factory, renamed, directed, renamed_ctx, cfg))
+    back = {new: old for old, new in RENAMED.items()}
+    for rec in got:
+        rec["support"] = {back[v]: spans for v, spans in rec["support"].items()}
+    assert got == _parsed(_mined(tmp_path_factory, rows, directed, ctx, cfg))
 
 
 @settings(max_examples=100, deadline=None)
 @given(run=_runs(), order=st.permutations(ITEMS))
 def test_any_item_order_mines_the_same_records(tmp_path_factory, run, order):
     rows, directed, ctx, cfg = run
-    reordered = replace(cfg, item_order=order)
-    # the depth-first order of the records follows the item order; the records do not
-    assert (sorted(_mined(tmp_path_factory, rows, directed, ctx, reordered).splitlines())
-            == sorted(_mined(tmp_path_factory, rows, directed, ctx, cfg).splitlines()))
+
+    def records(context):
+        # the depth-first order of the records and the order of each
+        # intent's items follow the universe; the records do not
+        out = []
+        for rec in _parsed(_mined(tmp_path_factory, rows, directed, context, cfg)):
+            rec["intent"].sort()
+            out.append(json.dumps(rec, sort_keys=True))
+        return sorted(out)
+
+    assert records(permuted_context(ctx, order)) == records(ctx)

@@ -11,7 +11,6 @@ from streamcores import (
     ItemUniverse,
     MinerConfig,
     StreamGraph,
-    count_by_intent_size,
     filter_min_intent,
     induced_static_graph,
     mine,
@@ -32,6 +31,7 @@ from streamcores.toys import compare_toy, simultaneous_toy, triple_context_strea
 from helpers import (
     assert_mining_invariants,
     mining_records,
+    permuted_context,
     random_context,
     random_core_spec,
     random_stream,
@@ -117,17 +117,14 @@ class TestMineEdgeCases:
         assert len(records) == 1
         assert records[0].below_min_support
 
-    def test_bad_item_order_rejected(self):
-        stream, ctx = contact_triple()
-        with pytest.raises(ValueError, match="permutation"):
-            self.run(stream, ctx, MinerConfig(item_order=["a", "b"]))
-
     def test_item_order_changes_traversal_not_the_set(self):
+        # the universe's order is the item order; its items are a, b, c, d
         stream, ctx = contact_triple()
-        base = [r.items for r in self.run(stream, ctx, MinerConfig(min_support=1))]
+        cfg = MinerConfig(min_support=1)
+        base = [r.items for r in self.run(stream, ctx, cfg)]
         for order in (["d", "c", "b", "a"], ["b", "d", "a", "c"]):
-            cfg = MinerConfig(min_support=1, item_order=order)
-            got = [r.items for r in self.run(stream, ctx, cfg)]
+            got = [tuple(sorted(r.items))
+                   for r in self.run(stream, permuted_context(ctx, order), cfg)]
             assert got != base
             assert sorted(got) == sorted(base)
 
@@ -190,14 +187,13 @@ class TestMineAgainstOracle:
 
 
 def random_config(rng, ctx, directed, measure):
-    """A core, a threshold that often prunes, and a shuffled item order."""
+    """`ctx` with its universe shuffled, and a core and a threshold that often prunes."""
     order = list(ctx.universe.items)
     rng.shuffle(order)
-    return MinerConfig(
+    return permuted_context(ctx, order), MinerConfig(
         core=random_core_spec(rng, directed),
         min_support=rng.randint(1, 4 if measure == "nodes" else 40),
         min_intent_size=rng.randint(0, 2),
-        item_order=order,
         support_measure=measure,
     )
 
@@ -211,8 +207,7 @@ class TestMineAgainstReference:
         rng = random.Random(4242 + 2 * directed + SUPPORT_MEASURES.index(measure))
         for _ in range(80):
             s = random_stream(rng, directed=directed, max_intervals=16)
-            ctx = random_context(rng, s)
-            cfg = random_config(rng, ctx, directed, measure)
+            ctx, cfg = random_config(rng, random_context(rng, s), directed, measure)
             got = [vars(rec) for rec in mine(s, ctx, cfg)]
             assert got == [vars(rec) for rec in reference_mine(s, ctx, cfg)]
 
@@ -245,8 +240,8 @@ class TestSearchCounters:
         rng = random.Random(55 + directed)
         for trial in range(30):
             s = random_stream(rng, directed=directed)
-            ctx = random_context(rng, s)
-            cfg = random_config(rng, ctx, directed, SUPPORT_MEASURES[trial % 2])
+            ctx, cfg = random_config(rng, random_context(rng, s), directed,
+                                     SUPPORT_MEASURES[trial % 2])
             cfg.min_intent_size = 0
             records, counts = self.counters(caplog, s, ctx, cfg)
             tried, bound, cores, support, canonicity, emitted = counts
@@ -256,10 +251,6 @@ class TestSearchCounters:
 
 
 class TestIntentSizeTools:
-    def test_histogram(self):
-        records, _ = reference_records()
-        assert count_by_intent_size(records) == {1: 1, 2: 3, 3: 3}
-
     def test_filter_zero_is_identity(self):
         records, _ = reference_records()
         assert filter_min_intent(records, 0) == records

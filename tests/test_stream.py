@@ -3,15 +3,9 @@ import random
 import pytest
 
 from streamcores import IntervalSet, StreamGraph, TimeNodeSet, induced_static_graph
-from streamcores.oracle import (
-    build_event_table,
-    degree_profile,
-    induced_substream,
-    induced_substream_between,
-)
 from streamcores.toys import star_toy_stream
 
-from helpers import random_stream, random_subset
+from helpers import random_stream
 
 
 class TestTimeNodeSet:
@@ -25,7 +19,6 @@ class TestTimeNodeSet:
         b = TimeNodeSet({"x": IntervalSet.span(2, 6), "y": IntervalSet.span(0, 1)})
         assert a.union(b).get("x") == IntervalSet.span(0, 6)
         assert a.intersect(b) == TimeNodeSet({"x": IntervalSet.span(2, 4)})
-        assert a.difference(b) == TimeNodeSet({"x": IntervalSet.span(0, 2)})
         assert a.intersect(b).issubset(a)
         assert a.measure() == 4
         assert b.node_count() == 2
@@ -96,92 +89,6 @@ class TestStreamGraph:
             s.presence("nope")
 
 
-class TestEventTable:
-    def test_single_interval_transcription(self):
-        s = StreamGraph({("a", "b"): [(1, 3)]})
-        table = build_event_table(s)
-        assert table.events["a"] == ((1, "b", 1), (3, "b", -1))
-        assert table.inbound is None
-
-    def test_disjoint_intervals_in_time_order(self):
-        s = StreamGraph({("a", "b"): [(1, 3), (7, 8)]})
-        assert [e[0] for e in build_event_table(s).events["a"]] == [1, 3, 7, 8]
-
-    def test_overlapping_neighbors_sorted(self):
-        s = StreamGraph({("a", "b"): [(0, 2)], ("a", "c"): [(1, 3)]})
-        assert build_event_table(s).events["a"] == (
-            (0, "b", 1), (1, "c", 1), (2, "b", -1), (3, "c", -1),
-        )
-
-    def test_end_sorts_before_start_at_same_tick(self):
-        s = StreamGraph({("a", "b"): [(0, 2)], ("a", "c"): [(2, 3)]})
-        assert build_event_table(s).events["a"] == (
-            (0, "b", 1), (2, "b", -1), (2, "c", 1), (3, "c", -1),
-        )
-
-    def test_directed_tables_are_split(self):
-        s = StreamGraph({("a", "b"): [(0, 2)]}, directed=True)
-        table = build_event_table(s)
-        assert table.events["a"] == ((0, "b", 1), (2, "b", -1))
-        assert table.events["b"] == ()
-        assert table.inbound["b"] == ((0, "a", 1), (2, "a", -1))
-
-    def test_balance_invariant_on_random_streams(self):
-        rng = random.Random(4)
-        for _ in range(50):
-            s = random_stream(rng)
-            table = build_event_table(s)
-            for v in s.nodes:
-                running = 0
-                for _, _, flag in table.events[v]:
-                    running += flag
-                    assert running >= 0
-                assert running == 0
-
-
-class TestInducedSubstream:
-    def test_whole_presence_is_identity(self):
-        s = star_toy_stream()
-        t = induced_substream(s, s.presence_set())
-        assert dict(t.interaction_items()) == dict(s.interaction_items())
-        assert t.presence_set() == s.presence_set()
-
-    def test_single_node_keeps_no_interactions(self):
-        s = star_toy_stream()
-        t = induced_substream(s, s.presence_set().restrict(["a"]))
-        assert t.interaction_count() == 0
-
-    def test_clips_both_endpoints(self):
-        s = star_toy_stream()
-        wp = TimeNodeSet({"a": IntervalSet.span(0, 2), "b": IntervalSet.span(0, 2)})
-        t = induced_substream(s, wp)
-        assert t.pair("a", "b") == IntervalSet.span(1, 2)
-
-    def test_rejects_non_subset(self):
-        s = star_toy_stream()
-        with pytest.raises(ValueError):
-            induced_substream(s, TimeNodeSet({"a": IntervalSet.span(0, 99)}))
-
-    def test_monotone_in_the_inducing_set(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            s = random_stream(rng)
-            big = random_subset(rng, s.presence_set())
-            small = random_subset(rng, big)
-            inner = induced_substream(s, small)
-            outer = induced_substream(s, big)
-            for (u, v), ivs in inner.interaction_items():
-                assert ivs.issubset(outer.pair(u, v))
-
-    def test_directed_keeps_one_way_interactions(self):
-        s = StreamGraph({("a", "b"): [(0, 4)], ("b", "a"): [(0, 4)]}, directed=True)
-        w1 = TimeNodeSet({"a": IntervalSet.span(0, 4)})
-        w2 = TimeNodeSet({"b": IntervalSet.span(1, 3)})
-        t = induced_substream_between(s, w1, w2)
-        assert t.pair("a", "b") == IntervalSet.span(1, 3)
-        assert not t.pair("b", "a")
-
-
 def edges(graph):
     return frozenset(key for key, _ in graph.interaction_items())
 
@@ -213,53 +120,3 @@ class TestInducedStaticGraph:
         g = induced_static_graph(s)
         assert g.nodes == ("a", "b", "c") and edges(g) == frozenset({("a", "b")})
         assert g.presence("c") == IntervalSet.span(0, 1)
-
-
-class TestDegreeProfile:
-    def test_no_interactions_is_constant_zero(self):
-        s = StreamGraph({("a", "b"): [(0, 5)]}, nodes=["a", "b", "c"])
-        profile = degree_profile(s, "c")
-        assert profile.segments == ((0, 5, 0),)
-
-    def test_star_toy_degree_at_two(self):
-        # at tick 2, b talks to both a and d
-        assert degree_profile(star_toy_stream(), "b").value(2) == 2
-
-    def test_step_values(self):
-        s = StreamGraph({("a", "b"): [(0, 2)], ("a", "c"): [(1, 3)]})
-        profile = degree_profile(s, "a")
-        assert profile.segments == ((0, 1, 1), (1, 2, 2), (2, 3, 1))
-
-    def test_directed_needs_direction(self):
-        s = StreamGraph({("a", "b"): [(0, 2)]}, directed=True)
-        with pytest.raises(ValueError):
-            degree_profile(s, "a")
-        assert degree_profile(s, "a", "out").value(1) == 1
-        assert degree_profile(s, "a", "in").value(1) == 0
-        assert degree_profile(s, "b", "in").value(0) == 1
-
-    def test_undirected_rejects_direction(self):
-        s = StreamGraph({("a", "b"): [(0, 2)]})
-        with pytest.raises(ValueError):
-            degree_profile(s, "a", "out")
-
-    def test_unknown_node(self):
-        with pytest.raises(KeyError):
-            degree_profile(StreamGraph({("a", "b"): [(0, 2)]}), "zz")
-
-    def test_matches_per_tick_counting(self):
-        rng = random.Random(21)
-        for _ in range(40):
-            s = random_stream(rng)
-            lo, hi = s.horizon
-            for v in s.nodes:
-                profile = degree_profile(s, v)
-                for t in range(lo, hi):
-                    count = sum(
-                        1 for _, ivs in s.adjacency(v).items() if ivs.contains(t)
-                    )
-                    assert profile.value(t) == count
-
-    def test_breakpoints_are_event_times(self):
-        s = StreamGraph({("a", "b"): [(1, 3)], ("a", "c"): [(2, 6)]}, horizon=(0, 8))
-        assert degree_profile(s, "a").breakpoints() == (1, 2, 3, 6)
