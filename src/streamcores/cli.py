@@ -8,8 +8,16 @@ type, or a recorded item order other than the attribute file's, is a
 configuration error. `inspect` and `static-compare` record no
 manifest. `RunManifest` holds the default of every option it records;
 the parsers set none. Every command checks its options before it reads
-a file. Items are mined in the order they first appear in the
-attribute file; there is no item-order option.
+a file, the paths it will write among them: `--output` and its
+manifest, `--stream-output` and `--static-output` must not be a
+directory and their directory must exist, or the command exits 2
+naming the option. Items are mined in the order they first appear in
+the attribute file; there is no item-order option.
+
+Every output and manifest is written as a new file
+(`dataio.open_output`): a symlink is written through to its target, a
+hard-linked output loses the link, and the old file's mode is not
+kept.
 
 Exit codes: 0 success, 1 input error, 2 configuration error,
 3 invariant violation, 141 standard output closed by its reader.
@@ -78,7 +86,8 @@ class RunManifest:
     static_min_support: int = 1
 
     def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n")
+        with dataio.open_output(path) as handle:
+            handle.write(json.dumps(asdict(self), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
@@ -125,6 +134,30 @@ def _manifest_from_args(command: str, args: argparse.Namespace) -> RunManifest:
             )
         return manifest
     return RunManifest(command, **given)
+
+
+def _manifest_path(output: str) -> Path:
+    out = Path(output)
+    return out.with_name(out.name + ".manifest.json")
+
+
+def _check_output(option: str, path: str) -> None:
+    """Refuse, naming `option`, an output path that cannot be created.
+
+    Its directory must exist and the path must not be a directory; a
+    symlink is judged by its target. Called before any input is read.
+    """
+    real = Path(os.path.realpath(path))
+    if real.is_dir():
+        raise ConfigError(f"{option}: cannot write {path}, a directory")
+    if not real.parent.is_dir():
+        raise ConfigError(f"{option}: cannot write {path}, its directory does not exist")
+
+
+def _check_run_output(output: str) -> None:
+    """`_check_output` for the --output of mine or select and the manifest next to it."""
+    _check_output("--output", output)  # first, so that the manifest path has a file name
+    _check_output("--output", str(_manifest_path(output)))
 
 
 def _parse_betas(text: str) -> List[float]:
@@ -179,15 +212,15 @@ def cmd_mine(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("mine", args)
     if not manifest.output:
         raise ConfigError("mine needs --output")
+    _check_run_output(manifest.output)
     stream, ctx, cfg = _mining_setup(manifest)
 
     started = time.perf_counter()
     records = mine(stream, ctx, cfg)
     elapsed = time.perf_counter() - started
 
-    out = Path(manifest.output)
-    write_patterns(records, out)
-    manifest.write(out.with_name(out.name + ".manifest.json"))
+    write_patterns(records, manifest.output)
+    manifest.write(_manifest_path(manifest.output))
 
     flagged = sum(1 for rec in records if rec.below_min_support)
     print(f"patterns: {len(records) - flagged}"
@@ -208,6 +241,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     # the whole configuration is checked before any file is read or written
     cfg = SelectionConfig(beta=manifest.beta, g=manifest.g)
     betas = _parse_betas(manifest.betas)
+    _check_run_output(manifest.output)
     records = read_patterns(manifest.input)
     usable = [rec for rec in records if not rec.below_min_support]
     if len(usable) < len(records):
@@ -215,9 +249,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 
     distances = PairDistances(usable)
     kept = g_beta_select(usable, cfg, distances)
-    out = Path(manifest.output)
-    write_patterns(kept, out)
-    manifest.write(out.with_name(out.name + ".manifest.json"))
+    write_patterns(kept, manifest.output)
+    manifest.write(_manifest_path(manifest.output))
 
     print(f"beta={manifest.beta:g}: kept {len(kept)} of {len(usable)}")
     if betas:
@@ -255,6 +288,10 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("static-compare", args)
     # checked with the other options, before any file is read
     MinerConfig(min_support=manifest.static_min_support).check()
+    for option, path in (("--stream-output", args.stream_output),
+                         ("--static-output", args.static_output)):
+        if path:
+            _check_output(option, path)
     stream, ctx, cfg = _mining_setup(manifest)
 
     stream_records = [rec for rec in mine(stream, ctx, cfg) if not rec.below_min_support]

@@ -30,16 +30,22 @@ each pair's spans once. Errors name the file line. A row that cannot be
 parsed (column count, timestamp) is reported before a record that fails
 the ingest's checks on an earlier line, as if every row had been parsed
 before any record was checked.
+
+Every file the package writes is opened by `open_output`, which makes
+the output a new file rather than truncating the old one in place.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import stat
 from decimal import Decimal, InvalidOperation
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, TextIO, Tuple,
+                    Union)
 
 from .context import AttributeContext, ItemUniverse
 from .intervals import IntervalSet, Span
@@ -357,6 +363,27 @@ def read_presence(data: PathOrLines, *, resolution: int = 1) -> Dict[str, Interv
     return {v: IntervalSet(sp) for v, sp in spans.items()}
 
 
+def open_output(path: Union[str, Path]) -> TextIO:
+    """`path` opened for writing text, as a new file.
+
+    A symlink is resolved and its target written. An existing regular
+    file there is unlinked and a new one created, so the old file's
+    mode and any hard link to it are not kept. Truncating in place
+    would make a re-run wait: ext4 with its default `auto_da_alloc`
+    starts writing a truncated file back when it is closed, and the
+    next truncation of that file waits for the writeback. Renaming a
+    new file over the old one flushes it just the same. Any other kind
+    of entry, such as a FIFO, is opened as it is.
+    """
+    real = os.path.realpath(path)
+    try:
+        if stat.S_ISREG(os.lstat(real).st_mode):
+            os.unlink(real)
+    except FileNotFoundError:
+        pass
+    return open(real, "w")
+
+
 def write_link_stream(stream: StreamGraph, path: Union[str, Path]) -> None:
     """Write canonical quadruple rows `b e u v` in tick units.
 
@@ -367,7 +394,8 @@ def write_link_stream(stream: StreamGraph, path: Union[str, Path]) -> None:
     for (u, v), ivs in stream.interaction_items():
         for a, b in ivs.spans:
             lines.append(f"{a} {b} {u} {v}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_output(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def write_presence(stream: StreamGraph, path: Union[str, Path]) -> None:
@@ -375,7 +403,8 @@ def write_presence(stream: StreamGraph, path: Union[str, Path]) -> None:
     for v in stream.nodes:
         for a, b in stream.presence(v).spans:
             lines.append(f"{a} {b} {v}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_output(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def read_attributes(data: PathOrLines, *, stream: Optional[StreamGraph] = None) -> AttributeContext:
@@ -423,7 +452,8 @@ def write_attributes(ctx: AttributeContext, path: Union[str, Path]) -> None:
     for node in sorted(ctx.nodes()):
         names = ctx.universe.items_of(ctx.description(node))
         lines.append(f"{node},{';'.join(names)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_output(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def read_highschool_context(

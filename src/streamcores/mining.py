@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core
-from .dataio import ParseError
+from .dataio import ParseError, open_output
 from .intervals import IntervalSet
 from .stream import StreamGraph, TimeNodeSet
 
@@ -220,7 +220,7 @@ def _record_payload(rec: ClosedPatternRecord) -> dict:
 
 def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path]) -> None:
     """One JSON object per line, fields in a fixed order."""
-    with open(path, "w") as handle:
+    with open_output(path) as handle:
         for rec in records:
             handle.write(json.dumps(_record_payload(rec)) + "\n")
 
@@ -229,7 +229,7 @@ def write_static_patterns(
     records: Sequence[ClosedPatternRecord], path: Union[str, Path]
 ) -> None:
     """Static patterns mined on `induced_static_graph`: supports are node lists."""
-    with open(path, "w") as handle:
+    with open_output(path) as handle:
         for rec in records:
             payload = {
                 "intent": list(rec.items),

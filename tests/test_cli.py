@@ -63,6 +63,36 @@ def test_every_mining_option_is_checked_before_any_file_is_read(
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("command,option,named", [
+    pytest.param(command, option, option[0], id=f"{command[0]} {' '.join(option)}")
+    for command, options in [
+        (["mine", "--stream", "s.csv"],
+         [["--output", "missing/out.jsonl"], ["--output", "."], ["--output", "taken.jsonl"]]),
+        (["select", "--input", "in.jsonl"],
+         [["--output", "missing/out.jsonl"], ["--output", "."], ["--output", "taken.jsonl"]]),
+        (["static-compare", "--stream", "s.csv"],
+         [["--stream-output", "missing/s.jsonl"], ["--stream-output", "."],
+          ["--static-output", "missing/s.jsonl"], ["--static-output", "."]]),
+    ]
+    for option in options
+] + [
+    # a re-run checks the output its manifest records
+    pytest.param(["mine"], ["--manifest", "mine.json"], "--output", id="mine --manifest"),
+    pytest.param(["select"], ["--manifest", "select.json"], "--output", id="select --manifest"),
+])
+def test_an_output_that_cannot_be_written_is_refused_before_any_file_is_read(
+        tmp_path, monkeypatch, capsys, command, option, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken.jsonl.manifest.json").mkdir()  # where taken.jsonl's manifest would go
+    for name, fields in [("mine", {"stream": "s.csv"}), ("select", {"input": "in.jsonl"})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"command": name, "output": "missing/out.jsonl", **fields}))
+    # no input exists, so reading one would be an input error (exit 1)
+    assert run(*command, *option) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and named in err
+
+
 class TestMineCommand:
     def test_reference_context(self, demo, tmp_path, capsys):
         out = tmp_path / "patterns.jsonl"
@@ -162,6 +192,16 @@ class TestMineCommand:
 
         assert run("mine", "--manifest", rerun_manifest) == 0
         assert second.read_bytes() == first.read_bytes()
+
+    def test_manifest_rerun_over_its_own_output_is_byte_identical(self, demo, tmp_path):
+        out = tmp_path / "patterns.jsonl"
+        assert run("mine", "--stream", demo["compare_stream"], "--attributes",
+                   demo["compare_attrs"], "--core", "star-sat:2", "--output", out) == 0
+        manifest = tmp_path / "patterns.jsonl.manifest.json"
+        mined, recorded = out.read_bytes(), manifest.read_bytes()
+        assert run("mine", "--manifest", manifest) == 0
+        assert out.read_bytes() == mined
+        assert manifest.read_bytes() == recorded
 
     @pytest.mark.parametrize("order, code", [("file", 0), ("name", 2), ("seed:5", 2)])
     def test_manifest_with_an_item_order(self, demo, tmp_path, capsys, order, code):

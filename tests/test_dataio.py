@@ -1,10 +1,14 @@
 import logging
+import os
+import stat
+import threading
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamcores import IntervalSet, StreamGraph, dataio
+from streamcores import (AttributeContext, IntervalSet, ItemUniverse, MinerConfig, StreamGraph,
+                         dataio, mine, write_patterns)
 from streamcores.dataio import (
     ParseError,
     ingest_link_stream,
@@ -430,6 +434,60 @@ class TestStreamRoundTrip:
             write_link_stream(s, path)
             back = read_link_stream(path, directed=s.directed)
             assert dict(back.interaction_items()) == dict(s.interaction_items())
+
+
+_WRITERS = {
+    "link-stream": lambda path: write_link_stream(star_toy_stream(), path),
+    "presence": lambda path: write_presence(star_toy_stream(), path),
+    "attributes": lambda path: write_attributes(read_attributes(["n1,alpha;beta", "n2,"]), path),
+    "patterns": lambda path: write_patterns(
+        mine(star_toy_stream(), AttributeContext(ItemUniverse([]), {}), MinerConfig()), path),
+}
+
+
+class TestOpenOutput:
+    """Every writer makes its output a new file instead of truncating the old one."""
+
+    @pytest.mark.parametrize("writer", list(_WRITERS.values()), ids=list(_WRITERS))
+    def test_an_existing_output_is_replaced_by_a_new_file(self, tmp_path, writer):
+        writer(tmp_path / "fresh")
+        want = (tmp_path / "fresh").read_bytes()
+        path = tmp_path / "out"
+        old = want * 3 + b"# a longer old file\n"
+        path.write_bytes(old)
+        kept = tmp_path / "kept"
+        os.link(path, kept)  # the old file's inode stays allocated under this name
+        writer(path)
+        assert path.read_bytes() == want
+        assert path.stat().st_ino != kept.stat().st_ino
+        assert kept.read_bytes() == old  # a hard link to the old output keeps the old bytes
+
+    def test_a_symlinked_output_stays_a_link_and_its_target_is_written(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("# an old file, longer than the new one\n" * 20)
+        kept = tmp_path / "kept"
+        os.link(target, kept)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_presence(star_toy_stream(), link)
+        write_presence(star_toy_stream(), tmp_path / "fresh.csv")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert target.stat().st_ino != kept.stat().st_ino  # the target is new too
+
+    def test_a_fifo_stays_a_fifo_and_its_reader_gets_the_content(self, tmp_path):
+        # a FIFO of tmp_path only: a helper that wrongly unlinked it removes nothing else
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        with dataio.open_output(fifo) as handle:
+            handle.write("through the pipe\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert got == ["through the pipe\n"]
 
 
 class TestAttributes:

@@ -11,7 +11,8 @@ the nodes, in the rows and in the context, renames the nodes of every
 support and changes nothing else, even when the new names sort the
 other way round. Any permutation of the item universe yields the same
 records, in another order and with each intent's items in the new
-order.
+order. On a directed stream, reversing every row and swapping the hub
+and authority thresholds mines the same records in the same order.
 """
 
 import json
@@ -31,9 +32,9 @@ RENAMED = {v: chr(ord("z") - i) for i, v in enumerate(NODES)}  # a -> z, ..., e 
 
 
 @st.composite
-def _runs(draw):
+def _runs(draw, directed=st.booleans()):
     """(rows, directed, context, miner config); rows are (b, e, u, v) with u != v."""
-    directed = draw(st.booleans())
+    directed = draw(directed)
     row = st.tuples(st.integers(0, 40), st.integers(1, 12), st.sampled_from(PAIRS))
     rows = [(b, b + length, u, v)
             for b, length, (u, v) in draw(st.lists(row, min_size=1, max_size=14))]
@@ -149,3 +150,15 @@ def test_any_item_order_mines_the_same_records(tmp_path_factory, run, order):
         return sorted(out)
 
     assert records(permuted_context(ctx, order)) == records(ctx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_runs(directed=st.just(True)))
+def test_reversing_a_directed_stream_swaps_hubs_and_authorities(tmp_path_factory, run):
+    rows, directed, ctx, cfg = run
+    reversed_rows = [(b, e, v, u) for b, e, u, v in rows]
+    core = cfg.core
+    if core.kind == "ha":  # the identity core has no sides to swap
+        core = CoreSpec.hub_authority(core.a, core.h)
+    assert (_mined(tmp_path_factory, reversed_rows, directed, ctx, replace(cfg, core=core))
+            == _mined(tmp_path_factory, rows, directed, ctx, cfg))
