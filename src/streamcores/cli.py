@@ -11,8 +11,19 @@ the parsers set none. Every command checks its options before it reads
 a file, the paths it will write among them: `--output` and its
 manifest, `--stream-output` and `--static-output` must not be a
 directory and their directory must exist, or the command exits 2
-naming the option. Items are mined in the order they first appear in
-the attribute file; there is no item-order option.
+naming the option. A star-satellite core on a directed stream, or a
+hub-authority core on an undirected one, exits 2 before any read too.
+Items are mined in the order they first appear in the attribute file;
+there is no item-order option.
+
+`static-compare` mines the stream and its time-collapsed graph
+(`induced_static_graph`) and checks that every stream intent is a
+static closed pattern: the static core of the intent's carriers is
+nonempty and its intent is the stream intent. `--static-min-support`
+thins only the static patterns it counts and writes, not that check.
+Both of its outputs are pattern files that `select` and `inspect` read;
+a static support lies over the collapsed graph's one tick [0, 1), so
+its measure is its node count.
 
 Every output and manifest is written as a new file
 (`dataio.open_output`): a symlink is written through to its target, a
@@ -36,10 +47,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence, get_args, get_type_hints
 
 from . import dataio
-from .context import AttributeContext, ItemUniverse
-from .cores import CoreSpec
-from .mining import (SUPPORT_MEASURES, MinerConfig, mine, read_patterns, write_patterns,
-                     write_static_patterns)
+from .context import AttributeContext, ItemUniverse, extent, intent
+from .cores import CoreSpec, apply_core
+from .mining import SUPPORT_MEASURES, MinerConfig, mine, read_patterns, write_patterns
 from .selection import (INTEREST_MEASURES, PairDistances, SelectionConfig, g_beta_select,
                         interest_key, selection_counts)
 from .stream import induced_static_graph
@@ -189,6 +199,9 @@ def _mining_setup(manifest: RunManifest):
         support_measure=manifest.support_measure,
     )
     cfg.check()
+    if cfg.core.kind != "identity" and (cfg.core.kind == "ha") != manifest.directed:
+        kind = "directed" if cfg.core.kind == "ha" else "undirected"
+        raise ConfigError(f"core {manifest.core} is defined on {kind} streams only")
     dataio.extension_ticks(manifest.delta, manifest.resolution, manifest.format)
     presence = None
     if manifest.presence:
@@ -302,17 +315,22 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
         min_support=manifest.static_min_support,
         min_intent_size=cfg.min_intent_size,
     )
-    static_records = [rec for rec in mine(induced_static_graph(stream), ctx, static_cfg)
-                      if not rec.below_min_support]
+    graph = induced_static_graph(stream)
+    static_records = [rec for rec in mine(graph, ctx, static_cfg) if not rec.below_min_support]
 
     if args.stream_output:
         write_patterns(stream_records, args.stream_output)
     if args.static_output:
-        write_static_patterns(static_records, args.static_output)
+        write_patterns(static_records, args.static_output)
 
-    stream_intents = {rec.items for rec in stream_records}
-    static_intents = {rec.items for rec in static_records}
-    missing = sorted(stream_intents - static_intents)
+    # a stream intent is checked by membership, not looked up among the
+    # static records, which --static-min-support may have dropped
+    missing = []
+    for rec in stream_records:
+        support = apply_core(cfg.core, graph, extent(rec.mask, ctx, graph))
+        if not support or intent(support, ctx) != rec.mask:
+            missing.append(rec.items)
+    missing.sort()
 
     print(f"stream patterns: {len(stream_records)}")
     print(f"static patterns: {len(static_records)}")

@@ -18,18 +18,19 @@ is iterated, numbers its lines as `str.splitlines` would and skips
 blank and comment lines. `read_link_stream` hands `ingest_link_stream`
 a one-shot iterable of records (`_Records`): each row is split, its
 timestamps parsed with `to_ticks` (each distinct text once) and its
-node names shared (one object per name) only when the ingest asks for
-the next record, so no list of the file's records is ever held. The
-ingest takes any iterable of records. It checks each record once
-(width, empty interval, self-loop, horizon, integer ticks; a
-non-integer tick is a TypeError) and merges a pair's spans as they
-arrive: a span that starts inside or at the end of the pair's last
-span extends it. It hands the span lists, keyed by each pair as
-written, to `StreamGraph`, which orients the pairs and canonicalises
-each pair's spans once. Errors name the file line. A row that cannot be
-parsed (column count, timestamp) is reported before a record that fails
-the ingest's checks on an earlier line, as if every row had been parsed
-before any record was checked.
+node names shared (one object per name, an empty name refused when it
+is first seen) only when the ingest asks for the next record, so no
+list of the file's records is ever held. The ingest takes any iterable
+of records. It checks each record once (width, empty interval,
+self-loop, integer ticks; a non-integer tick is a TypeError) and
+merges a pair's spans as they arrive: a span that starts inside or at
+the end of the pair's last span extends it. It hands the span lists,
+keyed by each pair as written, to `StreamGraph`, which orients the
+pairs and canonicalises each pair's spans once. Errors name the file
+line. A row that cannot be parsed (column count, timestamp, empty node
+name) is reported before a record that fails the ingest's checks on an
+earlier line, as if every row had been parsed before any record was
+checked.
 
 Every file the package writes is opened by `open_output`, which makes
 the output a new file rather than truncating the old one in place.
@@ -171,7 +172,6 @@ def ingest_link_stream(
     *,
     directed: bool = False,
     presence: Optional[Mapping[str, IntervalSet]] = None,
-    horizon: Optional[Tuple[int, int]] = None,
     source: str = "",
 ) -> StreamGraph:
     """Build a stream from (t, u, v) triples and/or (b, e, u, v) quadruples.
@@ -202,8 +202,6 @@ def ingest_link_stream(
             _refuse(f"expected 3 or 4 fields, got {len(rec)}", source, records, i)
         if u == v and not directed:
             _refuse(f"self-interaction on node {u!r}", source, records, i)
-        if horizon is not None and (b < horizon[0] or e > horizon[1]):
-            _refuse(f"interval [{b}, {e}) outside horizon {horizon}", source, records, i)
         # checked here, not left to StreamGraph: extending a span below drops endpoints
         if not isinstance(b, int) or not isinstance(e, int):
             raise TypeError(f"interval endpoints must be integers, got ({b!r}, {e!r})")
@@ -220,7 +218,7 @@ def ingest_link_stream(
                 spans[-1] = (last_b, e)
         else:
             spans.append((b, e))
-    return StreamGraph(spans_of, presence=presence, horizon=horizon, directed=directed)
+    return StreamGraph(spans_of, presence=presence, directed=directed)
 
 
 def _refuse(message: str, source: str, records: Iterable[Tuple], position: int) -> NoReturn:
@@ -251,7 +249,14 @@ class _Records:
     def _parse(self, rows, width, resolution, source) -> Iterator[Tuple]:
         names: Dict[str, str] = {}  # one string object per node name
         ticks: Dict[str, int] = {}  # and per timestamp text
-        name = names.setdefault
+        name = names.get
+
+        def new_name(text: str) -> str:  # only a name's first row pays for its check
+            if not text:
+                raise ParseError("empty node name", source, self.line)
+            names[text] = text
+            return text
+
         count = 0
         for row, text in rows:
             self.line = row
@@ -272,10 +277,10 @@ class _Records:
                 if e is None:
                     e = ticks[fields[1]] = to_ticks(fields[1], resolution, source, row)
                 u, v = fields[2], fields[3]
-                yield t, e, name(u, u), name(v, v)
+                yield t, e, name(u) or new_name(u), name(v) or new_name(v)
             else:  # an instant contact; the class columns of the contacts format are skipped
                 u, v = fields[1], fields[2]
-                yield t, name(u, u), name(v, v)
+                yield t, name(u) or new_name(u), name(v) or new_name(v)
         self._count = count
 
 
@@ -316,7 +321,6 @@ def read_link_stream(
     instant_extension_seconds: float = 20.0,
     directed: bool = False,
     presence: Optional[Mapping[str, IntervalSet]] = None,
-    horizon: Optional[Tuple[int, int]] = None,
 ) -> StreamGraph:
     """Parse a link-stream file into a StreamGraph.
 
@@ -332,7 +336,7 @@ def read_link_stream(
     records = _Records(rows, FORMAT_WIDTHS.get(fmt), resolution, source)
     try:
         return ingest_link_stream(records, delta, directed=directed, presence=presence,
-                                  horizon=horizon, source=source)
+                                  source=source)
     except ParseError as err:
         failure = err
     # a row further down that cannot be parsed is reported first
@@ -355,6 +359,8 @@ def read_presence(data: PathOrLines, *, resolution: int = 1) -> Dict[str, Interv
         if len(fields) != 3:
             raise ParseError(f"expected 3 columns, got {len(fields)}", source, row)
         b, e, v = fields
+        if not v:
+            raise ParseError("empty node name", source, row)
         bt = to_ticks(b, resolution, source, row)
         et = to_ticks(e, resolution, source, row)
         if bt >= et:

@@ -77,7 +77,6 @@ class ClosedPatternRecord:
     support_measure: int  # node-ticks
     node_count: int
     mask: Optional[Pattern] = None
-    parent_item: Optional[str] = None
     depth: int = 0
     below_min_support: bool = False
 
@@ -126,16 +125,14 @@ def mine(
     if not stream.nodes:
         log.warning("mining an empty stream: no patterns")
         return []
-    names = {universe.bit(name): name for name in universe.items}
 
-    def record(mask, support, size, parent_item, depth) -> ClosedPatternRecord:
+    def record(mask, support, size, depth) -> ClosedPatternRecord:
         return ClosedPatternRecord(
             items=universe.items_of(mask),
             support=support,
             support_measure=support.measure(),
             node_count=support.node_count(),
             mask=mask,
-            parent_item=parent_item,
             depth=depth,
             below_min_support=size < cfg.min_support,
         )
@@ -146,7 +143,7 @@ def mine(
     root_support = apply_core(cfg.core, stream, stream.presence_set())
     root_mask = intent(root_support, ctx)
     root_size = root_support.node_count() if count_nodes else root_support.measure()
-    records = [record(root_mask, root_support, root_size, None, 0)]
+    records = [record(root_mask, root_support, root_size, 0)]
 
     full = universe.full_mask
     tried = bound_pruned = core_calls = support_pruned = canonicity_pruned = 0
@@ -162,14 +159,14 @@ def mine(
         untried = (full & ~skip).bit_count()
         tried += untried
         bound_pruned += untried - len(passing)
-        return [[(bit, names[bit], carriers[bit]) for bit in passing], excluded, depth]
+        return [[(bit, carriers[bit]) for bit in passing], excluded, depth]
 
     stack = [frame(root_mask, root_support, 0, 0)]
     while stack:
         top = stack[-1]
         queue, excluded, depth = top
         while queue:
-            bit, name, entries = queue.pop()
+            bit, entries = queue.pop()
             core_calls += 1
             support = apply_core(cfg.core, stream, TimeNodeSet._raw(entries))
             n = support.node_count() if count_nodes else support.measure()
@@ -180,7 +177,7 @@ def mine(
             if closed & excluded:
                 canonicity_pruned += 1
                 continue
-            records.append(record(closed, support, n, name, depth + 1))
+            records.append(record(closed, support, n, depth + 1))
             stack.append(frame(closed, support, excluded, depth + 1))
             top[1] = excluded | bit
             break
@@ -223,22 +220,6 @@ def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path
     with open_output(path) as handle:
         for rec in records:
             handle.write(json.dumps(_record_payload(rec)) + "\n")
-
-
-def write_static_patterns(
-    records: Sequence[ClosedPatternRecord], path: Union[str, Path]
-) -> None:
-    """Static patterns mined on `induced_static_graph`: supports are node lists."""
-    with open_output(path) as handle:
-        for rec in records:
-            payload = {
-                "intent": list(rec.items),
-                "support": list(rec.support.nodes()),
-                "node_count": rec.node_count,
-            }
-            if rec.below_min_support:
-                payload["below_min_support"] = True
-            handle.write(json.dumps(payload) + "\n")
 
 
 def _typed(value, kind: type, name: str):

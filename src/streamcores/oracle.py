@@ -192,14 +192,13 @@ def reference_mine(
     def size(support: TimeNodeSet) -> int:
         return support.node_count() if cfg.support_measure == "nodes" else support.measure()
 
-    def record(mask, support, parent_item, depth) -> ClosedPatternRecord:
+    def record(mask, support, depth) -> ClosedPatternRecord:
         return ClosedPatternRecord(
             items=universe.items_of(mask),
             support=support,
             support_measure=support.measure(),
             node_count=support.node_count(),
             mask=mask,
-            parent_item=parent_item,
             depth=depth,
             below_min_support=size(support) < cfg.min_support,
         )
@@ -217,12 +216,12 @@ def reference_mine(
             closed = intent(child, ctx)
             if closed & excluded:
                 continue
-            records.append(record(closed, child, name, depth + 1))
+            records.append(record(closed, child, depth + 1))
             expand(closed, child, excluded, depth + 1)
             excluded |= bit
 
     root = apply_core(cfg.core, stream, stream.presence_set())
-    records = [record(intent(root, ctx), root, None, 0)]
+    records = [record(intent(root, ctx), root, 0)]
     expand(records[0].mask, root, 0, 0)
     return filter_min_intent(records, cfg.min_intent_size)
 
@@ -330,7 +329,6 @@ def reference_read_link_stream(
     instant_extension_seconds: float = 20.0,
     directed: bool = False,
     presence: Optional[Mapping[str, IntervalSet]] = None,
-    horizon: Optional[Tuple[int, int]] = None,
 ) -> StreamGraph:
     """`dataio.read_link_stream` with every row held, split and checked on its own.
 
@@ -361,11 +359,14 @@ def reference_read_link_stream(
             raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
         if width == 4:
             b, e, u, v = fields
-            records.append((row, (to_ticks(b, resolution, source, row),
-                                  to_ticks(e, resolution, source, row), u, v)))
+            record = (to_ticks(b, resolution, source, row), to_ticks(e, resolution, source, row),
+                      u, v)
         else:
-            records.append((row, (to_ticks(fields[0], resolution, source, row),
-                                  fields[1], fields[2])))
+            u, v = fields[1], fields[2]
+            record = (to_ticks(fields[0], resolution, source, row), u, v)
+        if not u or not v:
+            raise ParseError("empty node name", source, row)
+        records.append((row, record))
 
     pair_spans: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
     for row, rec in records:
@@ -380,10 +381,8 @@ def reference_read_link_stream(
                 raise ParseError(f"empty interval [{b}, {e})", source, row)
         if u == v and not directed:
             raise ParseError(f"self-interaction on node {u!r}", source, row)
-        if horizon is not None and (b < horizon[0] or e > horizon[1]):
-            raise ParseError(f"interval [{b}, {e}) outside horizon {horizon}", source, row)
         if not directed and u > v:
             u, v = v, u
         pair_spans.setdefault((u, v), []).append((b, e))
-    return StreamGraph(pair_spans, presence=presence, horizon=horizon, directed=directed)
+    return StreamGraph(pair_spans, presence=presence, directed=directed)
 

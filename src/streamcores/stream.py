@@ -1,11 +1,12 @@
 """Interaction-stream data model.
 
-A stream holds a finite tick horizon, a set of nodes with presence
-intervals, and per-pair interaction intervals. Undirected pairs are
-stored under their sorted key; directed streams keep ordered (src, dst)
-keys plus separate in/out adjacency. `StreamGraph` is the one place
-that orients pair keys and canonicalises the spans it is given: the
-spans of both orientations of a pair become one `IntervalSet`.
+A stream holds per-pair interaction intervals and the presence
+intervals of its nodes; its nodes are exactly the nodes with nonempty
+presence. Undirected pairs are stored under their sorted key; directed
+streams keep ordered (src, dst) keys plus separate in/out adjacency.
+`StreamGraph` is the one place that orients pair keys and canonicalises
+the spans it is given: the spans of both orientations of a pair become
+one `IntervalSet`.
 Everything is immutable after construction.
 """
 
@@ -117,15 +118,13 @@ def _refuse_unordered(names: Iterable) -> None:
 class StreamGraph:
     """Nodes with presence intervals plus timed pairwise interactions."""
 
-    __slots__ = ("directed", "horizon", "nodes", "_presence", "_pairs", "_adj", "_in_adj")
+    __slots__ = ("directed", "nodes", "_presence", "_pairs", "_adj", "_in_adj")
 
     def __init__(
         self,
         interactions: Mapping[Tuple[str, str], Iterable[Span]],
         presence: Optional[Mapping[str, Iterable[Span]]] = None,
-        horizon: Optional[Span] = None,
         directed: bool = False,
-        nodes: Iterable[str] = (),
     ) -> None:
         self.directed = directed
         # both orientations of an undirected pair gather under its sorted key,
@@ -157,7 +156,6 @@ class StreamGraph:
         # the pair sets are canonical already, so their spans need no second check
         default_presence = {w: IntervalSet._raw(_merge(spans)) for w, spans in node_spans.items()}
 
-        names = set(nodes)
         if presence is None:
             pres = default_presence
         else:
@@ -166,37 +164,20 @@ class StreamGraph:
                 ivs = IntervalSet(spans)
                 if ivs:
                     pres[v] = ivs
-                names.add(v)
             for v, needed in default_presence.items():
                 if not needed.issubset(pres.get(v, EMPTY)):
                     raise ValueError(
                         f"presence of node {v!r} does not cover its interaction intervals"
                     )
 
-        names.update(pres)  # pres covers every pair's endpoints by now
+        # the nodes are the ones present: pres covers every pair's endpoints by now
         try:
-            self.nodes: Tuple[str, ...] = tuple(sorted(names))
+            self.nodes: Tuple[str, ...] = tuple(sorted(pres))
         except TypeError:
-            _refuse_unordered(names)
+            _refuse_unordered(pres)
             raise
         self._presence = pres
         self._pairs = pairs
-
-        # every presence kept is nonempty
-        lo = min((ivs.spans[0][0] for ivs in pres.values()), default=None)
-        hi = max((ivs.spans[-1][1] for ivs in pres.values()), default=None)
-        if horizon is None:
-            self.horizon: Span = (lo, hi) if lo is not None else (0, 0)
-        else:
-            if not all(isinstance(t, int) for t in horizon):
-                raise TypeError(f"horizon bounds must be integers, got {horizon!r}")
-            if horizon[0] > horizon[1]:
-                raise ValueError(f"horizon {horizon} ends before it starts")
-            if lo is not None and (lo < horizon[0] or hi > horizon[1]):
-                raise ValueError(
-                    f"intervals [{lo},{hi}) fall outside the declared horizon {horizon}"
-                )
-            self.horizon = (horizon[0], horizon[1])
 
         adj: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in self.nodes}
         in_adj: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in self.nodes} if directed else adj
@@ -207,9 +188,10 @@ class StreamGraph:
         self._in_adj = in_adj
 
     def presence(self, node: str) -> IntervalSet:
-        if node not in self._adj:
+        ivs = self._presence.get(node)
+        if ivs is None:
             raise KeyError(f"unknown node {node!r}")
-        return self._presence.get(node, EMPTY)
+        return ivs
 
     def presence_set(self) -> TimeNodeSet:
         return TimeNodeSet._raw(dict(self._presence))
@@ -238,10 +220,7 @@ class StreamGraph:
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
-        return (
-            f"StreamGraph({kind}, |V|={len(self.nodes)}, pairs={len(self._pairs)}, "
-            f"horizon={self.horizon})"
-        )
+        return f"StreamGraph({kind}, |V|={len(self.nodes)}, pairs={len(self._pairs)})"
 
 
 def induced_static_graph(stream: StreamGraph) -> StreamGraph:

@@ -40,7 +40,7 @@ def random_stream(
         b = rng.randint(a + 1, max_tick)
         key = (u, v) if directed else tuple(sorted((u, v)))
         pairs.setdefault(key, []).append((a, b))
-    return StreamGraph(pairs, directed=directed, nodes=names)
+    return StreamGraph(pairs, directed=directed)
 
 
 def random_context(rng: random.Random, stream: StreamGraph, max_items: int = 6) -> AttributeContext:
@@ -106,24 +106,18 @@ def assert_mining_invariants(records, stream, ctx, cfg) -> None:
     supports = [rec.support for rec in records]
     assert len(set(intents)) == len(records), "duplicate intents"
     assert len(set(supports)) == len(records), "duplicate supports"
-    by_mask = {rec.mask: rec for rec in records}
-    for rec in records:
+    for i, rec in enumerate(records):
         assert intent(rec.support, ctx) == rec.mask
         # re-deriving the support from scratch must land on the same set
         again = apply_core(cfg.core, stream, extent(rec.mask, ctx, stream))
         assert again == rec.support, f"support of {rec.items} not reproducible"
-        if rec.parent_item is not None:
-            parent_mask = rec.mask & ~ctx.universe.bit(rec.parent_item)
-            # the parent is some record whose mask is contained in this one
-            ancestors = [r for r in records if r.mask & rec.mask == r.mask and r is not rec]
-            assert ancestors, f"no ancestor for {rec.items}"
-    # support size never grows along tree edges
-    order = [rec for rec in records]
-    for i, rec in enumerate(order):
         if rec.depth == 0:
             continue
-        # the closest preceding record with smaller depth is the DFS parent
-        parent = next(r for r in reversed(order[:i]) if r.depth == rec.depth - 1)
+        # the closest preceding record one level up is the DFS parent: a child
+        # adds items to its parent's intent and keeps part of its support
+        parent = next(r for r in reversed(records[:i]) if r.depth == rec.depth - 1)
+        assert parent.mask & ~rec.mask == 0 and parent.mask != rec.mask, (
+            f"{rec.items} does not extend its parent {parent.items}")
         assert rec.support.issubset(parent.support)
         assert rec.support_measure <= parent.support_measure
 

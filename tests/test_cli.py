@@ -41,6 +41,8 @@ def test_option_of_another_subcommand_is_refused(capsys, command, option):
 _BAD_MINING_OPTIONS = [
     ["--min-support", "0"], ["--min-intent-size", "-1"], ["--delta", "20.4"],
     ["--core", "star-sat:two"],
+    # a core of the other stream kind
+    ["--core", "ha:2,2"], ["--core", "star-sat:2", "--directed"],
     # quadruples take no instant extension, so only the resolution check sees it
     ["--resolution", "0", "--format", "quadruples"],
 ]
@@ -540,17 +542,40 @@ class TestStaticCompareCommand:
         )
         assert code == 0
         assert len(read_patterns(stream_out)) == 3
-        assert len(static_out.read_text().splitlines()) == 4
+        assert len(read_patterns(static_out)) == 4
 
-    def test_static_output_is_not_a_pattern_file(self, demo, tmp_path, capsys):
+    def test_static_output_is_a_pattern_file(self, demo, tmp_path, capsys):
         static_out = tmp_path / "static.jsonl"
         assert run("static-compare", "--stream", demo["compare_stream"],
                    "--attributes", demo["compare_attrs"], "--static-output", static_out) == 0
         capsys.readouterr()
-        assert run("select", "--input", static_out, "--output", tmp_path / "s.jsonl") == 1
-        assert f"{static_out}:1: bad pattern record: support must be of type dict" in (
-            capsys.readouterr().err)
-        assert run("inspect", "--input", static_out) == 1
+        assert run("select", "--input", static_out, "--output", tmp_path / "s.jsonl") == 0
+        assert "beta=0: kept 4 of 4" in capsys.readouterr().out
+        assert run("inspect", "--input", static_out) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+
+    def test_static_min_support_does_not_decide_containment(self, demo, capsys):
+        # the static support of "a g h" has 3 nodes, so the threshold drops
+        # that static pattern; the stream intent is still a static intent
+        code = run("static-compare", "--stream", demo["compare_stream"],
+                   "--attributes", demo["compare_attrs"], "--core", "star-sat:2",
+                   "--static-min-support", 4)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "static patterns: 2" in out
+        assert "containment holds" in out
+
+    def test_a_stream_intent_that_is_no_static_intent_is_a_violation(
+            self, demo, monkeypatch, capsys):
+        from streamcores import StreamGraph, cli
+        # a collapsed graph without its pairs: no static 2-star-satellite core is left
+        monkeypatch.setattr(cli, "induced_static_graph", lambda stream: StreamGraph(
+            {}, presence={v: [(0, 1)] for v in stream.nodes}))
+        code = run("static-compare", "--stream", demo["compare_stream"],
+                   "--attributes", demo["compare_attrs"], "--core", "star-sat:2")
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "containment VIOLATED for 3 intent(s):\n  a\n  a g h\n  a h\n" in out
 
     def test_static_output_golden(self, demo, tmp_path):
         static_out = tmp_path / "static.jsonl"
@@ -562,9 +587,14 @@ class TestStaticCompareCommand:
             "--static-output", static_out,
         )
         assert code == 0
+        tick = "[[0, 1]]"
         assert static_out.read_text() == (
-            '{"intent": ["a"], "support": ["p", "q", "r", "u", "x", "y"], "node_count": 6}\n'
-            '{"intent": ["a", "g", "h"], "support": ["p", "q", "r"], "node_count": 3}\n'
-            '{"intent": ["a", "h"], "support": ["p", "q", "r", "u"], "node_count": 4}\n'
-            '{"intent": ["a", "b"], "support": ["u", "x", "y"], "node_count": 3}\n'
+            f'{{"intent": ["a"], "support": {{"p": {tick}, "q": {tick}, "r": {tick}, '
+            f'"u": {tick}, "x": {tick}, "y": {tick}}}, "support_measure": 6, "node_count": 6}}\n'
+            f'{{"intent": ["a", "g", "h"], "support": {{"p": {tick}, "q": {tick}, "r": {tick}}}, '
+            f'"support_measure": 3, "node_count": 3}}\n'
+            f'{{"intent": ["a", "h"], "support": {{"p": {tick}, "q": {tick}, "r": {tick}, '
+            f'"u": {tick}}}, "support_measure": 4, "node_count": 4}}\n'
+            f'{{"intent": ["a", "b"], "support": {{"u": {tick}, "x": {tick}, "y": {tick}}}, '
+            f'"support_measure": 3, "node_count": 3}}\n'
         )

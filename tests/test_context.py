@@ -63,7 +63,7 @@ class TestExtent:
 
     def test_zero_presence_nodes_never_appear(self):
         u = ItemUniverse(["a"])
-        s = StreamGraph({("x", "y"): [(0, 1)]}, nodes=["x", "y", "z"])
+        s = StreamGraph({("x", "y"): [(0, 1)]}, presence={"x": [(0, 1)], "y": [(0, 1)], "z": []})
         ctx = AttributeContext(u, {"z": u.mask_of("a")})
         assert "z" not in extent(u.mask_of("a"), ctx, s)
 

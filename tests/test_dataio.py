@@ -36,7 +36,6 @@ class TestIngest:
     def test_empty_input(self):
         s = ingest_link_stream([], 20)
         assert s.nodes == ()
-        assert s.horizon == (0, 0)
 
     def test_quadruples_taken_verbatim(self):
         s = ingest_link_stream([(1, 3, "a", "b"), (7, 8, "a", "b")], 20)
@@ -51,10 +50,6 @@ class TestIngest:
             ingest_link_stream([(5, "a", "a")], 5)
         s = ingest_link_stream([(0, 2, "a", "a")], 5, directed=True)
         assert s.pair("a", "a") == IntervalSet.span(0, 2)
-
-    def test_record_outside_declared_horizon(self):
-        with pytest.raises(ParseError, match="outside horizon"):
-            ingest_link_stream([(0, 9, "a", "b")], 5, horizon=(0, 5))
 
     @pytest.mark.parametrize("record", [(1.5, 3.7, "a", "b"), (20.5, "a", "b")])
     def test_non_integer_ticks_are_refused(self, record):
@@ -200,6 +195,17 @@ class TestReadLinkStream:
         with pytest.raises(ParseError, match=error):
             read(path)
 
+    @pytest.mark.parametrize("read, rows, row", [
+        (read_link_stream, ["20,,b", "40,a,b"], 1),
+        (reference_read_link_stream, ["20,,b", "40,a,b"], 1),
+        (read_link_stream, ["0,5,a,b", "1,6,a,"], 2),
+        (reference_read_link_stream, ["0,5,a,b", "1,6,a,"], 2),
+        (read_presence, ["0,5,a", "0,5,"], 2),
+    ])
+    def test_an_empty_node_name_is_refused(self, read, rows, row):
+        with pytest.raises(ParseError, match=f"^row {row}: empty node name$"):
+            read(rows)
+
     def test_wrong_column_count_after_first_row(self):
         with pytest.raises(ParseError, match="expected 4 columns"):
             read_link_stream(["1 3 a b", "4 a b"])
@@ -211,8 +217,7 @@ def _outcome(read, data, **kwargs):
         s = read(data, **kwargs)
     except (ValueError, TypeError) as err:
         return type(err), str(err)
-    return (dict(s.interaction_items()), {v: s.presence(v) for v in s.nodes}, s.nodes,
-            s.horizon, s.directed)
+    return dict(s.interaction_items()), {v: s.presence(v) for v in s.nodes}, s.nodes, s.directed
 
 
 def _write(path, text):
@@ -233,12 +238,18 @@ _separators = st.sampled_from([" ", "\t", "  ", ",", " , "])
 @st.composite
 def _rows(draw, width=None, stamps=st.one_of(_grid_stamps, _grid_stamps, _odd_stamps)):
     """One row of any kind, or a well-formed row of `width` columns."""
-    kinds = ["triple", "quad", "quad", "contact", "comment", "blank", "short"]
+    kinds = ["triple", "quad", "quad", "contact", "comment", "blank", "short", "gap"]
     kind = draw(st.sampled_from(kinds)) if width is None else kinds[width - 3]
     if kind == "comment":
         return "# " + draw(st.text("ab ,#", max_size=4))
     if kind == "blank":
         return draw(st.sampled_from(["", "  ", "\t"]))
+    if kind == "gap":  # a comma row with one field empty, a node name at times
+        fields = [draw(_grid_stamps), draw(_names), draw(_names)]
+        if draw(st.booleans()):  # a quadruple
+            fields.insert(1, str(int(fields[0]) + draw(st.integers(1, 12))))
+        fields[draw(st.integers(0, len(fields) - 1))] = ""
+        return draw(st.sampled_from([",", " , "])).join(fields)
     u = draw(_names)
     v = draw(_names if width is None else _names.filter(lambda v: v != u))
     if kind == "triple":
@@ -279,7 +290,6 @@ def _cases(draw):
         "resolution": st.sampled_from([1, 1, 2, 10]),
         "instant_extension_seconds": st.sampled_from([20.0, 20, 5, 5, 2.5, 0]),
         "directed": st.booleans(),
-        "horizon": st.sampled_from([None, None, None, (-1000, 1000), (0, 300)]),
         "presence": st.sampled_from([None, None, None,
                                      {v: IntervalSet.span(-1000, 1000) for v in "abc"}]),
     }))
@@ -356,7 +366,6 @@ class TestRecordSource:
     @given(records=_records, options=st.fixed_dictionaries({
         "instant_extension": st.sampled_from([20, 5, 0]),
         "directed": st.booleans(),
-        "horizon": st.sampled_from([None, (0, 40)]),
         "source": st.sampled_from(["", "s.txt"]),
     }))
     def test_a_generator_ingests_as_its_list_does(self, records, options):
@@ -424,7 +433,6 @@ class TestStreamRoundTrip:
         back = read_link_stream(path)
         assert dict(back.interaction_items()) == dict(s.interaction_items())
         assert back.presence_set() == s.presence_set()
-        assert back.horizon == s.horizon
 
     def test_random_streams(self, tmp_path):
         rng = random.Random(3)

@@ -18,7 +18,7 @@ from streamcores import (
     write_patterns,
 )
 from streamcores.dataio import ParseError
-from streamcores.mining import SUPPORT_MEASURES, write_static_patterns
+from streamcores.mining import SUPPORT_MEASURES
 from streamcores.oracle import (
     brute_enumerate,
     brute_static_enumerate,
@@ -61,7 +61,6 @@ class TestMineReferenceContext:
         records, _ = reference_records()
         assert records[0].items == ("a",)
         assert records[0].depth == 0
-        assert records[0].parent_item is None
 
     def test_invariants(self):
         stream, ctx = triple_context_stream()
@@ -413,13 +412,3 @@ class TestPatternFiles:
                         '"below_min_support": true}\n')
         [rec] = read_patterns(path)
         assert rec.below_min_support and not rec.support
-
-    def test_static_writer(self, tmp_path):
-        stream, ctx = compare_toy()
-        cfg = MinerConfig(core=CoreSpec.star_satellite(2), min_support=1)
-        records = mine(induced_static_graph(stream), ctx, cfg)
-        path = tmp_path / "static.jsonl"
-        write_static_patterns(records, path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert {tuple(r["intent"]) for r in rows} >= {("a", "b")}
-        assert all(r["support"] == sorted(r["support"]) for r in rows)

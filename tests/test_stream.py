@@ -34,7 +34,6 @@ class TestStreamGraph:
         s = StreamGraph({("a", "b"): [(0, 2)], ("a", "c"): [(5, 7)]})
         assert s.presence("a") == IntervalSet([(0, 2), (5, 7)])
         assert s.presence("b") == IntervalSet.span(0, 2)
-        assert s.horizon == (0, 7)
 
     def test_default_presence_matches_pairwise_unions(self):
         rng = random.Random(44)
@@ -62,26 +61,12 @@ class TestStreamGraph:
         with pytest.raises(ValueError):
             StreamGraph({("a", "b"): [(0, 5)]}, presence={"a": [(0, 3)], "b": [(0, 5)]})
 
-    def test_declared_horizon_is_checked(self):
-        with pytest.raises(ValueError):
-            StreamGraph({("a", "b"): [(0, 5)]}, horizon=(0, 3))
-
-    def test_non_integer_horizon_is_refused(self):
-        with pytest.raises(TypeError, match="horizon bounds must be integers"):
-            StreamGraph({("a", "b"): [(1, 3)]}, horizon=(0.5, 9.7))
-
-    @pytest.mark.parametrize("interactions", [{}, {("a", "b"): [(1, 3)]}])
-    def test_reversed_horizon_is_refused(self, interactions):
-        with pytest.raises(ValueError, match=r"horizon \(5, 0\) ends before it starts"):
-            StreamGraph(interactions, horizon=(5, 0))
-
-    def test_empty_horizon_is_accepted(self):
-        assert StreamGraph({}, horizon=(5, 5)).horizon == (5, 5)
-
-    def test_isolated_node_kept_with_empty_presence(self):
-        s = StreamGraph({("a", "b"): [(0, 1)]}, nodes=["a", "b", "z"])
-        assert "z" in s.nodes
-        assert not s.presence("z")
+    def test_node_with_empty_presence_is_no_node(self):
+        s = StreamGraph({("a", "b"): [(0, 1)]},
+                        presence={"a": [(0, 1)], "b": [(0, 1)], "z": []})
+        assert s.nodes == ("a", "b")
+        with pytest.raises(KeyError):
+            s.presence("z")
 
     def test_unknown_node_raises(self):
         s = StreamGraph({("a", "b"): [(0, 1)]})
@@ -107,10 +92,9 @@ class TestInducedStaticGraph:
         assert edges(g) == frozenset({("a", "b")})
 
     def test_everything_present_over_one_tick(self):
-        s = StreamGraph({("a", "b"): [(2, 4)], ("c", "b"): [(7, 9)]}, nodes=["a", "b", "c", "z"],
-                        directed=True)
+        s = StreamGraph({("a", "b"): [(2, 4)], ("c", "b"): [(7, 9)]}, directed=True)
         g = induced_static_graph(s)
-        assert g.directed and g.nodes == ("a", "b", "c") and g.horizon == (0, 1)
+        assert g.directed and g.nodes == ("a", "b", "c")
         assert all(ivs == IntervalSet.span(0, 1) for _, ivs in g.interaction_items())
         assert all(g.presence(v) == IntervalSet.span(0, 1) for v in g.nodes)
 
