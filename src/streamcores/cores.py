@@ -12,6 +12,16 @@ the substream induced by the current pair until nothing changes. After
 the first full pass, a pass re-prunes only the nodes next to a node of
 the other side that changed (a worklist), and the number of passes is
 capped by the measure of the two input sides.
+
+Whole-presence rule: both operators clip a pair's spans to its two
+endpoints' time-nodes in the input set, except when both entries are
+the stream's own presence objects (`own is stream.presence(u)`). Then
+the spans are taken as they are. That is sound because `StreamGraph`
+keeps every pair's spans inside both endpoints' presence: it derives
+the presence from the pairs, or checks a given presence against them,
+so the clip would return the spans unchanged. The identity test, not
+equality, makes the rule cost one pointer comparison per node; a set
+equal to the presence but built anew is clipped as before.
 """
 
 from __future__ import annotations
@@ -85,18 +95,25 @@ def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, list]:
     smaller side: u's whole stream adjacency, or the nodes of wp after u
     (wp's nodes are sorted once per call). Mining calls this on small
     supports of high-degree nodes, where wp is usually the smaller side.
+    A pair between two whole-presence nodes is not clipped (module
+    docstring).
     """
     active: Dict[str, list] = {}
     nodes = wp.nodes()
+    whole = {v for v in nodes if wp.get(v) is stream.presence(v)}
     for i, u in enumerate(nodes):
         own = wp.get(u)
+        own_whole = u in whole
         adjacency = stream.adjacency(u)
         if len(adjacency) <= len(nodes) - i - 1:
             pairs = ((v, ivs) for v, ivs in adjacency.items() if v > u and v in wp)
         else:
             pairs = ((v, adjacency[v]) for v in nodes[i + 1:] if v in adjacency)
         for v, ivs in pairs:
-            clipped = ivs.intersect(own).intersect(wp.get(v))
+            if own_whole and v in whole:
+                clipped = ivs
+            else:
+                clipped = ivs.intersect(own).intersect(wp.get(v))
             if clipped:
                 active.setdefault(u, []).append((v, clipped))
                 active.setdefault(v, []).append((u, clipped))
@@ -166,6 +183,9 @@ def bha_bicore(
     loop stops after a pass that leaves no hub to re-prune, i.e. one in
     which no authority with a hub in-neighbour changed.
 
+    A pair between two nodes whose entries are still their whole
+    presence is not clipped (module docstring).
+
     Bound: every pass but the last removes at least one node-tick from
     the authorities and neither side ever gains one, so at most
     w1.measure() + w2.measure() + 1 passes run.
@@ -175,6 +195,7 @@ def bha_bicore(
     if h < 0 or a < 0:
         raise ValueError("thresholds must be non-negative")
 
+    presence = stream.presence
     hubs = dict(w1.items())
     auths = dict(w2.items())
     # (side, its threshold, its adjacency towards the other side, the other side)
@@ -191,10 +212,14 @@ def bha_bicore(
                     own = keep.get(u)
                     if own is None:
                         continue
+                    own_whole = own is presence(u)
                     clipped = []
                     for v, ivs in adjacency(u).items():
                         other = opposite.get(v)
                         if other is not None:
+                            if own_whole and other is presence(v):
+                                clipped.append(ivs)
+                                continue
                             got = ivs.intersect(own).intersect(other)
                             if got:
                                 clipped.append(got)

@@ -24,6 +24,17 @@ it. An excluded item is never tried: the child's support holds only its
 carriers (or nothing, whose intent is the full universe), so the closure
 would contain the item itself.
 
+Canonicity is also tested before the core. A queued candidate's core
+support is a subset of its carriers, and the intent is antitone in the
+node set, so the closure contains the items all carriers share (an
+empty core gives the full universe). When those shared items meet the
+frame's exclusion mask, the closure would too: the candidate is
+counted as pruned before the core, and its core never runs. LCM's
+prefix-preserving test rests on the same argument. The shared items
+are ANDed inline, not through `intent`, so that the calls to `intent`
+stay the closures taken. A candidate that passes this test can still
+be pruned after the core, by its support or by its closure.
+
 Items are tried in the universe's order, which `read_attributes` takes
 from the order in which items first appear in the attribute file.
 Under any item order the loop reaches each closed pattern exactly once,
@@ -146,7 +157,9 @@ def mine(
     records = [record(root_mask, root_support, root_size, 0)]
 
     full = universe.full_mask
-    tried = bound_pruned = core_calls = support_pruned = canonicity_pruned = 0
+    describe = ctx.description
+    tried = bound_pruned = core_calls = support_pruned = 0
+    pruned_before = pruned_after = 0  # by canonicity, before and after the core
 
     def frame(mask, support, excluded, depth) -> list:
         # [queue, excluded, depth]; the queue holds the candidates that pass
@@ -167,6 +180,14 @@ def mine(
         queue, excluded, depth = top
         while queue:
             bit, entries = queue.pop()
+            shared = excluded  # the excluded items every carrier holds
+            for v in entries:
+                if not shared:
+                    break
+                shared &= describe(v)
+            if shared:
+                pruned_before += 1
+                continue
             core_calls += 1
             support = apply_core(cfg.core, stream, TimeNodeSet._raw(entries))
             n = support.node_count() if count_nodes else support.measure()
@@ -175,7 +196,7 @@ def mine(
                 continue
             closed = intent(support, ctx)
             if closed & excluded:
-                canonicity_pruned += 1
+                pruned_after += 1
                 continue
             records.append(record(closed, support, n, depth + 1))
             stack.append(frame(closed, support, excluded, depth + 1))
@@ -184,10 +205,11 @@ def mine(
         else:
             stack.pop()
 
-    log.info("%d candidates: %d pruned by the support bound, %d core calls, "
-             "%d pruned by support after the core, %d pruned by canonicity, %d emitted",
-             tried, bound_pruned, core_calls, support_pruned, canonicity_pruned,
-             len(records) - 1)
+    log.info("%d candidates: %d pruned by the support bound, "
+             "%d pruned by canonicity before the core, %d core calls, "
+             "%d pruned by support after the core, %d pruned by canonicity after the core, "
+             "%d emitted", tried, bound_pruned, pruned_before, core_calls, support_pruned,
+             pruned_after, len(records) - 1)
     if cfg.min_intent_size:
         records = filter_min_intent(records, cfg.min_intent_size)
     return records

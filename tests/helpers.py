@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+import pytest
+
 from streamcores import (
     AttributeContext,
     ClosedPatternRecord,
@@ -20,6 +22,13 @@ from streamcores.context import extent, intent
 
 NODE_NAMES = ["a", "b", "c", "d", "e"]
 
+# (directed, presence) arguments of `random_stream` for differential tests;
+# the ids of the streams without an explicit presence are the bare flag
+STREAM_KINDS = [
+    pytest.param(directed, presence, id=f"{directed}-presence" if presence else f"{directed}")
+    for presence in (False, True) for directed in (False, True)
+]
+
 
 def random_stream(
     rng: random.Random,
@@ -29,7 +38,13 @@ def random_stream(
     max_intervals: int = 12,
     max_tick: int = 20,
     allow_empty: bool = False,
+    presence: bool = False,
 ) -> StreamGraph:
+    """A random stream; with `presence`, one built from an explicit presence.
+
+    That presence holds each node's pair spans plus random extra spans,
+    and an isolated node "z", so it is larger than the pairs imply.
+    """
     n = rng.randint(2, max_nodes)
     names = NODE_NAMES[:n]
     pairs = {}
@@ -40,7 +55,17 @@ def random_stream(
         b = rng.randint(a + 1, max_tick)
         key = (u, v) if directed else tuple(sorted((u, v)))
         pairs.setdefault(key, []).append((a, b))
-    return StreamGraph(pairs, directed=directed)
+    if not presence:
+        return StreamGraph(pairs, directed=directed)
+    spans = {}
+    for (u, v), got in pairs.items():
+        spans.setdefault(u, []).extend(got)
+        spans.setdefault(v, []).extend(got)
+    for v in [*names, "z"]:
+        for _ in range(rng.randint(v == "z", 2)):
+            a = rng.randint(0, max_tick - 1)
+            spans.setdefault(v, []).append((a, rng.randint(a + 1, max_tick)))
+    return StreamGraph(pairs, presence=spans, directed=directed)
 
 
 def random_context(rng: random.Random, stream: StreamGraph, max_items: int = 6) -> AttributeContext:
@@ -80,6 +105,23 @@ def random_subset(rng: random.Random, base: TimeNodeSet, max_tick: int = 20) -> 
         got = ivs.intersect(IntervalSet(picks))
         if got:
             entries[v] = got
+    return TimeNodeSet(entries)
+
+
+def random_mixed_subset(rng: random.Random, stream: StreamGraph) -> TimeNodeSet:
+    """A subset of the stream's presence that keeps some nodes' presence objects.
+
+    Each node keeps its presence object itself, gets a random subset of it
+    (a new object) or is left out, so a core sees pairs with both, one or
+    neither endpoint whole.
+    """
+    entries = {}
+    for v, ivs in stream.presence_set().items():
+        pick = rng.randrange(3)
+        if pick == 0:
+            entries[v] = ivs
+        elif pick == 1:
+            entries[v] = random_subset(rng, TimeNodeSet({v: ivs})).get(v)
     return TimeNodeSet(entries)
 
 

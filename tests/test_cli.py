@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -435,6 +437,37 @@ class TestSelectCommand:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == b""
+
+
+def test_commands_leave_no_reference_cycles_of_their_own(demo, tmp_path):
+    # main keeps the cyclic collector off while a command runs, so what the
+    # data path allocates must be freed by reference counting alone. The
+    # parser leaves the same cycles whatever the input: a toy and a larger
+    # stream must leave as many unreachable objects, command by command
+    rng = random.Random(7)
+    nodes = [f"n{i:02d}" for i in range(40)]
+    big = tmp_path / "big.txt"
+    big.write_text("".join(f"{20 * (t // 3)} {' '.join(rng.sample(nodes, 2))}\n"
+                           for t in range(3, 1500)))
+    big_attrs = tmp_path / "big_attrs.csv"
+    items = [f"i{j}" for j in range(6)]
+    big_attrs.write_text("".join(f"{v},{';'.join(rng.sample(items, 3))}\n" for v in nodes))
+
+    def cycles_left(stream, attributes, min_support):
+        out, selected = tmp_path / "patterns.jsonl", tmp_path / "selected.jsonl"
+        found = []
+        for argv in (["mine", "--stream", stream, "--attributes", attributes,
+                      "--core", "star-sat:2", "--min-support", min_support, "--output", out],
+                     ["select", "--input", out, "--beta", 0.4, "--output", selected]):
+            gc.collect()
+            assert run(*argv) == 0
+            assert gc.isenabled()
+            found.append(gc.collect())
+        assert len(read_patterns(out)) > 1
+        return found
+
+    toy = cycles_left(demo["compare_stream"], demo["compare_attrs"], 1)
+    assert cycles_left(big, big_attrs, 50) == toy
 
 
 class TestInspectCommand:

@@ -19,7 +19,9 @@ from streamcores.oracle import brute_core, brute_static_core, discretize, sample
 from streamcores.toys import bipartite_toy_stream, compare_toy, star_toy_stream
 
 from helpers import (
+    STREAM_KINDS,
     random_core_spec,
+    random_mixed_subset,
     random_stream,
     random_subset,
     timenodes_close,
@@ -204,10 +206,10 @@ class TestApplyCore:
 
 
 class TestInteriorLaws:
-    def _instances(self, seed, count, directed):
+    def _instances(self, seed, count, directed, presence=False):
         rng = random.Random(seed)
         for _ in range(count):
-            s = random_stream(rng, directed=directed)
+            s = random_stream(rng, directed=directed, presence=presence)
             spec = random_core_spec(rng, directed)
             x = random_subset(rng, s.presence_set())
             yield s, spec, x, rng
@@ -222,11 +224,15 @@ class TestInteriorLaws:
             inner = apply_core(spec, s, smaller)
             assert inner.issubset(once), "not monotone"
 
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_matches_brute_force(self, directed):
-        for s, spec, x, _ in self._instances(31 + directed, 120, directed):
+    @pytest.mark.parametrize("directed,presence", STREAM_KINDS)
+    def test_matches_brute_force(self, directed, presence):
+        for s, spec, x, rng in self._instances(31 + directed + 2 * presence, 120, directed,
+                                               presence):
             d = discretize(s)
-            assert sample_set(apply_core(spec, s, x)) == brute_core(d, sample_set(x), spec)
+            # random_subset builds new entries, which the core clips; a pair
+            # between two of the stream's own presence objects is not clipped
+            for y in (x, s.presence_set(), random_mixed_subset(rng, s)):
+                assert sample_set(apply_core(spec, s, y)) == brute_core(d, sample_set(y), spec)
 
     def test_bicore_monotone_componentwise(self):
         rng = random.Random(40)

@@ -238,8 +238,11 @@ _separators = st.sampled_from([" ", "\t", "  ", ",", " , "])
 @st.composite
 def _rows(draw, width=None, stamps=st.one_of(_grid_stamps, _grid_stamps, _odd_stamps)):
     """One row of any kind, or a well-formed row of `width` columns."""
-    kinds = ["triple", "quad", "quad", "contact", "comment", "blank", "short", "gap"]
-    kind = draw(st.sampled_from(kinds)) if width is None else kinds[width - 3]
+    if width is None:
+        kind = draw(st.sampled_from(["triple", "quad", "quad", "contact",
+                                     "comment", "blank", "short", "gap"]))
+    else:
+        kind = {3: "triple", 4: "quad", 5: "contact"}[width]
     if kind == "comment":
         return "# " + draw(st.text("ab ,#", max_size=4))
     if kind == "blank":

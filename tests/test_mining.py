@@ -29,6 +29,7 @@ from streamcores.oracle import (
 from streamcores.toys import compare_toy, simultaneous_toy, triple_context_stream
 
 from helpers import (
+    STREAM_KINDS,
     assert_mining_invariants,
     mining_records,
     permuted_context,
@@ -201,19 +202,21 @@ class TestMineAgainstReference:
     """Occurrence deliver, the support bound and the excluded-item skip change no record."""
 
     @pytest.mark.parametrize("measure", SUPPORT_MEASURES)
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_records_equal_field_by_field(self, directed, measure):
-        rng = random.Random(4242 + 2 * directed + SUPPORT_MEASURES.index(measure))
+    @pytest.mark.parametrize("directed,presence", STREAM_KINDS)
+    def test_records_equal_field_by_field(self, directed, presence, measure):
+        rng = random.Random(4242 + 2 * directed + SUPPORT_MEASURES.index(measure) + 4 * presence)
         for _ in range(80):
-            s = random_stream(rng, directed=directed, max_intervals=16)
+            s = random_stream(rng, directed=directed, max_intervals=16, presence=presence)
             ctx, cfg = random_config(rng, random_context(rng, s), directed, measure)
             got = [vars(rec) for rec in mine(s, ctx, cfg)]
             assert got == [vars(rec) for rec in reference_mine(s, ctx, cfg)]
 
 
 SEARCH_LOG = re.compile(
-    r"(\d+) candidates: (\d+) pruned by the support bound, (\d+) core calls, "
-    r"(\d+) pruned by support after the core, (\d+) pruned by canonicity, (\d+) emitted"
+    r"(\d+) candidates: (\d+) pruned by the support bound, "
+    r"(\d+) pruned by canonicity before the core, (\d+) core calls, "
+    r"(\d+) pruned by support after the core, (\d+) pruned by canonicity after the core, "
+    r"(\d+) emitted"
 )
 
 
@@ -232,7 +235,7 @@ class TestSearchCounters:
         # tried: b, c, d under a; c, d under ab; d under abc (no carrier, so
         # the bound drops it); d under ac. Every other item is in its frame's
         # intent or already finished.
-        assert counts == [7, 1, 6, 0, 0, 6]
+        assert counts == [7, 1, 0, 6, 0, 0, 6]
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_pruned_and_emitted_add_up_to_candidates(self, caplog, directed):
@@ -243,9 +246,9 @@ class TestSearchCounters:
                                      SUPPORT_MEASURES[trial % 2])
             cfg.min_intent_size = 0
             records, counts = self.counters(caplog, s, ctx, cfg)
-            tried, bound, cores, support, canonicity, emitted = counts
-            assert bound + support + canonicity + emitted == tried
-            assert cores == tried - bound
+            tried, bound, before, cores, support, after, emitted = counts
+            assert bound + before + cores == tried
+            assert support + after + emitted == cores
             assert emitted == len(records) - 1
 
 
