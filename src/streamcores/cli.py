@@ -10,9 +10,13 @@ manifest. `RunManifest` holds the default of every option it records;
 the parsers set none. Every command checks its options before it reads
 a file, the paths it will write among them: `--output` and its
 manifest, `--stream-output` and `--static-output` must not be a
-directory and their directory must exist, or the command exits 2
-naming the option. A star-satellite core on a directed stream, or a
-hub-authority core on an undirected one, exits 2 before any read too.
+directory, their directory must exist, and none may resolve to a file
+the command reads (`--stream`, `--attributes`, `--presence`, `--input`
+or `--manifest`), or the command exits 2 naming the options. The one
+input a run may rewrite is the manifest of a `--manifest` re-run, when
+it is the manifest next to the output. A star-satellite core on a
+directed stream, or a hub-authority core on an undirected one, exits 2
+before any read too.
 Items are mined in the order they first appear in the attribute file;
 there is no item-order option.
 
@@ -34,7 +38,13 @@ The cyclic garbage collector is off while a command runs (`main`
 turns it off after parsing the arguments and back on when the command
 returns or raises). Reading, mining, selecting and writing build no
 reference cycles, so its scans would free nothing; reference counting
-frees everything they allocate.
+frees everything they allocate. `entry`, which runs `main` as a
+process, freezes the heap (`gc.freeze`) before it exits, so that the
+interpreter's collection at exit skips every object, module objects
+included: that scan would free nothing, and skipping it cut the time
+after `main` returns from 5.3 to 1.7 ms of a 35 ms `select` process
+(`BENCH_19.json`). `main` itself freezes nothing, since tests call it
+in process.
 
 Exit codes: 0 success, 1 input error, 2 configuration error,
 3 invariant violation, 141 standard output closed by its reader.
@@ -49,9 +59,8 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Sequence, get_args, get_type_hints
+from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
 
 from . import dataio
 from .context import AttributeContext, ItemUniverse, extent, intent
@@ -79,9 +88,13 @@ _JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", type(None): "null"}
 
 
-@dataclass
 class RunManifest:
-    """Everything needed to reproduce a run."""
+    """Everything needed to reproduce a run.
+
+    The annotated class attributes are the fields, in the order a
+    manifest file lists them, with their defaults; an instance holds
+    the fields it was given.
+    """
 
     command: str
     stream: Optional[str] = None
@@ -102,9 +115,15 @@ class RunManifest:
     g: str = "duration"
     static_min_support: int = 1
 
+    def __init__(self, command: str, **values) -> None:
+        # callers pass only field names; a field not given reads its default
+        self.command = command
+        self.__dict__.update(values)
+
     def write(self, path: Path) -> None:
+        record = {name: getattr(self, name) for name in self.__annotations__}
         with dataio.open_output(path) as handle:
-            handle.write(json.dumps(asdict(self), indent=2) + "\n")
+            handle.write(json.dumps(record, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
@@ -121,7 +140,7 @@ class RunManifest:
         if order != "file":
             raise ConfigError(f"manifest field item_order is {order!r}: items are mined "
                               f"in attribute-file order only, so the run cannot be reproduced")
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = data.keys() - cls.__annotations__.keys()
         if unknown:
             raise ConfigError(f"manifest has unknown fields: {sorted(unknown)}")
         hints = get_type_hints(cls)
@@ -137,8 +156,8 @@ class RunManifest:
 
 def _manifest_from_args(command: str, args: argparse.Namespace) -> RunManifest:
     # the parsers set no defaults: a field is in `args` only when it was given
-    given = {f.name: getattr(args, f.name) for f in fields(RunManifest)
-             if f.name != "command" and hasattr(args, f.name)}
+    given = {name: getattr(args, name) for name in RunManifest.__annotations__
+             if name != "command" and hasattr(args, name)}
     if getattr(args, "manifest", None):
         if given:
             options = ", ".join("--" + name.replace("_", "-") for name in given)
@@ -158,23 +177,41 @@ def _manifest_path(output: str) -> Path:
     return out.with_name(out.name + ".manifest.json")
 
 
-def _check_output(option: str, path: str) -> None:
+def _inputs(manifest: RunManifest) -> Dict[str, str]:
+    """The real path of each file `manifest`'s run reads, mapped to its option."""
+    return {os.path.realpath(path): "--" + name
+            for name in ("stream", "attributes", "presence", "input")
+            if (path := getattr(manifest, name))}
+
+
+def _check_output(option: str, path: str, inputs: Dict[str, str]) -> None:
     """Refuse, naming `option`, an output path that cannot be created.
 
-    Its directory must exist and the path must not be a directory; a
-    symlink is judged by its target. Called before any input is read.
+    Its directory must exist, the path must not be a directory, and it
+    must not be one of `inputs` (`_inputs`), so that no run replaces a
+    file it reads; a symlink is judged by its target. Called before any
+    input is read.
     """
-    real = Path(os.path.realpath(path))
-    if real.is_dir():
+    real = os.path.realpath(path)
+    if real in inputs:
+        raise ConfigError(f"{option}: cannot write {path}, which {inputs[real]} reads")
+    if os.path.isdir(real):
         raise ConfigError(f"{option}: cannot write {path}, a directory")
-    if not real.parent.is_dir():
+    if not os.path.isdir(os.path.dirname(real)):
         raise ConfigError(f"{option}: cannot write {path}, its directory does not exist")
 
 
-def _check_run_output(output: str) -> None:
-    """`_check_output` for the --output of mine or select and the manifest next to it."""
-    _check_output("--output", output)  # first, so that the manifest path has a file name
-    _check_output("--output", str(_manifest_path(output)))
+def _check_run_output(manifest: RunManifest, rerun: Optional[str]) -> None:
+    """`_check_output` for the --output of mine or select and the manifest next to it.
+
+    `rerun` is the --manifest file, if any: the run rewrites it when it
+    is the manifest next to the output, so only --output may not be it.
+    """
+    inputs = _inputs(manifest)
+    # first, so that the manifest path has a file name
+    _check_output("--output", manifest.output,
+                  {**inputs, os.path.realpath(rerun): "--manifest"} if rerun else inputs)
+    _check_output("--output", str(_manifest_path(manifest.output)), inputs)
 
 
 def _parse_betas(text: str) -> List[float]:
@@ -232,7 +269,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("mine", args)
     if not manifest.output:
         raise ConfigError("mine needs --output")
-    _check_run_output(manifest.output)
+    _check_run_output(manifest, getattr(args, "manifest", None))
     stream, ctx, cfg = _mining_setup(manifest)
 
     started = time.perf_counter()
@@ -261,7 +298,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     # the whole configuration is checked before any file is read or written
     cfg = SelectionConfig(beta=manifest.beta, g=manifest.g)
     betas = _parse_betas(manifest.betas)
-    _check_run_output(manifest.output)
+    _check_run_output(manifest, getattr(args, "manifest", None))
     records = read_patterns(manifest.input)
     usable = [rec for rec in records if not rec.below_min_support]
     if len(usable) < len(records):
@@ -308,10 +345,11 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("static-compare", args)
     # checked with the other options, before any file is read
     MinerConfig(min_support=manifest.static_min_support).check()
+    inputs = _inputs(manifest)
     for option, path in (("--stream-output", args.stream_output),
                          ("--static-output", args.static_output)):
         if path:
-            _check_output(option, path)
+            _check_output(option, path, inputs)
     stream, ctx, cfg = _mining_setup(manifest)
 
     stream_records = [rec for rec in mine(stream, ctx, cfg) if not rec.below_min_support]
@@ -448,6 +486,7 @@ def entry() -> None:
         # that the flush at exit does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    gc.freeze()  # the collection at exit would free nothing (module docstring)
     sys.exit(code)
 
 

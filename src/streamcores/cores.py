@@ -26,27 +26,38 @@ equal to the presence but built anew is clipped as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 from .intervals import EMPTY, IntervalSet, coverage_at_least
 from .stream import StreamGraph, TimeNodeSet
 
 
-@dataclass(frozen=True)
 class CoreSpec:
-    """Which core operator to run, with its thresholds."""
+    """Which core operator to run, with its thresholds; immutable and hashable."""
 
-    kind: str  # "identity" | "star-sat" | "ha"
-    k: int = 0
-    h: int = 0
-    a: int = 0
+    __slots__ = ("kind", "k", "h", "a")
 
-    def __post_init__(self):
-        if self.kind not in ("identity", "star-sat", "ha"):
-            raise ValueError(f"unknown core kind {self.kind!r}")
-        if min(self.k, self.h, self.a) < 0:
+    def __init__(self, kind: str, k: int = 0, h: int = 0, a: int = 0) -> None:
+        if kind not in ("identity", "star-sat", "ha"):
+            raise ValueError(f"unknown core kind {kind!r}")
+        if min(k, h, a) < 0:
             raise ValueError("core thresholds must be non-negative")
+        for name, value in (("kind", kind), ("k", k), ("h", h), ("a", a)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CoreSpec is immutable: cannot set {name}")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.k, self.h, self.a)
+
+    def __eq__(self, other):
+        if type(other) is not CoreSpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def identity(cls) -> "CoreSpec":
@@ -77,12 +88,12 @@ class CoreSpec:
         raise ValueError(f"bad core spec {text!r}")
 
 
-@dataclass(frozen=True)
 class BiCoreResult:
     """Both sides of a bi-core: stars/hubs on the left, satellites/authorities on the right."""
 
-    left: TimeNodeSet
-    right: TimeNodeSet
+    def __init__(self, left: TimeNodeSet, right: TimeNodeSet) -> None:
+        self.left = left
+        self.right = right
 
     def flattened(self) -> TimeNodeSet:
         return self.left.union(self.right)

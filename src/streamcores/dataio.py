@@ -41,7 +41,6 @@ from __future__ import annotations
 import logging
 import os
 import stat
-from decimal import Decimal, InvalidOperation
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -139,6 +138,8 @@ def to_ticks(value: str | float | int, resolution: int, source: str, row: int) -
     else:
         # a product keeps a spare digit in memory, which adds up over many rows
         return seconds if resolution == 1 else seconds * resolution
+    # imported here: integer timestamps, the common case, never need it
+    from decimal import Decimal, InvalidOperation
     try:
         number = Decimal(text)
     except InvalidOperation:

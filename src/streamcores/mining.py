@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -64,12 +63,13 @@ log = logging.getLogger(__name__)
 SUPPORT_MEASURES = ("duration", "nodes")
 
 
-@dataclass
 class MinerConfig:
-    core: CoreSpec = field(default_factory=CoreSpec.identity)
-    min_support: int = 1
-    min_intent_size: int = 0
-    support_measure: str = "duration"  # threshold unit: node-ticks or distinct nodes
+    def __init__(self, core: CoreSpec = CoreSpec.identity(), min_support: int = 1,
+                 min_intent_size: int = 0, support_measure: str = "duration") -> None:
+        self.core = core
+        self.min_support = min_support
+        self.min_intent_size = min_intent_size
+        self.support_measure = support_measure  # threshold unit: node-ticks or distinct nodes
 
     def check(self) -> None:
         """Check every setting; a ValueError if one is bad."""
@@ -81,15 +81,17 @@ class MinerConfig:
             raise ValueError(f"support measure must be one of {SUPPORT_MEASURES}")
 
 
-@dataclass
 class ClosedPatternRecord:
-    items: Tuple[str, ...]  # universe order
-    support: TimeNodeSet
-    support_measure: int  # node-ticks
-    node_count: int
-    mask: Optional[Pattern] = None
-    depth: int = 0
-    below_min_support: bool = False
+    def __init__(self, items: Tuple[str, ...], support: TimeNodeSet, support_measure: int,
+                 node_count: int, mask: Optional[Pattern] = None, depth: int = 0,
+                 below_min_support: bool = False) -> None:
+        self.items = items  # universe order
+        self.support = support
+        self.support_measure = support_measure  # node-ticks
+        self.node_count = node_count
+        self.mask = mask
+        self.depth = depth
+        self.below_min_support = below_min_support
 
 
 def _deliver(

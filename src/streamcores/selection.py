@@ -22,7 +22,6 @@ and every scan of its sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .mining import ClosedPatternRecord
@@ -41,16 +40,14 @@ def interest_key(g: str) -> Callable[[ClosedPatternRecord], tuple]:
     return lambda rec: (-measure(rec), tuple(sorted(rec.items)))
 
 
-@dataclass
 class SelectionConfig:
-    beta: float = 0.0
-    g: str = "duration"
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
+    def __init__(self, beta: float = 0.0, g: str = "duration") -> None:
+        if not 0.0 <= beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.g not in INTEREST_MEASURES:
+        if g not in INTEREST_MEASURES:
             raise ValueError(f"interestingness measure must be one of {tuple(INTEREST_MEASURES)}")
+        self.beta = beta
+        self.g = g
 
 
 def temporal_jaccard_distance(

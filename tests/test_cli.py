@@ -97,6 +97,64 @@ def test_an_output_that_cannot_be_written_is_refused_before_any_file_is_read(
     assert err.startswith("configuration error:") and named in err
 
 
+_TINY = ["--stream", "tiny_stream.csv", "--presence", "tiny_presence.csv",
+         "--attributes", "tiny_attrs.csv", "--core", "identity"]
+
+
+@pytest.mark.parametrize("argv,named,victim", [
+    pytest.param(argv, named, victim, id=id_)
+    for id_, argv, named, victim in [
+        ("mine over its stream", ["mine", *_TINY, "--output", "tiny_stream.csv"],
+         ("--output", "--stream"), "tiny_stream.csv"),
+        ("mine over its presence", ["mine", *_TINY, "--output", "tiny_presence.csv"],
+         ("--output", "--presence"), "tiny_presence.csv"),
+        ("mine over its attributes", ["mine", *_TINY, "--output", "tiny_attrs.csv"],
+         ("--output", "--attributes"), "tiny_attrs.csv"),
+        ("mine through a symlink", ["mine", *_TINY, "--output", "link.jsonl"],
+         ("--output", "--stream"), "tiny_stream.csv"),
+        ("mine's manifest over its stream",
+         ["mine", *_TINY[2:], "--stream", "out.jsonl.manifest.json", "--output", "out.jsonl"],
+         ("--output", "--stream"), "out.jsonl.manifest.json"),
+        ("mine --manifest over its stream", ["mine", "--manifest", "mine.json"],
+         ("--output", "--stream"), "tiny_stream.csv"),
+        ("select over its input",
+         ["select", "--input", "patterns.jsonl", "--output", "patterns.jsonl"],
+         ("--output", "--input"), "patterns.jsonl"),
+        ("select --manifest over its input", ["select", "--manifest", "select.json"],
+         ("--output", "--input"), "patterns.jsonl"),
+        ("select over its --manifest", ["select", "--manifest", "own.json"],
+         ("--output", "--manifest"), "own.json"),
+        ("static-compare over its stream",
+         ["static-compare", *_TINY, "--stream-output", "tiny_stream.csv"],
+         ("--stream-output", "--stream"), "tiny_stream.csv"),
+        ("static-compare over its attributes",
+         ["static-compare", *_TINY, "--static-output", "./tiny_attrs.csv"],
+         ("--static-output", "--attributes"), "tiny_attrs.csv"),
+    ]
+])
+def test_an_output_that_is_an_input_is_refused_before_any_file_is_read(
+        tmp_path, monkeypatch, capsys, argv, named, victim):
+    monkeypatch.chdir(tmp_path)
+    write_demo_files(tmp_path)
+    assert run("mine", *_TINY, "--output", "patterns.jsonl") == 0
+    (tmp_path / "out.jsonl.manifest.json").write_bytes((tmp_path / "tiny_stream.csv").read_bytes())
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "tiny_stream.csv")
+    for name, manifest in [
+        ("mine", {"command": "mine", "stream": "tiny_stream.csv", "output": "tiny_stream.csv"}),
+        ("select", {"command": "select", "input": "patterns.jsonl", "output": "patterns.jsonl"}),
+        ("own", {"command": "select", "input": "patterns.jsonl", "output": "own.json"}),
+    ]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(manifest))
+    before = (tmp_path / victim).read_bytes()
+    capsys.readouterr()
+    assert run(*argv) == 2
+    output, source = named
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {output}: cannot write ")
+    assert err.endswith(f", which {source} reads\n")
+    assert (tmp_path / victim).read_bytes() == before
+
+
 class TestMineCommand:
     def test_reference_context(self, demo, tmp_path, capsys):
         out = tmp_path / "patterns.jsonl"
@@ -468,6 +526,86 @@ def test_commands_leave_no_reference_cycles_of_their_own(demo, tmp_path):
 
     toy = cycles_left(demo["compare_stream"], demo["compare_attrs"], 1)
     assert cycles_left(big, big_attrs, 50) == toy
+
+
+def _python(args, cwd="."):
+    """A fresh interpreter on `args`, importing this package, with its output piped."""
+    env = dict(os.environ, PYTHONPATH=str(Path(selection.__file__).parents[1]))
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _cli_process(argv, cwd):
+    return _python(["-m", "streamcores.cli", *argv], cwd)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_decimal():
+    # every CLI process pays for what it imports; what `site` loaded before does not count
+    done = _python(["-c", "import sys; before = set(sys.modules); import streamcores.cli; "
+                          "print(*sorted(set(sys.modules) - before))"])
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "streamcores.cli" in loaded
+    assert not {"dataclasses", "inspect", "decimal"} & set(loaded)
+
+
+class TestProcessExit:
+    """`entry` freezes the heap before the interpreter exits; the process loses nothing."""
+
+    MINE = ["mine", "--stream", "compare_toy.csv", "--attributes", "compare_toy_attrs.csv",
+            "--core", "star-sat:2", "--output", "patterns.jsonl"]
+    SELECT = ["select", "--input", "patterns.jsonl", "--beta", 0.4, "--output", "selected.jsonl"]
+    OUTPUTS = ["patterns.jsonl", "patterns.jsonl.manifest.json",
+               "selected.jsonl", "selected.jsonl.manifest.json"]
+
+    def test_processes_write_and_print_what_main_does(self, tmp_path, monkeypatch, capsys):
+        in_process, processes = tmp_path / "main", tmp_path / "processes"
+        write_demo_files(in_process)
+        write_demo_files(processes)
+        monkeypatch.chdir(in_process)
+        printed = []
+        for argv in (self.MINE, self.SELECT):
+            assert run(*argv) == 0
+            printed.append(capsys.readouterr().out)
+        for argv, want in zip((self.MINE, self.SELECT), printed):
+            done = _cli_process(argv, processes)
+            assert done.returncode == 0, done.stderr
+            # mine's wall time is the one line that may differ
+            assert ([line for line in done.stdout.splitlines() if not line.startswith("wall")]
+                    == [line for line in want.splitlines() if not line.startswith("wall")])
+        sweep = [line for line in done.stdout.splitlines() if line.startswith("  beta=")]
+        assert [line.split(" kept=")[0] for line in sweep] == [
+            f"  beta={beta}" for beta in ("0", "0.2", "0.4", "0.6", "0.8")]
+        for name in self.OUTPUTS:
+            assert (processes / name).read_bytes() == (in_process / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv,code,line", [
+        (["mine", "--stream", "missing.csv", "--output", "out.jsonl"], 1,
+         "input error: [Errno 2] No such file or directory: 'missing.csv'"),
+        (["mine", "--stream", "compare_toy.csv", "--min-support", 0, "--output", "out.jsonl"], 2,
+         "configuration error: minimum support must be positive"),
+    ])
+    def test_errors_keep_their_exit_code_and_message(self, tmp_path, argv, code, line):
+        write_demo_files(tmp_path)
+        done = _cli_process(argv, tmp_path)
+        assert done.returncode == code
+        assert done.stderr.splitlines() == [line]
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_main_freezes_nothing_and_restores_the_collector(
+            self, tmp_path, monkeypatch, collecting):
+        write_demo_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert gc.get_freeze_count() == 0
+        (gc.enable if collecting else gc.disable)()
+        try:
+            for argv in (self.MINE, self.SELECT):
+                assert run(*argv) == 0
+                assert gc.get_freeze_count() == 0
+                assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
 
 
 class TestInspectCommand:

@@ -16,7 +16,6 @@ and authority thresholds mines the same records in the same order.
 """
 
 import json
-from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -117,7 +116,9 @@ def test_scaling_ticks_and_the_threshold_scales_every_measure(tmp_path_factory, 
                           for v, spans in rec["support"].items()}
         rec["support_measure"] *= scale
     # the rows are read as seconds at `scale` ticks per second
-    scaled = replace(cfg, min_support=cfg.min_support * scale)
+    scaled = MinerConfig(core=cfg.core, min_support=cfg.min_support * scale,
+                         min_intent_size=cfg.min_intent_size,
+                         support_measure=cfg.support_measure)
     got = _parsed(_mined(tmp_path_factory, rows, directed, ctx, scaled, resolution=scale))
     assert got == want
 
@@ -160,5 +161,8 @@ def test_reversing_a_directed_stream_swaps_hubs_and_authorities(tmp_path_factory
     core = cfg.core
     if core.kind == "ha":  # the identity core has no sides to swap
         core = CoreSpec.hub_authority(core.a, core.h)
-    assert (_mined(tmp_path_factory, reversed_rows, directed, ctx, replace(cfg, core=core))
+    swapped = MinerConfig(core=core, min_support=cfg.min_support,
+                          min_intent_size=cfg.min_intent_size,
+                          support_measure=cfg.support_measure)
+    assert (_mined(tmp_path_factory, reversed_rows, directed, ctx, swapped)
             == _mined(tmp_path_factory, rows, directed, ctx, cfg))
