@@ -2,7 +2,6 @@
 
 from .context import AttributeContext, ItemUniverse, closure, extent, intent
 from .cores import (
-    BiCoreResult,
     CoreSpec,
     apply_core,
     apply_static_core,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributeContext",
-    "BiCoreResult",
     "ClosedPatternRecord",
     "CoreSpec",
     "EMPTY",

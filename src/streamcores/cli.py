@@ -12,11 +12,11 @@ a file, the paths it will write among them: `--output` and its
 manifest, `--stream-output` and `--static-output` must not be a
 directory, their directory must exist, and none may resolve to a file
 the command reads (`--stream`, `--attributes`, `--presence`, `--input`
-or `--manifest`), or the command exits 2 naming the options. The one
-input a run may rewrite is the manifest of a `--manifest` re-run, when
-it is the manifest next to the output. A star-satellite core on a
-directed stream, or a hub-authority core on an undirected one, exits 2
-before any read too.
+or `--manifest`) or to another of its outputs, or the command exits 2
+naming the options. The one input a run may rewrite is the manifest of
+a `--manifest` re-run, when it is the manifest next to the output. A
+star-satellite core on a directed stream, or a hub-authority core on an
+undirected one, exits 2 before any read too.
 Items are mined in the order they first appear in the attribute file;
 there is no item-order option.
 
@@ -47,7 +47,10 @@ after `main` returns from 5.3 to 1.7 ms of a 35 ms `select` process
 in process.
 
 Exit codes: 0 success, 1 input error, 2 configuration error,
-3 invariant violation, 141 standard output closed by its reader.
+3 invariant violation, 141 standard output closed by its reader. A data
+file that is not UTF-8 text, or a presence file that does not cover the
+stream, is an input error; a manifest that is not JSON text is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .cores import CoreSpec, apply_core
 from .mining import SUPPORT_MEASURES, MinerConfig, mine, read_patterns, write_patterns
 from .selection import (INTEREST_MEASURES, PairDistances, SelectionConfig, g_beta_select,
                         interest_key, selection_counts)
-from .stream import induced_static_graph
+from .stream import PresenceError, induced_static_graph
 
 log = logging.getLogger(__name__)
 
@@ -133,7 +136,10 @@ class RunManifest:
         order every run now mines in, so that field is dropped; a run
         recorded in any other item order cannot be reproduced.
         """
-        data = json.loads(Path(path).read_text())
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ConfigError(f"--manifest {path}: {err}") from None
         if type(data) is not dict or "command" not in data:
             raise ConfigError("a manifest must be a JSON object with a command field")
         order = data.pop("item_order", "file")
@@ -178,27 +184,29 @@ def _manifest_path(output: str) -> Path:
 
 
 def _inputs(manifest: RunManifest) -> Dict[str, str]:
-    """The real path of each file `manifest`'s run reads, mapped to its option."""
-    return {os.path.realpath(path): "--" + name
+    """The real path of each file `manifest`'s run reads, mapped to "<its option> reads"."""
+    return {os.path.realpath(path): f"--{name} reads"
             for name in ("stream", "attributes", "presence", "input")
             if (path := getattr(manifest, name))}
 
 
-def _check_output(option: str, path: str, inputs: Dict[str, str]) -> None:
-    """Refuse, naming `option`, an output path that cannot be created.
+def _check_output(option: str, path: str, taken: Dict[str, str]) -> str:
+    """Refuse, naming `option`, an output path that cannot be created; return its real path.
 
     Its directory must exist, the path must not be a directory, and it
-    must not be one of `inputs` (`_inputs`), so that no run replaces a
-    file it reads; a symlink is judged by its target. Called before any
-    input is read.
+    must not be one of `taken`: the files the command reads (`_inputs`)
+    and the outputs it checked before, so that no write replaces a file
+    the command reads or writes. A symlink is judged by its target.
+    Called before any input is read.
     """
     real = os.path.realpath(path)
-    if real in inputs:
-        raise ConfigError(f"{option}: cannot write {path}, which {inputs[real]} reads")
+    if real in taken:
+        raise ConfigError(f"{option}: cannot write {path}, which {taken[real]}")
     if os.path.isdir(real):
         raise ConfigError(f"{option}: cannot write {path}, a directory")
     if not os.path.isdir(os.path.dirname(real)):
         raise ConfigError(f"{option}: cannot write {path}, its directory does not exist")
+    return real
 
 
 def _check_run_output(manifest: RunManifest, rerun: Optional[str]) -> None:
@@ -207,11 +215,11 @@ def _check_run_output(manifest: RunManifest, rerun: Optional[str]) -> None:
     `rerun` is the --manifest file, if any: the run rewrites it when it
     is the manifest next to the output, so only --output may not be it.
     """
-    inputs = _inputs(manifest)
+    taken = _inputs(manifest)
+    reread = {os.path.realpath(rerun): "--manifest reads"} if rerun else {}
     # first, so that the manifest path has a file name
-    _check_output("--output", manifest.output,
-                  {**inputs, os.path.realpath(rerun): "--manifest"} if rerun else inputs)
-    _check_output("--output", str(_manifest_path(manifest.output)), inputs)
+    taken[_check_output("--output", manifest.output, {**taken, **reread})] = "--output writes"
+    _check_output("--output", str(_manifest_path(manifest.output)), taken)
 
 
 def _parse_betas(text: str) -> List[float]:
@@ -250,14 +258,17 @@ def _mining_setup(manifest: RunManifest):
     presence = None
     if manifest.presence:
         presence = dataio.read_presence(manifest.presence, resolution=manifest.resolution)
-    stream = dataio.read_link_stream(
-        manifest.stream,
-        fmt=manifest.format,
-        resolution=manifest.resolution,
-        instant_extension_seconds=manifest.delta,
-        directed=manifest.directed,
-        presence=presence,
-    )
+    try:
+        stream = dataio.read_link_stream(
+            manifest.stream,
+            fmt=manifest.format,
+            resolution=manifest.resolution,
+            instant_extension_seconds=manifest.delta,
+            directed=manifest.directed,
+            presence=presence,
+        )
+    except PresenceError as err:  # the two files disagree
+        raise dataio.ParseError(f"{err} in {manifest.stream}", manifest.presence) from None
     if manifest.attributes:
         ctx = dataio.read_attributes(manifest.attributes, stream=stream)
     else:
@@ -345,11 +356,11 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("static-compare", args)
     # checked with the other options, before any file is read
     MinerConfig(min_support=manifest.static_min_support).check()
-    inputs = _inputs(manifest)
+    taken = _inputs(manifest)
     for option, path in (("--stream-output", args.stream_output),
                          ("--static-output", args.static_output)):
         if path:
-            _check_output(option, path, inputs)
+            taken[_check_output(option, path, taken)] = f"{option} writes"
     stream, ctx, cfg = _mining_setup(manifest)
 
     stream_records = [rec for rec in mine(stream, ctx, cfg) if not rec.below_min_support]
@@ -463,10 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except dataio.ParseError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
+    except (dataio.ParseError, FileNotFoundError, IsADirectoryError, PermissionError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (ConfigError, ValueError) as err:

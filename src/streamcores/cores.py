@@ -11,7 +11,9 @@ out-degree and the authority side by in-degree, alternating passes on
 the substream induced by the current pair until nothing changes. After
 the first full pass, a pass re-prunes only the nodes next to a node of
 the other side that changed (a worklist), and the number of passes is
-capped by the measure of the two input sides.
+capped by the measure of the two input sides. `bha_bicore` returns the
+pair (hubs, authorities) and `ha_core` their union, as
+`star_satellite_split` returns (stars, satellites).
 
 Whole-presence rule: both operators clip a pair's spans to its two
 endpoints' time-nodes in the input set, except when both entries are
@@ -33,7 +35,7 @@ from .stream import StreamGraph, TimeNodeSet
 
 
 class CoreSpec:
-    """Which core operator to run, with its thresholds; immutable and hashable."""
+    """Which core operator to run, with its thresholds; immutable, compared by identity."""
 
     __slots__ = ("kind", "k", "h", "a")
 
@@ -47,17 +49,6 @@ class CoreSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CoreSpec is immutable: cannot set {name}")
-
-    def _key(self) -> tuple:
-        return (self.kind, self.k, self.h, self.a)
-
-    def __eq__(self, other):
-        if type(other) is not CoreSpec:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @classmethod
     def identity(cls) -> "CoreSpec":
@@ -88,24 +79,15 @@ class CoreSpec:
         raise ValueError(f"bad core spec {text!r}")
 
 
-class BiCoreResult:
-    """Both sides of a bi-core: stars/hubs on the left, satellites/authorities on the right."""
-
-    def __init__(self, left: TimeNodeSet, right: TimeNodeSet) -> None:
-        self.left = left
-        self.right = right
-
-    def flattened(self) -> TimeNodeSet:
-        return self.left.union(self.right)
-
-
 def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, list]:
     """Per-node neighbor intervals inside the substream induced by wp.
 
     Each pair u < v of wp is clipped once. For each u the loop walks the
     smaller side: u's whole stream adjacency, or the nodes of wp after u
     (wp's nodes are sorted once per call). Mining calls this on small
-    supports of high-degree nodes, where wp is usually the smaller side.
+    supports of high-degree nodes, where wp is usually the smaller side;
+    a root core of a sparse 6,000-node stream needs the adjacency side
+    (0.06 s, against 0.52 s walking wp only).
     A pair between two whole-presence nodes is not clipped (module
     docstring).
     """
@@ -163,10 +145,12 @@ def _stars_and_satellites(
     return stars, sats
 
 
-def star_satellite_split(stream: StreamGraph, wp: TimeNodeSet, k: int) -> BiCoreResult:
-    """Stars and satellites of the k-star-satellite core, separately."""
+def star_satellite_split(
+    stream: StreamGraph, wp: TimeNodeSet, k: int
+) -> Tuple[TimeNodeSet, TimeNodeSet]:
+    """(stars, satellites) of the k-star-satellite core."""
     stars, sats = _stars_and_satellites(stream, wp, k)
-    return BiCoreResult(TimeNodeSet._raw(stars), TimeNodeSet._raw(sats))
+    return TimeNodeSet._raw(stars), TimeNodeSet._raw(sats)
 
 
 def star_satellite_core(stream: StreamGraph, wp: TimeNodeSet, k: int) -> TimeNodeSet:
@@ -180,7 +164,7 @@ def star_satellite_core(stream: StreamGraph, wp: TimeNodeSet, k: int) -> TimeNod
 
 def bha_bicore(
     stream: StreamGraph, w1: TimeNodeSet, w2: TimeNodeSet, h: int, a: int
-) -> BiCoreResult:
+) -> Tuple[TimeNodeSet, TimeNodeSet]:
     """Greatest (hubs, authorities) pair of a directed stream.
 
     Hubs need out-degree >= h towards the authority side, authorities
@@ -247,13 +231,14 @@ def bha_bicore(
             for u in changed:
                 far.update(v for v in adjacency(u) if v in opposite)
         if not dirty[0]:
-            return BiCoreResult(TimeNodeSet._raw(hubs), TimeNodeSet._raw(auths))
+            return TimeNodeSet._raw(hubs), TimeNodeSet._raw(auths)
     raise RuntimeError("bi-core pruning failed to reach a fixed point within its bound")
 
 
 def ha_core(stream: StreamGraph, x: TimeNodeSet, h: int, a: int) -> TimeNodeSet:
     """Flattened hub-authority core: union of the two bi-core sides on (x, x)."""
-    return bha_bicore(stream, x, x, h, a).flattened()
+    hubs, authorities = bha_bicore(stream, x, x, h, a)
+    return hubs.union(authorities)
 
 
 def apply_core(spec: CoreSpec, stream: StreamGraph, x: TimeNodeSet) -> TimeNodeSet:

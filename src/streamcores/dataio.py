@@ -72,8 +72,8 @@ class ParseError(ValueError):
     """Malformed input with file/row context."""
 
     def __init__(self, message: str, source: str = "", row: int = 0):
-        where = f"{source}:{row}: " if source else f"row {row}: "
-        super().__init__(where + message)
+        place = f"{source}:{row}" if source and row else source or f"row {row}"
+        super().__init__(f"{place}: {message}")
         self.message = message
         self.source = source
         self.row = row
@@ -95,15 +95,47 @@ def _iter_rows(data: PathOrLines) -> Tuple[str, Iterator[Tuple[int, str]]]:
 
 
 def _line_batches(path: Path) -> Iterator[List[str]]:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         tail = ""
-        for chunk in iter(partial(handle.read, _CHUNK_CHARS), ""):
-            lines = (tail + chunk).splitlines()
-            # a chunk that does not end in a line break ends inside a row
-            tail = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
-            yield lines
+        try:
+            for chunk in iter(partial(handle.read, _CHUNK_CHARS), ""):
+                lines = (tail + chunk).splitlines()
+                # a chunk that does not end in a line break ends inside a row
+                tail = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
+                yield lines
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
         if tail:
             yield [tail]
+
+
+def text_lines(path: Union[str, Path]) -> Iterator[str]:
+    """The lines of the UTF-8 text file at `path`, as iterating the open file yields them."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
+
+
+def _undecodable(path: Union[str, Path]) -> ParseError:
+    """A ParseError naming the first line of `path` that is not UTF-8 text.
+
+    The decoder reads ahead, so the file is decoded again, one
+    b"\\n"-ended piece at a time. Lines are numbered where
+    `str.splitlines` cuts, as in `_iter_rows`.
+    """
+    line = 1
+    with open(path, "rb") as handle:
+        for raw in handle:
+            try:
+                line += len(raw.decode("utf-8").splitlines())
+            except UnicodeDecodeError as err:
+                # the lines before the bad byte's own, which the sentinel ends
+                line += len((raw[:err.start].decode("utf-8") + "|").splitlines()) - 1
+                return ParseError(f"not UTF-8 text: cannot decode byte 0x{raw[err.start]:02x}",
+                                  str(path), line)
+    return ParseError("not UTF-8 text", str(path))  # the file changed since it was read
 
 
 def _numbered(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:

@@ -4,6 +4,10 @@ Time is measured in integer ticks. An interval [a, b) covers the ticks
 a, a+1, ..., b-1, so its measure is b - a. The canonical form (sorted,
 pairwise disjoint, maximally merged, no empty pieces) is unique for a
 given point set, which makes structural equality set equality.
+
+It holds only the operations the pipeline runs. `intersect` bisects
+lopsided operands: no benchmark workload needs that, but star-sat:2 at
+support 600 on the contacts export takes 402 ms with it, 440 without.
 """
 
 from __future__ import annotations
@@ -101,20 +105,6 @@ class IntervalSet:
             return None
         return (self._spans[0][0], self._spans[-1][1])
 
-    def contains(self, tick: int) -> bool:
-        spans = self._spans
-        lo, hi = 0, len(spans)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            a, b = spans[mid]
-            if tick < a:
-                hi = mid
-            elif tick >= b:
-                lo = mid + 1
-            else:
-                return True
-        return False
-
     def union(self, other: "IntervalSet") -> "IntervalSet":
         if not self._spans:
             return other
@@ -153,29 +143,6 @@ class IntervalSet:
                 c, d = ys[j]
         return IntervalSet._raw(tuple(out))
 
-    def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        if not other._spans or not self._spans:
-            return self
-        ys = other._spans
-        out: list[Span] = []
-        j = 0
-        for a, b in self._spans:
-            cur = a
-            while j < len(ys) and ys[j][1] <= cur:
-                j += 1
-            k = j
-            while k < len(ys) and ys[k][0] < b:
-                c, d = ys[k]
-                if cur < c:
-                    out.append((cur, c))
-                cur = max(cur, d)
-                if d >= b:
-                    break
-                k += 1
-            if cur < b:
-                out.append((cur, b))
-        return IntervalSet._raw(tuple(out))
-
     def issubset(self, other: "IntervalSet") -> bool:
         j = 0
         ys = other._spans
@@ -188,7 +155,6 @@ class IntervalSet:
 
     __or__ = union
     __and__ = intersect
-    __sub__ = subtract
 
     def __bool__(self) -> bool:
         return bool(self._spans)

@@ -49,12 +49,13 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import closing
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core
-from .dataio import ParseError, open_output
+from .dataio import ParseError, open_output, text_lines
 from .intervals import IntervalSet
 from .stream import StreamGraph, TimeNodeSet
 
@@ -290,11 +291,12 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
     flagged `below_min_support`, raises `dataio.ParseError`. Values are
     checked, never coerced or repaired: an intent must be a list of
     strings, the support an object of canonical span lists (see
-    `_node_support`), and every number a plain integer.
+    `_node_support`), and every number a plain integer. A file that is
+    not UTF-8 text raises a ParseError naming its first such line.
     """
     records = []
-    with open(path) as handle:
-        for i, line in enumerate(handle, start=1):
+    with closing(text_lines(path)) as lines:
+        for i, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

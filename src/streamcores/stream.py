@@ -99,6 +99,10 @@ class TimeNodeSet:
         return f"TimeNodeSet({body})"
 
 
+class PresenceError(ValueError):
+    """A given presence that does not cover a node's interactions."""
+
+
 def _refuse_unordered(names: Iterable) -> None:
     """Raise a TypeError naming two of `names` that cannot be ordered, if two cannot."""
     firsts: Dict[type, object] = {}  # the first name of each type, in a hash-free order
@@ -166,7 +170,7 @@ class StreamGraph:
                     pres[v] = ivs
             for v, needed in default_presence.items():
                 if not needed.issubset(pres.get(v, EMPTY)):
-                    raise ValueError(
+                    raise PresenceError(
                         f"presence of node {v!r} does not cover its interaction intervals"
                     )
 

@@ -155,6 +155,86 @@ def test_an_output_that_is_an_input_is_refused_before_any_file_is_read(
     assert (tmp_path / victim).read_bytes() == before
 
 
+def _files(directory):
+    """Each entry of `directory` with whether it is a symlink and its bytes."""
+    return {p.name: (p.is_symlink(), p.read_bytes()) for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("argv,link,named", [
+    pytest.param(argv, link, named, id=id_)
+    for id_, argv, link, named in [
+        ("static-compare to one file twice",
+         ["static-compare", *_TINY, "--stream-output", "o.jsonl", "--static-output", "o.jsonl"],
+         None, ("--static-output", "--stream-output")),
+        ("static-compare through a symlink",
+         ["static-compare", *_TINY, "--stream-output", "o.jsonl", "--static-output", "l.jsonl"],
+         "l.jsonl", ("--static-output", "--stream-output")),
+        ("mine's manifest a symlink to its output",
+         ["mine", *_TINY, "--output", "o.jsonl"], "o.jsonl.manifest.json", ("--output", "--output")),
+        ("select's manifest a symlink to its output",
+         ["select", "--input", "in.jsonl", "--output", "o.jsonl"], "o.jsonl.manifest.json",
+         ("--output", "--output")),
+    ]
+])
+def test_two_outputs_that_are_one_file_are_refused_before_any_file_is_read(
+        tmp_path, monkeypatch, capsys, argv, link, named):
+    monkeypatch.chdir(tmp_path)
+    write_demo_files(tmp_path)
+    (tmp_path / "o.jsonl").write_text("old bytes\n")
+    if link:
+        (tmp_path / link).symlink_to(tmp_path / "o.jsonl")
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    later, earlier = named
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {later}: cannot write ")
+    assert err.endswith(f", which {earlier} writes\n")
+    assert _files(tmp_path) == before
+
+
+# 10,000 rows of about 10 characters: the bad byte lies past the reader's
+# first 64k-character chunk
+_LONG_STREAM = "".join(f"{20 * i} a b\n" for i in range(1, 10_001)).encode()
+
+
+@pytest.mark.parametrize("argv,data,line", [
+    pytest.param(argv, data, line, id=id_)
+    for id_, argv, data, line in [
+        ("mine --stream", ["mine", "--stream", "bad", "--output", "o.jsonl"],
+         _LONG_STREAM + b"200020 a \xffb\n", 10_001),
+        ("mine --attributes",
+         ["mine", *_TINY[:4], "--attributes", "bad", "--core", "identity", "--output", "o.jsonl"],
+         b"a,x\vb,y\r\r\nc,z;\xff\r\n", 4),  # \v, a lone \r and \r\n all end a line
+        ("mine --presence",
+         ["mine", "--stream", "tiny_stream.csv", "--presence", "bad", "--output", "o.jsonl"],
+         b"# b e v\n0 5 a\n0 5 \xe2\x80b\n", 3),
+        ("select --input", ["select", "--input", "bad", "--output", "o.jsonl"], None, 8),
+        ("inspect --input", ["inspect", "--input", "bad"], None, 8),
+    ]
+])
+def test_a_data_file_that_is_not_utf8_is_an_input_error_naming_its_line(
+        tmp_path, monkeypatch, capsys, argv, data, line):
+    monkeypatch.chdir(tmp_path)
+    write_demo_files(tmp_path)
+    if data is None:  # seven mined records, then a bad line
+        assert run("mine", *_TINY, "--output", "patterns.jsonl") == 0
+        data = (tmp_path / "patterns.jsonl").read_bytes() + b'{"intent": ["\xff"]}\n'
+    (tmp_path / "bad").write_bytes(data)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"input error: bad:{line}: not UTF-8 text")
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize("text", [b'{"command": "mine", "stream": "\xff"}', b'{"command": '])
+def test_a_manifest_that_is_not_json_text_is_a_config_error_naming_it(tmp_path, capsys, text):
+    path = tmp_path / "bad.manifest.json"
+    path.write_bytes(text)
+    assert run("mine", "--manifest", path) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: --manifest {path}: ")
+
+
 class TestMineCommand:
     def test_reference_context(self, demo, tmp_path, capsys):
         out = tmp_path / "patterns.jsonl"
@@ -212,6 +292,18 @@ class TestMineCommand:
         bad.write_text("1 2 3 4 5 6\n")
         code = run("mine", "--stream", bad, "--output", tmp_path / "out.jsonl")
         assert code == 1
+
+    def test_presence_that_does_not_cover_the_stream_is_an_input_error(self, tmp_path, capsys):
+        stream, presence = tmp_path / "q.csv", tmp_path / "p.csv"
+        stream.write_text("1 9 a b\n")
+        presence.write_text("0 5 a\n0 5 b\n")
+        code = run("mine", "--stream", stream, "--presence", presence, "--core", "identity",
+                   "--output", tmp_path / "o.jsonl")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"input error: {presence}: presence of node 'a' does not cover its "
+            f"interaction intervals in {stream}\n")
+        assert not (tmp_path / "o.jsonl").exists()
 
     @pytest.mark.parametrize("delta", ["20.4", "inf", "nan"])
     def test_delta_off_the_tick_grid_is_a_config_error(self, tmp_path, capsys, delta):
