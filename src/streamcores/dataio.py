@@ -44,8 +44,8 @@ import stat
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, TextIO, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, TextIO,
+                    Tuple, Union)
 
 from .context import AttributeContext, ItemUniverse
 from .intervals import IntervalSet, Span
@@ -58,9 +58,6 @@ PathOrLines = Union[str, Path, Iterable[str]]
 # columns per row of each link-stream format
 FORMAT_WIDTHS = {"triples": 3, "quadruples": 4, "contacts": 5}
 
-# the characters str.splitlines breaks lines at, besides the "\r" and
-# "\r\n" that reading in text mode turns into "\n"
-_LINE_BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _CHUNK_CHARS = 1 << 16
 
 # the default limit of Python's own int() on decimal text; it also keeps
@@ -82,8 +79,9 @@ class ParseError(ValueError):
 def _iter_rows(data: PathOrLines) -> Tuple[str, Iterator[Tuple[int, str]]]:
     """(source, rows): numbered rows with blank and `#` lines skipped.
 
-    A file is read as the rows are iterated, in chunks cut where
-    `str.splitlines` cuts, so a row ends at every line break it knows
+    A file is read as the rows are iterated, in chunks that end at a
+    newline, and each chunk is cut where `str.splitlines` cuts, so a
+    row ends at every line break it knows
     (`\\v`, `\\f`, `\\x1c`-`\\x1e`, `\\x85`, `\\u2028`, `\\u2029` as well
     as newlines) and row numbers count them all. Each item of a line
     iterable is one row as it is.
@@ -96,17 +94,13 @@ def _iter_rows(data: PathOrLines) -> Tuple[str, Iterator[Tuple[int, str]]]:
 
 def _line_batches(path: Path) -> Iterator[List[str]]:
     with open(path, encoding="utf-8") as handle:
-        tail = ""
         try:
             for chunk in iter(partial(handle.read, _CHUNK_CHARS), ""):
-                lines = (tail + chunk).splitlines()
-                # a chunk that does not end in a line break ends inside a row
-                tail = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
-                yield lines
+                if chunk[-1] != "\n":  # the chunk ends inside a line: finish it
+                    chunk += handle.readline()
+                yield chunk.splitlines()
         except UnicodeDecodeError:
-            raise _undecodable(path) from None
-        if tail:
-            yield [tail]
+            raise _undecodable(path, _splitlines_breaks) from None
 
 
 def text_lines(path: Union[str, Path]) -> Iterator[str]:
@@ -115,24 +109,33 @@ def text_lines(path: Union[str, Path]) -> Iterator[str]:
         try:
             yield from handle
         except UnicodeDecodeError:
-            raise _undecodable(path) from None
+            raise _undecodable(path, _newline_breaks) from None
 
 
-def _undecodable(path: Union[str, Path]) -> ParseError:
+def _splitlines_breaks(text: str) -> int:
+    """The line breaks in `text` where `str.splitlines` cuts."""
+    return len((text + "|").splitlines()) - 1  # the sentinel ends the last line
+
+
+def _newline_breaks(text: str) -> int:
+    """The line breaks in `text` where iterating a text file cuts: "\\n", "\\r\\n" and "\\r"."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def _undecodable(path: Union[str, Path], breaks: Callable[[str], int]) -> ParseError:
     """A ParseError naming the first line of `path` that is not UTF-8 text.
 
     The decoder reads ahead, so the file is decoded again, one
-    b"\\n"-ended piece at a time. Lines are numbered where
-    `str.splitlines` cuts, as in `_iter_rows`.
+    b"\\n"-ended piece at a time. Lines are numbered by `breaks`, the
+    count of line breaks in a text where the reader that failed cuts.
     """
     line = 1
     with open(path, "rb") as handle:
         for raw in handle:
             try:
-                line += len(raw.decode("utf-8").splitlines())
+                line += breaks(raw.decode("utf-8"))
             except UnicodeDecodeError as err:
-                # the lines before the bad byte's own, which the sentinel ends
-                line += len((raw[:err.start].decode("utf-8") + "|").splitlines()) - 1
+                line += breaks(raw[:err.start].decode("utf-8"))
                 return ParseError(f"not UTF-8 text: cannot decode byte 0x{raw[err.start]:02x}",
                                   str(path), line)
     return ParseError("not UTF-8 text", str(path))  # the file changed since it was read

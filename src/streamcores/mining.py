@@ -128,11 +128,14 @@ def mine(
 ) -> List[ClosedPatternRecord]:
     """Enumerate every core closed pattern with support at least cfg.min_support.
 
-    The closure of the whole presence set is always emitted first; when
-    its support falls short of the threshold it is flagged instead of
-    dropped. Output order is the deterministic depth-first order induced
-    by the universe's item order. The stack is explicit, so depth is not
-    bounded by the interpreter's recursion limit.
+    The closure of the whole presence set comes first; when its support
+    falls short of the threshold it is flagged instead of dropped, but
+    `cfg.min_intent_size` drops it like any other record whose intent
+    is too small (with a threshold above the root's support, that
+    leaves no record at all). Output order is the deterministic
+    depth-first order induced by the universe's item order. The stack
+    is explicit, so depth is not bounded by the interpreter's recursion
+    limit.
     """
     cfg.check()
     universe = ctx.universe

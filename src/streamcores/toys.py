@@ -96,26 +96,6 @@ def compare_toy() -> Tuple[StreamGraph, AttributeContext]:
     return stream, ctx
 
 
-def simultaneous_toy() -> Tuple[StreamGraph, AttributeContext]:
-    """Two simultaneous 2-stars; collapsing time changes nothing."""
-    stream = StreamGraph({
-        ("p", "q"): [(0, 1)],
-        ("p", "r"): [(0, 1)],
-        ("s", "t"): [(0, 1)],
-        ("s", "v"): [(0, 1)],
-    })
-    universe = ItemUniverse(["a", "b", "g"])
-    ctx = AttributeContext(universe, {
-        "p": universe.mask_of("ab"),
-        "q": universe.mask_of("ab"),
-        "r": universe.mask_of("ab"),
-        "s": universe.mask_of("ag"),
-        "t": universe.mask_of("ag"),
-        "v": universe.mask_of("ag"),
-    })
-    return stream, ctx
-
-
 def write_demo_files(directory: Union[str, Path]) -> dict:
     """Materialize the toys as CSV files; returns the paths by name."""
     directory = Path(directory)

@@ -178,3 +178,23 @@ def timenodes_close(got: TimeNodeSet, want: TimeNodeSet, slack: int = 1) -> bool
     if got.nodes() != want.nodes():
         return False
     return all(intervals_close(got.get(v), want.get(v), slack) for v in want.nodes())
+
+
+def simultaneous_toy() -> Tuple[StreamGraph, AttributeContext]:
+    """Two simultaneous 2-stars; collapsing time changes nothing."""
+    stream = StreamGraph({
+        ("p", "q"): [(0, 1)],
+        ("p", "r"): [(0, 1)],
+        ("s", "t"): [(0, 1)],
+        ("s", "v"): [(0, 1)],
+    })
+    universe = ItemUniverse(["a", "b", "g"])
+    ctx = AttributeContext(universe, {
+        "p": universe.mask_of("ab"),
+        "q": universe.mask_of("ab"),
+        "r": universe.mask_of("ab"),
+        "s": universe.mask_of("ag"),
+        "t": universe.mask_of("ag"),
+        "v": universe.mask_of("ag"),
+    })
+    return stream, ctx

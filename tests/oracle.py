@@ -29,13 +29,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .context import AttributeContext, Pattern, intent
-from .cores import CoreSpec, apply_core
-from .dataio import FORMAT_WIDTHS, ParseError, PathOrLines, extension_ticks, to_ticks
-from .intervals import IntervalSet
-from .mining import ClosedPatternRecord, MinerConfig, filter_min_intent
-from .selection import INTEREST_MEASURES
-from .stream import StreamGraph, TimeNodeSet
+from streamcores.context import AttributeContext, Pattern, intent
+from streamcores.cores import CoreSpec, apply_core
+from streamcores.dataio import FORMAT_WIDTHS, ParseError, PathOrLines, extension_ticks, to_ticks
+from streamcores.intervals import IntervalSet
+from streamcores.mining import ClosedPatternRecord, MinerConfig, filter_min_intent
+from streamcores.selection import INTEREST_MEASURES
+from streamcores.stream import StreamGraph, TimeNodeSet
 
 Sample = Tuple[int, str]
 

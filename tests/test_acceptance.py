@@ -25,7 +25,6 @@ from streamcores import (
 from streamcores.context import closure, extent, intent
 from streamcores.cores import bha_bicore, star_satellite_split
 from streamcores.dataio import read_highschool_context, read_link_stream
-from streamcores.oracle import brute_core, brute_enumerate, discretize, sample_set
 from streamcores.selection import INTEREST_MEASURES
 from streamcores.toys import (
     bipartite_toy_stream,
@@ -42,6 +41,7 @@ from helpers import (
     random_subset,
     timenodes_close,
 )
+from oracle import brute_core, brute_enumerate, discretize, sample_set
 
 
 def verdict(name: str, detail: str) -> None:

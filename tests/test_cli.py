@@ -211,6 +211,10 @@ _LONG_STREAM = "".join(f"{20 * i} a b\n" for i in range(1, 10_001)).encode()
          b"# b e v\n0 5 a\n0 5 \xe2\x80b\n", 3),
         ("select --input", ["select", "--input", "bad", "--output", "o.jsonl"], None, 8),
         ("inspect --input", ["inspect", "--input", "bad"], None, 8),
+        # file iteration, which reads pattern files, does not end a line at \x85
+        ("select --input after U+0085", ["select", "--input", "bad", "--output", "o.jsonl"],
+         b'{"intent": ["\xc2\x85"], "support": {}, "support_measure": 0, "node_count": 0, '
+         b'"below_min_support": true}\n\xff\n', 2),
     ]
 ])
 def test_a_data_file_that_is_not_utf8_is_an_input_error_naming_its_line(
@@ -641,6 +645,17 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_decimal():
     assert not {"dataclasses", "inspect", "decimal"} & set(loaded)
 
 
+def test_every_package_module_is_one_a_command_runs():
+    # code only the tests use, the oracle among it, lives under tests/; `toys`
+    # writes the demo files the README runs
+    package = Path(selection.__file__).parent
+    done = _python(["-c", "import sys, streamcores.cli; "
+                          "print(*(m for m in sys.modules if m.startswith('streamcores.')))"])
+    assert done.returncode == 0, done.stderr
+    modules = {f"streamcores.{path.stem}" for path in package.glob("*.py")}
+    assert modules - {"streamcores.__init__"} == set(done.stdout.split()) | {"streamcores.toys"}
+
+
 class TestProcessExit:
     """`entry` freezes the heap before the interpreter exits; the process loses nothing."""
 
@@ -779,7 +794,7 @@ class TestStaticCompareCommand:
 
     def test_simultaneous_stream_counts_match(self, tmp_path, capsys):
         from streamcores import dataio
-        from streamcores.toys import simultaneous_toy
+        from helpers import simultaneous_toy
         stream, ctx = simultaneous_toy()
         spath = tmp_path / "sim.csv"
         apath = tmp_path / "sim_attrs.csv"

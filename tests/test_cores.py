@@ -15,7 +15,6 @@ from streamcores import (
     star_satellite_core,
     star_satellite_split,
 )
-from streamcores.oracle import brute_core, brute_static_core, discretize, sample_set
 from streamcores.toys import bipartite_toy_stream, compare_toy, star_toy_stream
 
 from helpers import (
@@ -26,6 +25,7 @@ from helpers import (
     random_subset,
     timenodes_close,
 )
+from oracle import brute_core, brute_static_core, discretize, sample_set
 
 
 class TestCoreSpec:
@@ -160,7 +160,7 @@ class TestHubAuthority:
 
     def test_worklist_matches_brute_force_on_larger_streams(self):
         # 8 nodes and up to 40 intervals, so fixed points take several passes
-        from streamcores.oracle import _bha_pass, brute_bicore
+        from oracle import _bha_pass, brute_bicore
 
         rng = random.Random(110)
         deepest = 0
@@ -260,7 +260,7 @@ class TestInteriorLaws:
             core = star_satellite_core(s, x, k)
             d = discretize(s)
             samples = sample_set(core)
-            from streamcores.oracle import _star_satellite_pass
+            from oracle import _star_satellite_pass
             assert _star_satellite_pass(d, samples, k) == samples
 
     def test_maximality_by_readdition(self):
@@ -273,7 +273,7 @@ class TestInteriorLaws:
             core = sample_set(star_satellite_core(s, x, k))
             removed = sample_set(x) - core
             d = discretize(s)
-            from streamcores.oracle import _star_satellite_pass
+            from oracle import _star_satellite_pass
             for extra in removed:
                 candidate = core | {extra}
                 assert _star_satellite_pass(d, candidate, k) != candidate

@@ -21,11 +21,11 @@ from streamcores.dataio import (
     write_link_stream,
     write_presence,
 )
-from streamcores.oracle import reference_read_link_stream
 from streamcores.toys import star_toy_stream
 
 import random
 from helpers import random_stream
+from oracle import reference_read_link_stream
 
 
 class TestIngest:
@@ -339,6 +339,15 @@ class TestReadLinkStreamAgainstReference:
                 read_link_stream(path)
         with pytest.raises(ParseError, match=r"breaks.txt:3: expected 4 columns, got 2"):
             reference_read_link_stream(path)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_a_row_that_spans_several_chunks_keeps_its_text_and_line(self, tmp_path, chunk):
+        path = tmp_path / "long.txt"
+        long = f"0 1 {'n' * 300} b"
+        _write(path, f"# x\r\n{long}\v1 2 c d\r\n{long[::-1]}")
+        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+            _, rows = dataio._iter_rows(path)
+            assert list(rows) == [(2, long), (3, "1 2 c d"), (4, long[::-1])]
 
     def test_names_and_timestamps_are_shared(self, monkeypatch):
         seen = []

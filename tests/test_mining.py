@@ -19,14 +19,7 @@ from streamcores import (
 )
 from streamcores.dataio import ParseError
 from streamcores.mining import SUPPORT_MEASURES
-from streamcores.oracle import (
-    brute_enumerate,
-    brute_static_enumerate,
-    discretize,
-    reference_mine,
-    sample_set,
-)
-from streamcores.toys import compare_toy, simultaneous_toy, triple_context_stream
+from streamcores.toys import compare_toy, triple_context_stream
 
 from helpers import (
     STREAM_KINDS,
@@ -36,6 +29,14 @@ from helpers import (
     random_context,
     random_core_spec,
     random_stream,
+    simultaneous_toy,
+)
+from oracle import (
+    brute_enumerate,
+    brute_static_enumerate,
+    discretize,
+    reference_mine,
+    sample_set,
 )
 
 

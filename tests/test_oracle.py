@@ -3,16 +3,16 @@ import random
 import pytest
 
 from streamcores import CoreSpec, StreamGraph
-from streamcores.oracle import (
+from streamcores.toys import triple_context_stream
+
+from helpers import random_context, random_stream
+from oracle import (
     SAMPLE_BUDGET,
     brute_core,
     brute_enumerate,
     discretize,
     sample_set,
 )
-from streamcores.toys import triple_context_stream
-
-from helpers import random_context, random_stream
 
 
 def test_discretize_is_faithful():
@@ -47,7 +47,7 @@ def test_chain_overlap_core():
 
 
 def test_output_is_a_fixed_point_of_the_pass():
-    from streamcores.oracle import _star_satellite_pass
+    from oracle import _star_satellite_pass
 
     rng = random.Random(2)
     for _ in range(40):

@@ -15,7 +15,6 @@ from streamcores import (
     selection_counts,
     temporal_jaccard_distance,
 )
-from streamcores.oracle import reference_jaccard_distance, reference_select
 from streamcores.toys import triple_context_stream
 
 from helpers import (
@@ -25,6 +24,7 @@ from helpers import (
     random_stream,
     random_subset,
 )
+from oracle import reference_jaccard_distance, reference_select
 
 
 def record(items, support):
