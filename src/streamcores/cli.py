@@ -62,11 +62,12 @@ import logging
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
 
 from . import dataio
-from .context import AttributeContext, ItemUniverse, extent, intent
+from .context import AttributeContext, ItemUniverse, closure
 from .cores import CoreSpec, apply_core
 from .mining import SUPPORT_MEASURES, MinerConfig, mine, read_patterns, write_patterns
 from .selection import (INTEREST_MEASURES, PairDistances, SelectionConfig, g_beta_select,
@@ -250,7 +251,6 @@ def _mining_setup(manifest: RunManifest):
         min_intent_size=manifest.min_intent_size,
         support_measure=manifest.support_measure,
     )
-    cfg.check()
     if cfg.core.kind != "identity" and (cfg.core.kind == "ha") != manifest.directed:
         kind = "directed" if cfg.core.kind == "ha" else "undirected"
         raise ConfigError(f"core {manifest.core} is defined on {kind} streams only")
@@ -355,7 +355,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_static_compare(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args("static-compare", args)
     # checked with the other options, before any file is read
-    MinerConfig(min_support=manifest.static_min_support).check()
+    MinerConfig(min_support=manifest.static_min_support)
     taken = _inputs(manifest)
     for option, path in (("--stream-output", args.stream_output),
                          ("--static-output", args.static_output)):
@@ -381,10 +381,11 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
 
     # a stream intent is checked by membership, not looked up among the
     # static records, which --static-min-support may have dropped
+    static_core = partial(apply_core, cfg.core, graph)
     missing = []
     for rec in stream_records:
-        support = apply_core(cfg.core, graph, extent(rec.mask, ctx, graph))
-        if not support or intent(support, ctx) != rec.mask:
+        closed, support = closure(rec.mask, ctx, graph, static_core)
+        if not support or closed != rec.mask:
             missing.append(rec.items)
     missing.sort()
 
@@ -474,10 +475,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (dataio.ParseError, FileNotFoundError, IsADirectoryError, PermissionError) as err:
+    except (dataio.ParseError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # ConfigError among them
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     finally:

@@ -82,13 +82,9 @@ class AttributeContext:
 
 def extent(pattern: Pattern, ctx: AttributeContext, stream: StreamGraph) -> TimeNodeSet:
     """All presence of the nodes whose description contains the pattern."""
-    entries = {}
-    for v in stream.nodes:
-        if ctx.description(v) & pattern == pattern:
-            ivs = stream.presence(v)
-            if ivs:
-                entries[v] = ivs
-    return TimeNodeSet._raw(entries)
+    # a stream's nodes are the nodes with nonempty presence
+    return TimeNodeSet._raw({v: stream.presence(v) for v in stream.nodes
+                             if ctx.description(v) & pattern == pattern})
 
 
 def intent(support: TimeNodeSet, ctx: AttributeContext) -> Pattern:

@@ -12,8 +12,8 @@ the substream induced by the current pair until nothing changes. After
 the first full pass, a pass re-prunes only the nodes next to a node of
 the other side that changed (a worklist), and the number of passes is
 capped by the measure of the two input sides. `bha_bicore` returns the
-pair (hubs, authorities) and `ha_core` their union, as
-`star_satellite_split` returns (stars, satellites).
+pair (hubs, authorities) and `ha_core` is their union, as
+`star_satellite_core` is that of `star_satellite_split`'s (stars, satellites).
 
 Whole-presence rule: both operators clip a pair's spans to its two
 endpoints' time-nodes in the input set, except when both entries are
@@ -113,10 +113,10 @@ def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, list]:
     return active
 
 
-def _stars_and_satellites(
+def star_satellite_split(
     stream: StreamGraph, wp: TimeNodeSet, k: int
-) -> Tuple[Dict[str, IntervalSet], Dict[str, IntervalSet]]:
-    """Star and satellite times of each node of wp; both dicts hold only nonempty sets."""
+) -> Tuple[TimeNodeSet, TimeNodeSet]:
+    """(stars, satellites) of the k-star-satellite core: each node's star and satellite times."""
     if stream.directed:
         raise ValueError("star-satellite cores are defined on undirected streams")
     if k < 0:
@@ -142,24 +142,13 @@ def _stars_and_satellites(
             if got:
                 cur = sats.get(v)
                 sats[v] = got if cur is None else cur.union(got)
-    return stars, sats
-
-
-def star_satellite_split(
-    stream: StreamGraph, wp: TimeNodeSet, k: int
-) -> Tuple[TimeNodeSet, TimeNodeSet]:
-    """(stars, satellites) of the k-star-satellite core."""
-    stars, sats = _stars_and_satellites(stream, wp, k)
     return TimeNodeSet._raw(stars), TimeNodeSet._raw(sats)
 
 
 def star_satellite_core(stream: StreamGraph, wp: TimeNodeSet, k: int) -> TimeNodeSet:
     """Greatest subset of wp whose members are all stars or satellites at their times."""
-    stars, core = _stars_and_satellites(stream, wp, k)
-    for v, ivs in stars.items():
-        cur = core.get(v)
-        core[v] = ivs if cur is None else ivs.union(cur)
-    return TimeNodeSet._raw(core)
+    stars, satellites = star_satellite_split(stream, wp, k)
+    return stars.union(satellites)
 
 
 def bha_bicore(

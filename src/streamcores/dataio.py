@@ -93,7 +93,7 @@ def _iter_rows(data: PathOrLines) -> Tuple[str, Iterator[Tuple[int, str]]]:
 
 
 def _line_batches(path: Path) -> Iterator[List[str]]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a leading byte-order mark is dropped
         try:
             for chunk in iter(partial(handle.read, _CHUNK_CHARS), ""):
                 if chunk[-1] != "\n":  # the chunk ends inside a line: finish it

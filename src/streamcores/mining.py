@@ -67,19 +67,16 @@ SUPPORT_MEASURES = ("duration", "nodes")
 class MinerConfig:
     def __init__(self, core: CoreSpec = CoreSpec.identity(), min_support: int = 1,
                  min_intent_size: int = 0, support_measure: str = "duration") -> None:
+        if min_support <= 0:
+            raise ValueError("minimum support must be positive")
+        if min_intent_size < 0:
+            raise ValueError("minimum intent size cannot be negative")
+        if support_measure not in SUPPORT_MEASURES:
+            raise ValueError(f"support measure must be one of {SUPPORT_MEASURES}")
         self.core = core
         self.min_support = min_support
         self.min_intent_size = min_intent_size
         self.support_measure = support_measure  # threshold unit: node-ticks or distinct nodes
-
-    def check(self) -> None:
-        """Check every setting; a ValueError if one is bad."""
-        if self.min_support <= 0:
-            raise ValueError("minimum support must be positive")
-        if self.min_intent_size < 0:
-            raise ValueError("minimum intent size cannot be negative")
-        if self.support_measure not in SUPPORT_MEASURES:
-            raise ValueError(f"support measure must be one of {SUPPORT_MEASURES}")
 
 
 class ClosedPatternRecord:
@@ -137,7 +134,6 @@ def mine(
     is explicit, so depth is not bounded by the interpreter's recursion
     limit.
     """
-    cfg.check()
     universe = ctx.universe
     if not stream.nodes:
         log.warning("mining an empty stream: no patterns")
@@ -308,6 +304,8 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
                 items = tuple(_typed(obj["intent"], list, "intent"))
                 for item in items:
                     _typed(item, str, "intent item")
+                if len(set(items)) < len(items):
+                    raise ValueError(f"intent {list(items)} repeats an item")
                 support = TimeNodeSet._raw({
                     v: _node_support(v, spans)
                     for v, spans in _typed(obj["support"], dict, "support").items()

@@ -2,8 +2,9 @@
 
 A stream holds per-pair interaction intervals and the presence
 intervals of its nodes; its nodes are exactly the nodes with nonempty
-presence. Undirected pairs are stored under their sorted key; directed
-streams keep ordered (src, dst) keys plus separate in/out adjacency.
+presence. Each pair's `IntervalSet` is kept once, in the adjacency
+(out- and in-adjacency when directed); `interaction_items` derives the
+pair keys from it: (src, dst) when directed, else the sorted pair.
 `StreamGraph` is the one place that orients pair keys and canonicalises
 the spans it is given: the spans of both orientations of a pair become
 one `IntervalSet`.
@@ -122,7 +123,7 @@ def _refuse_unordered(names: Iterable) -> None:
 class StreamGraph:
     """Nodes with presence intervals plus timed pairwise interactions."""
 
-    __slots__ = ("directed", "nodes", "_presence", "_pairs", "_adj", "_in_adj")
+    __slots__ = ("directed", "nodes", "_presence", "_adj", "_in_adj")
 
     def __init__(
         self,
@@ -181,7 +182,6 @@ class StreamGraph:
             _refuse_unordered(pres)
             raise
         self._presence = pres
-        self._pairs = pairs
 
         adj: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in self.nodes}
         in_adj: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in self.nodes} if directed else adj
@@ -200,15 +200,13 @@ class StreamGraph:
     def presence_set(self) -> TimeNodeSet:
         return TimeNodeSet._raw(dict(self._presence))
 
-    def pair(self, u: str, v: str) -> IntervalSet:
-        """Interaction intervals of a pair (u -> v when directed)."""
-        if not self.directed and u > v:
-            u, v = v, u
-        return self._pairs.get((u, v), EMPTY)
-
     def interaction_items(self) -> Iterator[Tuple[Tuple[str, str], IntervalSet]]:
-        for key in sorted(self._pairs):
-            yield key, self._pairs[key]
+        """Each interacting pair's key and intervals, in key order."""
+        for u in self.nodes:
+            nbrs = self._adj[u]
+            for v in sorted(nbrs):
+                if self.directed or u < v:
+                    yield (u, v), nbrs[v]
 
     def adjacency(self, node: str) -> Mapping[str, IntervalSet]:
         """Neighbors with interaction intervals (out-neighbors when directed)."""
@@ -220,11 +218,12 @@ class StreamGraph:
         return self._in_adj[node]
 
     def interaction_count(self) -> int:
-        return len(self._pairs)
+        entries = sum(map(len, self._adj.values()))
+        return entries if self.directed else entries // 2
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
-        return f"StreamGraph({kind}, |V|={len(self.nodes)}, pairs={len(self._pairs)})"
+        return f"StreamGraph({kind}, |V|={len(self.nodes)}, pairs={self.interaction_count()})"
 
 
 def induced_static_graph(stream: StreamGraph) -> StreamGraph:

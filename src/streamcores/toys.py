@@ -107,8 +107,7 @@ def write_demo_files(directory: Union[str, Path]) -> dict:
     paths["context_stream"] = directory / "tiny_stream.csv"
     paths["context_attrs"] = directory / "tiny_attrs.csv"
     dataio.write_presence(stream, paths["context_presence"])
-    with dataio.open_output(paths["context_stream"]) as handle:
-        handle.write("# b e u v (ticks)\n")
+    dataio.write_link_stream(stream, paths["context_stream"])  # no interactions: a header
     dataio.write_attributes(ctx, paths["context_attrs"])
 
     paths["star_stream"] = directory / "star_toy.csv"

@@ -184,7 +184,6 @@ def reference_mine(
     stream: StreamGraph, ctx: AttributeContext, cfg: MinerConfig
 ) -> List[ClosedPatternRecord]:
     """`mining.mine` as a plain recursion: restrict, then core, for every candidate."""
-    cfg.check()
     universe = ctx.universe
     if not stream.nodes:
         return []

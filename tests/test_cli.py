@@ -281,6 +281,24 @@ class TestMineCommand:
         want = star_satellite_core(stream, stream.presence_set(), 2)
         assert records[0].support == want
 
+    @pytest.mark.parametrize("marked", ["stream", "presence", "attributes"])
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, marked):
+        files = {"stream": "0 2 a b\n1 3 a c\n1 2 b c\n", "presence": "0 3 a\n0 3 b\n1 3 c\n",
+                 "attributes": "a,x;y\nb,x\nc,x;z\n"}
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            directory = tmp_path / f"bom{len(bom)}"
+            directory.mkdir()
+            argv = []
+            for name, text in files.items():
+                (directory / name).write_bytes((bom if name == marked else b"") + text.encode())
+                argv += [f"--{name}", directory / name]
+            assert run("mine", *argv, "--core", "star-sat:1", "--output",
+                       directory / "patterns.jsonl") == 0
+            outputs.append((directory / "patterns.jsonl").read_bytes())
+        assert outputs[1] == outputs[0]
+        assert read_patterns(tmp_path / "bom3" / "patterns.jsonl")[0].items == ("x",)
+
     def test_missing_file_is_an_input_error(self, tmp_path, capsys):
         code = run("mine", "--stream", tmp_path / "nope.csv",
                    "--output", tmp_path / "out.jsonl")
@@ -689,6 +707,15 @@ class TestProcessExit:
     @pytest.mark.parametrize("argv,code,line", [
         (["mine", "--stream", "missing.csv", "--output", "out.jsonl"], 1,
          "input error: [Errno 2] No such file or directory: 'missing.csv'"),
+        # an input path under a regular file
+        *[(argv, 1, "input error: [Errno 20] Not a directory: 'compare_toy.csv/x'") for argv in [
+            ["mine", "--stream", "compare_toy.csv/x", "--output", "out.jsonl"],
+            ["mine", "--stream", "compare_toy.csv", "--attributes", "compare_toy.csv/x",
+             "--output", "out.jsonl"],
+            ["mine", "--stream", "compare_toy.csv", "--presence", "compare_toy.csv/x",
+             "--output", "out.jsonl"],
+            ["select", "--input", "compare_toy.csv/x", "--output", "out.jsonl"],
+        ]],
         (["mine", "--stream", "compare_toy.csv", "--min-support", 0, "--output", "out.jsonl"], 2,
          "configuration error: minimum support must be positive"),
     ])

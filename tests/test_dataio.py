@@ -31,7 +31,7 @@ from oracle import reference_read_link_stream
 class TestIngest:
     def test_consecutive_instants_merge(self):
         s = ingest_link_stream([(20, "a", "b"), (40, "a", "b")], 20)
-        assert s.pair("a", "b") == IntervalSet.span(0, 40)
+        assert s.adjacency("a")["b"] == IntervalSet.span(0, 40)
 
     def test_empty_input(self):
         s = ingest_link_stream([], 20)
@@ -39,17 +39,17 @@ class TestIngest:
 
     def test_quadruples_taken_verbatim(self):
         s = ingest_link_stream([(1, 3, "a", "b"), (7, 8, "a", "b")], 20)
-        assert s.pair("a", "b") == IntervalSet([(1, 3), (7, 8)])
+        assert s.adjacency("a")["b"] == IntervalSet([(1, 3), (7, 8)])
 
     def test_mixed_record_widths(self):
         s = ingest_link_stream([(5, "a", "b"), (10, 12, "a", "b")], 5)
-        assert s.pair("a", "b") == IntervalSet([(0, 5), (10, 12)])
+        assert s.adjacency("a")["b"] == IntervalSet([(0, 5), (10, 12)])
 
     def test_self_loop_rejected_when_undirected(self):
         with pytest.raises(ParseError, match="self-interaction"):
             ingest_link_stream([(5, "a", "a")], 5)
         s = ingest_link_stream([(0, 2, "a", "a")], 5, directed=True)
-        assert s.pair("a", "a") == IntervalSet.span(0, 2)
+        assert s.adjacency("a")["a"] == IntervalSet.span(0, 2)
 
     @pytest.mark.parametrize("record", [(1.5, 3.7, "a", "b"), (20.5, "a", "b")])
     def test_non_integer_ticks_are_refused(self, record):
@@ -134,24 +134,24 @@ class TestReadLinkStream:
     def test_triples_with_comments(self):
         lines = ["# contacts", "20 a b", "40 a b"]
         s = read_link_stream(lines, fmt="triples")
-        assert s.pair("a", "b") == IntervalSet.span(0, 40)
+        assert s.adjacency("a")["b"] == IntervalSet.span(0, 40)
 
     def test_comma_separated(self):
         s = read_link_stream(["1,3,a,b"], fmt="quadruples")
-        assert s.pair("a", "b") == IntervalSet.span(1, 3)
+        assert s.adjacency("a")["b"] == IntervalSet.span(1, 3)
 
     def test_auto_detects_by_column_count(self):
-        assert read_link_stream(["1 3 a b"]).pair("a", "b") == IntervalSet.span(1, 3)
-        assert read_link_stream(["40 a b"]).pair("a", "b") == IntervalSet.span(20, 40)
+        assert read_link_stream(["1 3 a b"]).adjacency("a")["b"] == IntervalSet.span(1, 3)
+        assert read_link_stream(["40 a b"]).adjacency("a")["b"] == IntervalSet.span(20, 40)
 
     def test_contact_rows_ignore_class_columns(self):
         s = read_link_stream(["100\t7\t9\t2BIO1\tMP", "120\t7\t9\t2BIO1\tMP"])
-        assert s.pair("7", "9") == IntervalSet.span(80, 120)
+        assert s.adjacency("7")["9"] == IntervalSet.span(80, 120)
 
     def test_resolution_scales_extension(self):
         s = read_link_stream(["2 a b"], fmt="triples", resolution=10,
                              instant_extension_seconds=0.5)
-        assert s.pair("a", "b") == IntervalSet.span(15, 20)
+        assert s.adjacency("a")["b"] == IntervalSet.span(15, 20)
 
     @pytest.mark.parametrize("delta", [20.4, float("inf"), float("nan")])
     def test_extension_must_be_whole_ticks(self, delta):
@@ -332,7 +332,7 @@ class TestReadLinkStreamAgainstReference:
         _write(path, "".join(row + brk for row, brk in zip(rows, LINE_BREAKS)))
         with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
             s = read_link_stream(path)
-            assert s.pair("a", "b") == IntervalSet.span(0, len(LINE_BREAKS))
+            assert s.adjacency("a")["b"] == IntervalSet.span(0, len(LINE_BREAKS))
             assert _outcome(read_link_stream, path) == _outcome(reference_read_link_stream, path)
             _write(path, "# x\u2028 0 1 a b\n1 2\va b\n")
             with pytest.raises(ParseError, match=r"breaks.txt:3: expected 4 columns, got 2"):
@@ -406,7 +406,7 @@ class TestRecordSource:
         s = read_link_stream(path)
         # comment and blank lines are no records
         assert seen == ["built", 3]
-        assert s.pair("a", "b") == IntervalSet.span(0, 40)
+        assert s.adjacency("a")["b"] == IntervalSet.span(0, 40)
 
     @pytest.mark.parametrize("read", [read_link_stream, reference_read_link_stream])
     def test_a_later_parse_error_comes_before_an_earlier_ingest_error(self, read):

@@ -378,6 +378,7 @@ class TestPatternFiles:
     @pytest.mark.parametrize("field,value,message", [
         ("intent", "ab", "intent must be of type list, got 'ab'"),
         ("intent", ["a", 1], "intent item must be of type str, got 1"),
+        ("intent", ["a", "a"], "intent ['a', 'a'] repeats an item"),
         ("support", ["v"], "support must be of type dict, got ['v']"),
         ("support", {"v": [[0, 2.7]]}, "span end must be of type int, got 2.7"),
         ("support_measure", 2.0, "support_measure must be of type int, got 2.0"),
@@ -398,7 +399,7 @@ class TestPatternFiles:
         ("support", {"v": "ab"}, "spans of node 'v' must be of type list, got 'ab'"),
         # mine flags every empty support, as min_support is at least 1
         ("support", {}, "an empty support must be flagged below_min_support"),
-    ], ids=["string-intent", "non-string-item", "support-list", "fractional-span",
+    ], ids=["string-intent", "non-string-item", "repeated-item", "support-list", "fractional-span",
             "float-measure", "bool-node-count", "int-flag", "overlapping-spans",
             "touching-spans", "unsorted-spans", "empty-span", "reversed-span", "no-spans",
             "span-triple", "spans-string", "empty-support"])

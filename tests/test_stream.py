@@ -47,11 +47,11 @@ class TestStreamGraph:
 
     def test_undirected_pair_key_is_normalized(self):
         s = StreamGraph({("b", "a"): [(0, 1)]})
-        assert s.pair("a", "b") == s.pair("b", "a") == IntervalSet.span(0, 1)
+        assert s.adjacency("a")["b"] == s.adjacency("b")["a"] == IntervalSet.span(0, 1)
 
     def test_duplicate_pairs_merge(self):
         s = StreamGraph({("a", "b"): [(0, 2)], ("b", "a"): [(1, 4)]})
-        assert s.pair("a", "b") == IntervalSet.span(0, 4)
+        assert s.adjacency("a")["b"] == IntervalSet.span(0, 4)
 
     def test_rejects_undirected_self_loop(self):
         with pytest.raises(ValueError):
@@ -72,6 +72,37 @@ class TestStreamGraph:
         s = StreamGraph({("a", "b"): [(0, 1)]})
         with pytest.raises(KeyError):
             s.presence("nope")
+
+
+def random_rows(rng, directed):
+    """Pair rows in both orientations, some spans empty; self-loops when directed."""
+    rows = {}
+    for _ in range(rng.randint(0, 12)):
+        u, v = rng.choice("abcde"), rng.choice("abcde")
+        if u != v or directed:
+            a = rng.randint(0, 9)
+            rows.setdefault((u, v), []).append((a, a + rng.randint(0, 3)))
+    return rows
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_pair_items_and_count_are_derived_from_the_adjacency(directed):
+    rng = random.Random(22 + directed)
+    for _ in range(200):
+        rows = random_rows(rng, directed)
+        s = StreamGraph(rows, directed=directed)
+        oriented = {}
+        for (u, v), spans in rows.items():
+            oriented.setdefault((u, v) if directed else tuple(sorted((u, v))), []).extend(spans)
+        want = {key: IntervalSet(spans) for key, spans in oriented.items() if IntervalSet(spans)}
+        items = list(s.interaction_items())
+        keys = [key for key, _ in items]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert dict(items) == want
+        for (u, v), ivs in items:
+            assert s.adjacency(u)[v] is ivs
+            assert (s.in_adjacency(v) if directed else s.adjacency(v))[u] is ivs
+        assert s.interaction_count() == len(items)
 
 
 def edges(graph):
