@@ -475,8 +475,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (dataio.ParseError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as err:
+    except BrokenPipeError:  # stdout's reader left: `entry` exits 141
+        raise
+    except (dataio.ParseError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as err:  # ConfigError among them

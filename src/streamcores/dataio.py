@@ -13,8 +13,9 @@ Record formats (whitespace- or comma-separated, `#` starts a comment):
 Timestamps are seconds; they are converted to integer ticks with a
 configurable ticks-per-second resolution and must land on the grid.
 
-Every reader takes its rows from `_iter_rows`, which reads a file as it
-is iterated, numbers its lines as `str.splitlines` would and skips
+Every file reader, `mining.read_patterns` too, takes its rows from
+`_iter_rows`, which reads a file as it is iterated, drops a leading
+byte-order mark, numbers its lines as `str.splitlines` would and skips
 blank and comment lines. `read_link_stream` hands `ingest_link_stream`
 a one-shot iterable of records (`_Records`): each row is split, its
 timestamps parsed with `to_ticks` (each distinct text once) and its
@@ -44,8 +45,7 @@ import stat
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, TextIO,
-                    Tuple, Union)
+from typing import Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, TextIO, Tuple, Union
 
 from .context import AttributeContext, ItemUniverse
 from .intervals import IntervalSet, Span
@@ -100,16 +100,7 @@ def _line_batches(path: Path) -> Iterator[List[str]]:
                     chunk += handle.readline()
                 yield chunk.splitlines()
         except UnicodeDecodeError:
-            raise _undecodable(path, _splitlines_breaks) from None
-
-
-def text_lines(path: Union[str, Path]) -> Iterator[str]:
-    """The lines of the UTF-8 text file at `path`, as iterating the open file yields them."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            yield from handle
-        except UnicodeDecodeError:
-            raise _undecodable(path, _newline_breaks) from None
+            raise _undecodable(path) from None
 
 
 def _splitlines_breaks(text: str) -> int:
@@ -117,25 +108,20 @@ def _splitlines_breaks(text: str) -> int:
     return len((text + "|").splitlines()) - 1  # the sentinel ends the last line
 
 
-def _newline_breaks(text: str) -> int:
-    """The line breaks in `text` where iterating a text file cuts: "\\n", "\\r\\n" and "\\r"."""
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
-
-
-def _undecodable(path: Union[str, Path], breaks: Callable[[str], int]) -> ParseError:
+def _undecodable(path: Path) -> ParseError:
     """A ParseError naming the first line of `path` that is not UTF-8 text.
 
     The decoder reads ahead, so the file is decoded again, one
-    b"\\n"-ended piece at a time. Lines are numbered by `breaks`, the
-    count of line breaks in a text where the reader that failed cuts.
+    b"\\n"-ended piece at a time, and its lines are numbered where
+    `str.splitlines` cuts, as `_line_batches` numbers them.
     """
     line = 1
     with open(path, "rb") as handle:
         for raw in handle:
             try:
-                line += breaks(raw.decode("utf-8"))
+                line += _splitlines_breaks(raw.decode("utf-8"))
             except UnicodeDecodeError as err:
-                line += breaks(raw[:err.start].decode("utf-8"))
+                line += _splitlines_breaks(raw[:err.start].decode("utf-8"))
                 return ParseError(f"not UTF-8 text: cannot decode byte 0x{raw[err.start]:02x}",
                                   str(path), line)
     return ParseError("not UTF-8 text", str(path))  # the file changed since it was read
@@ -337,6 +323,8 @@ def extension_ticks(seconds: float, resolution: int, fmt: str = "auto") -> int:
     _check_resolution(resolution)
     if fmt != "auto" and fmt not in FORMAT_WIDTHS:
         raise ValueError(f"unknown stream format {fmt!r}")
+    if isinstance(seconds, float) and seconds.is_integer() and abs(seconds) < 2 ** 53:
+        seconds = int(seconds)  # exact, and the text of an int needs no `decimal` in to_ticks
     try:
         delta = to_ticks(seconds, resolution, "", 0)
     except ParseError:

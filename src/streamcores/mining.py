@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import json
 import logging
-from contextlib import closing
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core
-from .dataio import ParseError, open_output, text_lines
+from .dataio import ParseError, _iter_rows, open_output
 from .intervals import IntervalSet
 from .stream import StreamGraph, TimeNodeSet
 
@@ -239,8 +238,11 @@ def _record_payload(rec: ClosedPatternRecord) -> dict:
     return payload
 
 
+_PATTERN_FIELDS = {"intent", "support", "support_measure", "node_count", "below_min_support"}
+
+
 def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path]) -> None:
-    """One JSON object per line, fields in a fixed order."""
+    """One JSON object per line, fields in a fixed order, each line break escaped."""
     with open_output(path) as handle:
         for rec in records:
             handle.write(json.dumps(_record_payload(rec)) + "\n")
@@ -290,44 +292,45 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
     flagged `below_min_support`, raises `dataio.ParseError`. Values are
     checked, never coerced or repaired: an intent must be a list of
     strings, the support an object of canonical span lists (see
-    `_node_support`), and every number a plain integer. A file that is
-    not UTF-8 text raises a ParseError naming its first such line.
+    `_node_support`), every number a plain integer, and every key one
+    that `write_patterns` writes. Rows are cut as `dataio._iter_rows`
+    cuts any input file; a line that is not UTF-8 raises a ParseError.
     """
     records = []
-    with closing(text_lines(path)) as lines:
-        for i, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                items = tuple(_typed(obj["intent"], list, "intent"))
-                for item in items:
-                    _typed(item, str, "intent item")
-                if len(set(items)) < len(items):
-                    raise ValueError(f"intent {list(items)} repeats an item")
-                support = TimeNodeSet._raw({
-                    v: _node_support(v, spans)
-                    for v, spans in _typed(obj["support"], dict, "support").items()
-                })
-                rec = ClosedPatternRecord(
-                    items=items,
-                    support=support,
-                    support_measure=_typed(obj["support_measure"], int, "support_measure"),
-                    node_count=_typed(obj["node_count"], int, "node_count"),
-                    below_min_support=_typed(obj.get("below_min_support", False), bool,
-                                             "below_min_support"),
-                )
-                # mine flags every empty support: min_support is at least 1
-                if not support and not rec.below_min_support:
-                    raise ValueError("an empty support must be flagged below_min_support")
-                if rec.support_measure != support.measure():
-                    raise ValueError(f"support_measure {rec.support_measure} but the "
-                                     f"support covers {support.measure()} node-ticks")
-                if rec.node_count != support.node_count():
-                    raise ValueError(f"node_count {rec.node_count} but the "
-                                     f"support has {support.node_count()} nodes")
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
-                raise ParseError(f"bad pattern record: {err}", source=str(path), row=i) from None
-            records.append(rec)
+    source, rows = _iter_rows(path)
+    for i, line in rows:
+        try:
+            obj = json.loads(line)
+            unknown = _typed(obj, dict, "record").keys() - _PATTERN_FIELDS
+            if unknown:
+                raise ValueError(f"unknown fields {sorted(unknown)}")
+            items = tuple(_typed(obj["intent"], list, "intent"))
+            for item in items:
+                _typed(item, str, "intent item")
+            if len(set(items)) < len(items):
+                raise ValueError(f"intent {list(items)} repeats an item")
+            support = TimeNodeSet._raw({
+                v: _node_support(v, spans)
+                for v, spans in _typed(obj["support"], dict, "support").items()
+            })
+            rec = ClosedPatternRecord(
+                items=items,
+                support=support,
+                support_measure=_typed(obj["support_measure"], int, "support_measure"),
+                node_count=_typed(obj["node_count"], int, "node_count"),
+                below_min_support=_typed(obj.get("below_min_support", False), bool,
+                                         "below_min_support"),
+            )
+            # mine flags every empty support: min_support is at least 1
+            if not support and not rec.below_min_support:
+                raise ValueError("an empty support must be flagged below_min_support")
+            if rec.support_measure != support.measure():
+                raise ValueError(f"support_measure {rec.support_measure} but the "
+                                 f"support covers {support.measure()} node-ticks")
+            if rec.node_count != support.node_count():
+                raise ValueError(f"node_count {rec.node_count} but the "
+                                 f"support has {support.node_count()} nodes")
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
+            raise ParseError(f"bad pattern record: {err}", source, i) from None
+        records.append(rec)
     return records

@@ -211,10 +211,10 @@ _LONG_STREAM = "".join(f"{20 * i} a b\n" for i in range(1, 10_001)).encode()
          b"# b e v\n0 5 a\n0 5 \xe2\x80b\n", 3),
         ("select --input", ["select", "--input", "bad", "--output", "o.jsonl"], None, 8),
         ("inspect --input", ["inspect", "--input", "bad"], None, 8),
-        # file iteration, which reads pattern files, does not end a line at \x85
+        # a pattern file is cut as a data file is: \x85 ends a line there too
         ("select --input after U+0085", ["select", "--input", "bad", "--output", "o.jsonl"],
          b'{"intent": ["\xc2\x85"], "support": {}, "support_measure": 0, "node_count": 0, '
-         b'"below_min_support": true}\n\xff\n', 2),
+         b'"below_min_support": true}\n\xff\n', 3),
     ]
 ])
 def test_a_data_file_that_is_not_utf8_is_an_input_error_naming_its_line(
@@ -663,6 +663,19 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_decimal():
     assert not {"dataclasses", "inspect", "decimal"} & set(loaded)
 
 
+@pytest.mark.parametrize("options,decimal", [
+    ([], False),  # the default --delta 20 is a whole number of seconds
+    (["--delta", 0.5, "--resolution", 2], True),
+])
+def test_mine_loads_decimal_only_for_a_delta_that_is_not_an_integer(tmp_path, options, decimal):
+    write_demo_files(tmp_path)
+    argv = ["mine", "--stream", "compare_toy.csv", "--output", "o.jsonl", *map(str, options)]
+    done = _python(["-c", f"import sys; from streamcores import cli; code = cli.main({argv!r}); "
+                          "print(code, 'decimal' in sys.modules)"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 {decimal}"
+
+
 def test_every_package_module_is_one_a_command_runs():
     # code only the tests use, the oracle among it, lives under tests/; `toys`
     # writes the demo files the README runs
@@ -718,12 +731,26 @@ class TestProcessExit:
         ]],
         (["mine", "--stream", "compare_toy.csv", "--min-support", 0, "--output", "out.jsonl"], 2,
          "configuration error: minimum support must be positive"),
+        # a name longer than a directory entry can be
+        *[(argv, 1, f"input error: [Errno 36] File name too long: '{'s' * 300}'") for argv in [
+            ["mine", "--stream", "s" * 300, "--output", "out.jsonl"],
+            ["select", "--input", "s" * 300, "--output", "out.jsonl"],
+        ]],
     ])
     def test_errors_keep_their_exit_code_and_message(self, tmp_path, argv, code, line):
         write_demo_files(tmp_path)
         done = _cli_process(argv, tmp_path)
         assert done.returncode == code
         assert done.stderr.splitlines() == [line]
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_a_symlink_loop_is_an_input_error(self, tmp_path):
+        write_demo_files(tmp_path)
+        (tmp_path / "loop").symlink_to("loop")
+        done = _cli_process(["mine", "--stream", "loop", "--output", "out.jsonl"], tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "input error: [Errno 40] Too many levels of symbolic links: 'loop'"]
         assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("collecting", [True, False])

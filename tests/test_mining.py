@@ -7,10 +7,13 @@ import pytest
 
 from streamcores import (
     AttributeContext,
+    ClosedPatternRecord,
     CoreSpec,
+    IntervalSet,
     ItemUniverse,
     MinerConfig,
     StreamGraph,
+    TimeNodeSet,
     filter_min_intent,
     induced_static_graph,
     mine,
@@ -38,6 +41,7 @@ from oracle import (
     reference_mine,
     sample_set,
 )
+from test_dataio import LINE_BREAKS
 
 
 def reference_records():
@@ -342,6 +346,30 @@ class TestPatternFiles:
             (r.items, r.support, r.support_measure, r.node_count) for r in records
         ]
 
+    def test_line_breaks_and_comment_marks_in_names_round_trip(self, tmp_path):
+        # json.dumps escapes every break at which the row reader cuts, and a
+        # record's line starts with "{", never with "#"
+        names = [f"#{brk}" for brk in LINE_BREAKS] + [f"a{brk}b" for brk in LINE_BREAKS]
+        records = [
+            ClosedPatternRecord((item,), TimeNodeSet({node: IntervalSet.span(0, 2)}), 2, 1)
+            for item, node in zip(names, reversed(names))
+        ]
+        path = tmp_path / "patterns.jsonl"
+        write_patterns(records, path)
+        assert [(r.items, r.support) for r in read_patterns(path)] == [
+            (r.items, r.support) for r in records]
+
+    def test_a_mark_comments_blank_lines_and_crlf_are_read_as_in_any_input_file(self, tmp_path):
+        records, _ = reference_records()
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        write_patterns(records, plain)
+        lines = plain.read_text().splitlines()
+        marked.write_bytes(("\ufeff# mined from the reference context\r\n\r\n"
+                            + "\r\n# a comment\r\n".join(lines) + "\r\n").encode())
+        read = [[(r.items, r.support, r.support_measure, r.node_count, r.below_min_support)
+                 for r in read_patterns(path)] for path in (plain, marked)]
+        assert read[0] == read[1] and len(read[0]) == len(records)
+
     def test_field_order_is_fixed(self, tmp_path):
         records, _ = reference_records()
         path = tmp_path / "patterns.jsonl"
@@ -399,10 +427,11 @@ class TestPatternFiles:
         ("support", {"v": "ab"}, "spans of node 'v' must be of type list, got 'ab'"),
         # mine flags every empty support, as min_support is at least 1
         ("support", {}, "an empty support must be flagged below_min_support"),
+        ("below_min_suport", True, "unknown fields ['below_min_suport']"),
     ], ids=["string-intent", "non-string-item", "repeated-item", "support-list", "fractional-span",
             "float-measure", "bool-node-count", "int-flag", "overlapping-spans",
             "touching-spans", "unsorted-spans", "empty-span", "reversed-span", "no-spans",
-            "span-triple", "spans-string", "empty-support"])
+            "span-triple", "spans-string", "empty-support", "unknown-field"])
     def test_values_are_checked_not_coerced(self, tmp_path, field, value, message):
         good = {"intent": ["a"], "support": {"v": [[0, 2]]}, "support_measure": 2, "node_count": 1}
         path = tmp_path / "patterns.jsonl"
@@ -410,6 +439,14 @@ class TestPatternFiles:
         with pytest.raises(ParseError) as err:
             read_patterns(path)
         assert str(err.value) == f"{path}:2: bad pattern record: {message}"
+
+    def test_a_record_must_be_an_object(self, tmp_path):
+        path = tmp_path / "patterns.jsonl"
+        path.write_text('["intent", "support"]\n')
+        with pytest.raises(ParseError) as err:
+            read_patterns(path)
+        assert str(err.value) == (f"{path}:1: bad pattern record: "
+                                  "record must be of type dict, got ['intent', 'support']")
 
     def test_a_flagged_empty_support_is_read(self, tmp_path):
         path = tmp_path / "patterns.jsonl"
