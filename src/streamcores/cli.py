@@ -197,10 +197,12 @@ def _check_output(option: str, path: str, taken: Dict[str, str]) -> str:
     Its directory must exist, the path must not be a directory, and it
     must not be one of `taken`: the files the command reads (`_inputs`)
     and the outputs it checked before, so that no write replaces a file
-    the command reads or writes. A symlink is judged by its target.
-    Called before any input is read.
+    the command reads or writes. A symlink is judged by its target, and
+    a symlink loop is refused. Called before any input is read.
     """
     real = os.path.realpath(path)
+    if os.path.islink(real):  # realpath stops at the link that closes a loop
+        raise ConfigError(f"{option}: cannot write {path}, a symlink loop")
     if real in taken:
         raise ConfigError(f"{option}: cannot write {path}, which {taken[real]}")
     if os.path.isdir(real):

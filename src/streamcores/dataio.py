@@ -13,9 +13,10 @@ Record formats (whitespace- or comma-separated, `#` starts a comment):
 Timestamps are seconds; they are converted to integer ticks with a
 configurable ticks-per-second resolution and must land on the grid.
 
-Every file reader, `mining.read_patterns` too, takes its rows from
-`_iter_rows`, which reads a file as it is iterated, drops a leading
-byte-order mark, numbers its lines as `str.splitlines` would and skips
+Every file reader, `mining.read_patterns` too, takes a path and its
+rows from `_iter_rows`, which reads the file's bytes as they are
+iterated, decodes them once (a leading byte-order mark dropped), numbers
+the lines in the same pass as `str.splitlines` cuts them, and skips
 blank and comment lines. `read_link_stream` hands `ingest_link_stream`
 a one-shot iterable of records (`_Records`): each row is split, its
 timestamps parsed with `to_ticks` (each distinct text once) and its
@@ -43,7 +44,6 @@ import logging
 import os
 import stat
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, TextIO, Tuple, Union
 
@@ -53,12 +53,10 @@ from .stream import StreamGraph
 
 log = logging.getLogger(__name__)
 
-PathOrLines = Union[str, Path, Iterable[str]]
-
 # columns per row of each link-stream format
 FORMAT_WIDTHS = {"triples": 3, "quadruples": 4, "contacts": 5}
 
-_CHUNK_CHARS = 1 << 16
+_CHUNK_BYTES = 1 << 16
 
 # the default limit of Python's own int() on decimal text; it also keeps
 # an exponent such as 1e999999999 from building a huge integer
@@ -76,62 +74,43 @@ class ParseError(ValueError):
         self.row = row
 
 
-def _iter_rows(data: PathOrLines) -> Tuple[str, Iterator[Tuple[int, str]]]:
-    """(source, rows): numbered rows with blank and `#` lines skipped.
+def _iter_rows(path: Union[str, Path]) -> Tuple[str, Iterator[Tuple[int, str]]]:
+    """(source, rows): the numbered rows of the file at `path`, blank and `#` lines skipped.
 
-    A file is read as the rows are iterated, in chunks that end at a
-    newline, and each chunk is cut where `str.splitlines` cuts, so a
-    row ends at every line break it knows
-    (`\\v`, `\\f`, `\\x1c`-`\\x1e`, `\\x85`, `\\u2028`, `\\u2029` as well
-    as newlines) and row numbers count them all. Each item of a line
-    iterable is one row as it is.
+    The file is opened when the rows are first iterated and read in
+    binary chunks, each finished at a b"\\n", so a chunk never ends inside
+    a line or a character. Each chunk is decoded once, a byte-order
+    mark dropped from the first, and cut where `str.splitlines` cuts, so
+    a row ends at every line break it knows (`\\r`, `\\v`, `\\f`,
+    `\\x1c`-`\\x1e`, `\\x85`, `\\u2028`, `\\u2029` as well as `\\n`) and
+    row numbers count them all. A file whose lines end in a lone `\\r`
+    has no b"\\n" to end a chunk at, so it is read as one chunk. Bytes
+    that are not UTF-8 raise a ParseError naming their line.
     """
-    if isinstance(data, (str, Path)):
-        path = Path(data)
-        return str(path), _numbered(chain.from_iterable(_line_batches(path)))
-    return "", _numbered(data)
+    source = str(path)
+    return source, _rows(source)
 
 
-def _line_batches(path: Path) -> Iterator[List[str]]:
-    with open(path, encoding="utf-8-sig") as handle:  # a leading byte-order mark is dropped
-        try:
-            for chunk in iter(partial(handle.read, _CHUNK_CHARS), ""):
-                if chunk[-1] != "\n":  # the chunk ends inside a line: finish it
-                    chunk += handle.readline()
-                yield chunk.splitlines()
-        except UnicodeDecodeError:
-            raise _undecodable(path) from None
-
-
-def _splitlines_breaks(text: str) -> int:
-    """The line breaks in `text` where `str.splitlines` cuts."""
-    return len((text + "|").splitlines()) - 1  # the sentinel ends the last line
-
-
-def _undecodable(path: Path) -> ParseError:
-    """A ParseError naming the first line of `path` that is not UTF-8 text.
-
-    The decoder reads ahead, so the file is decoded again, one
-    b"\\n"-ended piece at a time, and its lines are numbered where
-    `str.splitlines` cuts, as `_line_batches` numbers them.
-    """
-    line = 1
-    with open(path, "rb") as handle:
-        for raw in handle:
+def _rows(source: str) -> Iterator[Tuple[int, str]]:
+    line = 0
+    encoding = "utf-8-sig"  # a byte-order mark is dropped at the start of the file only
+    with open(source, "rb") as handle:
+        for chunk in iter(partial(handle.read, _CHUNK_BYTES), b""):
+            if not chunk.endswith(b"\n"):  # the chunk ends inside a line: finish it
+                chunk += handle.readline()
             try:
-                line += _splitlines_breaks(raw.decode("utf-8"))
+                lines = chunk.decode(encoding).splitlines()
             except UnicodeDecodeError as err:
-                line += _splitlines_breaks(raw[:err.start].decode("utf-8"))
-                return ParseError(f"not UTF-8 text: cannot decode byte 0x{raw[err.start]:02x}",
-                                  str(path), line)
-    return ParseError("not UTF-8 text", str(path))  # the file changed since it was read
-
-
-def _numbered(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
-    for i, line in enumerate(lines, start=1):
-        text = line.strip()
-        if text and text[0] != "#":
-            yield i, text
+                # err.object is the chunk after any byte-order mark; the sentinel ends its last line
+                before = err.object[:err.start].decode("utf-8") + "|"
+                raise ParseError(
+                    f"not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}",
+                    source, line + len(before.splitlines())) from None
+            encoding = "utf-8"
+            for line, text in enumerate(lines, start=line + 1):
+                text = text.strip()
+                if text and text[0] != "#":
+                    yield line, text
 
 
 def _split(text: str) -> List[str]:
@@ -338,7 +317,7 @@ def extension_ticks(seconds: float, resolution: int, fmt: str = "auto") -> int:
 
 
 def read_link_stream(
-    data: PathOrLines,
+    path: Union[str, Path],
     *,
     fmt: str = "auto",
     resolution: int = 1,
@@ -356,7 +335,7 @@ def read_link_stream(
     `extension_ticks`).
     """
     delta = extension_ticks(instant_extension_seconds, resolution, fmt)
-    source, rows = _iter_rows(data)
+    source, rows = _iter_rows(path)
     records = _Records(rows, FORMAT_WIDTHS.get(fmt), resolution, source)
     try:
         return ingest_link_stream(records, delta, directed=directed, presence=presence,
@@ -369,14 +348,14 @@ def read_link_stream(
     raise failure
 
 
-def read_presence(data: PathOrLines, *, resolution: int = 1) -> Dict[str, IntervalSet]:
+def read_presence(path: Union[str, Path], *, resolution: int = 1) -> Dict[str, IntervalSet]:
     """Parse `b e v` presence rows into node -> IntervalSet.
 
     A resolution that is not positive is a ValueError, raised before any
     row is read.
     """
     _check_resolution(resolution)
-    source, rows = _iter_rows(data)
+    source, rows = _iter_rows(path)
     spans: Dict[str, List[Tuple[int, int]]] = {}
     for row, text in rows:
         fields = _split(text)
@@ -437,14 +416,15 @@ def write_presence(stream: StreamGraph, path: Union[str, Path]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def read_attributes(data: PathOrLines, *, stream: Optional[StreamGraph] = None) -> AttributeContext:
+def read_attributes(path: Union[str, Path], *,
+                    stream: Optional[StreamGraph] = None) -> AttributeContext:
     """Parse `node,item1;item2;...` rows into an attribute context.
 
     The item universe keeps first-appearance order. With a stream given,
     rows for unknown nodes are kept but flagged, and stream nodes without
     a row get the empty description (also flagged).
     """
-    source, rows = _iter_rows(data)
+    source, rows = _iter_rows(path)
     descriptions: Dict[str, List[str]] = {}
     for row, text in rows:
         head, _, tail = text.partition(",")
@@ -488,11 +468,11 @@ def write_attributes(ctx: AttributeContext, path: Union[str, Path]) -> None:
 
 def read_highschool_context(
     *,
-    metadata: Optional[PathOrLines] = None,
-    contacts: Optional[PathOrLines] = None,
-    facebook: Optional[PathOrLines] = None,
-    declared: Optional[PathOrLines] = None,
-    diaries: Optional[PathOrLines] = None,
+    metadata: Optional[Union[str, Path]] = None,
+    contacts: Optional[Union[str, Path]] = None,
+    facebook: Optional[Union[str, Path]] = None,
+    declared: Optional[Union[str, Path]] = None,
+    diaries: Optional[Union[str, Path]] = None,
     stream: Optional[StreamGraph] = None,
 ) -> AttributeContext:
     """Assemble student descriptions from the face-to-face study files.
@@ -528,10 +508,10 @@ def read_highschool_context(
             _, i, j, ci, cj = fields
             add(i, f"C_{ci}")
             add(j, f"C_{cj}")
-    for prefix, data in (("F", facebook), ("D", declared), ("M", diaries)):
-        if data is None:
+    for prefix, path in (("F", facebook), ("D", declared), ("M", diaries)):
+        if path is None:
             continue
-        source, rows = _iter_rows(data)
+        source, rows = _iter_rows(path)
         for row, text in rows:
             fields = _split(text)
             if len(fields) < 2:

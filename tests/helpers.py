@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from pathlib import Path
+from typing import Iterable, List, Tuple
 
 import pytest
 
@@ -28,6 +29,12 @@ STREAM_KINDS = [
     pytest.param(directed, presence, id=f"{directed}-presence" if presence else f"{directed}")
     for presence in (False, True) for directed in (False, True)
 ]
+
+
+def write_lines(path: Path, lines: Iterable[str]) -> Path:
+    """`path` holding `lines`, each ended by a newline, as UTF-8; returns `path`."""
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return path
 
 
 def random_stream(

@@ -15,23 +15,23 @@ the built union and the greedy beta-scan without a memo; `selection`
 must agree with them bit for bit.
 
 `reference_read_link_stream` is the link-stream reader row by row: the
-whole file split with `str.splitlines`, each row split and converted
-through `dataio.to_ticks`, one span list per oriented pair, and every
-span checked and merged by `IntervalSet`; `dataio.read_link_stream`
-must build the same stream and raise the same errors. Both check their
-settings (resolution, format, instant extension) with
-`dataio.extension_ticks` before they read a row.
+whole file decoded as `utf-8-sig` and split with `str.splitlines`, each
+row split and converted through `dataio.to_ticks`, one span list per
+oriented pair, and every span checked and merged by `IntervalSet`;
+`dataio.read_link_stream` must build the same stream and raise the same
+errors. Both check their settings (resolution, format, instant
+extension) with `dataio.extension_ticks` before they read a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from streamcores.context import AttributeContext, Pattern, intent
 from streamcores.cores import CoreSpec, apply_core
-from streamcores.dataio import FORMAT_WIDTHS, ParseError, PathOrLines, extension_ticks, to_ticks
+from streamcores.dataio import FORMAT_WIDTHS, ParseError, extension_ticks, to_ticks
 from streamcores.intervals import IntervalSet
 from streamcores.mining import ClosedPatternRecord, MinerConfig, filter_min_intent
 from streamcores.selection import INTEREST_MEASURES
@@ -321,7 +321,7 @@ def reference_select(
 
 
 def reference_read_link_stream(
-    data: PathOrLines,
+    path: Union[str, Path],
     *,
     fmt: str = "auto",
     resolution: int = 1,
@@ -334,12 +334,9 @@ def reference_read_link_stream(
     The settings are checked first, by the reader's own `extension_ticks`.
     """
     delta = extension_ticks(instant_extension_seconds, resolution, fmt)
-    if isinstance(data, (str, Path)):
-        lines = Path(data).read_text().splitlines()
-        source = str(Path(data))
-    else:
-        lines = list(data)
-        source = ""
+    source = str(path)
+    # read as the reader reads: a leading byte-order mark is dropped
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     width = FORMAT_WIDTHS.get(fmt)
     records = []
     for row, line in enumerate(lines, start=1):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from streamcores import read_patterns, selection, star_satellite_core
+from streamcores import dataio, read_patterns, selection, star_satellite_core
 from streamcores.cli import main
 from streamcores.toys import star_toy_stream, write_demo_files
 
@@ -71,12 +71,15 @@ def test_every_mining_option_is_checked_before_any_file_is_read(
     pytest.param(command, option, option[0], id=f"{command[0]} {' '.join(option)}")
     for command, options in [
         (["mine", "--stream", "s.csv"],
-         [["--output", "missing/out.jsonl"], ["--output", "."], ["--output", "taken.jsonl"]]),
+         [["--output", "missing/out.jsonl"], ["--output", "."], ["--output", "taken.jsonl"],
+          ["--output", "loop"]]),
         (["select", "--input", "in.jsonl"],
-         [["--output", "missing/out.jsonl"], ["--output", "."], ["--output", "taken.jsonl"]]),
+         [["--output", "missing/out.jsonl"], ["--output", "."], ["--output", "taken.jsonl"],
+          ["--output", "loop"]]),
         (["static-compare", "--stream", "s.csv"],
          [["--stream-output", "missing/s.jsonl"], ["--stream-output", "."],
-          ["--static-output", "missing/s.jsonl"], ["--static-output", "."]]),
+          ["--static-output", "missing/s.jsonl"], ["--static-output", "."],
+          ["--stream-output", "loop"], ["--static-output", "loop"]]),
     ]
     for option in options
 ] + [
@@ -88,6 +91,7 @@ def test_an_output_that_cannot_be_written_is_refused_before_any_file_is_read(
         tmp_path, monkeypatch, capsys, command, option, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken.jsonl.manifest.json").mkdir()  # where taken.jsonl's manifest would go
+    (tmp_path / "loop").symlink_to("loop")
     for name, fields in [("mine", {"stream": "s.csv"}), ("select", {"input": "in.jsonl"})]:
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {"command": name, "output": "missing/out.jsonl", **fields}))
@@ -198,28 +202,38 @@ def test_two_outputs_that_are_one_file_are_refused_before_any_file_is_read(
 _LONG_STREAM = "".join(f"{20 * i} a b\n" for i in range(1, 10_001)).encode()
 
 
-@pytest.mark.parametrize("argv,data,line", [
-    pytest.param(argv, data, line, id=id_)
-    for id_, argv, data, line in [
+@pytest.mark.parametrize("argv,data,line,chunk", [
+    pytest.param(argv, data, line, chunk, id=id_)
+    for id_, argv, data, line, chunk in [
         ("mine --stream", ["mine", "--stream", "bad", "--output", "o.jsonl"],
-         _LONG_STREAM + b"200020 a \xffb\n", 10_001),
+         _LONG_STREAM + b"200020 a \xffb\n", 10_001, None),
         ("mine --attributes",
          ["mine", *_TINY[:4], "--attributes", "bad", "--core", "identity", "--output", "o.jsonl"],
-         b"a,x\vb,y\r\r\nc,z;\xff\r\n", 4),  # \v, a lone \r and \r\n all end a line
+         b"a,x\vb,y\r\r\nc,z;\xff\r\n", 4, None),  # \v, a lone \r and \r\n all end a line
+        # the bad byte's offset is taken after the byte-order mark, not in the raw bytes
+        ("mine --attributes after a byte-order mark",
+         ["mine", *_TINY[:4], "--attributes", "bad", "--core", "identity", "--output", "o.jsonl"],
+         b"\xef\xbb\xbfa,x\nb,\xff\n", 2, None),
+        # 4-byte chunks: the bad byte is in the rest of its line that finishes the third
+        ("mine --stream in a chunk's finished line",
+         ["mine", "--stream", "bad", "--output", "o.jsonl"],
+         b"# x\n20 a b\n40 a \xffb\n", 3, 4),
         ("mine --presence",
          ["mine", "--stream", "tiny_stream.csv", "--presence", "bad", "--output", "o.jsonl"],
-         b"# b e v\n0 5 a\n0 5 \xe2\x80b\n", 3),
-        ("select --input", ["select", "--input", "bad", "--output", "o.jsonl"], None, 8),
-        ("inspect --input", ["inspect", "--input", "bad"], None, 8),
+         b"# b e v\n0 5 a\n0 5 \xe2\x80b\n", 3, None),
+        ("select --input", ["select", "--input", "bad", "--output", "o.jsonl"], None, 8, None),
+        ("inspect --input", ["inspect", "--input", "bad"], None, 8, None),
         # a pattern file is cut as a data file is: \x85 ends a line there too
         ("select --input after U+0085", ["select", "--input", "bad", "--output", "o.jsonl"],
          b'{"intent": ["\xc2\x85"], "support": {}, "support_measure": 0, "node_count": 0, '
-         b'"below_min_support": true}\n\xff\n', 3),
+         b'"below_min_support": true}\n\xff\n', 3, None),
     ]
 ])
 def test_a_data_file_that_is_not_utf8_is_an_input_error_naming_its_line(
-        tmp_path, monkeypatch, capsys, argv, data, line):
+        tmp_path, monkeypatch, capsys, argv, data, line, chunk):
     monkeypatch.chdir(tmp_path)
+    if chunk is not None:
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
     write_demo_files(tmp_path)
     if data is None:  # seven mined records, then a bad line
         assert run("mine", *_TINY, "--output", "patterns.jsonl") == 0

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import stat
 import threading
 from unittest import mock
@@ -24,7 +25,7 @@ from streamcores.dataio import (
 from streamcores.toys import star_toy_stream
 
 import random
-from helpers import random_stream
+from helpers import random_stream, write_lines
 from oracle import reference_read_link_stream
 
 
@@ -131,33 +132,37 @@ class TestToTicks:
 
 
 class TestReadLinkStream:
-    def test_triples_with_comments(self):
-        lines = ["# contacts", "20 a b", "40 a b"]
-        s = read_link_stream(lines, fmt="triples")
+    def test_triples_with_comments(self, tmp_path):
+        path = write_lines(tmp_path / "s.txt", ["# contacts", "20 a b", "40 a b"])
+        s = read_link_stream(path, fmt="triples")
         assert s.adjacency("a")["b"] == IntervalSet.span(0, 40)
 
-    def test_comma_separated(self):
-        s = read_link_stream(["1,3,a,b"], fmt="quadruples")
+    def test_comma_separated(self, tmp_path):
+        s = read_link_stream(write_lines(tmp_path / "s.csv", ["1,3,a,b"]), fmt="quadruples")
         assert s.adjacency("a")["b"] == IntervalSet.span(1, 3)
 
-    def test_auto_detects_by_column_count(self):
-        assert read_link_stream(["1 3 a b"]).adjacency("a")["b"] == IntervalSet.span(1, 3)
-        assert read_link_stream(["40 a b"]).adjacency("a")["b"] == IntervalSet.span(20, 40)
+    def test_auto_detects_by_column_count(self, tmp_path):
+        quadruples = write_lines(tmp_path / "q.txt", ["1 3 a b"])
+        triples = write_lines(tmp_path / "t.txt", ["40 a b"])
+        assert read_link_stream(quadruples).adjacency("a")["b"] == IntervalSet.span(1, 3)
+        assert read_link_stream(triples).adjacency("a")["b"] == IntervalSet.span(20, 40)
 
-    def test_contact_rows_ignore_class_columns(self):
-        s = read_link_stream(["100\t7\t9\t2BIO1\tMP", "120\t7\t9\t2BIO1\tMP"])
+    def test_contact_rows_ignore_class_columns(self, tmp_path):
+        path = write_lines(tmp_path / "c.tsv", ["100\t7\t9\t2BIO1\tMP", "120\t7\t9\t2BIO1\tMP"])
+        s = read_link_stream(path)
         assert s.adjacency("7")["9"] == IntervalSet.span(80, 120)
 
-    def test_resolution_scales_extension(self):
-        s = read_link_stream(["2 a b"], fmt="triples", resolution=10,
-                             instant_extension_seconds=0.5)
+    def test_resolution_scales_extension(self, tmp_path):
+        s = read_link_stream(write_lines(tmp_path / "s.txt", ["2 a b"]), fmt="triples",
+                             resolution=10, instant_extension_seconds=0.5)
         assert s.adjacency("a")["b"] == IntervalSet.span(15, 20)
 
     @pytest.mark.parametrize("delta", [20.4, float("inf"), float("nan")])
-    def test_extension_must_be_whole_ticks(self, delta):
+    def test_extension_must_be_whole_ticks(self, tmp_path, delta):
         # a configuration error, not an input error: never ParseError
         with pytest.raises(ValueError, match="instant extension") as err:
-            read_link_stream(["40 a b"], instant_extension_seconds=delta)
+            read_link_stream(write_lines(tmp_path / "s.txt", ["40 a b"]),
+                             instant_extension_seconds=delta)
         assert not isinstance(err.value, ParseError)
 
     @pytest.mark.parametrize("read, options", [
@@ -167,14 +172,11 @@ class TestReadLinkStream:
         (read_presence, {}),
     ])
     @pytest.mark.parametrize("resolution", [0, -2])
-    def test_resolution_must_be_positive(self, read, options, resolution):
-        def rows():
-            raise AssertionError("a row was read")
-            yield
-
-        # a configuration error about the resolution, raised before any row is read
+    def test_resolution_must_be_positive(self, tmp_path, read, options, resolution):
+        # a configuration error about the resolution, raised before any row is
+        # read: the file does not exist, so reading it would be an OSError
         with pytest.raises(ValueError, match="resolution must be a positive") as err:
-            read(rows(), resolution=resolution, **options)
+            read(tmp_path / "missing.txt", resolution=resolution, **options)
         assert not isinstance(err.value, ParseError)
 
     def test_malformed_row_reported_with_position(self, tmp_path):
@@ -202,13 +204,22 @@ class TestReadLinkStream:
         (reference_read_link_stream, ["0,5,a,b", "1,6,a,"], 2),
         (read_presence, ["0,5,a", "0,5,"], 2),
     ])
-    def test_an_empty_node_name_is_refused(self, read, rows, row):
-        with pytest.raises(ParseError, match=f"^row {row}: empty node name$"):
-            read(rows)
+    def test_an_empty_node_name_is_refused(self, tmp_path, read, rows, row):
+        path = write_lines(tmp_path / "rows.csv", rows)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{row}: empty node name$"):
+            read(path)
 
-    def test_wrong_column_count_after_first_row(self):
-        with pytest.raises(ParseError, match="expected 4 columns"):
-            read_link_stream(["1 3 a b", "4 a b"])
+    def test_wrong_column_count_after_first_row(self, tmp_path):
+        with pytest.raises(ParseError, match="s.txt:2: expected 4 columns"):
+            read_link_stream(write_lines(tmp_path / "s.txt", ["1 3 a b", "4 a b"]))
+
+    def test_a_file_that_is_not_utf8_is_opened_once(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xef\xbb\xbf0 1 a b\n1 2 \xe2\x80a b\n")
+        with mock.patch("builtins.open", wraps=open) as opened:
+            with pytest.raises(ParseError, match="bad.txt:2: not UTF-8 text: .* byte 0xe2$"):
+                read_link_stream(path)
+        assert opened.call_count == 1
 
 
 def _outcome(read, data, **kwargs):
@@ -221,7 +232,7 @@ def _outcome(read, data, **kwargs):
 
 
 def _write(path, text):
-    with open(path, "w", newline="") as handle:  # line breaks exactly as given
+    with open(path, "w", encoding="utf-8", newline="") as handle:  # line breaks as given
         handle.write(text)
 
 
@@ -302,27 +313,19 @@ def _cases(draw):
 class TestReadLinkStreamAgainstReference:
     """The streaming reader builds what the row-by-row reference builds, or fails alike."""
 
-    @settings(max_examples=250, deadline=None)
-    @given(case=_cases())
-    def test_line_lists(self, case):
-        lines, options = case
-        assert (_outcome(read_link_stream, lines, **options)
-                == _outcome(reference_read_link_stream, lines, **options))
-
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(case=_cases(), breaks=st.lists(st.sampled_from(LINE_BREAKS), min_size=1, max_size=3),
-           last_break=st.booleans(), chunk=st.sampled_from([1, 2, 5, 64]))
-    def test_files(self, tmp_path_factory, case, breaks, last_break, chunk):
+           last_break=st.booleans(), mark=st.booleans(), chunk=st.sampled_from([1, 2, 5, 64]))
+    def test_files(self, tmp_path_factory, case, breaks, last_break, mark, chunk):
         lines, options = case
         path = tmp_path_factory.mktemp("streams") / "stream.txt"
         text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
-        _write(path, text if last_break else text.rstrip("".join(LINE_BREAKS)))
-        # small chunks put chunk ends inside rows and between "\r" and "\n"
-        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+        text = text if last_break else text.rstrip("".join(LINE_BREAKS))
+        _write(path, "\ufeff" + text if mark else text)  # a byte-order mark, at times
+        # small chunks end inside rows, and each is finished with the rest of its line
+        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
             got = _outcome(read_link_stream, path, **options)
         assert got == _outcome(reference_read_link_stream, path, **options)
-        if breaks == ["\n"] and isinstance(got[0], dict):  # a file reads as its list of rows
-            assert got == _outcome(read_link_stream, lines, **options)
 
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
     def test_every_splitlines_break_ends_a_row(self, tmp_path, chunk):
@@ -330,7 +333,7 @@ class TestReadLinkStreamAgainstReference:
         # one row per break; "\v" inside "1 2\va b" makes two short rows, never one
         rows = [f"{i} {i + 1} a b" for i in range(len(LINE_BREAKS))]
         _write(path, "".join(row + brk for row, brk in zip(rows, LINE_BREAKS)))
-        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
             s = read_link_stream(path)
             assert s.adjacency("a")["b"] == IntervalSet.span(0, len(LINE_BREAKS))
             assert _outcome(read_link_stream, path) == _outcome(reference_read_link_stream, path)
@@ -345,11 +348,19 @@ class TestReadLinkStreamAgainstReference:
         path = tmp_path / "long.txt"
         long = f"0 1 {'n' * 300} b"
         _write(path, f"# x\r\n{long}\v1 2 c d\r\n{long[::-1]}")
-        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
             _, rows = dataio._iter_rows(path)
             assert list(rows) == [(2, long), (3, "1 2 c d"), (4, long[::-1])]
 
-    def test_names_and_timestamps_are_shared(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 1 << 16])
+    def test_only_a_byte_order_mark_that_starts_the_file_is_dropped(self, tmp_path, chunk):
+        path = tmp_path / "marks.txt"
+        _write(path, "\ufeff0 1 a b\n\ufeff1 2 a b\n")
+        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+            _, rows = dataio._iter_rows(path)
+            assert list(rows) == [(1, "0 1 a b"), (2, "\ufeff1 2 a b")]
+
+    def test_names_and_timestamps_are_shared(self, tmp_path, monkeypatch):
         seen = []
         original = dataio.ingest_link_stream
 
@@ -359,7 +370,8 @@ class TestReadLinkStreamAgainstReference:
             return original(records, *args, **kwargs)
 
         monkeypatch.setattr(dataio, "ingest_link_stream", spy)
-        read_link_stream(["1385982020 alice bob", "1385982020 bob alice"])
+        read_link_stream(write_lines(tmp_path / "s.txt",
+                                     ["1385982020 alice bob", "1385982020 bob alice"]))
         (first, second), = seen
         assert first[0] is second[0] and first[1] is second[2] and first[2] is second[1]
 
@@ -409,11 +421,13 @@ class TestRecordSource:
         assert s.adjacency("a")["b"] == IntervalSet.span(0, 40)
 
     @pytest.mark.parametrize("read", [read_link_stream, reference_read_link_stream])
-    def test_a_later_parse_error_comes_before_an_earlier_ingest_error(self, read):
-        with pytest.raises(ParseError, match=r"^row 4: bad timestamp 'x'"):
-            read(["20 a a", "# x", "40 a b", "x a b"])
-        with pytest.raises(ParseError, match=r"^row 2: self-interaction"):
-            read(["20 a b", "20 a a", "40 a b"])
+    def test_a_later_parse_error_comes_before_an_earlier_ingest_error(self, tmp_path, read):
+        path = write_lines(tmp_path / "s.txt", ["20 a a", "# x", "40 a b", "x a b"])
+        with pytest.raises(ParseError, match=r"s.txt:4: bad timestamp 'x'"):
+            read(path)
+        path = write_lines(tmp_path / "s.txt", ["20 a b", "20 a a", "40 a b"])
+        with pytest.raises(ParseError, match=r"s.txt:2: self-interaction"):
+            read(path)
 
 
 class TestPresence:
@@ -428,12 +442,12 @@ class TestPresence:
         path = tmp_path / "presence.csv"
         path.write_text("0 10 a\n0 10 b\n")
         presence = read_presence(path)
-        s = read_link_stream(["1 3 a b"], presence=presence)
+        s = read_link_stream(write_lines(tmp_path / "s.txt", ["1 3 a b"]), presence=presence)
         assert s.presence("a") == IntervalSet.span(0, 10)
 
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ParseError, match="empty presence"):
-            read_presence(["5 5 a"])
+    def test_empty_interval_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="presence.txt:1: empty presence"):
+            read_presence(write_lines(tmp_path / "presence.txt", ["5 5 a"]))
 
 
 class TestStreamRoundTrip:
@@ -459,7 +473,8 @@ class TestStreamRoundTrip:
 _WRITERS = {
     "link-stream": lambda path: write_link_stream(star_toy_stream(), path),
     "presence": lambda path: write_presence(star_toy_stream(), path),
-    "attributes": lambda path: write_attributes(read_attributes(["n1,alpha;beta", "n2,"]), path),
+    "attributes": lambda path: write_attributes(
+        AttributeContext(ItemUniverse(["alpha", "beta"]), {"n1": 0b11, "n2": 0}), path),
     "patterns": lambda path: write_patterns(
         mine(star_toy_stream(), AttributeContext(ItemUniverse([]), {}), MinerConfig()), path),
 }
@@ -511,31 +526,31 @@ class TestOpenOutput:
 
 
 class TestAttributes:
-    def test_basic_rows(self):
-        ctx = read_attributes(["n1,alpha;beta", "n2,beta", "n3,"])
+    def test_basic_rows(self, tmp_path):
+        ctx = read_attributes(write_lines(tmp_path / "a.csv", ["n1,alpha;beta", "n2,beta", "n3,"]))
         u = ctx.universe
         assert u.items == ("alpha", "beta")
         assert ctx.description("n1") == u.mask_of(["alpha", "beta"])
         assert ctx.description("n3") == 0
 
-    def test_universe_keeps_first_appearance_order(self):
-        ctx = read_attributes(["n1,z;a", "n2,m;z"])
+    def test_universe_keeps_first_appearance_order(self, tmp_path):
+        ctx = read_attributes(write_lines(tmp_path / "a.csv", ["n1,z;a", "n2,m;z"]))
         assert ctx.universe.items == ("z", "a", "m")
 
-    def test_duplicate_node_rejected(self):
-        with pytest.raises(ParseError, match="duplicate description"):
-            read_attributes(["n1,alpha", "n1,beta"])
+    def test_duplicate_node_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="a.csv:2: duplicate description"):
+            read_attributes(write_lines(tmp_path / "a.csv", ["n1,alpha", "n1,beta"]))
 
-    def test_mismatch_warnings(self, caplog):
+    def test_mismatch_warnings(self, tmp_path, caplog):
         s = StreamGraph({("a", "b"): [(0, 1)]})
         with caplog.at_level(logging.WARNING):
-            ctx = read_attributes(["a,x", "ghost,y"], stream=s)
+            ctx = read_attributes(write_lines(tmp_path / "a.csv", ["a,x", "ghost,y"]), stream=s)
         text = caplog.text
         assert "ghost" in text and "b" in text
         assert ctx.description("b") == 0
 
     def test_roundtrip(self, tmp_path):
-        ctx = read_attributes(["n1,alpha;beta", "n2,beta"])
+        ctx = read_attributes(write_lines(tmp_path / "in.csv", ["n1,alpha;beta", "n2,beta"]))
         path = tmp_path / "attrs.csv"
         write_attributes(ctx, path)
         back = read_attributes(path)
@@ -543,32 +558,35 @@ class TestAttributes:
 
 
 class TestHighschoolAdapter:
-    def test_items_from_all_sources(self):
+    def test_items_from_all_sources(self, tmp_path):
         ctx = read_highschool_context(
-            metadata=["650\t2BIO1\tF", "27\tMP\tM"],
-            facebook=["650 27"],
-            declared=["650 27"],
-            diaries=["27 650"],
+            metadata=write_lines(tmp_path / "metadata.txt", ["650\t2BIO1\tF", "27\tMP\tM"]),
+            facebook=write_lines(tmp_path / "facebook.txt", ["650 27"]),
+            declared=write_lines(tmp_path / "declared.txt", ["650 27"]),
+            diaries=write_lines(tmp_path / "diaries.txt", ["27 650"]),
         )
         u = ctx.universe
         assert set(u.items_of(ctx.description("650"))) == {"C_2BIO1", "G_F", "F_27", "D_27"}
         # Facebook friendship is symmetric, declarations are not
         assert set(u.items_of(ctx.description("27"))) == {"C_MP", "G_M", "F_650", "M_650"}
 
-    def test_classes_from_contact_rows(self):
-        ctx = read_highschool_context(contacts=["100\t7\t9\t2BIO1\tMP"])
+    def test_classes_from_contact_rows(self, tmp_path):
+        contacts = write_lines(tmp_path / "contacts.tsv", ["100\t7\t9\t2BIO1\tMP"])
+        ctx = read_highschool_context(contacts=contacts)
         assert ctx.universe.items_of(ctx.description("7")) == ("C_2BIO1",)
         assert ctx.universe.items_of(ctx.description("9")) == ("C_MP",)
 
-    def test_unknown_gender_skipped(self):
-        ctx = read_highschool_context(metadata=["650\t2BIO1\tUnknown"])
+    def test_unknown_gender_skipped(self, tmp_path):
+        metadata = write_lines(tmp_path / "metadata.txt", ["650\t2BIO1\tUnknown"])
+        ctx = read_highschool_context(metadata=metadata)
         assert ctx.universe.items_of(ctx.description("650")) == ("C_2BIO1",)
 
     @pytest.mark.parametrize("source,prefix", [("facebook", "F"), ("declared", "D"),
                                                ("diaries", "M")])
-    def test_friendship_rows_need_at_least_two_columns(self, source, prefix):
-        with pytest.raises(ParseError, match="row 2: expected at least 2 columns, got 1"):
-            read_highschool_context(**{source: ["650 27", "650"]})
+    def test_friendship_rows_need_at_least_two_columns(self, tmp_path, source, prefix):
+        path = write_lines(tmp_path / "friends.txt", ["650 27", "650"])
+        with pytest.raises(ParseError, match="friends.txt:2: expected at least 2 columns, got 1"):
+            read_highschool_context(**{source: path})
         # extra columns are accepted and ignored
-        ctx = read_highschool_context(**{source: ["650 27 1"]})
+        ctx = read_highschool_context(**{source: write_lines(path, ["650 27 1"])})
         assert ctx.universe.items_of(ctx.description("650")) == (f"{prefix}_27",)

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from streamcores import AttributeContext, CoreSpec, ItemUniverse, MinerConfig, mine, write_patterns
 from streamcores.dataio import read_link_stream
 
-from helpers import permuted_context
+from helpers import permuted_context, write_lines
 
 NODES = "abcde"
 PAIRS = [(u, v) for u in NODES for v in NODES if u != v]
@@ -50,9 +50,11 @@ def _runs(draw, directed=st.booleans()):
 
 
 def _mined(tmp_path_factory, rows, directed, ctx, cfg, resolution=1) -> bytes:
-    stream = read_link_stream([f"{b} {e} {u} {v}" for b, e, u, v in rows],
-                              fmt="quadruples", directed=directed, resolution=resolution)
-    path = tmp_path_factory.mktemp("mined") / "patterns.jsonl"
+    folder = tmp_path_factory.mktemp("mined")
+    rows_path = write_lines(folder / "rows.txt", [f"{b} {e} {u} {v}" for b, e, u, v in rows])
+    stream = read_link_stream(rows_path, fmt="quadruples", directed=directed,
+                              resolution=resolution)
+    path = folder / "patterns.jsonl"
     write_patterns(mine(stream, ctx, cfg), path)
     return path.read_bytes()
 
