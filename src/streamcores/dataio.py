@@ -15,37 +15,52 @@ configurable ticks-per-second resolution and must land on the grid.
 
 Every file reader, `mining.read_patterns` too, takes a path and its
 rows from `_iter_rows`, which reads the file's bytes as they are
-iterated, decodes them once (a leading byte-order mark dropped), numbers
-the lines in the same pass as `str.splitlines` cuts them, and skips
-blank and comment lines. `read_link_stream` hands `ingest_link_stream`
-a one-shot iterable of records (`_Records`): each row is split, its
-timestamps parsed with `to_ticks` (each distinct text once) and its
-node names shared (one object per name, an empty name refused when it
-is first seen) only when the ingest asks for the next record, so no
-list of the file's records is ever held. The ingest takes any iterable
-of records. It checks each record once (width, empty interval,
-self-loop, integer ticks; a non-integer tick is a TypeError) and
-merges a pair's spans as they arrive: a span that starts inside or at
-the end of the pair's last span extends it. It hands the span lists,
-keyed by each pair as written, to `StreamGraph`, which orients the
-pairs and canonicalises each pair's spans once. Errors name the file
-line. A row that cannot be parsed (column count, timestamp, empty node
-name) is reported before a record that fails the ingest's checks on an
-earlier line, as if every row had been parsed before any record was
-checked.
+iterated (`_chunks`), decodes them once (`_decode`, a leading byte-order
+mark dropped), numbers the lines in the same pass as `str.splitlines`
+cuts them, and skips blank and comment lines (`_numbered`).
+`read_link_stream` reads the same chunks, and hands `ingest_link_stream`
+a one-shot iterable of records (`_Records`), parsed a chunk at a time
+only when the ingest asks for the next record, so no list of the file's
+records is ever held. A chunk is plain when the width is known (from
+the format, or for "auto" from the file's first row), it has no `#`, no
+`,` and no line break other than `\\n`, and each of its lines holds
+exactly that many fields. A plain chunk is parsed whole: one split,
+each column a stride slice, each distinct timestamp text parsed once
+with `to_ticks`, one string object per node name, and its records
+checked column-wise for what the ingest refuses before any is handed
+over; while they are, `_Records.line` is the chunk's last line. The
+row path handles every other chunk and every error: a plain chunk
+whose checks fail is parsed again row by row, so errors, their lines
+and their order are those of a row-by-row reader. There each row is
+split, its timestamps parsed (each distinct text once) and its node
+names shared (an empty name refused when it is first seen). The ingest
+takes any iterable of records. It checks each record once (width,
+empty interval, self-loop, integer ticks; a non-integer tick is a
+TypeError) and merges a pair's spans as they arrive: a span that starts
+inside or at the end of the pair's last span extends it. It hands the
+span lists, keyed by each pair as written, to `StreamGraph`, which
+orients the pairs and canonicalises each pair's spans once. Errors name
+the file line. A row that cannot be parsed (column count, timestamp,
+empty node name) is reported before a record that fails the ingest's
+checks on an earlier line, as if every row had been parsed before any
+record was checked.
 
 Every file the package writes is opened by `open_output`, which makes
-the output a new file rather than truncating the old one in place.
+the output a new file rather than truncating the old one in place. The
+stream and presence writers write a row naming a node whose name holds
+whitespace as a comma row, and refuse a name that no row can hold.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 import os
 import stat
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, TextIO, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, Set, TextIO, Tuple,
+                    Union)
 
 from .context import AttributeContext, ItemUniverse
 from .intervals import IntervalSet, Span
@@ -77,11 +92,11 @@ class ParseError(ValueError):
 def _iter_rows(path: Union[str, Path]) -> Tuple[str, Iterator[Tuple[int, str]]]:
     """(source, rows): the numbered rows of the file at `path`, blank and `#` lines skipped.
 
-    The file is opened when the rows are first iterated and read in
-    binary chunks, each finished at a b"\\n", so a chunk never ends inside
-    a line or a character. Each chunk is decoded once, a byte-order
-    mark dropped from the first, and cut where `str.splitlines` cuts, so
-    a row ends at every line break it knows (`\\r`, `\\v`, `\\f`,
+    The file is opened when the rows are first iterated and read by
+    `_chunks`, so a chunk never ends inside a line or a character. Each
+    chunk is decoded once by `_decode`, a byte-order mark dropped from
+    the first, and cut by `_numbered` where `str.splitlines` cuts, so a
+    row ends at every line break it knows (`\\r`, `\\v`, `\\f`,
     `\\x1c`-`\\x1e`, `\\x85`, `\\u2028`, `\\u2029` as well as `\\n`) and
     row numbers count them all. A file whose lines end in a lone `\\r`
     has no b"\\n" to end a chunk at, so it is read as one chunk. Bytes
@@ -93,24 +108,51 @@ def _iter_rows(path: Union[str, Path]) -> Tuple[str, Iterator[Tuple[int, str]]]:
 
 def _rows(source: str) -> Iterator[Tuple[int, str]]:
     line = 0
-    encoding = "utf-8-sig"  # a byte-order mark is dropped at the start of the file only
+    for i, chunk in enumerate(_chunks(source)):
+        rows, line = _numbered(_decode(chunk, i == 0, source, line), line)
+        yield from rows
+
+
+def _chunks(source: str) -> Iterator[bytes]:
+    """The bytes of the file at `source` in pieces of about `_CHUNK_BYTES`, each ending at b"\\n".
+
+    Only the last piece may end elsewhere, at the end of the file.
+    """
     with open(source, "rb") as handle:
         for chunk in iter(partial(handle.read, _CHUNK_BYTES), b""):
             if not chunk.endswith(b"\n"):  # the chunk ends inside a line: finish it
                 chunk += handle.readline()
-            try:
-                lines = chunk.decode(encoding).splitlines()
-            except UnicodeDecodeError as err:
-                # err.object is the chunk after any byte-order mark; the sentinel ends its last line
-                before = err.object[:err.start].decode("utf-8") + "|"
-                raise ParseError(
-                    f"not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}",
-                    source, line + len(before.splitlines())) from None
-            encoding = "utf-8"
-            for line, text in enumerate(lines, start=line + 1):
-                text = text.strip()
-                if text and text[0] != "#":
-                    yield line, text
+            yield chunk
+
+
+def _decode(chunk: bytes, first: bool, source: str, line: int) -> str:
+    """The text of `chunk`, whose first line follows file line `line`.
+
+    A byte-order mark is dropped at the start of the file (the `first`
+    chunk) only. Bytes that are not UTF-8 raise a ParseError naming
+    their line.
+    """
+    try:
+        return chunk.decode("utf-8-sig" if first else "utf-8")
+    except UnicodeDecodeError as err:
+        # err.object is the chunk after any byte-order mark; the sentinel ends its last line
+        before = err.object[:err.start].decode("utf-8") + "|"
+        raise ParseError(
+            f"not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}",
+            source, line + len(before.splitlines())) from None
+
+
+def _numbered(text: str, line: int) -> Tuple[Iterator[Tuple[int, str]], int]:
+    """(rows, last): the rows of `text`, whose first line is file line `line` + 1, and
+    the number of its last line.
+
+    Each row is stripped and numbered by its line; blank and `#` lines
+    are skipped.
+    """
+    lines = text.splitlines()
+    rows = ((number, row) for number, row in enumerate(map(str.strip, lines), start=line + 1)
+            if row and row[0] != "#")
+    return rows, line + len(lines)
 
 
 def _split(text: str) -> List[str]:
@@ -227,19 +269,31 @@ def _refuse(message: str, source: str, records: Iterable[Tuple], position: int) 
 
 
 class _Records:
-    """The records of a link-stream file's rows, parsed as they are iterated.
+    """The records of a link-stream file, parsed a chunk at a time as they are iterated.
+
+    A chunk that is plain (see `_plain_records`) while the width is
+    known (`width`, or for "auto" the first row's) is parsed whole: one
+    split, each column a stride slice, each distinct timestamp text
+    parsed once (a cache shared with the row path), and its records
+    checked column-wise for what the ingest refuses (an undirected
+    self-loop, an empty interval) before any is handed out. Any check
+    that fails, or a timestamp `to_ticks` refuses, sends the chunk down
+    the row path, which parses row by row and raises every error, so
+    the errors, their lines and their order are those of a file read
+    row by row. Every other chunk takes the row path too.
 
     One-shot: each iteration goes on where the last one stopped. `line`
-    is the file line of the record handed out last, and `len()` the
-    number of records read once the rows are used up. A row that cannot
-    be parsed raises ParseError and ends the records.
+    is the file line of the record handed out last, or, while a plain
+    chunk's records are handed out, the chunk's last line; the ingest
+    never refuses one of those. `len()` is the number of records read
+    once the rows are used up. A row that cannot be parsed raises
+    ParseError and ends the records.
     """
 
-    def __init__(self, rows: Iterator[Tuple[int, str]], width: Optional[int],
-                 resolution: int, source: str):
+    def __init__(self, source: str, width: Optional[int], resolution: int, directed: bool):
         self.line = 0
         self._count = 0
-        self._records = self._parse(rows, width, resolution, source)
+        self._records = self._parse(source, width, resolution, directed)
 
     def __iter__(self) -> Iterator[Tuple]:
         return self._records
@@ -247,7 +301,7 @@ class _Records:
     def __len__(self) -> int:
         return self._count
 
-    def _parse(self, rows, width, resolution, source) -> Iterator[Tuple]:
+    def _parse(self, source, width, resolution, directed) -> Iterator[Tuple]:
         names: Dict[str, str] = {}  # one string object per node name
         ticks: Dict[str, int] = {}  # and per timestamp text
         name = names.get
@@ -258,31 +312,99 @@ class _Records:
             names[text] = text
             return text
 
-        count = 0
-        for row, text in rows:
-            self.line = row
-            fields = _split(text)
-            if width is None:  # "auto" takes the width of the first row
-                width = len(fields)
-                if width not in FORMAT_WIDTHS.values():
-                    raise ParseError(f"cannot infer format from {width} columns", source, row)
-            if len(fields) != width:
-                raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
-            # exports sit on a time grid, so a timestamp text recurs: parse it once
-            t = ticks.get(fields[0])
-            if t is None:
-                t = ticks[fields[0]] = to_ticks(fields[0], resolution, source, row)
-            count += 1
-            if width == 4:
-                e = ticks.get(fields[1])
-                if e is None:
-                    e = ticks[fields[1]] = to_ticks(fields[1], resolution, source, row)
-                u, v = fields[2], fields[3]
-                yield t, e, name(u) or new_name(u), name(v) or new_name(v)
-            else:  # an instant contact; the class columns of the contacts format are skipped
-                u, v = fields[1], fields[2]
-                yield t, name(u) or new_name(u), name(v) or new_name(v)
+        count = line = 0
+        for i, raw in enumerate(_chunks(source)):
+            chunk = _decode(raw, i == 0, source, line)
+            # for "auto", a plain chunk's first line is the file's first row
+            plain = _plain_records(chunk, width or len(chunk.partition("\n")[0].split()),
+                                   resolution, directed, ticks, names)
+            if plain is not None:
+                width, n, records = plain
+                count += n
+                line = self.line = line + n  # one record a line
+                yield from records
+                continue
+            rows, line = _numbered(chunk, line)
+            for row, text in rows:
+                self.line = row
+                fields = _split(text)
+                if width is None:  # "auto" takes the width of the first row
+                    width = len(fields)
+                    if width not in FORMAT_WIDTHS.values():
+                        raise ParseError(f"cannot infer format from {width} columns",
+                                         source, row)
+                if len(fields) != width:
+                    raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
+                # exports sit on a time grid, so a timestamp text recurs: parse it once
+                t = ticks.get(fields[0])
+                if t is None:
+                    t = ticks[fields[0]] = to_ticks(fields[0], resolution, source, row)
+                count += 1
+                if width == 4:
+                    e = ticks.get(fields[1])
+                    if e is None:
+                        e = ticks[fields[1]] = to_ticks(fields[1], resolution, source, row)
+                    u, v = fields[2], fields[3]
+                    yield t, e, name(u) or new_name(u), name(v) or new_name(v)
+                else:  # an instant contact; the class columns of the contacts format are skipped
+                    u, v = fields[1], fields[2]
+                    yield t, name(u) or new_name(u), name(v) or new_name(v)
         self._count = count
+
+
+# a plain chunk has no comment, no comma and, besides "\n", none of the line
+# breaks of str.splitlines
+_NOT_PLAIN = ("#", ",", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
+_NOT_PLAIN_BEYOND_ASCII = ("\x85", "\u2028", "\u2029")
+
+
+def _ticks_of(texts: List[str], ticks: Dict[str, int], resolution: int) -> List[int]:
+    """The ticks of timestamp `texts`, each text not in the `ticks` cache parsed once and added.
+
+    Raises the ParseError of `to_ticks` for a text it refuses, naming no line.
+    """
+    for text in set(texts).difference(ticks):
+        ticks[text] = to_ticks(text, resolution, "", 0)
+    return list(map(ticks.__getitem__, texts))
+
+
+def _plain_records(text: str, width: int, resolution: int, directed: bool,
+                   ticks: Dict[str, int], names: Dict[str, str]
+                   ) -> Optional[Tuple[int, int, Iterator[Tuple]]]:
+    """(width, count, records) of a plain chunk `text` of `width` fields a line, or None.
+
+    A chunk is plain when it has no `#`, no `,` and no line break other
+    than `\\n`, and each of its lines holds exactly `width` whitespace-
+    separated fields, so it has no blank line and ends at a `\\n`: its
+    rows are then what `_numbered` and `_split` would make of it, one
+    record a line. None, where the row path must read the chunk: `width`
+    is not a format's, the chunk is not plain, `to_ticks` refuses a
+    timestamp, or the ingest would refuse a record. Never raises.
+    """
+    if (width not in FORMAT_WIDTHS.values() or any(map(text.__contains__, _NOT_PLAIN))
+            or not text.isascii() and any(map(text.__contains__, _NOT_PLAIN_BEYOND_ASCII))):
+        return None
+    count = text.count("\n")
+    step = width + 1
+    # a "#" token ends each line: there are `count` of them, so each line has
+    # `width` fields exactly when every (width + 1)-th token is one
+    tokens = text.replace("\n", " # ").split()
+    if len(tokens) != count * step or tokens[width::step].count("#") != count:
+        return None
+    # the class columns of the contacts format are skipped
+    *stamps, us, vs = [tokens[i::step] for i in range(4 if width == 4 else 3)]
+    del tokens  # freed before the timestamps are parsed
+    if not directed and any(map(operator.eq, us, vs)):
+        return None
+    try:
+        stamps = [_ticks_of(texts, ticks, resolution) for texts in stamps]
+    except ParseError:
+        return None
+    if width == 4 and any(map(operator.ge, *stamps)):
+        return None
+    # one string object per name, so the chunk's own copies are freed now
+    us, vs = (list(map(names.setdefault, texts, texts)) for texts in (us, vs))
+    return width, count, zip(*stamps, us, vs)
 
 
 def _check_resolution(resolution: int) -> None:
@@ -335,8 +457,8 @@ def read_link_stream(
     `extension_ticks`).
     """
     delta = extension_ticks(instant_extension_seconds, resolution, fmt)
-    source, rows = _iter_rows(path)
-    records = _Records(rows, FORMAT_WIDTHS.get(fmt), resolution, source)
+    source = str(path)
+    records = _Records(source, FORMAT_WIDTHS.get(fmt), resolution, directed)
     try:
         return ingest_link_stream(records, delta, directed=directed, presence=presence,
                                   source=source)
@@ -393,25 +515,52 @@ def open_output(path: Union[str, Path]) -> TextIO:
     return open(real, "w")
 
 
+def _comma_nodes(nodes: Iterable) -> Set:
+    """The nodes whose rows are written as comma rows: those whose names hold whitespace.
+
+    A name that no row can hold is a ValueError naming the node: an
+    empty one, one with a comma or a line break, or one with whitespace
+    at either end, which a comma row strips.
+    """
+    commas = set()
+    for node in nodes:
+        text = str(node)
+        if text.splitlines() != [text] or "," in text or text.strip() != text:
+            raise ValueError(f"node name {node!r} cannot be written to a row")
+        if text.split() != [text]:
+            commas.add(node)
+    return commas
+
+
 def write_link_stream(stream: StreamGraph, path: Union[str, Path]) -> None:
     """Write canonical quadruple rows `b e u v` in tick units.
 
     Rows are ordered by pair then interval start, so re-ingesting at
-    resolution 1 reproduces the stream.
+    resolution 1 reproduces the stream. A row naming a node whose name
+    holds whitespace is a comma row; a name that no row can hold is a
+    ValueError (see `_comma_nodes`), raised before the file is opened.
     """
+    commas = _comma_nodes(stream.nodes)
     lines = ["# b e u v (ticks)"]
     for (u, v), ivs in stream.interaction_items():
+        sep = "," if u in commas or v in commas else " "
         for a, b in ivs.spans:
-            lines.append(f"{a} {b} {u} {v}")
+            lines.append(f"{a}{sep}{b}{sep}{u}{sep}{v}")
     with open_output(path) as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def write_presence(stream: StreamGraph, path: Union[str, Path]) -> None:
+    """Write presence rows `b e v` in tick units, which `read_presence` reads back.
+
+    Node names are written as `write_link_stream` writes them.
+    """
+    commas = _comma_nodes(stream.nodes)
     lines = ["# b e v (ticks)"]
     for v in stream.nodes:
+        sep = "," if v in commas else " "
         for a, b in stream.presence(v).spans:
-            lines.append(f"{a} {b} {v}")
+            lines.append(f"{a}{sep}{b}{sep}{v}")
     with open_output(path) as handle:
         handle.write("\n".join(lines) + "\n")
 

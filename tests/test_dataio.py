@@ -6,7 +6,7 @@ import threading
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamcores import (AttributeContext, IntervalSet, ItemUniverse, MinerConfig, StreamGraph,
                          dataio, mine, write_patterns)
@@ -310,6 +310,80 @@ def _cases(draw):
     return lines, options
 
 
+@st.composite
+def _plain_cases(draw):
+    """(text, reader options, fault count): rows of one width, each ended by a `\\n`,
+    with at most two faults.
+
+    A fault is a row that the reader or the ingest refuses, or that is no
+    plain row: a self-loop, an empty interval, a timestamp off the grid or
+    not a number (a start or an end), a short row, a field moved to the
+    next row, a `#` line, a blank line, a comma row, a `\\v` or `\\u2028`
+    inside a row, or no final `\\n`.
+    """
+    width = draw(st.sampled_from([3, 4, 5]))
+    names = draw(st.sampled_from(["abcd", "1234"]))  # numbers, as in the contacts export
+    rows = []
+    for _ in range(draw(st.integers(1, 60))):
+        u, v = draw(st.permutations(names))[:2]
+        t = draw(st.integers(-3, 60))
+        fields = {3: [t, u, v], 4: [t, t + draw(st.integers(1, 12)), u, v],
+                  5: [t, u, v, "C1", "C2"]}[width]
+        rows.append(list(map(str, fields)))
+    first_name = 2 if width == 4 else 1  # its column
+    kinds = ["self-loop", "off-grid", "bad", "short", "field moved", "comment", "blank", "comma",
+             "\v", "\u2028", "no final break"] + (["empty", "bad end"] if width == 4 else [])
+    faults = draw(st.lists(st.sampled_from(kinds), max_size=2))
+    separator = {i: draw(st.sampled_from([" ", "\t", "  ", " \t"])) for i in range(len(rows))}
+    inserted = []
+    for kind in faults:
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if kind == "self-loop":
+            row[first_name + 1] = row[first_name]
+        elif kind == "empty":
+            row[1] = str(int(row[0]) - draw(st.integers(0, 3)))
+        elif kind in ("off-grid", "bad"):
+            row[0] = "0.05" if kind == "off-grid" else "x"
+        elif kind == "bad end":
+            row[1] = "y"
+        elif kind == "short":
+            del row[-1]
+        elif kind == "field moved" and i + 1 < len(rows):
+            rows[i + 1].append(row.pop())  # a short row, then a long one: the count adds up
+        elif kind in ("comment", "blank"):
+            inserted.append((i, "# x" if kind == "comment" else draw(st.sampled_from(["", " "]))))
+        elif kind in ("comma", "\v", "\u2028"):
+            separator[i] = "," if kind == "comma" else kind
+    lines = [separator[i].join(row) for i, row in enumerate(rows)]
+    for i, line in sorted(inserted, reverse=True):
+        lines.insert(i, line)
+    text = "".join(line + "\n" for line in lines)
+    if "no final break" in faults:
+        text = text[:-1]
+    options = draw(st.fixed_dictionaries({
+        "fmt": st.sampled_from(["auto", _FORMATS[width]]),
+        "resolution": st.sampled_from([1, 2, 10]),
+        "instant_extension_seconds": st.sampled_from([20, 5]),
+        "directed": st.booleans(),
+        "presence": st.sampled_from([None, {v: IntervalSet.span(-1000, 1000) for v in names}]),
+    }))
+    return text, options, len(faults)
+
+
+def _plain_spy():
+    """(plain, spy): `dataio._plain_records`, noting in `plain` whether each chunk was plain."""
+    plain = []
+    parse = dataio._plain_records
+
+    def spy(*args):
+        records = parse(*args)
+        plain.append(records is not None)
+        return records
+
+    return plain, spy
+
+
 class TestReadLinkStreamAgainstReference:
     """The streaming reader builds what the row-by-row reference builds, or fails alike."""
 
@@ -326,6 +400,24 @@ class TestReadLinkStreamAgainstReference:
         with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
             got = _outcome(read_link_stream, path, **options)
         assert got == _outcome(reference_read_link_stream, path, **options)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_plain_cases(), chunk=st.integers(8, 64))
+    @example(case=("0 1 a b\n1 y a b\nx 5 a b\n", {"fmt": "quadruples"}, 2), chunk=64)
+    @example(case=("0 1 2\n20 1\n40 1 2 3\n", {"fmt": "triples"}, 1), chunk=64)
+    def test_plain_chunks(self, tmp_path_factory, case, chunk):
+        # chunks of a few rows of one width: most of them are parsed whole, and
+        # a faulty one goes down the row path, which names the first bad row
+        text, options, faults = case
+        path = tmp_path_factory.mktemp("streams") / "stream.txt"
+        _write(path, text)
+        plain, spy = _plain_spy()
+        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(dataio, "_plain_records", spy):
+            got = _outcome(read_link_stream, path, **options)
+        assert got == _outcome(reference_read_link_stream, path, **options)
+        if not faults:
+            assert plain and all(plain)
 
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
     def test_every_splitlines_break_ends_a_row(self, tmp_path, chunk):
@@ -359,6 +451,8 @@ class TestReadLinkStreamAgainstReference:
         with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
             _, rows = dataio._iter_rows(path)
             assert list(rows) == [(1, "0 1 a b"), (2, "\ufeff1 2 a b")]
+            # the stream reader keeps it too: "\ufeff1" is no timestamp
+            assert _outcome(read_link_stream, path) == _outcome(reference_read_link_stream, path)
 
     def test_names_and_timestamps_are_shared(self, tmp_path, monkeypatch):
         seen = []
@@ -420,6 +514,18 @@ class TestRecordSource:
         assert seen == ["built", 3]
         assert s.adjacency("a")["b"] == IntervalSet.span(0, 40)
 
+        # chunks of about two rows: those without a comment are parsed whole,
+        # the others row by row, and len() counts the records of both
+        plain, spy = _plain_spy()
+        monkeypatch.setattr(dataio, "_plain_records", spy)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 16)
+        lines = [f"{20 * i} a b" if i % 5 else "# x" for i in range(1, 61)]
+        seen.clear()
+        s = read_link_stream(write_lines(path, lines))
+        assert seen == ["built", 48]
+        assert plain.count(True) > 5 and plain.count(False) > 5
+        assert s.adjacency("a")["b"] == reference_read_link_stream(path).adjacency("a")["b"]
+
     @pytest.mark.parametrize("read", [read_link_stream, reference_read_link_stream])
     def test_a_later_parse_error_comes_before_an_earlier_ingest_error(self, tmp_path, read):
         path = write_lines(tmp_path / "s.txt", ["20 a a", "# x", "40 a b", "x a b"])
@@ -468,6 +574,25 @@ class TestStreamRoundTrip:
             write_link_stream(s, path)
             back = read_link_stream(path, directed=s.directed)
             assert dict(back.interaction_items()) == dict(s.interaction_items())
+
+    def test_a_name_with_whitespace_is_written_as_a_comma_row(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("20,a b,c\n40 c d\n")
+        s = read_link_stream(path)
+        write_link_stream(s, tmp_path / "w.txt")
+        assert (tmp_path / "w.txt").read_text() == "# b e u v (ticks)\n0,20,a b,c\n20 40 c d\n"
+        back = read_link_stream(tmp_path / "w.txt")
+        assert dict(back.interaction_items()) == dict(s.interaction_items())
+        write_presence(s, tmp_path / "p.txt")
+        assert read_presence(tmp_path / "p.txt") == {v: s.presence(v) for v in s.nodes}
+
+    @pytest.mark.parametrize("writer", [write_link_stream, write_presence])
+    @pytest.mark.parametrize("name", ["", "a,b", "a\nb", "a\x85", " a", "a\t"])
+    def test_a_name_that_no_row_can_hold_is_refused(self, tmp_path, writer, name):
+        s = ingest_link_stream([(0, 5, name, "z")], 20)
+        with pytest.raises(ValueError, match=f"^node name {re.escape(repr(name))} cannot be"):
+            writer(s, tmp_path / "out.txt")
+        assert not (tmp_path / "out.txt").exists()
 
 
 _WRITERS = {
