@@ -18,37 +18,34 @@ rows from `_iter_rows`, which reads the file's bytes as they are
 iterated (`_chunks`), decodes them once (`_decode`, a leading byte-order
 mark dropped), numbers the lines in the same pass as `str.splitlines`
 cuts them, and skips blank and comment lines (`_numbered`).
-`read_link_stream` reads the same chunks, and hands `ingest_link_stream`
-a one-shot iterable of records (`_Records`), parsed a chunk at a time
-only when the ingest asks for the next record, so no list of the file's
-records is ever held. A chunk is plain when the width is known (from
-the format, or for "auto" from the file's first row), it has no `#`, no
-`,` and no line break other than `\\n`, and each of its lines holds
-exactly that many fields. A plain chunk is parsed whole: one split,
-each column a stride slice, each distinct timestamp text parsed once
-with `to_ticks`, one string object per node name, and its records
-checked column-wise for what the ingest refuses before any is handed
-over; while they are, `_Records.line` is the chunk's last line. The
-row path handles every other chunk and every error: a plain chunk
-whose checks fail is parsed again row by row, so errors, their lines
-and their order are those of a row-by-row reader. There each row is
-split, its timestamps parsed (each distinct text once) and its node
-names shared (an empty name refused when it is first seen). The ingest
-takes any iterable of records. It checks each record once (width,
-empty interval, self-loop, integer ticks; a non-integer tick is a
-TypeError) and merges a pair's spans as they arrive: a span that starts
-inside or at the end of the pair's last span extends it. It hands the
-span lists, keyed by each pair as written, to `StreamGraph`, which
-orients the pairs and canonicalises each pair's spans once. Errors name
-the file line. A row that cannot be parsed (column count, timestamp,
-empty node name) is reported before a record that fails the ingest's
-checks on an earlier line, as if every row had been parsed before any
-record was checked.
+`read_link_stream` reads the same chunks into one per-pair accumulator
+(`_Records`), which `ingest_link_stream` drives and hands to
+`StreamGraph`; no record outlives its chunk. A chunk is plain when the
+width is known (from the format, or for "auto" from the file's first
+row), it has no `#`, no `,` and no line break other than `\\n`, and each
+of its lines holds exactly that many fields. A plain chunk is parsed
+whole into columns: one split, each column a stride slice, each
+distinct timestamp text parsed once with `to_ticks`, and its records
+checked column-wise for an undirected self-loop or an empty interval.
+Every other chunk, and a plain chunk whose checks fail, is parsed row
+by row into the same columns, so errors, their lines and their order
+are those of a row-by-row reader. Either way the chunk's records are
+grouped by pair, both orientations of an undirected pair in one group;
+a group's instants become spans `[t - delta, t)`, and its merged spans
+are merged into the pair's. A pair whose spans arrive out of time order
+across chunks is merged once more when the file ends, and `StreamGraph`
+takes each pair's canonical `IntervalSet` as it is. Each node name is
+kept as one string object. A row that cannot be parsed (column count,
+timestamp, empty node name) raises at once; the first self-loop or
+empty interval is raised once the whole file has parsed, so a later
+row that cannot be parsed is reported first, as if every row had been
+parsed before any record was checked. Errors name the file line.
 
 Every file the package writes is opened by `open_output`, which makes
 the output a new file rather than truncating the old one in place. The
 stream and presence writers write a row naming a node whose name holds
-whitespace as a comma row, and refuse a name that no row can hold.
+whitespace as a comma row. They and the attribute writer refuse a name
+that no row can hold, before the file is opened.
 """
 
 from __future__ import annotations
@@ -59,11 +56,11 @@ import os
 import stat
 from functools import partial
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, Set, TextIO, Tuple,
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, TextIO, Tuple,
                     Union)
 
 from .context import AttributeContext, ItemUniverse
-from .intervals import IntervalSet, Span
+from .intervals import IntervalSet, Span, _merge
 from .stream import StreamGraph
 
 log = logging.getLogger(__name__)
@@ -209,147 +206,161 @@ def to_ticks(value: str | float | int, resolution: int, source: str, row: int) -
     return -scaled if sign else scaled
 
 
-def ingest_link_stream(
-    records: Iterable[Tuple],
-    instant_extension: int = 20,
-    *,
-    directed: bool = False,
-    presence: Optional[Mapping[str, IntervalSet]] = None,
-    source: str = "",
-) -> StreamGraph:
-    """Build a stream from (t, u, v) triples and/or (b, e, u, v) quadruples.
+def ingest_link_stream(records: _Records, *,
+                       presence: Optional[Mapping[str, IntervalSet]] = None) -> StreamGraph:
+    """The stream of the link-stream file that `records` reads (see `read_link_stream`).
 
-    `records` is any iterable, read once. Times are integer ticks here;
-    anything else is a TypeError. A triple contributes the interval
-    [t - instant_extension, t), so back-to-back contacts merge into one
-    interval. Quadruples are taken as written. Node names are taken as
-    given, not converted to `str`: records naming the node 1 and the
-    node "1" raise a TypeError that names the two (StreamGraph cannot
-    order them) instead of meeting as one node. Errors name the
-    record's position in `records` as its row, or the `line` that
-    `records` is on when it keeps one, as the records that
-    `read_link_stream` hands over do.
+    The file is parsed here, its pairs' spans gathered by `records`, and
+    the stream built from them with the given `presence`. `len(records)`
+    is then the number of records read.
     """
-    spans_of: Dict[Tuple, List[Span]] = {}  # by the pair as written
-    for i, rec in enumerate(records, start=1):
-        if len(rec) == 3:
-            e, u, v = rec
-            if instant_extension <= 0:
-                _refuse("instant records need a positive extension", source, records, i)
-            b = e - instant_extension
-        elif len(rec) == 4:
-            b, e, u, v = rec
-            if b >= e:
-                _refuse(f"empty interval [{b}, {e})", source, records, i)
-        else:
-            _refuse(f"expected 3 or 4 fields, got {len(rec)}", source, records, i)
-        if u == v and not directed:
-            _refuse(f"self-interaction on node {u!r}", source, records, i)
-        # checked here, not left to StreamGraph: extending a span below drops endpoints
-        if not isinstance(b, int) or not isinstance(e, int):
-            raise TypeError(f"interval endpoints must be integers, got ({b!r}, {e!r})")
-        key = (u, v)
-        spans = spans_of.get(key)
-        if spans is None:
-            spans_of[key] = [(b, e)]
-            continue
-        # rows of a pair mostly arrive in time order: a span that starts
-        # inside or at the end of the pair's last one extends it
-        last_b, last_e = spans[-1]
-        if last_b <= b <= last_e:
-            if e > last_e:
-                spans[-1] = (last_b, e)
-        else:
-            spans.append((b, e))
-    return StreamGraph(spans_of, presence=presence, directed=directed)
-
-
-def _refuse(message: str, source: str, records: Iterable[Tuple], position: int) -> NoReturn:
-    raise ParseError(message, source, getattr(records, "line", position))
+    return StreamGraph(records.interactions(), presence=presence, directed=records.directed)
 
 
 class _Records:
-    """The records of a link-stream file, parsed a chunk at a time as they are iterated.
+    """The records of a link-stream file, gathered into one per-pair accumulator.
 
-    A chunk that is plain (see `_plain_records`) while the width is
-    known (`width`, or for "auto" the first row's) is parsed whole: one
-    split, each column a stride slice, each distinct timestamp text
-    parsed once (a cache shared with the row path), and its records
-    checked column-wise for what the ingest refuses (an undirected
-    self-loop, an empty interval) before any is handed out. Any check
-    that fails, or a timestamp `to_ticks` refuses, sends the chunk down
-    the row path, which parses row by row and raises every error, so
-    the errors, their lines and their order are those of a file read
-    row by row. Every other chunk takes the row path too.
-
-    One-shot: each iteration goes on where the last one stopped. `line`
-    is the file line of the record handed out last, or, while a plain
-    chunk's records are handed out, the chunk's last line; the ingest
-    never refuses one of those. `len()` is the number of records read
-    once the rows are used up. A row that cannot be parsed raises
-    ParseError and ends the records.
+    `interactions()` reads the file a chunk at a time. Either producer,
+    `_plain_records` for a plain chunk or `_parse_rows` for any other,
+    makes the chunk's columns, and `_gather` merges them into each
+    pair's spans (see the module docstring). A row that cannot be parsed
+    raises a ParseError at once; the first self-loop of an undirected
+    stream, or empty interval, is raised once the whole file has parsed.
+    `len()` is the number of records read.
     """
 
-    def __init__(self, source: str, width: Optional[int], resolution: int, directed: bool):
-        self.line = 0
+    def __init__(self, source: str, width: Optional[int], resolution: int, extension: int,
+                 directed: bool):
+        self.source = source
+        self.directed = directed
+        self._width = width
+        self._resolution = resolution
+        self._extension = extension
         self._count = 0
-        self._records = self._parse(source, width, resolution, directed)
-
-    def __iter__(self) -> Iterator[Tuple]:
-        return self._records
+        self._spans: Dict[Tuple[str, str], List[Span]] = {}  # by oriented pair
+        self._unsorted: Set[Tuple[str, str]] = set()  # pairs whose spans are out of time order
+        self._names: Dict[str, str] = {}  # one string object per node name
+        self._ticks: Dict[str, int] = {}  # and one parse per timestamp text
 
     def __len__(self) -> int:
         return self._count
 
-    def _parse(self, source, width, resolution, directed) -> Iterator[Tuple]:
-        names: Dict[str, str] = {}  # one string object per node name
-        ticks: Dict[str, int] = {}  # and per timestamp text
-        name = names.get
-
-        def new_name(text: str) -> str:  # only a name's first row pays for its check
-            if not text:
-                raise ParseError("empty node name", source, self.line)
-            names[text] = text
-            return text
-
-        count = line = 0
+    def interactions(self) -> Dict[Tuple[str, str], IntervalSet]:
+        """Each pair's canonical spans, keyed by the oriented pair, once the file has parsed."""
+        source, width, line, refusal = self.source, self._width, 0, None
         for i, raw in enumerate(_chunks(source)):
             chunk = _decode(raw, i == 0, source, line)
             # for "auto", a plain chunk's first line is the file's first row
             plain = _plain_records(chunk, width or len(chunk.partition("\n")[0].split()),
-                                   resolution, directed, ticks, names)
+                                   self._resolution, self.directed, self._ticks)
             if plain is not None:
-                width, n, records = plain
-                count += n
-                line = self.line = line + n  # one record a line
-                yield from records
+                width, count, columns = plain
+                line += count  # one record a line
+            else:
+                rows, line = _numbered(chunk, line)
+                width, count, columns, refused = self._parse_rows(rows, width)
+                refusal = refusal or refused
+            self._count += count
+            if refusal is None and columns:
+                self._gather(columns)
+        if refusal is not None:
+            raise refusal
+        spans_of, unsorted = self._spans, self._unsorted
+        return {key: IntervalSet._raw(_merge(spans) if key in unsorted else tuple(spans))
+                for key, spans in spans_of.items()}
+
+    def _parse_rows(self, rows: Iterator[Tuple[int, str]], width: Optional[int]
+                    ) -> Tuple[int, int, List[tuple], Optional[ParseError]]:
+        """(width, count, columns, refusal) of `rows`, parsed one by one.
+
+        Raises the ParseError of a row that cannot be parsed. A row the
+        stream refuses is left out of the columns, and the first one
+        makes the `refusal`.
+        """
+        source, ticks = self.source, self._ticks
+        records = []
+        count, refusal = 0, None
+        for row, text in rows:
+            fields = _split(text)
+            if width is None:  # "auto" takes the width of the first row
+                width = len(fields)
+                if width not in FORMAT_WIDTHS.values():
+                    raise ParseError(f"cannot infer format from {width} columns", source, row)
+            if len(fields) != width:
+                raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
+            stamps = 2 if width == 4 else 1  # the class columns of the contacts format are skipped
+            # exports sit on a time grid, so a timestamp text recurs: parse it once
+            for stamp in fields[:stamps]:
+                if stamp not in ticks:
+                    ticks[stamp] = to_ticks(stamp, self._resolution, source, row)
+            u, v = fields[stamps], fields[stamps + 1]
+            if not u or not v:
+                raise ParseError("empty node name", source, row)
+            count += 1
+            record = (*map(ticks.__getitem__, fields[:stamps]), u, v)
+            if stamps == 2 and record[0] >= record[1]:
+                refused = f"empty interval [{record[0]}, {record[1]})"
+            elif u == v and not self.directed:
+                refused = f"self-interaction on node {u!r}"
+            else:
+                records.append(record)
                 continue
-            rows, line = _numbered(chunk, line)
-            for row, text in rows:
-                self.line = row
-                fields = _split(text)
-                if width is None:  # "auto" takes the width of the first row
-                    width = len(fields)
-                    if width not in FORMAT_WIDTHS.values():
-                        raise ParseError(f"cannot infer format from {width} columns",
-                                         source, row)
-                if len(fields) != width:
-                    raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
-                # exports sit on a time grid, so a timestamp text recurs: parse it once
-                t = ticks.get(fields[0])
-                if t is None:
-                    t = ticks[fields[0]] = to_ticks(fields[0], resolution, source, row)
-                count += 1
-                if width == 4:
-                    e = ticks.get(fields[1])
-                    if e is None:
-                        e = ticks[fields[1]] = to_ticks(fields[1], resolution, source, row)
-                    u, v = fields[2], fields[3]
-                    yield t, e, name(u) or new_name(u), name(v) or new_name(v)
-                else:  # an instant contact; the class columns of the contacts format are skipped
-                    u, v = fields[1], fields[2]
-                    yield t, name(u) or new_name(u), name(v) or new_name(v)
-        self._count = count
+            refusal = refusal or ParseError(refused, source, row)
+        return width, count, list(zip(*records)), refusal
+
+    def _gather(self, columns: List[Sequence]) -> None:
+        """Merge a chunk's records, given as columns (`*stamps, us, vs`), into each pair's spans."""
+        *stamps, us, vs = columns
+        instants = len(stamps) == 1
+        groups: Dict[Tuple[str, str], list] = {}  # by the pair as written
+        for key, value in zip(zip(us, vs), stamps[0] if instants else zip(*stamps)):
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [value]
+            else:
+                group.append(value)
+        if not self.directed:  # both orientations of a pair make one group
+            for u, v in [key for key in groups if key[0] > key[1]]:
+                group = groups.pop((u, v))
+                other = groups.get((v, u))
+                if other is None:
+                    groups[v, u] = group
+                else:
+                    other += group
+        spans_of, unsorted, names = self._spans, self._unsorted, self._names
+        for (u, v), group in groups.items():
+            new = (_instant_spans(group, self._extension) if instants
+                   else list(_merge(group)))
+            spans = spans_of.get((u, v))
+            if spans is None:
+                spans_of[names.setdefault(u, u), names.setdefault(v, v)] = new
+                continue
+            b, e = spans[-1]
+            first_b, first_e = new[0]
+            if (u, v) in unsorted or first_b < b or first_e < e:
+                # the chunk's spans reach back into the pair's: merged once the file ends
+                spans += new
+                unsorted.add((u, v))
+            elif first_b <= e:  # the chunk's first span extends the pair's last one
+                spans[-1] = (b, first_e)
+                spans += new[1:]
+            else:
+                spans += new
+
+
+def _instant_spans(ticks: List[int], extension: int) -> List[Span]:
+    """The canonical spans of the instants `ticks`, each extended to `[t - extension, t)`."""
+    ticks.sort()
+    spans = []
+    e = ticks[0]
+    b = e - extension
+    for t in ticks:
+        if t - extension > e:
+            spans.append((b, e))
+            b = t - extension
+        e = t
+    spans.append((b, e))
+    return spans
 
 
 # a plain chunk has no comment, no comma and, besides "\n", none of the line
@@ -369,17 +380,19 @@ def _ticks_of(texts: List[str], ticks: Dict[str, int], resolution: int) -> List[
 
 
 def _plain_records(text: str, width: int, resolution: int, directed: bool,
-                   ticks: Dict[str, int], names: Dict[str, str]
-                   ) -> Optional[Tuple[int, int, Iterator[Tuple]]]:
-    """(width, count, records) of a plain chunk `text` of `width` fields a line, or None.
+                   ticks: Dict[str, int]) -> Optional[Tuple[int, int, List[list]]]:
+    """(width, count, columns) of a plain chunk `text` of `width` fields a line, or None.
 
     A chunk is plain when it has no `#`, no `,` and no line break other
     than `\\n`, and each of its lines holds exactly `width` whitespace-
     separated fields, so it has no blank line and ends at a `\\n`: its
     rows are then what `_numbered` and `_split` would make of it, one
-    record a line. None, where the row path must read the chunk: `width`
-    is not a format's, the chunk is not plain, `to_ticks` refuses a
-    timestamp, or the ingest would refuse a record. Never raises.
+    record a line. The columns are the records' ticks (one column for
+    instants, two for intervals) and their two node names. None, where
+    the row path must read the chunk: `width` is not a format's, the
+    chunk is not plain, `to_ticks` refuses a timestamp, or the stream
+    would refuse a record (an undirected self-loop, an empty interval).
+    Never raises.
     """
     if (width not in FORMAT_WIDTHS.values() or any(map(text.__contains__, _NOT_PLAIN))
             or not text.isascii() and any(map(text.__contains__, _NOT_PLAIN_BEYOND_ASCII))):
@@ -402,9 +415,7 @@ def _plain_records(text: str, width: int, resolution: int, directed: bool,
         return None
     if width == 4 and any(map(operator.ge, *stamps)):
         return None
-    # one string object per name, so the chunk's own copies are freed now
-    us, vs = (list(map(names.setdefault, texts, texts)) for texts in (us, vs))
-    return width, count, zip(*stamps, us, vs)
+    return width, count, [*stamps, us, vs]
 
 
 def _check_resolution(resolution: int) -> None:
@@ -454,20 +465,13 @@ def read_link_stream(
     export; its class columns are skipped here. The instant extension
     must be a whole number of ticks and the resolution positive; anything
     else is a ValueError raised before any row is read (see
-    `extension_ticks`).
+    `extension_ticks`). The file's records are gathered pair by pair by
+    a `_Records` source, which `ingest_link_stream` parses and turns into
+    the stream (see the module docstring).
     """
     delta = extension_ticks(instant_extension_seconds, resolution, fmt)
-    source = str(path)
-    records = _Records(source, FORMAT_WIDTHS.get(fmt), resolution, directed)
-    try:
-        return ingest_link_stream(records, delta, directed=directed, presence=presence,
-                                  source=source)
-    except ParseError as err:
-        failure = err
-    # a row further down that cannot be parsed is reported first
-    for _ in records:
-        pass
-    raise failure
+    records = _Records(str(path), FORMAT_WIDTHS.get(fmt), resolution, delta, directed)
+    return ingest_link_stream(records, presence=presence)
 
 
 def read_presence(path: Union[str, Path], *, resolution: int = 1) -> Dict[str, IntervalSet]:
@@ -515,6 +519,20 @@ def open_output(path: Union[str, Path]) -> TextIO:
     return open(real, "w")
 
 
+def _row_name(name: object, kind: str, separators: str) -> str:
+    """The text of `name`, a ValueError naming it if no row can hold it.
+
+    No row holds an empty name, one with a line break or one of
+    `separators`, or one with whitespace at either end, which a reader
+    strips.
+    """
+    text = str(name)
+    if text.splitlines() != [text] or text.strip() != text or any(map(text.__contains__,
+                                                                        separators)):
+        raise ValueError(f"{kind} name {name!r} cannot be written to a row")
+    return text
+
+
 def _comma_nodes(nodes: Iterable) -> Set:
     """The nodes whose rows are written as comma rows: those whose names hold whitespace.
 
@@ -524,9 +542,7 @@ def _comma_nodes(nodes: Iterable) -> Set:
     """
     commas = set()
     for node in nodes:
-        text = str(node)
-        if text.splitlines() != [text] or "," in text or text.strip() != text:
-            raise ValueError(f"node name {node!r} cannot be written to a row")
+        text = _row_name(node, "node", ",")
         if text.split() != [text]:
             commas.add(node)
     return commas
@@ -607,10 +623,24 @@ def _context(descriptions: Dict[str, List[str]]) -> AttributeContext:
 
 
 def write_attributes(ctx: AttributeContext, path: Union[str, Path]) -> None:
+    """Write `node,item1;item2;...` rows, which `read_attributes` reads back as `ctx`.
+
+    Nodes are written in sorted order, each with its items in the
+    universe's order. A node name that no row can hold (see
+    `_comma_nodes`) or that starts with `#` (a comment) or a byte-order
+    mark (dropped at the start of a file), and an item name that is
+    empty, holds `;`, `,` or a line break, or has whitespace at either
+    end, are a ValueError naming the name, raised before the file is
+    opened.
+    """
     lines = []
     for node in sorted(ctx.nodes()):
-        names = ctx.universe.items_of(ctx.description(node))
-        lines.append(f"{node},{';'.join(names)}")
+        text = _row_name(node, "node", ",")
+        if text.startswith(("#", "\ufeff")):
+            raise ValueError(f"node name {node!r} cannot be written to a row")
+        names = [_row_name(item, "item", ";,")
+                 for item in ctx.universe.items_of(ctx.description(node))]
+        lines.append(f"{text},{';'.join(names)}")
     with open_output(path) as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -5,9 +5,10 @@ intervals of its nodes; its nodes are exactly the nodes with nonempty
 presence. Each pair's `IntervalSet` is kept once, in the adjacency
 (out- and in-adjacency when directed); `interaction_items` derives the
 pair keys from it: (src, dst) when directed, else the sorted pair.
-`StreamGraph` is the one place that orients pair keys and canonicalises
-the spans it is given: the spans of both orientations of a pair become
-one `IntervalSet`.
+`StreamGraph` orients the pair keys it is given and canonicalises their
+spans: the spans of both orientations of a pair become one
+`IntervalSet`, and an `IntervalSet` given for a pair once is kept as it
+is, since it is canonical already.
 Everything is immutable after construction.
 """
 
@@ -134,7 +135,7 @@ class StreamGraph:
         self.directed = directed
         # both orientations of an undirected pair gather under its sorted key,
         # so each pair is checked and merged once
-        gathered: Dict[Tuple[str, str], List[Span]] = {}
+        gathered: Dict[Tuple[str, str], Iterable[Span]] = {}
         u = v = None  # the handler reads them even when the first key fails to unpack
         try:
             for (u, v), spans in interactions.items():
@@ -143,13 +144,15 @@ class StreamGraph:
                         raise ValueError(f"self-interaction on node {u!r} in an undirected stream")
                 elif not directed and u > v:
                     u, v = v, u
-                gathered.setdefault((u, v), []).extend(spans)
+                other = gathered.get((u, v))
+                gathered[u, v] = spans if other is None else [*other, *spans]
         except TypeError:
             _refuse_unordered((u, v))
             raise
         pairs: Dict[Tuple[str, str], IntervalSet] = {}
         for key, spans in gathered.items():
-            ivs = IntervalSet(spans)
+            # an IntervalSet is canonical already: a pair given once keeps it as it is
+            ivs = spans if isinstance(spans, IntervalSet) else IntervalSet(spans)
             if ivs:
                 pairs[key] = ivs
 

@@ -12,7 +12,6 @@ from streamcores import (AttributeContext, IntervalSet, ItemUniverse, MinerConfi
                          dataio, mine, write_patterns)
 from streamcores.dataio import (
     ParseError,
-    ingest_link_stream,
     read_attributes,
     read_highschool_context,
     read_link_stream,
@@ -30,58 +29,37 @@ from oracle import reference_read_link_stream
 
 
 class TestIngest:
-    def test_consecutive_instants_merge(self):
-        s = ingest_link_stream([(20, "a", "b"), (40, "a", "b")], 20)
+    """What the reader builds from small files, row for row as the reference builds it."""
+
+    @staticmethod
+    def _read(tmp_path, rows, **options):
+        path = write_lines(tmp_path / "s.txt", rows)
+        got = read_link_stream(path, **options)
+        assert _outcome(read_link_stream, path, **options) == _outcome(
+            reference_read_link_stream, path, **options)
+        return got
+
+    def test_consecutive_instants_merge(self, tmp_path):
+        s = self._read(tmp_path, ["20 a b", "40 a b"], fmt="triples")
         assert s.adjacency("a")["b"] == IntervalSet.span(0, 40)
 
-    def test_empty_input(self):
-        s = ingest_link_stream([], 20)
-        assert s.nodes == ()
+    def test_empty_input(self, tmp_path):
+        assert self._read(tmp_path, []).nodes == ()
+        assert self._read(tmp_path, ["# only a comment", ""]).nodes == ()
 
-    def test_quadruples_taken_verbatim(self):
-        s = ingest_link_stream([(1, 3, "a", "b"), (7, 8, "a", "b")], 20)
+    def test_quadruples_taken_verbatim(self, tmp_path):
+        s = self._read(tmp_path, ["1 3 a b", "7 8 a b"])
         assert s.adjacency("a")["b"] == IntervalSet([(1, 3), (7, 8)])
 
-    def test_mixed_record_widths(self):
-        s = ingest_link_stream([(5, "a", "b"), (10, 12, "a", "b")], 5)
-        assert s.adjacency("a")["b"] == IntervalSet([(0, 5), (10, 12)])
-
-    def test_self_loop_rejected_when_undirected(self):
-        with pytest.raises(ParseError, match="self-interaction"):
-            ingest_link_stream([(5, "a", "a")], 5)
-        s = ingest_link_stream([(0, 2, "a", "a")], 5, directed=True)
+    def test_self_loop_rejected_when_undirected(self, tmp_path):
+        with pytest.raises(ParseError, match="s.txt:1: self-interaction on node 'a'"):
+            self._read(tmp_path, ["5 a a"], fmt="triples", instant_extension_seconds=5)
+        s = self._read(tmp_path, ["0 2 a a"], directed=True)
         assert s.adjacency("a")["a"] == IntervalSet.span(0, 2)
 
-    @pytest.mark.parametrize("record", [(1.5, 3.7, "a", "b"), (20.5, "a", "b")])
-    def test_non_integer_ticks_are_refused(self, record):
-        # never truncated to whole ticks
-        with pytest.raises(TypeError, match="must be integers"):
-            ingest_link_stream([record], 20)
-
-    def test_non_integer_tick_of_an_extended_span_is_refused(self):
-        # the second record extends the first span, whose end 5.5 it replaces
-        with pytest.raises(TypeError, match="must be integers"):
-            ingest_link_stream([(0, 5.5, "a", "b"), (3, 7, "a", "b")], 20)
-
-    def test_node_names_are_taken_as_given(self):
-        assert ingest_link_stream([(10, 1, 2)], 5).nodes == (1, 2)
-        # 1 and "1" are two names that cannot be ordered, not one node; the
-        # clash shows in orienting a pair or in sorting the node names
-        for records, directed, clash in (
-            ([(10, 1, "b"), (20, "1", "b")], False, "1 and 'b'"),
-            ([(10, 1, 2), (20, "1", "2")], False, "1 and '1'"),
-            ([(10, 1, "b"), (20, "1", "b")], True, "1 and '1'"),
-        ):
-            with pytest.raises(TypeError, match=f"^node names {clash} cannot be ordered"):
-                ingest_link_stream(records, 5, directed=directed)
-        with pytest.raises(TypeError, match="^node names 1 and 'a' cannot be ordered"):
-            ingest_link_stream([(10, 1, 2)], 5, presence={"a": IntervalSet([(0, 20)]),
-                                                          1: IntervalSet([(0, 20)]),
-                                                          2: IntervalSet([(0, 20)])})
-
-    def test_bad_record_width_reports_row(self):
-        with pytest.raises(ParseError, match="row 2"):
-            ingest_link_stream([(0, 2, "a", "b"), (1, 2, 3, "a", "b")], 5)
+    def test_bad_record_width_reports_row(self, tmp_path):
+        with pytest.raises(ParseError, match="s.txt:2: expected 4 columns, got 5"):
+            self._read(tmp_path, ["0 2 a b", "1 2 3 a b"])
 
 
 class TestToTicks:
@@ -455,41 +433,92 @@ class TestReadLinkStreamAgainstReference:
             assert _outcome(read_link_stream, path) == _outcome(reference_read_link_stream, path)
 
     def test_names_and_timestamps_are_shared(self, tmp_path, monkeypatch):
-        seen = []
-        original = dataio.ingest_link_stream
+        parsed, built = [], []
+        parse, build = dataio.to_ticks, dataio.StreamGraph
 
-        def spy(records, *args, **kwargs):
-            records = list(records)  # the reader hands over a one-shot iterable
-            seen.append(records)
-            return original(records, *args, **kwargs)
+        def parse_spy(text, *args):
+            parsed.append(text)
+            return parse(text, *args)
 
-        monkeypatch.setattr(dataio, "ingest_link_stream", spy)
-        read_link_stream(write_lines(tmp_path / "s.txt",
-                                     ["1385982020 alice bob", "1385982020 bob alice"]))
-        (first, second), = seen
-        assert first[0] is second[0] and first[1] is second[2] and first[2] is second[1]
+        def build_spy(interactions, **kwargs):
+            built.append(list(interactions))
+            return build(interactions, **kwargs)
+
+        monkeypatch.setattr(dataio, "to_ticks", parse_spy)
+        monkeypatch.setattr(dataio, "StreamGraph", build_spy)
+        path = write_lines(tmp_path / "s.txt", [
+            "1385982020 alice bob", "1385982020 bob alice", "1385982040 carol alice"])
+        for chunk in (1, 1 << 16):  # row by row, and one plain chunk
+            parsed.clear()
+            built.clear()
+            monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
+            read_link_stream(path)
+            # each timestamp text parsed once; the extension is the one number
+            assert sorted(map(str, parsed)) == ["1385982020", "1385982040", "20"]
+            (pairs,) = built
+            assert sorted(pairs) == [("alice", "bob"), ("alice", "carol")]
+            assert pairs[0][0] is pairs[1][0]  # one string object for "alice"
 
 
-_records = st.lists(st.one_of(
-    st.tuples(st.integers(-5, 60), _names, _names),
-    st.tuples(st.integers(0, 50), st.integers(-2, 60), _names, _names),
-    st.tuples(st.integers(0, 50), _names),
-), max_size=30)
+# (start, length, u, v): a row of either width
+_records = st.lists(st.tuples(st.integers(-5, 60), st.integers(1, 12), _names, _names),
+                    max_size=40)
 
 
 class TestRecordSource:
-    """The ingest reads any iterable once; the reader hands it a one-shot source."""
+    """The reader hands the ingest one source, whose chunks are gathered pair by pair."""
 
     @settings(max_examples=150, deadline=None)
-    @given(records=_records, options=st.fixed_dictionaries({
-        "instant_extension": st.sampled_from([20, 5, 0]),
-        "directed": st.booleans(),
-        "source": st.sampled_from(["", "s.txt"]),
-    }))
-    def test_a_generator_ingests_as_its_list_does(self, records, options):
-        # the same stream, or the same error naming the same record position
-        assert (_outcome(ingest_link_stream, (rec for rec in records), **options)
-                == _outcome(ingest_link_stream, records, **options))
+    @given(records=_records, width=st.sampled_from([3, 4]), directed=st.booleans(),
+           chunk=st.sampled_from([8, 16, 64, 1 << 16]))
+    def test_rows_in_any_order_build_the_reference_stream(self, tmp_path_factory, records, width,
+                                                          directed, chunk):
+        # a pair's rows out of time order, in both orientations and across
+        # chunks: the same stream, or the same error on the same line
+        rows = [f"{b} {u} {v}" if width == 3 else f"{b} {b + n} {u} {v}" for b, n, u, v in records]
+        path = write_lines(tmp_path_factory.mktemp("streams") / "stream.txt", rows)
+        options = {"directed": directed, "instant_extension_seconds": 5}
+        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+            got = _outcome(read_link_stream, path, **options)
+        assert got == _outcome(reference_read_link_stream, path, **options)
+
+    @pytest.mark.parametrize("width", [3, 4, 5])
+    def test_a_pair_whose_rows_arrive_in_descending_time(self, tmp_path, monkeypatch, width):
+        # chunks of a few rows, each taken whole, each starting before the last one's spans
+        fields = {3: "{t} {u} {v}", 4: "{t} {e} {u} {v}", 5: "{t}\t{u}\t{v}\tC1\tC2"}[width]
+        rows = [fields.format(t=t, e=t + 7, u=u, v=v)
+                for t in range(600, 0, -20) for u, v in (("1", "2"), ("3", "1"), ("2", "1"))
+                if (t // 20) % 7 or u != "3"]
+        path = write_lines(tmp_path / "s.txt", rows)
+        plain, spy = _plain_spy()
+        monkeypatch.setattr(dataio, "_plain_records", spy)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 48)
+        s = read_link_stream(path)
+        assert len(plain) > 10 and all(plain)
+        assert _outcome(lambda p: s, path) == _outcome(reference_read_link_stream, path)
+        assert len(s.adjacency("1")["3"]) > 1  # a gap every seventh row keeps spans apart
+
+    def test_the_quadruples_that_write_link_stream_writes(self, tmp_path, monkeypatch):
+        # ordered pair by pair, so a pair's rows start over at each new pair
+        rng = random.Random(8)
+        plain, spy = _plain_spy()
+        monkeypatch.setattr(dataio, "_plain_records", spy)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 16)
+        chunks = 0
+        for i in range(10):
+            directed = bool(i % 2)
+            original = random_stream(rng, directed=directed, max_intervals=40, max_tick=60)
+            path = tmp_path / f"s{i}.txt"
+            write_link_stream(original, path)
+            plain.clear()
+            s = read_link_stream(path, fmt="quadruples", directed=directed)
+            # the header comment is read row by row, every other chunk whole
+            assert plain[0] is False and all(plain[1:])
+            chunks += len(plain)
+            assert _outcome(lambda p: s, path) == _outcome(reference_read_link_stream, path,
+                                                           fmt="quadruples", directed=directed)
+            assert dict(s.interaction_items()) == dict(original.interaction_items())
+        assert chunks > 50
 
     def test_the_ingest_and_the_stream_are_reached_through_the_module(
             self, tmp_path, monkeypatch):
@@ -589,7 +618,7 @@ class TestStreamRoundTrip:
     @pytest.mark.parametrize("writer", [write_link_stream, write_presence])
     @pytest.mark.parametrize("name", ["", "a,b", "a\nb", "a\x85", " a", "a\t"])
     def test_a_name_that_no_row_can_hold_is_refused(self, tmp_path, writer, name):
-        s = ingest_link_stream([(0, 5, name, "z")], 20)
+        s = StreamGraph({(name, "z"): [(0, 5)]})
         with pytest.raises(ValueError, match=f"^node name {re.escape(repr(name))} cannot be"):
             writer(s, tmp_path / "out.txt")
         assert not (tmp_path / "out.txt").exists()
@@ -650,6 +679,16 @@ class TestOpenOutput:
         assert got == ["through the pipe\n"]
 
 
+# names with a separator, a comment mark, a byte-order mark, whitespace or line breaks
+_attribute_names = st.text("ab #;,\t\n\u2028\ufeff", max_size=3)
+
+
+def _holds(name, separators, row_start=False):
+    """Whether a row holds `name` as it is, for a test of the attribute writer."""
+    return (name != "" and name == name.strip() and not any(c in name for c in separators)
+            and len(name.splitlines()) == 1 and not (row_start and name[0] in "#\ufeff"))
+
+
 class TestAttributes:
     def test_basic_rows(self, tmp_path):
         ctx = read_attributes(write_lines(tmp_path / "a.csv", ["n1,alpha;beta", "n2,beta", "n3,"]))
@@ -680,6 +719,44 @@ class TestAttributes:
         write_attributes(ctx, path)
         back = read_attributes(path)
         assert back.description("n1") == back.universe.mask_of(["alpha", "beta"])
+
+    @pytest.mark.parametrize("kind, name", [
+        ("item", "x;y"), ("item", "a,b"), ("item", ""), ("item", " x"), ("item", "x\u2028"),
+        ("node", " n3"), ("node", "n,3"), ("node", "#n3"), ("node", "\ufeffn3"), ("node", ""),
+    ])
+    def test_a_name_that_no_row_can_hold_is_refused(self, tmp_path, kind, name):
+        items = [name, "z"] if kind == "item" else ["z"]
+        node = name if kind == "node" else "n1"
+        ctx = AttributeContext(ItemUniverse(items), {node: 0b11 if kind == "item" else 1, "n2": 0})
+        with pytest.raises(ValueError, match=f"^{kind} name {re.escape(repr(name))} cannot be"):
+            write_attributes(ctx, tmp_path / "a.csv")
+        assert not (tmp_path / "a.csv").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(items=st.lists(_attribute_names, unique=True, max_size=5),
+           held=st.dictionaries(_attribute_names, st.sets(st.integers(0, 4)), max_size=5))
+    def test_a_context_reads_back_as_written(self, tmp_path_factory, items, held):
+        universe = ItemUniverse(items)
+        ctx = AttributeContext(universe, {
+            node: universe.mask_of([items[i] for i in indices if i < len(items)])
+            for node, indices in held.items()})
+        path = tmp_path_factory.mktemp("attributes") / "a.csv"
+        written = {node: set(universe.items_of(ctx.description(node))) for node in ctx.nodes()}
+        bad = [repr(node) for node in written if not _holds(node, ",", row_start=True)]
+        bad += [repr(item) for names in written.values() for item in names
+                if not _holds(item, ";,")]
+        try:
+            write_attributes(ctx, path)
+        except ValueError as err:
+            # refused only for a name that no row can hold, and named
+            refused = re.match(r"^(?:node|item) name (.*) cannot be written to a row$", str(err))
+            assert refused and refused.group(1) in bad
+            assert not path.exists()
+            return
+        assert not bad
+        back = read_attributes(path)
+        assert {node: set(back.universe.items_of(back.description(node)))
+                for node in back.nodes()} == written
 
 
 class TestHighschoolAdapter:

@@ -53,6 +53,33 @@ class TestStreamGraph:
         s = StreamGraph({("a", "b"): [(0, 2)], ("b", "a"): [(1, 4)]})
         assert s.adjacency("a")["b"] == IntervalSet.span(0, 4)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_an_interval_set_given_once_is_kept_as_it_is(self, directed):
+        ivs = IntervalSet([(0, 2), (5, 7)])
+        s = StreamGraph({("b", "a"): ivs}, directed=directed)
+        assert s.adjacency("b" if directed else "a")["a" if directed else "b"] is ivs
+
+    def test_both_orientations_given_as_interval_sets_are_unioned(self):
+        s = StreamGraph({("a", "b"): IntervalSet([(0, 2), (8, 9)]),
+                         ("b", "a"): IntervalSet([(1, 4), (6, 7)])})
+        assert s.adjacency("a")["b"] == IntervalSet([(0, 4), (6, 7), (8, 9)])
+        assert s.presence("b") == IntervalSet([(0, 4), (6, 7), (8, 9)])
+
+    def test_node_names_are_taken_as_given(self):
+        assert StreamGraph({(1, 2): [(5, 10)]}).nodes == (1, 2)
+        # 1 and "1" are two names that cannot be ordered, not one node; the
+        # clash shows in orienting a pair or in sorting the node names
+        for pairs, directed, clash in (
+            ({(1, "b"): [(5, 10)], ("1", "b"): [(15, 20)]}, False, "1 and 'b'"),
+            ({(1, 2): [(5, 10)], ("1", "2"): [(15, 20)]}, False, "1 and '1'"),
+            ({(1, "b"): [(5, 10)], ("1", "b"): [(15, 20)]}, True, "1 and '1'"),
+        ):
+            with pytest.raises(TypeError, match=f"^node names {clash} cannot be ordered"):
+                StreamGraph(pairs, directed=directed)
+        with pytest.raises(TypeError, match="^node names 1 and 'a' cannot be ordered"):
+            StreamGraph({(1, 2): [(5, 10)]}, presence={"a": [(0, 20)], 1: [(0, 20)],
+                                                      2: [(0, 20)]})
+
     def test_rejects_undirected_self_loop(self):
         with pytest.raises(ValueError):
             StreamGraph({("a", "a"): [(0, 1)]})
