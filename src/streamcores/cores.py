@@ -15,6 +15,10 @@ capped by the measure of the two input sides. `bha_bicore` returns the
 pair (hubs, authorities) and `ha_core` is their union, as
 `star_satellite_core` is that of `star_satellite_split`'s (stars, satellites).
 
+Both operators work on canonical span tuples (`intervals._clip`,
+`intervals._meet`) and build an `IntervalSet` only for a result they
+keep.
+
 Whole-presence rule: both operators clip a pair's spans to its two
 endpoints' time-nodes in the input set, except when both entries are
 the stream's own presence objects (`own is stream.presence(u)`). Then
@@ -23,14 +27,23 @@ keeps every pair's spans inside both endpoints' presence: it derives
 the presence from the pairs, or checks a given presence against them,
 so the clip would return the spans unchanged. The identity test, not
 equality, makes the rule cost one pointer comparison per node; a set
-equal to the presence but built anew is clipped as before.
+equal to the presence but built anew is clipped as before. When every
+node of the stream is in the input set with its whole presence (the
+root call of mining), the star-satellite core takes each node's
+adjacency as it is, without a per-pair loop.
+
+A node with fewer active neighbours than its threshold (k, h or a) has
+no time at which it qualifies, so no coverage sweep runs for it. The
+satellite spans a node gets from all its stars are gathered and merged
+once per node; `star_satellite_core` merges a node's star spans into
+that same merge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
-from .intervals import EMPTY, IntervalSet, coverage_at_least
+from .intervals import EMPTY, IntervalSet, _clip, _meet, _merge, coverage_at_least
 from .stream import StreamGraph, TimeNodeSet
 
 
@@ -79,10 +92,12 @@ class CoreSpec:
         raise ValueError(f"bad core spec {text!r}")
 
 
-def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, list]:
+def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, Mapping[str, IntervalSet]]:
     """Per-node neighbor intervals inside the substream induced by wp.
 
-    Each pair u < v of wp is clipped once. For each u the loop walks the
+    When every node of the stream is in wp with its whole presence (the
+    root call), each node's adjacency is handed back as it is. Otherwise
+    each pair u < v of wp is clipped once. For each u the loop walks the
     smaller side: u's whole stream adjacency, or the nodes of wp after u
     (wp's nodes are sorted once per call). Mining calls this on small
     supports of high-degree nodes, where wp is usually the smaller side;
@@ -91,32 +106,41 @@ def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, list]:
     A pair between two whole-presence nodes is not clipped (module
     docstring).
     """
-    active: Dict[str, list] = {}
     nodes = wp.nodes()
-    whole = {v for v in nodes if wp.get(v) is stream.presence(v)}
+    presence = stream.presence
+    whole = {v for v in nodes if wp.get(v) is presence(v)}
+    if len(whole) == len(stream.nodes):
+        return {u: stream.adjacency(u) for u in nodes}
+    spans_of = {v: wp.get(v).spans for v in nodes}
+    active: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in nodes}
     for i, u in enumerate(nodes):
-        own = wp.get(u)
+        own = spans_of[u]
         own_whole = u in whole
+        near = active[u]
         adjacency = stream.adjacency(u)
         if len(adjacency) <= len(nodes) - i - 1:
-            pairs = ((v, ivs) for v, ivs in adjacency.items() if v > u and v in wp)
+            pairs = ((v, ivs) for v, ivs in adjacency.items() if v > u and v in spans_of)
         else:
             pairs = ((v, adjacency[v]) for v in nodes[i + 1:] if v in adjacency)
         for v, ivs in pairs:
-            if own_whole and v in whole:
-                clipped = ivs
-            else:
-                clipped = ivs.intersect(own).intersect(wp.get(v))
-            if clipped:
-                active.setdefault(u, []).append((v, clipped))
-                active.setdefault(v, []).append((u, clipped))
+            if not (own_whole and v in whole):
+                got = _clip(ivs.spans, own, spans_of[v])
+                if not got:
+                    continue
+                ivs = IntervalSet._raw(got)
+            near[v] = ivs
+            active[v][u] = ivs
     return active
 
 
-def star_satellite_split(
+def _stars_and_satellite_spans(
     stream: StreamGraph, wp: TimeNodeSet, k: int
-) -> Tuple[TimeNodeSet, TimeNodeSet]:
-    """(stars, satellites) of the k-star-satellite core: each node's star and satellite times."""
+) -> Tuple[Dict[str, IntervalSet], Dict[str, list]]:
+    """Each star's times, and each satellite's spans from all its stars, not yet merged.
+
+    A node with fewer than k active neighbours is no star, so its
+    coverage is not computed.
+    """
     if stream.directed:
         raise ValueError("star-satellite cores are defined on undirected streams")
     if k < 0:
@@ -128,27 +152,44 @@ def star_satellite_split(
         stars = {v: wp.get(v) for v in wp.nodes()}
     else:
         for u, nbrs in active.items():
-            got = coverage_at_least([ivs for _, ivs in nbrs], k)
-            if got:
-                stars[u] = got
+            if len(nbrs) >= k:
+                got = coverage_at_least(nbrs.values(), k)
+                if got:
+                    stars[u] = got
 
-    sats: Dict[str, IntervalSet] = {}
-    for u, nbrs in active.items():
-        star_iv = stars.get(u)
-        if not star_iv:
-            continue
-        for v, ivs in nbrs:
-            got = ivs.intersect(star_iv)
+    sats: Dict[str, list] = {}
+    for u, star in stars.items():
+        star_spans = star.spans
+        for v, ivs in active[u].items():
+            got = _meet(ivs.spans, star_spans)
             if got:
-                cur = sats.get(v)
-                sats[v] = got if cur is None else cur.union(got)
-    return TimeNodeSet._raw(stars), TimeNodeSet._raw(sats)
+                spans = sats.get(v)
+                if spans is None:
+                    sats[v] = [*got]
+                else:
+                    spans += got
+    return stars, sats
+
+
+def star_satellite_split(
+    stream: StreamGraph, wp: TimeNodeSet, k: int
+) -> Tuple[TimeNodeSet, TimeNodeSet]:
+    """(stars, satellites) of the k-star-satellite core: each node's star and satellite times."""
+    stars, sats = _stars_and_satellite_spans(stream, wp, k)
+    return TimeNodeSet._raw(stars), TimeNodeSet._raw(
+        {v: IntervalSet._raw(_merge(spans)) for v, spans in sats.items()})
 
 
 def star_satellite_core(stream: StreamGraph, wp: TimeNodeSet, k: int) -> TimeNodeSet:
     """Greatest subset of wp whose members are all stars or satellites at their times."""
-    stars, satellites = star_satellite_split(stream, wp, k)
-    return stars.union(satellites)
+    stars, sats = _stars_and_satellite_spans(stream, wp, k)
+    core = dict(stars)
+    for v, spans in sats.items():
+        star = stars.get(v)
+        if star is not None:
+            spans += star.spans
+        core[v] = IntervalSet._raw(_merge(spans))
+    return TimeNodeSet._raw(core)
 
 
 def bha_bicore(
@@ -168,7 +209,9 @@ def bha_bicore(
     which no authority with a hub in-neighbour changed.
 
     A pair between two nodes whose entries are still their whole
-    presence is not clipped (module docstring).
+    presence is not clipped (module docstring), and a node with fewer
+    clipped neighbours than its threshold loses all its times without
+    a coverage sweep.
 
     Bound: every pass but the last removes at least one node-tick from
     the authorities and neither side ever gains one, so at most
@@ -197,17 +240,20 @@ def bha_bicore(
                     if own is None:
                         continue
                     own_whole = own is presence(u)
+                    own_spans = own.spans
                     clipped = []
                     for v, ivs in adjacency(u).items():
                         other = opposite.get(v)
                         if other is not None:
                             if own_whole and other is presence(v):
-                                clipped.append(ivs)
+                                clipped.append(ivs.spans)
                                 continue
-                            got = ivs.intersect(own).intersect(other)
+                            got = _clip(ivs.spans, own_spans, other.spans)
                             if got:
                                 clipped.append(got)
-                    got = coverage_at_least(clipped, threshold) if clipped else EMPTY
+                    got = EMPTY
+                    if len(clipped) >= threshold:
+                        got = coverage_at_least(clipped, threshold)
                     if got != own:
                         changed.append(u)
                         if got:

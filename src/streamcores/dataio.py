@@ -33,7 +33,9 @@ are those of a row-by-row reader. Either way the chunk's records are
 grouped by pair, both orientations of an undirected pair in one group;
 a group's instants become spans `[t - delta, t)`, and its merged spans
 are merged into the pair's. A pair whose spans arrive out of time order
-across chunks is merged once more when the file ends, and `StreamGraph`
+across chunks is merged each time its span list has doubled since it
+was last in order, and once more when the file ends, so a shuffled
+file holds about as many spans per pair as a sorted one; `StreamGraph`
 takes each pair's canonical `IntervalSet` as it is. Each node name is
 kept as one string object. A row that cannot be parsed (column count,
 timestamp, empty node name) raises at once; the first self-loop or
@@ -56,7 +58,7 @@ import os
 import stat
 from functools import partial
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, TextIO, Tuple,
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
                     Union)
 
 from .context import AttributeContext, ItemUniverse
@@ -238,7 +240,8 @@ class _Records:
         self._extension = extension
         self._count = 0
         self._spans: Dict[Tuple[str, str], List[Span]] = {}  # by oriented pair
-        self._unsorted: Set[Tuple[str, str]] = set()  # pairs whose spans are out of time order
+        # pairs whose spans are out of time order -> their span count when they went out
+        self._unsorted: Dict[Tuple[str, str], int] = {}
         self._names: Dict[str, str] = {}  # one string object per node name
         self._ticks: Dict[str, int] = {}  # and one parse per timestamp text
 
@@ -337,10 +340,17 @@ class _Records:
                 continue
             b, e = spans[-1]
             first_b, first_e = new[0]
-            if (u, v) in unsorted or first_b < b or first_e < e:
-                # the chunk's spans reach back into the pair's: merged once the file ends
+            sorted_count = unsorted.get((u, v))
+            if sorted_count is not None or first_b < b or first_e < e:
+                # the chunk's spans reach back into the pair's: they are merged
+                # once the list has doubled since it was last in order, and
+                # once more when the file ends
+                if sorted_count is None:
+                    sorted_count = unsorted[u, v] = len(spans)
                 spans += new
-                unsorted.add((u, v))
+                if len(spans) >= 2 * sorted_count:
+                    spans[:] = _merge(spans)
+                    del unsorted[u, v]
             elif first_b <= e:  # the chunk's first span extends the pair's last one
                 spans[-1] = (b, first_e)
                 spans += new[1:]

@@ -5,9 +5,14 @@ a, a+1, ..., b-1, so its measure is b - a. The canonical form (sorted,
 pairwise disjoint, maximally merged, no empty pieces) is unique for a
 given point set, which makes structural equality set equality.
 
-It holds only the operations the pipeline runs. `intersect` bisects
-lopsided operands: no benchmark workload needs that, but star-sat:2 at
-support 600 on the contacts export takes 402 ms with it, 440 without.
+It holds only the operations the pipeline runs. The intersection
+works on span tuples (`_meet`), and `IntervalSet.intersect` wraps it;
+`_meet` bisects lopsided operands: no benchmark workload needs that, but
+star-sat:2 at support 600 on the contacts export took 402 ms with it,
+440 without. `_clip` is the three-way intersection the cores clip a
+pair with, `pair ∩ own ∩ other`, on span tuples, stopping at the first
+empty step. `coverage_at_least` sweeps two sorted lists of ints, the
+start and the end ticks.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 Span = Tuple[int, int]
 
-# intersect bisects the shorter span list into the longer one when it has at
+# _meet bisects the shorter span list into the longer one when it has at
 # most 1/_BISECT_RATIO as many spans, and merges the two lists otherwise; on
 # hs-shaped presences the two cost the same at about this ratio
 _BISECT_RATIO = 6
@@ -25,14 +30,18 @@ _BISECT_RATIO = 6
 
 def _merge(spans: list[Span]) -> Tuple[Span, ...]:
     """Canonical form of a list of nonempty spans; sorts the list in place."""
+    if not spans:
+        return ()
     spans.sort()
     merged: list[Span] = []
+    lo, hi = spans[0]  # the open span
     for a, b in spans:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
+        if a > hi:
+            merged.append((lo, hi))
+            lo, hi = a, b
+        elif b > hi:
+            hi = b
+    merged.append((lo, hi))
     return tuple(merged)
 
 
@@ -70,6 +79,48 @@ def _clip_into(xs: Tuple[Span, ...], ys: Tuple[Span, ...]) -> Tuple[Span, ...]:
                 break
             j += 1
     return tuple(out)
+
+
+def _meet(xs: Tuple[Span, ...], ys: Tuple[Span, ...]) -> Tuple[Span, ...]:
+    """Canonical xs ∩ ys of two canonical span tuples.
+
+    Bisects the shorter list into the longer one when it is lopsided
+    (`_clip_into`) and merges the two otherwise.
+    """
+    nx, ny = len(xs), len(ys)
+    if ny < nx:
+        xs, ys, nx, ny = ys, xs, ny, nx
+    if not nx:
+        return ()
+    if nx * _BISECT_RATIO <= ny:
+        return _clip_into(xs, ys)
+    out: list[Span] = []
+    i = j = 0
+    a, b = xs[0]
+    c, d = ys[0]
+    while True:
+        lo = a if a > c else c
+        if b <= d:
+            if lo < b:
+                out.append((lo, b))
+            i += 1
+            if i == nx:
+                break
+            a, b = xs[i]
+        else:
+            if lo < d:
+                out.append((lo, d))
+            j += 1
+            if j == ny:
+                break
+            c, d = ys[j]
+    return tuple(out)
+
+
+def _clip(xs: Tuple[Span, ...], ys: Tuple[Span, ...], zs: Tuple[Span, ...]) -> Tuple[Span, ...]:
+    """Canonical xs ∩ ys ∩ zs, without building an `IntervalSet`; () once a step is empty."""
+    got = _meet(xs, ys)
+    return _meet(got, zs) if got else got
 
 
 class IntervalSet:
@@ -113,35 +164,7 @@ class IntervalSet:
         return IntervalSet._raw(_merge([*self._spans, *other._spans]))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        xs, ys = self._spans, other._spans
-        nx, ny = len(xs), len(ys)
-        if ny < nx:
-            xs, ys, nx, ny = ys, xs, ny, nx
-        if not nx:
-            return EMPTY
-        if nx * _BISECT_RATIO <= ny:
-            return IntervalSet._raw(_clip_into(xs, ys))
-        out: list[Span] = []
-        i = j = 0
-        a, b = xs[0]
-        c, d = ys[0]
-        while True:
-            lo = a if a > c else c
-            if b <= d:
-                if lo < b:
-                    out.append((lo, b))
-                i += 1
-                if i == nx:
-                    break
-                a, b = xs[i]
-            else:
-                if lo < d:
-                    out.append((lo, d))
-                j += 1
-                if j == ny:
-                    break
-                c, d = ys[j]
-        return IntervalSet._raw(tuple(out))
+        return IntervalSet._raw(_meet(self._spans, other._spans))
 
     def issubset(self, other: "IntervalSet") -> bool:
         j = 0
@@ -181,34 +204,41 @@ class IntervalSet:
 EMPTY = IntervalSet()
 
 
-def coverage_at_least(sets: Iterable[IntervalSet], k: int) -> IntervalSet:
-    """Ticks covered by at least k of the given interval sets.
+def coverage_at_least(sets: Iterable[Iterable[Span]], k: int) -> IntervalSet:
+    """Ticks covered by at least k of the given canonical span collections.
 
-    The sweep processes start/end events in time order; between events the
-    coverage count is constant, so the result's endpoints are a subset of
-    the input endpoints.
+    Each collection is an `IntervalSet` or a canonical span tuple. The
+    sweep walks the sorted start ticks and consumes the sorted end ticks
+    up to each start, so the coverage count only changes at an endpoint
+    and the result's endpoints are a subset of the input endpoints.
     """
     if k <= 0:
         raise ValueError("coverage threshold must be positive")
-    events: list[Tuple[int, int]] = []
-    for ivs in sets:
-        for a, b in ivs.spans:
-            events.append((a, 1))
-            events.append((b, -1))
-    events.sort()
-    spans: list[Span] = []
-    count = 0
-    open_start: Optional[int] = None
-    i, n = 0, len(events)
-    while i < n:
-        t = events[i][0]
-        while i < n and events[i][0] == t:
-            count += events[i][1]
-            i += 1
-        if open_start is None and count >= k:
-            open_start = t
-        elif open_start is not None and count < k:
-            spans.append((open_start, t))
-            open_start = None
-    # every start event is balanced by an end event, so the region closes
-    return IntervalSet._raw(tuple(spans))
+    starts: list[int] = []
+    ends: list[int] = []
+    for spans in sets:
+        for a, b in spans:
+            starts.append(a)
+            ends.append(b)
+    if len(starts) < k:
+        return EMPTY
+    starts.sort()
+    ends.sort()
+    # the i-th smallest end exceeds the i-th smallest start, since every span
+    # is nonempty, so ends[j] never runs past the list while a start is left
+    out: list[Span] = []
+    count = j = 0
+    opened = 0
+    for t in starts:
+        while ends[j] <= t:  # ends at t close before starts at t open
+            count -= 1
+            if count == k - 1:
+                out.append((opened, ends[j]))
+            j += 1
+        count += 1
+        if count == k:
+            # a region that closed at t and reopens at t is one span
+            opened = out.pop()[0] if out and out[-1][1] == t else t
+    if count >= k:  # the region still open closes at the (count - k + 1)-th end left
+        out.append((opened, ends[j + count - k]))
+    return IntervalSet._raw(tuple(out))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from streamcores import cores
 from streamcores import (
     CoreSpec,
     IntervalSet,
@@ -25,7 +26,7 @@ from helpers import (
     random_subset,
     timenodes_close,
 )
-from oracle import brute_core, brute_static_core, discretize, sample_set
+from oracle import brute_bicore, brute_core, brute_static_core, discretize, sample_set
 
 
 class TestCoreSpec:
@@ -186,6 +187,62 @@ class TestHubAuthority:
             nodes = frozenset(v for v in g.nodes if rng.random() < 0.8)
             assert apply_static_core(spec, g, nodes) == brute_static_core(g, nodes, spec)
         assert deepest >= 4
+
+
+def _anew(w):
+    """A TimeNodeSet equal to w whose interval sets are all new objects."""
+    return TimeNodeSet({v: IntervalSet(ivs.spans) for v, ivs in w.items()})
+
+
+class TestRootFastPath:
+    """On the stream's own presence set, the cores take each adjacency as it is."""
+
+    @pytest.mark.parametrize("directed,presence", STREAM_KINDS)
+    def test_root_equals_an_equal_set_built_anew(self, directed, presence):
+        rng = random.Random(120 + directed + 2 * presence)
+        for _ in range(100):
+            s = random_stream(rng, directed=directed, presence=presence, max_intervals=20)
+            root = s.presence_set()
+            anew = _anew(root)
+            assert anew == root
+            assert not any(anew.get(v) is s.presence(v) for v in s.nodes)
+            d, samples = discretize(s), sample_set(root)
+            if directed:
+                h, a = rng.randint(1, 3), rng.randint(1, 3)
+                sides = bha_bicore(s, root, root, h, a)
+                assert sides == bha_bicore(s, anew, anew, h, a)
+                assert tuple(map(sample_set, sides)) == brute_bicore(d, samples, samples, h, a)
+            else:
+                k = rng.randint(0, 3)
+                split = star_satellite_split(s, root, k)
+                assert split == star_satellite_split(s, anew, k)
+                core = star_satellite_core(s, root, k)
+                assert core == star_satellite_core(s, anew, k) == split[0].union(split[1])
+                assert sample_set(core) == brute_core(d, samples, CoreSpec.star_satellite(k))
+
+    def test_the_root_takes_each_adjacency_as_it_is(self, monkeypatch):
+        clips = []
+        clip = cores._clip
+        monkeypatch.setattr(cores, "_clip", lambda *spans: clips.append(spans) or clip(*spans))
+        s = star_toy_stream()
+        root = cores._clipped_pairs(s, s.presence_set())
+        assert all(root[v] is s.adjacency(v) for v in s.nodes) and clips == []
+        # an equal set built anew clips each pair once, to the same spans
+        assert cores._clipped_pairs(s, _anew(s.presence_set())) == root
+        assert len(clips) == s.interaction_count()
+
+    def test_coverage_is_looked_up_by_module_name_and_skipped_below_k(self, monkeypatch):
+        # b is the only node of the star toy with two neighbours
+        counted = []
+        coverage = cores.coverage_at_least
+        monkeypatch.setattr(cores, "coverage_at_least",
+                            lambda sets, k: counted.append(k) or coverage(sets, k))
+        s = star_toy_stream()
+        star_satellite_core(s, s.presence_set(), 2)
+        assert counted == [2]
+        b = bipartite_toy_stream()
+        bha_bicore(b, b.presence_set(), b.presence_set(), 2, 2)
+        assert len(counted) > 1
 
 
 class TestApplyCore:

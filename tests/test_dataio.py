@@ -520,6 +520,35 @@ class TestRecordSource:
             assert dict(s.interaction_items()) == dict(original.interaction_items())
         assert chunks > 50
 
+    def test_a_row_shuffled_file_reads_as_the_sorted_one(self, tmp_path, monkeypatch):
+        # a contacts export on a 20 s grid over 12 nodes, in time order and shuffled;
+        # read in chunks of about 500 bytes, each pair's rows come in no time order
+        rng = random.Random(27)
+        nodes = [str(n) for n in range(12)]
+        rows = []
+        for t in range(20, 20 * 600, 20):
+            for u, v in {tuple(sorted(rng.sample(nodes, 2))) for _ in range(rng.randint(0, 6))}:
+                rows.append(f"{t}\t{u}\t{v}\tC{int(u) % 3}\tC{int(v) % 3}")
+        ordered = write_lines(tmp_path / "ordered.tsv", rows)
+        rng.shuffle(rows)
+        shuffled = write_lines(tmp_path / "shuffled.tsv", rows)
+        merges = []
+        merge = dataio._merge
+
+        def counted(spans):
+            merges.append(len(spans))
+            return merge(spans)
+
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 500)
+        monkeypatch.setattr(dataio, "_merge", counted)
+        want = _outcome(read_link_stream, ordered, fmt="contacts")
+        assert merges == []  # rows in time order are never merged
+        s = read_link_stream(shuffled, fmt="contacts")
+        # each out-of-order pair's spans were merged before the end of the file too
+        assert len(merges) > 2 * s.interaction_count()
+        assert _outcome(lambda p: s, shuffled) == want
+        assert want == _outcome(reference_read_link_stream, shuffled, fmt="contacts")
+
     def test_the_ingest_and_the_stream_are_reached_through_the_module(
             self, tmp_path, monkeypatch):
         path = tmp_path / "stream.txt"

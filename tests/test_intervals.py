@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from streamcores.intervals import EMPTY, IntervalSet, coverage_at_least
+from streamcores.intervals import EMPTY, IntervalSet, _clip, coverage_at_least
 
 
 def ticks(ivs, lo=0, hi=32):
@@ -102,6 +102,19 @@ def test_lopsided_intersection_matches_pointwise_and_merge(pair):
         assert got.spans == IntervalSet(got.spans).spans
 
 
+@given(interval_sets, lopsided_pairs())
+def test_three_way_clip_matches_pointwise(a, pair):
+    # lopsided operands take the bisecting path, and empty ones stop the clip
+    short, long, hi = pair
+    for x, y, z in ((short, long, a), (long, a, short), (a, short, long), (EMPTY, long, a),
+                    (long, a, EMPTY), (a, long, long)):
+        got = _clip(x.spans, y.spans, z.spans)
+        assert isinstance(got, tuple)
+        assert got == (x & y & z).spans
+        assert ticks(IntervalSet._raw(got), 0, hi) == (
+            ticks(x, 0, hi) & ticks(y, 0, hi) & ticks(z, 0, hi))
+
+
 @given(interval_sets, interval_sets, lopsided_pairs())
 def test_union_matches_pointwise(a, b, pair):
     assert ticks(a | b) == ticks(a) | ticks(b)
@@ -145,6 +158,42 @@ def test_coverage_matches_counting(sets, k):
     covered, each = ticks(got), [ticks(ivs) for ivs in sets]
     for t in range(0, 32):
         assert (t in covered) == (sum(t in ts for ts in each) >= k)
+
+
+@st.composite
+def touching_sets(draw):
+    """Up to 6 interval sets whose spans start and end on a grid of 4 ticks, so spans of
+    different sets touch or share endpoints."""
+    grid = st.integers(0, 7).map(lambda g: 4 * g)
+    edges = st.tuples(grid, grid).filter(lambda p: p[0] != p[1]).map(lambda p: (min(p), max(p)))
+    return draw(st.lists(st.lists(edges, max_size=3).map(IntervalSet), max_size=6))
+
+
+@given(touching_sets(), st.integers(1, 8))
+def test_coverage_of_touching_spans_matches_counting(sets, k):
+    got = coverage_at_least(sets, k)
+    assert got.spans == IntervalSet(got.spans).spans  # canonical: touching pieces are one
+    covered, each = ticks(got), [ticks(ivs) for ivs in sets]
+    for t in range(0, 32):
+        assert (t in covered) == (sum(t in ts for ts in each) >= k)
+    # the sets as span tuples cover alike
+    assert coverage_at_least([ivs.spans for ivs in sets], k) == got
+
+
+def test_coverage_above_the_number_of_sets_is_empty():
+    sets = [IntervalSet.span(0, 4), IntervalSet([(0, 4), (6, 9)]), IntervalSet.span(2, 8)]
+    assert coverage_at_least(sets, 3) == IntervalSet([(2, 4)])
+    assert coverage_at_least(sets, 4) == EMPTY
+    assert coverage_at_least([], 1) == EMPTY
+
+
+def test_coverage_of_spans_that_meet_end_to_start():
+    # a set ends where another starts: the count does not dip between them
+    sets = [IntervalSet.span(0, 5), IntervalSet.span(3, 5), IntervalSet.span(5, 9),
+            IntervalSet.span(5, 7)]
+    assert coverage_at_least(sets, 2) == IntervalSet.span(3, 7)
+    assert coverage_at_least(sets, 1) == IntervalSet.span(0, 9)
+    assert coverage_at_least(sets, 3) == EMPTY
 
 
 def test_coverage_rejects_nonpositive_threshold():
