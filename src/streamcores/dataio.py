@@ -37,7 +37,8 @@ across chunks is merged each time its span list has doubled since it
 was last in order, and once more when the file ends, so a shuffled
 file holds about as many spans per pair as a sorted one; `StreamGraph`
 takes each pair's canonical `IntervalSet` as it is. Each node name is
-kept as one string object. A row that cannot be parsed (column count,
+kept as one string object, and each tick value, span starts `t - delta`
+included, as one int object. A row that cannot be parsed (column count,
 timestamp, empty node name) raises at once; the first self-loop or
 empty interval is raised once the whole file has parsed, so a later
 row that cannot be parsed is reported first, as if every row had been
@@ -243,7 +244,9 @@ class _Records:
         # pairs whose spans are out of time order -> their span count when they went out
         self._unsorted: Dict[Tuple[str, str], int] = {}
         self._names: Dict[str, str] = {}  # one string object per node name
-        self._ticks: Dict[str, int] = {}  # and one parse per timestamp text
+        self._ticks: Dict[str, int] = {}  # one parse per timestamp text
+        # one int object per tick value, span starts `t - extension` included
+        self._ints: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return self._count
@@ -255,7 +258,7 @@ class _Records:
             chunk = _decode(raw, i == 0, source, line)
             # for "auto", a plain chunk's first line is the file's first row
             plain = _plain_records(chunk, width or len(chunk.partition("\n")[0].split()),
-                                   self._resolution, self.directed, self._ticks)
+                                   self._resolution, self.directed, self._ticks, self._ints)
             if plain is not None:
                 width, count, columns = plain
                 line += count  # one record a line
@@ -268,9 +271,14 @@ class _Records:
                 self._gather(columns)
         if refusal is not None:
             raise refusal
+        self._names, self._ticks, self._ints = {}, {}, {}  # the caches are done with
         spans_of, unsorted = self._spans, self._unsorted
-        return {key: IntervalSet._raw(_merge(spans) if key in unsorted else tuple(spans))
-                for key, spans in spans_of.items()}
+        pairs = {}
+        for key, spans in spans_of.items():
+            spans_of[key] = None  # each pair's list is freed as its set is made
+            pairs[key] = IntervalSet._raw(_merge(spans) if key in unsorted else tuple(spans))
+        spans_of.clear()
+        return pairs
 
     def _parse_rows(self, rows: Iterator[Tuple[int, str]], width: Optional[int]
                     ) -> Tuple[int, int, List[tuple], Optional[ParseError]]:
@@ -280,7 +288,7 @@ class _Records:
         stream refuses is left out of the columns, and the first one
         makes the `refusal`.
         """
-        source, ticks = self.source, self._ticks
+        source, ticks, ints = self.source, self._ticks, self._ints
         records = []
         count, refusal = 0, None
         for row, text in rows:
@@ -295,7 +303,8 @@ class _Records:
             # exports sit on a time grid, so a timestamp text recurs: parse it once
             for stamp in fields[:stamps]:
                 if stamp not in ticks:
-                    ticks[stamp] = to_ticks(stamp, self._resolution, source, row)
+                    t = to_ticks(stamp, self._resolution, source, row)
+                    ticks[stamp] = ints.setdefault(t, t)
             u, v = fields[stamps], fields[stamps + 1]
             if not u or not v:
                 raise ParseError("empty node name", source, row)
@@ -332,7 +341,7 @@ class _Records:
                     other += group
         spans_of, unsorted, names = self._spans, self._unsorted, self._names
         for (u, v), group in groups.items():
-            new = (_instant_spans(group, self._extension) if instants
+            new = (_instant_spans(group, self._extension, self._ints) if instants
                    else list(_merge(group)))
             spans = spans_of.get((u, v))
             if spans is None:
@@ -358,16 +367,22 @@ class _Records:
                 spans += new
 
 
-def _instant_spans(ticks: List[int], extension: int) -> List[Span]:
-    """The canonical spans of the instants `ticks`, each extended to `[t - extension, t)`."""
+def _instant_spans(ticks: List[int], extension: int, ints: Dict[int, int]) -> List[Span]:
+    """The canonical spans of the instants `ticks`, each extended to `[t - extension, t)`.
+
+    Each span start is taken from `ints`, the one object of its value,
+    and added there when it is new.
+    """
     ticks.sort()
     spans = []
     e = ticks[0]
     b = e - extension
+    b = ints.setdefault(b, b)
     for t in ticks:
         if t - extension > e:
             spans.append((b, e))
             b = t - extension
+            b = ints.setdefault(b, b)
         e = t
     spans.append((b, e))
     return spans
@@ -379,18 +394,21 @@ _NOT_PLAIN = ("#", ",", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
 _NOT_PLAIN_BEYOND_ASCII = ("\x85", "\u2028", "\u2029")
 
 
-def _ticks_of(texts: List[str], ticks: Dict[str, int], resolution: int) -> List[int]:
+def _ticks_of(texts: List[str], ticks: Dict[str, int], ints: Dict[int, int],
+              resolution: int) -> List[int]:
     """The ticks of timestamp `texts`, each text not in the `ticks` cache parsed once and added.
 
+    A new text's tick is the object `ints` holds for its value, added there when new.
     Raises the ParseError of `to_ticks` for a text it refuses, naming no line.
     """
     for text in set(texts).difference(ticks):
-        ticks[text] = to_ticks(text, resolution, "", 0)
+        t = to_ticks(text, resolution, "", 0)
+        ticks[text] = ints.setdefault(t, t)
     return list(map(ticks.__getitem__, texts))
 
 
-def _plain_records(text: str, width: int, resolution: int, directed: bool,
-                   ticks: Dict[str, int]) -> Optional[Tuple[int, int, List[list]]]:
+def _plain_records(text: str, width: int, resolution: int, directed: bool, ticks: Dict[str, int],
+                   ints: Dict[int, int]) -> Optional[Tuple[int, int, List[list]]]:
     """(width, count, columns) of a plain chunk `text` of `width` fields a line, or None.
 
     A chunk is plain when it has no `#`, no `,` and no line break other
@@ -420,7 +438,7 @@ def _plain_records(text: str, width: int, resolution: int, directed: bool,
     if not directed and any(map(operator.eq, us, vs)):
         return None
     try:
-        stamps = [_ticks_of(texts, ticks, resolution) for texts in stamps]
+        stamps = [_ticks_of(texts, ticks, ints, resolution) for texts in stamps]
     except ParseError:
         return None
     if width == 4 and any(map(operator.ge, *stamps)):

@@ -29,19 +29,31 @@ _BISECT_RATIO = 6
 
 
 def _merge(spans: list[Span]) -> Tuple[Span, ...]:
-    """Canonical form of a list of nonempty spans; sorts the list in place."""
+    """Canonical form of a list of nonempty span tuples; sorts the list in place.
+
+    A span that no other span extends is returned as the same tuple
+    object, so the spans must be tuples. Its callers all pass tuples:
+    `_normalize` and `IntervalSet.union`; `StreamGraph.__init__` (each
+    node's presence from its pairs' spans); `dataio._Records` (a chunk's
+    quadruples of a pair, and a pair's spans out of time order); the
+    star-satellite core (each node's satellite spans, and its star spans).
+    """
     if not spans:
         return ()
     spans.sort()
     merged: list[Span] = []
-    lo, hi = spans[0]  # the open span
-    for a, b in spans:
+    keep = spans[0]  # the open span while no other span extends it, else None
+    lo, hi = keep
+    for span in spans:
+        a, b = span
         if a > hi:
-            merged.append((lo, hi))
+            merged.append(keep or (lo, hi))
+            keep = span
             lo, hi = a, b
         elif b > hi:
             hi = b
-    merged.append((lo, hi))
+            keep = None
+    merged.append(keep or (lo, hi))
     return tuple(merged)
 
 

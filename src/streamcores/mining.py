@@ -245,7 +245,10 @@ def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path
     """One JSON object per line, fields in a fixed order, each line break escaped."""
     with open_output(path) as handle:
         for rec in records:
-            handle.write(json.dumps(_record_payload(rec)) + "\n")
+            # two writes: appending the line break would copy the line, which
+            # for a root record on a large stream is the command's largest object
+            handle.write(json.dumps(_record_payload(rec)))
+            handle.write("\n")
 
 
 def _typed(value, kind: type, name: str):

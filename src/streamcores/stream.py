@@ -155,6 +155,7 @@ class StreamGraph:
             ivs = spans if isinstance(spans, IntervalSet) else IntervalSet(spans)
             if ivs:
                 pairs[key] = ivs
+        del gathered
 
         # collect first and normalise once per node: a union per pair is quadratic
         node_spans: Dict[str, List[Span]] = {}
@@ -162,7 +163,11 @@ class StreamGraph:
             for w in (u, v):
                 node_spans.setdefault(w, []).extend(ivs.spans)
         # the pair sets are canonical already, so their spans need no second check
-        default_presence = {w: IntervalSet._raw(_merge(spans)) for w, spans in node_spans.items()}
+        default_presence: Dict[str, IntervalSet] = {}
+        for w, spans in node_spans.items():
+            node_spans[w] = None  # each node's list is freed once its presence is merged
+            default_presence[w] = IntervalSet._raw(_merge(spans))
+        del node_spans
 
         if presence is None:
             pres = default_presence

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from streamcores.intervals import EMPTY, IntervalSet, _clip, coverage_at_least
+from streamcores.intervals import EMPTY, IntervalSet, _clip, _merge, coverage_at_least
 
 
 def ticks(ivs, lo=0, hi=32):
@@ -35,6 +35,35 @@ class TestConstruction:
     def test_normalizing_twice_is_normalizing_once(self, raw):
         once = IntervalSet(raw)
         assert IntervalSet(once.spans) == once
+
+    def test_lists_become_tuples(self):
+        # _merge hands back the spans it does not change, so it must be given tuples
+        for ivs in (IntervalSet([[0, 2], [1, 3]]), IntervalSet([[0, 2], [5, 6]])):
+            assert all(type(span) is tuple for span in ivs.spans)
+        assert IntervalSet([[0, 2], [1, 3]]).spans == ((0, 3),)
+
+
+nonempty_spans = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(1, 6)).map(lambda p: (p[0], p[0] + p[1])),
+    max_size=12,
+)
+
+
+@given(nonempty_spans)
+def test_merge_is_canonical_and_keeps_the_spans_it_does_not_change(raw):
+    got = _merge(list(raw))
+    runs = []  # the canonical form of the covered ticks: one span per maximal run
+    for t in sorted({t for a, b in raw for t in range(a, b)}):
+        if runs and runs[-1][1] == t:
+            runs[-1] = (runs[-1][0], t + 1)
+        else:
+            runs.append((t, t + 1))
+    assert got == tuple(runs)
+    assert all(type(span) is tuple for span in got)
+    for i, span in enumerate(raw):
+        others = raw[:i] + raw[i + 1:]
+        if not any(a <= span[1] and span[0] <= b for a, b in others):  # none overlaps or touches
+            assert any(kept is span for kept in got)
 
 
 class TestUnion:

@@ -1,22 +1,30 @@
-"""The benchmark workloads' mined and selected bytes, checked in process.
+"""The benchmark workloads' outputs and the reader at workload scale, checked in process.
 
 For every workload of `perfbench/run.py` at seeds 1 and 97, the inputs
 are generated with `perfbench/gen.py`, `mine` and then `select` run
 through `cli.main`, and the sha256 of both outputs is compared with
 `perfbench/reference.json`. The benchmark's own gate checks the same
 digests in fresh processes; this one runs with the local test suite.
+
+The seed-1 contacts export (ingest-xl's input, 189k rows) is read
+within a traced-memory bound, with one int object per tick value, and
+copies of it that the reader takes down its other paths (row by row,
+out of time order, as quadruples) mine the bytes the export mines.
 Nothing under `perfbench/` is written.
 """
 
 import hashlib
 import importlib.util
 import json
+import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from streamcores import cli
+from streamcores.dataio import read_link_stream, write_link_stream
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (1, 97)
@@ -55,3 +63,89 @@ def test_outputs_match_the_reference_digests(name, seed, tmp_path, capsys):
     capsys.readouterr()  # select's sweep report
     want = DIGESTS[name][str(seed)]
     assert {"mine": _sha(mined), "select": _sha(selected)} == want
+
+
+@pytest.fixture(scope="module")
+def contacts(tmp_path_factory):
+    """The seed-1 contacts export and its attribute file, as `gen.py contacts 1` writes them."""
+    return GEN.generate("contacts", 1, tmp_path_factory.mktemp("contacts"))
+
+
+def test_equal_ticks_of_the_export_are_one_object(contacts):
+    stream = read_link_stream(contacts["stream"], fmt="contacts")
+    ends = [t for _, ivs in stream.interaction_items() for span in ivs.spans for t in span]
+    ends += [t for v in stream.nodes for span in stream.presence(v).spans for t in span]
+    # one object per value: a reader that makes each span start anew holds 52,376 for 8,681
+    assert len(set(map(id, ends))) == len(set(ends))
+
+
+def test_reading_the_export_stays_under_its_traced_peak(contacts):
+    tracemalloc.start()
+    try:
+        read_link_stream(contacts["stream"], fmt="contacts")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 7 MB; 13 MB with a new int per span start and the scratch lists held to the end
+    assert peak <= 9.5e6
+
+
+def _mine(stream, fmt, attributes, output):
+    """The bytes that star-sat:4 at support 600 mines from `stream`."""
+    assert cli.main(["mine", "--stream", str(stream), "--format", fmt,
+                     "--attributes", str(attributes), "--core", "star-sat:4",
+                     "--min-support", "600", "--output", str(output)]) == 0
+    return output.read_bytes()
+
+
+def _commented(lines):
+    return "".join(("# a comment line\n" if i % 3000 == 0 else "") + line
+                   for i, line in enumerate(lines, start=1))
+
+
+def _shuffled(lines):
+    random.Random(0).shuffle(lines)
+    return "".join(lines)
+
+
+def _rows(text):
+    """The data rows of `text`, sorted, without line ends, comments or a byte-order mark."""
+    return sorted(line for line in text.lstrip("\ufeff").splitlines() if line[:1] != "#")
+
+
+# each copy of the export's text, made from its lines with their line ends
+COPIES = {
+    "crlf": lambda lines: "".join(line[:-1] + "\r\n" for line in lines),
+    "comments": _commented,  # a `#` line every 3,000 rows: those chunks are read row by row
+    "unended": lambda lines: "".join(lines)[:-1],
+    "bom": lambda lines: "\ufeff" + "".join(lines),
+    "shuffled": _shuffled,  # each pair's rows in no time order
+}
+
+
+@pytest.fixture(scope="module")
+def mined_export(contacts, tmp_path_factory):
+    return _mine(contacts["stream"], "contacts", contacts["attributes"],
+                 tmp_path_factory.mktemp("mined") / "export.jsonl")
+
+
+@pytest.mark.parametrize("copy", sorted(COPIES))
+def test_a_copy_of_the_export_mines_its_bytes(copy, contacts, mined_export, tmp_path, capsys):
+    text = contacts["stream"].read_text()
+    lines = text.splitlines(keepends=True)
+    changed = COPIES[copy](list(lines))
+    assert changed != text
+    assert _rows(changed) == _rows(text)
+    assert changed.count("# a comment line") == (len(lines) // 3000 if copy == "comments" else 0)
+    path = tmp_path / "contacts.tsv"
+    path.write_bytes(changed.encode())
+    assert _mine(path, "contacts", contacts["attributes"], tmp_path / "copy.jsonl") == mined_export
+    capsys.readouterr()
+
+
+def test_the_quadruples_of_the_export_mine_its_bytes(contacts, mined_export, tmp_path, capsys):
+    # write_link_stream writes the pairs one after another, each in time order
+    path = tmp_path / "contacts.txt"
+    write_link_stream(read_link_stream(contacts["stream"], fmt="contacts"), path)
+    assert _mine(path, "quadruples", contacts["attributes"], tmp_path / "copy.jsonl") == mined_export
+    capsys.readouterr()
