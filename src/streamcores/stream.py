@@ -155,7 +155,7 @@ class StreamGraph:
             ivs = spans if isinstance(spans, IntervalSet) else IntervalSet(spans)
             if ivs:
                 pairs[key] = ivs
-        del gathered
+        del gathered  # freed before the presence lists are gathered
 
         # collect first and normalise once per node: a union per pair is quadratic
         node_spans: Dict[str, List[Span]] = {}

@@ -125,12 +125,13 @@ COPIES = {
 
 @pytest.fixture(scope="module")
 def mined_export(contacts, tmp_path_factory):
+    """The bytes that the export itself mines."""
     return _mine(contacts["stream"], "contacts", contacts["attributes"],
                  tmp_path_factory.mktemp("mined") / "export.jsonl")
 
 
 @pytest.mark.parametrize("copy", sorted(COPIES))
-def test_a_copy_of_the_export_mines_its_bytes(copy, contacts, mined_export, tmp_path, capsys):
+def test_a_copy_of_the_export_mines_its_bytes(copy, contacts, mined_export, tmp_path):
     text = contacts["stream"].read_text()
     lines = text.splitlines(keepends=True)
     changed = COPIES[copy](list(lines))
@@ -140,12 +141,10 @@ def test_a_copy_of_the_export_mines_its_bytes(copy, contacts, mined_export, tmp_
     path = tmp_path / "contacts.tsv"
     path.write_bytes(changed.encode())
     assert _mine(path, "contacts", contacts["attributes"], tmp_path / "copy.jsonl") == mined_export
-    capsys.readouterr()
 
 
-def test_the_quadruples_of_the_export_mine_its_bytes(contacts, mined_export, tmp_path, capsys):
+def test_the_quadruples_of_the_export_mine_its_bytes(contacts, mined_export, tmp_path):
     # write_link_stream writes the pairs one after another, each in time order
     path = tmp_path / "contacts.txt"
     write_link_stream(read_link_stream(contacts["stream"], fmt="contacts"), path)
     assert _mine(path, "quadruples", contacts["attributes"], tmp_path / "copy.jsonl") == mined_export
-    capsys.readouterr()
