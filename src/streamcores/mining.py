@@ -49,8 +49,9 @@ from __future__ import annotations
 
 import json
 import logging
+from json.encoder import encode_basestring_ascii as _quoted  # json.dumps' string encoder
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core
@@ -142,7 +143,7 @@ def mine(
         return ClosedPatternRecord(
             items=universe.items_of(mask),
             support=support,
-            support_measure=support.measure(),
+            support_measure=support.measure() if count_nodes else size,
             node_count=support.node_count(),
             mask=mask,
             depth=depth,
@@ -226,29 +227,63 @@ def filter_min_intent(
 # -- pattern files ------------------------------------------------------------
 
 
-def _record_payload(rec: ClosedPatternRecord) -> dict:
-    payload = {
-        "intent": list(rec.items),
-        "support": {v: ivs.spans for v, ivs in rec.support.items()},  # tuples dump as arrays
-        "support_measure": rec.support_measure,
-        "node_count": rec.node_count,
-    }
-    if rec.below_min_support:
-        payload["below_min_support"] = True
-    return payload
-
-
 _PATTERN_FIELDS = {"intent", "support", "support_measure", "node_count", "below_min_support"}
+
+# the most spans that one piece of a record's support holds: about 100 KB of text
+_PIECE_SPANS = 4096
+
+
+def _support_pieces(support: TimeNodeSet) -> Iterator[str]:
+    """The JSON text of `support` without its braces, in pieces to be joined by ", ".
+
+    Each piece is `json.dumps` of the next nodes, holding at most
+    `_PIECE_SPANS` spans in all, with its braces stripped. A node with
+    more spans than that is cut into slices of its span list: its key
+    with the first slice, then each later slice without its brackets,
+    the last one closing the list.
+    """
+    piece, room = {}, _PIECE_SPANS
+    for v, ivs in support.items():
+        spans = ivs.spans
+        if len(spans) > room:
+            if piece:
+                yield json.dumps(piece)[1:-1]
+                piece, room = {}, _PIECE_SPANS
+            if len(spans) > room:
+                yield json.dumps({v: spans[:_PIECE_SPANS]})[1:-2]
+                for i in range(_PIECE_SPANS, len(spans), _PIECE_SPANS):
+                    text = json.dumps(spans[i:i + _PIECE_SPANS])
+                    yield text[1:] if i + _PIECE_SPANS >= len(spans) else text[1:-1]
+                continue
+        piece[v] = spans  # tuples dump as arrays
+        room -= len(spans)
+    if piece:
+        yield json.dumps(piece)[1:-1]
 
 
 def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path]) -> None:
-    """One JSON object per line, fields in a fixed order, each line break escaped."""
+    """One JSON object per line, fields in a fixed order, each line break escaped.
+
+    A line holds the bytes of one `json.dumps` of the record's fields,
+    but it is written piece by piece: the fixed fields around the
+    support, and the support in pieces of at most `_PIECE_SPANS` spans
+    (`_support_pieces`), so no whole line is held, however large the
+    support. The intent's items are quoted by the string encoder that
+    `json.dumps` uses, and the first piece goes out with them, so a
+    small record costs one `json.dumps`.
+    """
     with open_output(path) as handle:
+        write = handle.write
         for rec in records:
-            # two writes: appending the line break would copy the line, which
-            # for a root record on a large stream is the command's largest object
-            handle.write(json.dumps(_record_payload(rec)))
-            handle.write("\n")
+            pieces = _support_pieces(rec.support)
+            write('{"intent": [%s], "support": {%s' % (", ".join(map(_quoted, rec.items)),
+                                                        next(pieces, "")))
+            for piece in pieces:
+                write(", ")
+                write(piece)
+            write('}, "support_measure": %d, "node_count": %d%s}\n' % (
+                rec.support_measure, rec.node_count,
+                ', "below_min_support": true' if rec.below_min_support else ""))
 
 
 def _typed(value, kind: type, name: str):

@@ -14,6 +14,10 @@ The selection section holds the temporal Jaccard distance computed on
 the built union and the greedy beta-scan without a memo; `selection`
 must agree with them bit for bit.
 
+`reference_write_patterns` writes each record's line with one
+`json.dumps` of the whole record; `mining.write_patterns`, which writes
+the support in pieces, must write the same bytes.
+
 `reference_read_link_stream` is the link-stream reader row by row: the
 whole file decoded as `utf-8-sig` and split with `str.splitlines`, each
 row split and converted through `dataio.to_ticks`, one span list per
@@ -25,13 +29,14 @@ extension) with `dataio.extension_ticks` before they read a row.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from streamcores.context import AttributeContext, Pattern, intent
 from streamcores.cores import CoreSpec, apply_core
-from streamcores.dataio import FORMAT_WIDTHS, ParseError, extension_ticks, to_ticks
+from streamcores.dataio import FORMAT_WIDTHS, ParseError, extension_ticks, open_output, to_ticks
 from streamcores.intervals import IntervalSet
 from streamcores.mining import ClosedPatternRecord, MinerConfig, filter_min_intent
 from streamcores.selection import INTEREST_MEASURES
@@ -223,6 +228,30 @@ def reference_mine(
     records = [record(intent(root, ctx), root, 0)]
     expand(records[0].mask, root, 0, 0)
     return filter_min_intent(records, cfg.min_intent_size)
+
+
+# -- pattern files -----------------------------------------------------------
+
+
+def _record_payload(rec: ClosedPatternRecord) -> dict:
+    payload = {
+        "intent": list(rec.items),
+        "support": {v: ivs.spans for v, ivs in rec.support.items()},  # tuples dump as arrays
+        "support_measure": rec.support_measure,
+        "node_count": rec.node_count,
+    }
+    if rec.below_min_support:
+        payload["below_min_support"] = True
+    return payload
+
+
+def reference_write_patterns(records: Sequence[ClosedPatternRecord],
+                             path: Union[str, Path]) -> None:
+    """`mining.write_patterns` as one `json.dumps` of each whole record."""
+    with open_output(path) as handle:
+        for rec in records:
+            handle.write(json.dumps(_record_payload(rec)))
+            handle.write("\n")
 
 
 # -- static graphs -----------------------------------------------------------

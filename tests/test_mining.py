@@ -2,8 +2,10 @@ import json
 import logging
 import random
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from streamcores import (
     AttributeContext,
@@ -20,6 +22,7 @@ from streamcores import (
     read_patterns,
     write_patterns,
 )
+from streamcores import mining
 from streamcores.dataio import ParseError
 from streamcores.mining import SUPPORT_MEASURES
 from streamcores.toys import compare_toy, triple_context_stream
@@ -39,6 +42,7 @@ from oracle import (
     brute_static_enumerate,
     discretize,
     reference_mine,
+    reference_write_patterns,
     sample_set,
 )
 from test_dataio import LINE_BREAKS
@@ -454,3 +458,64 @@ class TestPatternFiles:
                         '"below_min_support": true}\n')
         [rec] = read_patterns(path)
         assert rec.below_min_support and not rec.support
+
+
+PIECE = 4096  # mining._PIECE_SPANS, the most spans of one piece of a written support
+
+# quotes, backslashes, text outside ASCII (an astral character among it)
+# and every line break the row reader cuts at
+_names = st.lists(st.sampled_from(['"', "\\", "é", "名", "\U0001f600", "a", "0", "[", "{", ":"]
+                                  + LINE_BREAKS), max_size=4).map("".join)
+
+
+def _spans(start, count):
+    """`count` disjoint, non-touching spans from `start` on, of lengths 1 and 2."""
+    return tuple((start + 3 * i, start + 3 * i + 1 + i % 2) for i in range(count))
+
+
+def _record(items, counts, start=0, below=False):
+    """A record whose support gives the nodes of `counts` that many spans each."""
+    support = TimeNodeSet({v: IntervalSet(_spans(start, n)) for v, n in counts.items()})
+    return ClosedPatternRecord(tuple(items), support, support.measure(), support.node_count(),
+                               below_min_support=below or not support)
+
+
+@st.composite
+def _written_records(draw):
+    """(piece, records): a bound on the spans of a piece, and records whose nodes
+    hold a few spans or about as many as a piece or two."""
+    piece = draw(st.sampled_from([1, 2, 5, PIECE]))
+    count = st.integers(1, 3) | st.sampled_from([piece, piece + 1, 2 * piece + 1, 3 * piece - 1])
+    records = [_record(items, draw(st.dictionaries(_names, count, max_size=4)),
+                       draw(st.integers(-5, 5)), draw(st.booleans()))
+               for items in draw(st.lists(st.lists(_names, unique=True, max_size=3), max_size=4))]
+    return piece, records
+
+
+class TestWriterAgainstReference:
+    """`write_patterns` writes the bytes of one `json.dumps` of each whole record."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_written_records())
+    @example(case=(PIECE, [_record(["a"], {}, below=True)]))  # an empty support
+    @example(case=(PIECE, [_record(['"\\é'], {"n ": 2 * PIECE + 1})]))
+    @example(case=(PIECE, [_record(["x"], {str(i): PIECE // 3 + 1 for i in range(7)})]))
+    def test_the_same_bytes(self, tmp_path_factory, case):
+        # a small piece cuts many nodes, and many a node's span list, into pieces;
+        # a writer without pieces is checked as well, so the bound may be missing
+        piece, records = case
+        path = tmp_path_factory.mktemp("patterns")
+        reference_write_patterns(records, path / "reference.jsonl")
+        with mock.patch.object(mining, "_PIECE_SPANS", piece, create=True):
+            write_patterns(records, path / "pieces.jsonl")
+        assert (path / "pieces.jsonl").read_bytes() == (path / "reference.jsonl").read_bytes()
+
+    def test_no_piece_holds_more_spans_than_the_bound(self):
+        assert mining._PIECE_SPANS == PIECE
+        support = _record([], {"a": 2 * PIECE + 1, "b": PIECE // 2, "c": PIECE // 2 + 1,
+                               "d": 3}).support
+        pieces = list(mining._support_pieces(support))
+        spans = [len(re.findall(r"\[\d+, \d+\]", piece)) for piece in pieces]
+        assert spans == [PIECE, PIECE, 1, PIECE // 2, PIECE // 2 + 4]
+        assert "{" + ", ".join(pieces) + "}" == json.dumps(
+            {v: ivs.spans for v, ivs in support.items()})

@@ -8,9 +8,11 @@ digests in fresh processes; this one runs with the local test suite.
 
 The seed-1 contacts export (ingest-xl's input, 189k rows) is read
 within a traced-memory bound, with one int object per tick value, and
-copies of it that the reader takes down its other paths (row by row,
-out of time order, as quadruples) mine the bytes the export mines.
-Nothing under `perfbench/` is written.
+ingest-xl's whole `mine` command runs within another. Copies of it that
+the reader takes down its other paths (row by row, out of time order,
+as quadruples) mine the bytes the export mines, and copies with a
+self-loop or a byte that is not UTF-8 past the first 64 KiB are refused
+naming their line. Nothing under `perfbench/` is written.
 """
 
 import hashlib
@@ -89,6 +91,54 @@ def test_reading_the_export_stays_under_its_traced_peak(contacts):
     # about 7 MB; 13 MB with a new int per span start and the scratch lists held to the end
     assert peak <= 9.5e6
 
+
+def test_mining_the_export_stays_under_its_traced_peak(contacts, tmp_path, capsys):
+    args = RUN.WORKLOADS["ingest-xl"].mine_args(contacts, tmp_path / "mined.jsonl")
+    tracemalloc.start()
+    try:
+        assert cli.main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # about 7 MB, at the reader; 8.7-9.1 MB when the root record's line
+    # (1,015,212 characters) is dumped whole
+    assert peak <= 7.8e6
+
+
+def _mine_error(path, capsys):
+    """(exit code, stderr) of mining `path` as a contacts export."""
+    code = cli.main(["mine", "--stream", str(path), "--format", "contacts", "--core", "identity",
+                     "--min-support", "600", "--output", str(path.with_suffix(".jsonl"))])
+    return code, capsys.readouterr().err
+
+
+def test_a_self_loop_past_the_first_chunk_is_named_at_its_line(contacts, tmp_path, capsys):
+    # a comment line near the top, and a self-loop on the export's line 5000,
+    # now file line 5001
+    lines = contacts["stream"].read_text().splitlines(keepends=True)
+    t, u, _, *rest = lines[4999].split("\t")
+    lines[4999] = "\t".join([t, u, u, *rest])
+    lines.insert(1, "# a comment line the error must count\n")
+    path = tmp_path / "contacts.tsv"
+    path.write_text("".join(lines))
+    assert len("".join(lines[:5000]).encode()) > 65536
+    code, err = _mine_error(path, capsys)
+    assert code == 1
+    assert "contacts.tsv:5001: self-interaction" in err
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_chunk_is_named_at_its_line(contacts, tmp_path,
+                                                                           capsys):
+    data = contacts["stream"].read_bytes()
+    lines = data.splitlines(keepends=True)
+    head = b"".join(lines[:4999])
+    assert len(head) > 65536
+    path = tmp_path / "contacts.tsv"
+    path.write_bytes(head + b"\xff" + data[len(head):])
+    code, err = _mine_error(path, capsys)
+    assert code == 1
+    assert "contacts.tsv:5000: not UTF-8 text" in err
 
 def _mine(stream, fmt, attributes, output):
     """The bytes that star-sat:4 at support 600 mines from `stream`."""
