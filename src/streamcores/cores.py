@@ -8,9 +8,14 @@ non-qualifying time-nodes are dropped.
 
 The hub/authority bi-core on directed streams prunes the hub side by
 out-degree and the authority side by in-degree, alternating passes on
-the substream induced by the current pair until nothing changes. After
-the first full pass, a pass re-prunes only the nodes next to a node of
-the other side that changed (a worklist), and the number of passes is
+the substream induced by the current pair until nothing changes. Each
+node keeps its clips: its pairs towards the other side, each met with
+the far endpoint's current entry (`pair ∩ other`). Its own entry is
+applied once, to the coverage sweep's result. When a node's entry
+shrinks, only its far neighbours' clips of their pair with it are met
+with the new entry, and a neighbour is re-pruned only if its clip
+changed, as linear-time core peeling updates only the neighbours a
+removal touches (Batagelj & Zaveršnik, 2003). The number of passes is
 capped by the measure of the two input sides. `bha_bicore` returns the
 pair (hubs, authorities) and `ha_core` is their union, as
 `star_satellite_core` is that of `star_satellite_split`'s (stars, satellites).
@@ -19,13 +24,16 @@ Both operators work on canonical span tuples (`intervals._clip`,
 `intervals._meet`) and build an `IntervalSet` only for a result they
 keep.
 
-Whole-presence rule: both operators clip a pair's spans to its two
-endpoints' time-nodes in the input set, except when both entries are
-the stream's own presence objects (`own is stream.presence(u)`). Then
-the spans are taken as they are. That is sound because `StreamGraph`
-keeps every pair's spans inside both endpoints' presence: it derives
-the presence from the pairs, or checks a given presence against them,
-so the clip would return the spans unchanged. The identity test, not
+Whole-presence rule: the star-satellite core clips a pair's spans to
+its two endpoints' time-nodes in the input set, except when both
+entries are the stream's own presence objects (`own is
+stream.presence(u)`); then the spans are taken as they are. The bi-core
+skips the meet of a pair with its far entry, and of a sweep's result
+with the node's input entry, when that entry is the presence object.
+That is sound because `StreamGraph` keeps every pair's spans inside
+both endpoints' presence: it derives the presence from the pairs, or
+checks a given presence against them, so the meet would return the
+spans unchanged. The identity test, not
 equality, makes the rule cost one pointer comparison per node; a set
 equal to the presence but built anew is clipped as before. When every
 node of the stream is in the input set with its whole presence (the
@@ -41,9 +49,9 @@ that same merge.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Tuple
 
-from .intervals import EMPTY, IntervalSet, _clip, _meet, _merge, coverage_at_least
+from .intervals import IntervalSet, Span, _clip, _meet, _merge, coverage_at_least
 from .stream import StreamGraph, TimeNodeSet
 
 
@@ -192,6 +200,33 @@ def star_satellite_core(stream: StreamGraph, wp: TimeNodeSet, k: int) -> TimeNod
     return TimeNodeSet._raw(core)
 
 
+def _far_clips(
+    adjacency: Mapping[str, IntervalSet],
+    opposite: Mapping[str, IntervalSet],
+    presence: Callable[[str], IntervalSet],
+) -> Dict[str, Tuple[Span, ...]]:
+    """A node's kept clips: each pair towards the other side met with the far endpoint's entry.
+
+    A far entry that is still its node's presence cuts nothing (module
+    docstring), and a clip that cuts nothing is the pair's own span
+    tuple, so it costs a dict slot and not a copy.
+    """
+    clips = {}
+    for v, ivs in adjacency.items():
+        other = opposite.get(v)
+        if other is None:
+            continue
+        pair = ivs.spans
+        if other is not presence(v):
+            got = _meet(pair, other.spans)
+            if not got:
+                continue
+            if got != pair:
+                pair = got
+        clips[v] = pair
+    return clips
+
+
 def bha_bicore(
     stream: StreamGraph, w1: TimeNodeSet, w2: TimeNodeSet, h: int, a: int
 ) -> Tuple[TimeNodeSet, TimeNodeSet]:
@@ -202,16 +237,20 @@ def bha_bicore(
     pair induces; a node present on both sides must satisfy both.
 
     Each pass re-prunes hubs, then authorities, against the other side.
-    The first pass prunes every node; later passes prune only the nodes
-    with a neighbour on the other side that changed since their own last
-    pruning, since no other node's clipped degree can have changed. The
-    loop stops after a pass that leaves no hub to re-prune, i.e. one in
-    which no authority with a hub in-neighbour changed.
-
-    A pair between two nodes whose entries are still their whole
-    presence is not clipped (module docstring), and a node with fewer
-    clipped neighbours than its threshold loses all its times without
-    a coverage sweep.
+    A node keeps its clips (`_far_clips`): each of its pairs towards the
+    other side met with the far endpoint's current entry, built when the
+    node is first pruned. Its own entry is applied once, after the
+    coverage sweep, as `coverage_k(pair ∩ other) ∩ own` equals
+    `coverage_k(pair ∩ own ∩ other)`. Clips only shrink, so each sweep
+    lies inside the one before: meeting it with the node's input entry
+    gives its current entry's meet, and is skipped when that input entry
+    is the node's presence. When a node's entry shrinks, each far
+    neighbour's clip for that pair is met with the new entry, and the
+    neighbour is re-pruned in the next half-pass only if its clip
+    changed. The first pass prunes every node; the loop stops after a
+    pass that leaves no hub to re-prune, i.e. one in which no authority
+    changed a hub's clip. A node with fewer clips than its threshold
+    loses all its times without a coverage sweep.
 
     Bound: every pass but the last removes at least one node-tick from
     the authorities and neither side ever gains one, so at most
@@ -225,46 +264,56 @@ def bha_bicore(
     presence = stream.presence
     hubs = dict(w1.items())
     auths = dict(w2.items())
-    # (side, its threshold, its adjacency towards the other side, the other side)
+    hub_clips: Dict[str, Dict[str, Tuple[Span, ...]]] = {}
+    auth_clips: Dict[str, Dict[str, Tuple[Span, ...]]] = {}
+    # (the side's input set, the side, its threshold, its adjacency towards
+    # the other side, the other side, the side's kept clips, the other side's)
     sides = (
-        (hubs, h, stream.adjacency, auths),
-        (auths, a, stream.in_adjacency, hubs),
+        (w1, hubs, h, stream.adjacency, auths, hub_clips, auth_clips),
+        (w2, auths, a, stream.in_adjacency, hubs, auth_clips, hub_clips),
     )
     dirty = [set(hubs), set(auths)]
     for _ in range(w1.measure() + w2.measure() + 1):
-        for side, (keep, threshold, adjacency, opposite) in enumerate(sides):
+        for side, (given, keep, threshold, adjacency, opposite, kept, far_kept) in enumerate(sides):
             changed = []
             if threshold:
                 for u in dirty[side]:
                     own = keep.get(u)
                     if own is None:
                         continue
-                    own_whole = own is presence(u)
-                    own_spans = own.spans
-                    clipped = []
-                    for v, ivs in adjacency(u).items():
-                        other = opposite.get(v)
-                        if other is not None:
-                            if own_whole and other is presence(v):
-                                clipped.append(ivs.spans)
-                                continue
-                            got = _clip(ivs.spans, own_spans, other.spans)
-                            if got:
-                                clipped.append(got)
-                    got = EMPTY
-                    if len(clipped) >= threshold:
-                        got = coverage_at_least(clipped, threshold)
-                    if got != own:
+                    clips = kept.get(u)
+                    if clips is None:
+                        clips = kept[u] = _far_clips(adjacency(u), opposite, presence)
+                    spans = ()
+                    if len(clips) >= threshold:
+                        spans = coverage_at_least(clips.values(), threshold).spans
+                        first = given.get(u)
+                        if spans and first is not presence(u):
+                            spans = _meet(spans, first.spans)
+                    if spans != own.spans:
                         changed.append(u)
-                        if got:
-                            keep[u] = got
+                        if spans:
+                            keep[u] = IntervalSet._raw(spans)
                         else:
-                            del keep[u]
+                            del keep[u], kept[u]
             dirty[side] = set()
-            # a changed node's neighbours on the other side see a new degree
+            # a changed node's new entry cuts its far neighbours' clips of
+            # their pair; a neighbour whose clip is not cut keeps its degree
             far = dirty[1 - side]
             for u in changed:
-                far.update(v for v in adjacency(u) if v in opposite)
+                cut = keep[u].spans if u in keep else ()
+                for v in adjacency(u):
+                    clips = far_kept.get(v)
+                    clip = clips.get(u) if clips is not None else None
+                    if clip is None:
+                        continue
+                    got = _meet(clip, cut) if cut else ()
+                    if got != clip:
+                        if got:
+                            clips[u] = got
+                        else:
+                            del clips[u]
+                        far.add(v)
         if not dirty[0]:
             return TimeNodeSet._raw(hubs), TimeNodeSet._raw(auths)
     raise RuntimeError("bi-core pruning failed to reach a fixed point within its bound")

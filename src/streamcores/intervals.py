@@ -9,9 +9,9 @@ It holds only the operations the pipeline runs. The intersection
 works on span tuples (`_meet`), and `IntervalSet.intersect` wraps it;
 `_meet` bisects lopsided operands: no benchmark workload needs that, but
 star-sat:2 at support 600 on the contacts export took 402 ms with it,
-440 without. `_clip` is the three-way intersection the cores clip a
-pair with, `pair ∩ own ∩ other`, on span tuples, stopping at the first
-empty step. `coverage_at_least` sweeps two sorted lists of ints, the
+440 without. `_clip` is the three-way intersection the star-satellite
+core clips a pair with, `pair ∩ own ∩ other`, on span tuples, stopping
+at the first empty step. `coverage_at_least` sweeps two sorted lists of ints, the
 start and the end ticks.
 """
 

@@ -14,6 +14,12 @@ The selection section holds the temporal Jaccard distance computed on
 the built union and the greedy beta-scan without a memo; `selection`
 must agree with them bit for bit.
 
+`reference_bicore` is the hub-authority fixed point that re-clips
+every pair of every re-pruned node to both its endpoints' entries
+(`pair ∩ own ∩ other`) in each pass; `cores.bha_bicore`, which keeps
+each node's clips and re-prunes only what a change touches, must return
+the same sides on inputs too large for the per-tick oracle.
+
 `reference_write_patterns` writes each record's line with one
 `json.dumps` of the whole record; `mining.write_patterns`, which writes
 the support in pieces, must write the same bytes.
@@ -37,7 +43,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 from streamcores.context import AttributeContext, Pattern, intent
 from streamcores.cores import CoreSpec, apply_core
 from streamcores.dataio import FORMAT_WIDTHS, ParseError, extension_ticks, open_output, to_ticks
-from streamcores.intervals import IntervalSet
+from streamcores.intervals import EMPTY, IntervalSet, _clip, coverage_at_least
 from streamcores.mining import ClosedPatternRecord, MinerConfig, filter_min_intent
 from streamcores.selection import INTEREST_MEASURES
 from streamcores.stream import StreamGraph, TimeNodeSet
@@ -156,6 +162,86 @@ def brute_core(d: DiscretizedStream, x: FrozenSet[Sample], spec: CoreSpec) -> Fr
             x = nxt
     h1, h2 = brute_bicore(d, x, x, spec.h, spec.a)
     return h1 | h2
+
+
+def reference_bicore(
+    stream: StreamGraph, w1: TimeNodeSet, w2: TimeNodeSet, h: int, a: int
+) -> Tuple[TimeNodeSet, TimeNodeSet]:
+    """`cores.bha_bicore` as a worklist that re-clips every pair of a dirty node.
+
+    Greatest (hubs, authorities) pair of a directed stream.
+
+    Hubs need out-degree >= h towards the authority side, authorities
+    need in-degree >= a from the hub side, both inside the substream the
+    pair induces; a node present on both sides must satisfy both.
+
+    Each pass re-prunes hubs, then authorities, against the other side.
+    The first pass prunes every node; later passes prune only the nodes
+    with a neighbour on the other side that changed since their own last
+    pruning, since no other node's clipped degree can have changed. The
+    loop stops after a pass that leaves no hub to re-prune, i.e. one in
+    which no authority with a hub in-neighbour changed.
+
+    A pair between two nodes whose entries are still their whole
+    presence is not clipped (the `cores` module docstring), and a node
+    with fewer clipped neighbours than its threshold loses all its times
+    without a coverage sweep.
+
+    Bound: every pass but the last removes at least one node-tick from
+    the authorities and neither side ever gains one, so at most
+    w1.measure() + w2.measure() + 1 passes run.
+    """
+    if not stream.directed:
+        raise ValueError("hub-authority cores are defined on directed streams")
+    if h < 0 or a < 0:
+        raise ValueError("thresholds must be non-negative")
+
+    presence = stream.presence
+    hubs = dict(w1.items())
+    auths = dict(w2.items())
+    # (side, its threshold, its adjacency towards the other side, the other side)
+    sides = (
+        (hubs, h, stream.adjacency, auths),
+        (auths, a, stream.in_adjacency, hubs),
+    )
+    dirty = [set(hubs), set(auths)]
+    for _ in range(w1.measure() + w2.measure() + 1):
+        for side, (keep, threshold, adjacency, opposite) in enumerate(sides):
+            changed = []
+            if threshold:
+                for u in dirty[side]:
+                    own = keep.get(u)
+                    if own is None:
+                        continue
+                    own_whole = own is presence(u)
+                    own_spans = own.spans
+                    clipped = []
+                    for v, ivs in adjacency(u).items():
+                        other = opposite.get(v)
+                        if other is not None:
+                            if own_whole and other is presence(v):
+                                clipped.append(ivs.spans)
+                                continue
+                            got = _clip(ivs.spans, own_spans, other.spans)
+                            if got:
+                                clipped.append(got)
+                    got = EMPTY
+                    if len(clipped) >= threshold:
+                        got = coverage_at_least(clipped, threshold)
+                    if got != own:
+                        changed.append(u)
+                        if got:
+                            keep[u] = got
+                        else:
+                            del keep[u]
+            dirty[side] = set()
+            # a changed node's neighbours on the other side see a new degree
+            far = dirty[1 - side]
+            for u in changed:
+                far.update(v for v in adjacency(u) if v in opposite)
+        if not dirty[0]:
+            return TimeNodeSet._raw(hubs), TimeNodeSet._raw(auths)
+    raise RuntimeError("bi-core pruning failed to reach a fixed point within its bound")
 
 
 def brute_enumerate(

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamcores import cores
 from streamcores import (
@@ -26,7 +27,14 @@ from helpers import (
     random_subset,
     timenodes_close,
 )
-from oracle import brute_bicore, brute_core, brute_static_core, discretize, sample_set
+from oracle import (
+    brute_bicore,
+    brute_core,
+    brute_static_core,
+    discretize,
+    reference_bicore,
+    sample_set,
+)
 
 
 class TestCoreSpec:
@@ -187,6 +195,49 @@ class TestHubAuthority:
             nodes = frozenset(v for v in g.nodes if rng.random() < 0.8)
             assert apply_static_core(spec, g, nodes) == brute_static_core(g, nodes, spec)
         assert deepest >= 4
+
+
+@st.composite
+def _bicore_inputs(draw):
+    """A directed stream of up to 12 nodes over 6,000 ticks, two input sides and two thresholds.
+
+    Each node has at least three rows on average, so some fixed points
+    re-prune a node, and rows may be self-loops. Each side gives each node its presence
+    object, an equal set built anew, a part of its presence or nothing,
+    drawn apart from the other side.
+    """
+    names = [f"n{i}" for i in range(draw(st.integers(2, 12)))]
+    node = st.sampled_from(names)
+    rows = draw(st.lists(st.tuples(node, node, st.integers(0, 3_999), st.integers(1, 2_000)),
+                         min_size=3 * len(names), max_size=80))
+    pairs = {}
+    for u, v, start, length in rows:
+        pairs.setdefault((u, v), []).append((start, start + length))
+    s = StreamGraph(pairs, directed=True)
+    span = st.tuples(st.integers(0, 5_999), st.integers(1, 1_000)).map(lambda r: (r[0], sum(r)))
+
+    def side():
+        entries = {}
+        for v in s.nodes:
+            whole = s.presence(v)
+            pick = draw(st.sampled_from(("whole", "anew", "part", "none")))
+            if pick == "whole":
+                entries[v] = whole
+            elif pick == "anew":
+                entries[v] = IntervalSet(whole.spans)
+            elif pick == "part":
+                entries[v] = IntervalSet(draw(st.lists(span, max_size=4))).intersect(whole)
+        return TimeNodeSet(entries)
+
+    return s, side(), side(), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bicore_inputs())
+def test_bicore_matches_the_double_clip_worklist(inputs):
+    # most streams hold more node-ticks than the per-tick oracle's budget
+    s, w1, w2, h, a = inputs
+    assert bha_bicore(s, w1, w2, h, a) == reference_bicore(s, w1, w2, h, a)
 
 
 def _anew(w):

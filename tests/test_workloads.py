@@ -6,13 +6,22 @@ through `cli.main`, and the sha256 of both outputs is compared with
 `perfbench/reference.json`. The benchmark's own gate checks the same
 digests in fresh processes; this one runs with the local test suite.
 
+On directed-ha's inputs, every hub-authority bi-core that `mine` runs,
+the root's included, returns the sides of the oracle's double-clip
+worklist (`oracle.reference_bicore`), the seed-1 mine stays within its
+counts of coverage sweeps and interval meets, and reversing every row
+swaps the hubs and the authorities of the root bi-core. On the hs
+inputs, reversing each attribute row's items changes the mined bytes
+but not the records.
+
 The seed-1 contacts export (ingest-xl's input, 189k rows) is read
 within a traced-memory bound, with one int object per tick value, and
-ingest-xl's whole `mine` command runs within another. Copies of it that
-the reader takes down its other paths (row by row, out of time order,
-as quadruples) mine the bytes the export mines, and copies with a
-self-loop or a byte that is not UTF-8 past the first 64 KiB are refused
-naming their line. Nothing under `perfbench/` is written.
+ingest-xl's whole `mine` command runs within another. The README's
+hs327 recipe runs on it and finds the README's pattern counts. Copies
+of it that the reader takes down its other paths (row by row, out of
+time order, as quadruples) mine the bytes the export mines, and copies
+with a self-loop or a byte that is not UTF-8 past the first 64 KiB are
+refused naming their line. Nothing under `perfbench/` is written.
 """
 
 import hashlib
@@ -25,8 +34,14 @@ from pathlib import Path
 
 import pytest
 
-from streamcores import cli
-from streamcores.dataio import read_link_stream, write_link_stream
+from oracle import reference_bicore
+from streamcores import cli, cores
+from streamcores.dataio import (
+    read_highschool_context,
+    read_link_stream,
+    write_attributes,
+    write_link_stream,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (1, 97)
@@ -65,6 +80,97 @@ def test_outputs_match_the_reference_digests(name, seed, tmp_path, capsys):
     capsys.readouterr()  # select's sweep report
     want = DIGESTS[name][str(seed)]
     assert {"mine": _sha(mined), "select": _sha(selected)} == want
+
+
+def _records(path):
+    """The records of a pattern file, each with its intent sorted, in sorted order."""
+    out = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        record["intent"].sort()
+        out.append(json.dumps(record, sort_keys=True))
+    return sorted(out)
+
+
+def test_item_order_changes_the_order_of_the_records_and_nothing_else(tmp_path, capsys):
+    # items are mined in the order they first appear in the attribute file;
+    # reversing each row's items changes that order
+    inputs = GEN.generate("hs", 1, tmp_path / "inputs")
+    rows = (line.split(",", 1) for line in inputs["attributes"].read_text().splitlines())
+    flipped = tmp_path / "reversed.csv"
+    flipped.write_text("".join(f"{node},{';'.join(reversed(items.split(';')))}\n"
+                               for node, items in rows))
+
+    def mine(attributes):
+        output = tmp_path / f"{attributes.stem}.jsonl"
+        assert cli.main(["mine", "--stream", str(inputs["stream"]), "--attributes",
+                         str(attributes), "--core", "star-sat:2", "--min-support", "900",
+                         "--output", str(output)]) == 0
+        return output
+
+    plain, other = mine(inputs["attributes"]), mine(flipped)
+    capsys.readouterr()
+    assert plain.read_bytes() != other.read_bytes()
+    assert len(_records(plain)) > 1
+    assert _records(plain) == _records(other)
+
+
+def _directed_inputs(seed, path):
+    return GEN.generate(RUN.WORKLOADS["directed-ha"].kind, seed, path)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_bicore_of_the_directed_mine_matches_the_double_clip_worklist(
+        seed, tmp_path, monkeypatch, capsys):
+    calls = []
+    bicore = cores.bha_bicore
+    inputs = _directed_inputs(seed, tmp_path / "inputs")
+    with monkeypatch.context() as patch:
+        patch.setattr(cores, "bha_bicore", lambda *args: calls.append(args) or bicore(*args))
+        assert cli.main(RUN.WORKLOADS["directed-ha"].mine_args(inputs, tmp_path / "out")) == 0
+    capsys.readouterr()
+    stream, root, _, _, _ = calls[0]
+    assert all(root.get(v) is stream.presence(v) for v in stream.nodes)
+    assert len(calls) > 1
+    for args in calls:
+        assert bicore(*args) == reference_bicore(*args)
+
+
+def test_the_directed_mine_stays_within_its_sweeps_and_meets(tmp_path, monkeypatch, capsys):
+    # 994 coverage sweeps and 5,962 meets at seed 1; the double-clip
+    # worklist made 1,142 sweeps and 13,657 meets (a `_clip` is up to two)
+    counts = {"sweeps": 0, "meets": 0}
+
+    def counted(name, function, weight):
+        def call(*args):
+            counts[name] += weight
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(cores, "coverage_at_least", counted("sweeps", cores.coverage_at_least, 1))
+    monkeypatch.setattr(cores, "_meet", counted("meets", cores._meet, 1))
+    monkeypatch.setattr(cores, "_clip", counted("meets", cores._clip, 2))
+    inputs = _directed_inputs(1, tmp_path / "inputs")
+    assert cli.main(RUN.WORKLOADS["directed-ha"].mine_args(inputs, tmp_path / "mined.jsonl")) == 0
+    capsys.readouterr()
+    assert counts["sweeps"] <= 1_000
+    assert counts["meets"] <= 6_500
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reversing_the_directed_stream_swaps_hubs_and_authorities(seed, tmp_path):
+    inputs = _directed_inputs(seed, tmp_path)
+    flipped = tmp_path / "reversed.txt"
+    flipped.write_text("".join(f"{t} {v} {u}\n" for t, u, v in
+                               map(str.split, inputs["stream"].read_text().splitlines())))
+    sides = {}
+    for path, (h, a) in ((inputs["stream"], (2, 3)), (flipped, (3, 2))):
+        stream = read_link_stream(path, directed=True)
+        root = stream.presence_set()
+        sides[path] = cores.bha_bicore(stream, root, root, h, a)
+    hubs, authorities = sides[inputs["stream"]]
+    assert hubs and authorities and hubs != authorities
+    assert sides[flipped] == (authorities, hubs)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +284,23 @@ def mined_export(contacts, tmp_path_factory):
     """The bytes that the export itself mines."""
     return _mine(contacts["stream"], "contacts", contacts["attributes"],
                  tmp_path_factory.mktemp("mined") / "export.jsonl")
+
+
+def test_the_readme_hs327_recipe_finds_the_readme_counts(contacts, mined_export, tmp_path,
+                                                         capsys):
+    # class-only attributes written from the contact rows, then mine and select
+    attributes = tmp_path / "hs-attributes.csv"
+    write_attributes(read_highschool_context(contacts=contacts["stream"]), attributes)
+    mined = tmp_path / "hs.jsonl"
+    _mine(contacts["stream"], "contacts", attributes, mined)
+    diverse = tmp_path / "hs-diverse.jsonl"
+    assert cli.main(["select", "--input", str(mined), "--beta", "0.4",
+                     "--output", str(diverse)]) == 0
+    capsys.readouterr()
+    assert len(mined.read_text().splitlines()) == 10
+    assert 0 < len(diverse.read_text().splitlines()) <= 10
+    # the generator's own attributes.csv adds gender and friend items
+    assert len(mined_export.splitlines()) == 21
 
 
 @pytest.mark.parametrize("copy", sorted(COPIES))
