@@ -1,10 +1,11 @@
 """Command-line front end for reproducible batch runs.
 
 Commands: mine, select, inspect, static-compare. `mine` and `select`
-write a manifest next to their output and take --manifest, alone: a
-re-run with it reproduces the output byte for byte, and any other run
-option given with it is refused. A manifest value of the wrong JSON
-type, or a recorded item order other than the attribute file's, is a
+write a manifest next to their output, with absolute file paths, and
+take --manifest, alone: a re-run with it, from any directory,
+reproduces the output byte for byte, and any other run option given
+with it is refused. A manifest value of the wrong JSON type, or a
+recorded item order other than the attribute file's, is a
 configuration error. `inspect` and `static-compare` record no
 manifest. `RunManifest` holds the default of every option it records;
 the parsers set none. Every command checks its options before it reads
@@ -87,6 +88,9 @@ class ConfigError(ValueError):
     pass
 
 
+# the manifest fields that name a file a run reads
+_INPUT_FIELDS = ("stream", "attributes", "presence", "input")
+
 # how a manifest field's type is written in JSON
 _JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", type(None): "null"}
@@ -126,6 +130,10 @@ class RunManifest:
 
     def write(self, path: Path) -> None:
         record = {name: getattr(self, name) for name in self.__annotations__}
+        # absolute, so that a re-run from any directory reads and writes the same files
+        for name in (*_INPUT_FIELDS, "output"):
+            if record[name]:
+                record[name] = os.path.abspath(record[name])
         with dataio.open_output(path) as handle:
             handle.write(json.dumps(record, indent=2) + "\n")
 
@@ -187,8 +195,7 @@ def _manifest_path(output: str) -> Path:
 def _inputs(manifest: RunManifest) -> Dict[str, str]:
     """The real path of each file `manifest`'s run reads, mapped to "<its option> reads"."""
     return {os.path.realpath(path): f"--{name} reads"
-            for name in ("stream", "attributes", "presence", "input")
-            if (path := getattr(manifest, name))}
+            for name in _INPUT_FIELDS if (path := getattr(manifest, name))}
 
 
 def _check_output(option: str, path: str, taken: Dict[str, str]) -> str:

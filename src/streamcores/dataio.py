@@ -59,8 +59,8 @@ import os
 import stat
 from functools import partial
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
-                    Union)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, TextIO,
+                    Tuple, Union)
 
 from .context import AttributeContext, ItemUniverse
 from .intervals import IntervalSet, Span, _merge

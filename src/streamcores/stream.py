@@ -5,10 +5,12 @@ intervals of its nodes; its nodes are exactly the nodes with nonempty
 presence. Each pair's `IntervalSet` is kept once, in the adjacency
 (out- and in-adjacency when directed); `interaction_items` derives the
 pair keys from it: (src, dst) when directed, else the sorted pair.
-`StreamGraph` orients the pair keys it is given and canonicalises their
-spans: the spans of both orientations of a pair become one
-`IntervalSet`, and an `IntervalSet` given for a pair once is kept as it
-is, since it is canonical already.
+`StreamGraph` is built in one pass over the pairs it is given: each
+pair's key is oriented, an undirected self-loop is refused, and its
+spans are made canonical, merged with its other orientation's and
+added to both endpoints' presence lists, each merged once after the
+pass. Pairs and a given presence follow one rule (`_canonical`): an
+`IntervalSet` is kept as it is, any other span collection normalised.
 Everything is immutable after construction.
 """
 
@@ -121,6 +123,11 @@ def _refuse_unordered(names: Iterable) -> None:
         firsts.setdefault(type(name), name)
 
 
+def _canonical(spans: Iterable[Span]) -> IntervalSet:
+    """`spans` as an `IntervalSet`: one given is canonical already and is kept as it is."""
+    return spans if isinstance(spans, IntervalSet) else IntervalSet(spans)
+
+
 class StreamGraph:
     """Nodes with presence intervals plus timed pairwise interactions."""
 
@@ -133,9 +140,10 @@ class StreamGraph:
         directed: bool = False,
     ) -> None:
         self.directed = directed
-        # both orientations of an undirected pair gather under its sorted key,
-        # so each pair is checked and merged once
-        gathered: Dict[Tuple[str, str], Iterable[Span]] = {}
+        # one pass: both orientations of an undirected pair merge under its sorted key;
+        # each node's presence spans are merged once below (a union per pair is quadratic)
+        pairs: Dict[Tuple[str, str], IntervalSet] = {}
+        node_spans: Dict[str, List[Span]] = {}
         u = v = None  # the handler reads them even when the first key fails to unpack
         try:
             for (u, v), spans in interactions.items():
@@ -144,24 +152,15 @@ class StreamGraph:
                         raise ValueError(f"self-interaction on node {u!r} in an undirected stream")
                 elif not directed and u > v:
                     u, v = v, u
-                other = gathered.get((u, v))
-                gathered[u, v] = spans if other is None else [*other, *spans]
+                ivs = _canonical(spans)
+                if ivs:
+                    other = pairs.get((u, v))
+                    pairs[u, v] = ivs if other is None else other.union(ivs)
+                    for w in (u, v):
+                        node_spans.setdefault(w, []).extend(ivs.spans)
         except TypeError:
             _refuse_unordered((u, v))
             raise
-        pairs: Dict[Tuple[str, str], IntervalSet] = {}
-        for key, spans in gathered.items():
-            # an IntervalSet is canonical already: a pair given once keeps it as it is
-            ivs = spans if isinstance(spans, IntervalSet) else IntervalSet(spans)
-            if ivs:
-                pairs[key] = ivs
-        del gathered  # freed before the presence lists are gathered
-
-        # collect first and normalise once per node: a union per pair is quadratic
-        node_spans: Dict[str, List[Span]] = {}
-        for (u, v), ivs in pairs.items():
-            for w in (u, v):
-                node_spans.setdefault(w, []).extend(ivs.spans)
         # the pair sets are canonical already, so their spans need no second check
         default_presence: Dict[str, IntervalSet] = {}
         for w, spans in node_spans.items():
@@ -172,11 +171,7 @@ class StreamGraph:
         if presence is None:
             pres = default_presence
         else:
-            pres = {}
-            for v, spans in presence.items():
-                ivs = IntervalSet(spans)
-                if ivs:
-                    pres[v] = ivs
+            pres = {v: ivs for v, spans in presence.items() if (ivs := _canonical(spans))}
             for v, needed in default_presence.items():
                 if not needed.issubset(pres.get(v, EMPTY)):
                     raise PresenceError(
@@ -246,6 +241,6 @@ def induced_static_graph(stream: StreamGraph) -> StreamGraph:
     always = IntervalSet.span(0, 1)
     return StreamGraph(
         {key: always for key, _ in stream.interaction_items()},
-        presence={v: always for v in stream.presence_set().nodes()},
+        presence=dict.fromkeys(stream.nodes, always),
         directed=stream.directed,
     )

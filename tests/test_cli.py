@@ -1,9 +1,12 @@
 import gc
+import importlib
+import inspect
 import json
 import os
 import random
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -393,6 +396,30 @@ class TestMineCommand:
         assert out.read_bytes() == mined
         assert manifest.read_bytes() == recorded
 
+    def test_manifest_rerun_from_another_directory_is_byte_identical(self, tmp_path,
+                                                                       monkeypatch):
+        # the manifests record absolute paths; the other directory holds files of the
+        # same names that a relative path would read instead
+        here, there = tmp_path / "here", tmp_path / "there"
+        write_demo_files(here)
+        decoy = write_demo_files(there)
+        decoy["compare_stream"].write_bytes(decoy["star_stream"].read_bytes())
+        monkeypatch.chdir(here)
+        assert run("mine", "--stream", "compare_toy.csv", "--attributes", "compare_toy_attrs.csv",
+                   "--core", "star-sat:2", "--output", "mined.jsonl") == 0
+        assert run("select", "--input", "mined.jsonl", "--beta", 0.4,
+                   "--output", "selected.jsonl") == 0
+        names = ["mined.jsonl", "mined.jsonl.manifest.json",
+                 "selected.jsonl", "selected.jsonl.manifest.json"]
+        first = {name: (here / name).read_bytes() for name in names}
+        (there / "mined.jsonl").write_bytes(b"")  # what a relative --input would read
+        monkeypatch.chdir(there)
+        assert run("mine", "--manifest", "../here/mined.jsonl.manifest.json") == 0
+        assert run("select", "--manifest", "../here/selected.jsonl.manifest.json") == 0
+        assert {name: (here / name).read_bytes() for name in names} == first
+        assert (there / "mined.jsonl").read_bytes() == b""
+        assert not (there / "selected.jsonl").exists()
+
     @pytest.mark.parametrize("order, code", [("file", 0), ("name", 2), ("seed:5", 2)])
     def test_manifest_with_an_item_order(self, demo, tmp_path, capsys, order, code):
         # earlier versions recorded the item order, "file" unless another was asked for;
@@ -701,6 +728,28 @@ def test_every_package_module_is_one_a_command_runs():
     assert modules - {"streamcores.__init__"} == set(done.stdout.split()) | {"streamcores.toys"}
 
 
+@pytest.mark.parametrize("stem", sorted(path.stem for path in
+                                        Path(selection.__file__).parent.glob("*.py")))
+def test_every_annotation_in_the_package_resolves(stem):
+    # an annotation names only what its module binds, so the type hints of every
+    # function, method and class it defines resolve
+    module = importlib.import_module("streamcores" if stem == "__init__" else f"streamcores.{stem}")
+    failed, checked = [], 0
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        for member in (obj, *(vars(obj).values() if isinstance(obj, type) else ())):
+            member = getattr(member, "__func__", getattr(member, "fget", member))
+            if inspect.isfunction(member) or isinstance(member, type):
+                checked += 1
+                try:
+                    typing.get_type_hints(member)
+                except NameError as err:
+                    failed.append(f"{member.__qualname__}: {err}")
+    assert checked or stem == "__init__"
+    assert failed == []
+
+
 class TestProcessExit:
     """`entry` freezes the heap before the interpreter exits; the process loses nothing."""
 
@@ -729,7 +778,10 @@ class TestProcessExit:
         assert [line.split(" kept=")[0] for line in sweep] == [
             f"  beta={beta}" for beta in ("0", "0.2", "0.4", "0.6", "0.8")]
         for name in self.OUTPUTS:
-            assert (processes / name).read_bytes() == (in_process / name).read_bytes(), name
+            # a manifest records absolute paths, in its own run's directory
+            got = (processes / name).read_text().replace(str(processes.resolve()),
+                                                         str(in_process.resolve()))
+            assert got == (in_process / name).read_text(), name
 
     @pytest.mark.parametrize("argv,code,line", [
         (["mine", "--stream", "missing.csv", "--output", "out.jsonl"], 1,

@@ -12,7 +12,10 @@ worklist (`oracle.reference_bicore`), the seed-1 mine stays within its
 counts of coverage sweeps and interval meets, and reversing every row
 swaps the hubs and the authorities of the root bi-core. On the hs
 inputs, reversing each attribute row's items changes the mined bytes
-but not the records.
+but not the records, every timestamp shifted by a constant mines the
+same records with every support shifted, and every timestamp written
+in seconds divided by 10 and read at `--resolution 10 --delta 2` mines
+the same bytes.
 
 The seed-1 contacts export (ingest-xl's input, 189k rows) is read
 within a traced-memory bound, with one int object per tick value, and
@@ -92,27 +95,64 @@ def _records(path):
     return sorted(out)
 
 
-def test_item_order_changes_the_order_of_the_records_and_nothing_else(tmp_path, capsys):
+def _mine_hs(stream, attributes, output, *options):
+    """`mine` at hs-k2-wide's core and threshold; the output path."""
+    assert cli.main(["mine", "--stream", str(stream), "--attributes", str(attributes),
+                     "--core", "star-sat:2", "--min-support", "900", *options,
+                     "--output", str(output)]) == 0
+    return output
+
+
+@pytest.fixture(scope="module")
+def hs_inputs(tmp_path_factory):
+    """The seed-1 hs inputs, their stream's (time, pair) rows and the file `_mine_hs` mines."""
+    inputs = GEN.generate("hs", 1, tmp_path_factory.mktemp("hs"))
+    rows = [line.split(" ", 1) for line in inputs["stream"].read_text().splitlines()]
+    mined = _mine_hs(inputs["stream"], inputs["attributes"], inputs["stream"].with_name("o.jsonl"))
+    return inputs, rows, mined
+
+
+def test_item_order_changes_the_order_of_the_records_and_nothing_else(hs_inputs, tmp_path,
+                                                                        capsys):
     # items are mined in the order they first appear in the attribute file;
     # reversing each row's items changes that order
-    inputs = GEN.generate("hs", 1, tmp_path / "inputs")
+    inputs, _, plain = hs_inputs
     rows = (line.split(",", 1) for line in inputs["attributes"].read_text().splitlines())
     flipped = tmp_path / "reversed.csv"
     flipped.write_text("".join(f"{node},{';'.join(reversed(items.split(';')))}\n"
                                for node, items in rows))
-
-    def mine(attributes):
-        output = tmp_path / f"{attributes.stem}.jsonl"
-        assert cli.main(["mine", "--stream", str(inputs["stream"]), "--attributes",
-                         str(attributes), "--core", "star-sat:2", "--min-support", "900",
-                         "--output", str(output)]) == 0
-        return output
-
-    plain, other = mine(inputs["attributes"]), mine(flipped)
+    other = _mine_hs(inputs["stream"], flipped, tmp_path / "reversed.jsonl")
     capsys.readouterr()
     assert plain.read_bytes() != other.read_bytes()
     assert len(_records(plain)) > 1
     assert _records(plain) == _records(other)
+
+
+def test_a_time_shift_in_the_file_shifts_every_support(hs_inputs, tmp_path, capsys):
+    shift = 365 * 86_400 + 7  # off the rows' 20 s grid
+    inputs, rows, plain = hs_inputs
+    moved = tmp_path / "moved.txt"
+    moved.write_text("".join(f"{int(t) + shift} {pair}\n" for t, pair in rows))
+    got = _mine_hs(moved, inputs["attributes"], tmp_path / "moved.jsonl")
+    capsys.readouterr()
+    want = [json.loads(line) for line in plain.read_text().splitlines()]
+    for record in want:
+        record["support"] = {v: [[a + shift, b + shift] for a, b in spans]
+                             for v, spans in record["support"].items()}
+    assert len(want) > 1
+    assert [json.loads(line) for line in got.read_text().splitlines()] == want
+
+
+def test_tenths_of_a_second_at_resolution_10_mine_the_same_bytes(hs_inputs, tmp_path, capsys):
+    # every timestamp t is written as t/10 with one decimal place; at 10 ticks per
+    # second it is read as t again, and a 2 s extension is the default 20 ticks
+    inputs, rows, plain = hs_inputs
+    tenths = tmp_path / "tenths.txt"
+    tenths.write_text("".join(f"{int(t) // 10}.{int(t) % 10} {pair}\n" for t, pair in rows))
+    got = _mine_hs(tenths, inputs["attributes"], tmp_path / "tenths.jsonl",
+                   "--resolution", "10", "--delta", "2")
+    capsys.readouterr()
+    assert got.read_bytes() == plain.read_bytes()
 
 
 def _directed_inputs(seed, path):
