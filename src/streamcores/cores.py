@@ -282,9 +282,7 @@ def bha_bicore(
             changed = []
             if threshold:
                 for u in dirty[side]:
-                    own = keep.get(u)
-                    if own is None:
-                        continue
+                    own = keep[u]
                     clips = kept.get(u)
                     if clips is None:
                         clips = kept[u] = _far_clips(adjacency(u), opposite, presence)

@@ -17,7 +17,10 @@ Every file reader, `mining.read_patterns` too, takes a path and its
 rows from `_iter_rows`, which reads the file's bytes as they are
 iterated (`_chunks`), decodes them once (`_decode`, a leading byte-order
 mark dropped), numbers the lines in the same pass as `str.splitlines`
-cuts them, and skips blank and comment lines (`_numbered`).
+cuts them, and skips blank and comment lines (`_numbered`). The
+presence and high-school readers split their rows with `_fields`, which
+refuses a row of the wrong field count, or with an empty node name,
+naming its line.
 `read_link_stream` reads the same chunks into one per-pair accumulator
 (`_Records`), which `ingest_link_stream` drives and hands to
 `StreamGraph`; no record outlives its chunk. A chunk is plain when the
@@ -161,6 +164,25 @@ def _split(text: str) -> List[str]:
     return text.split()
 
 
+def _fields(path: Union[str, Path], width: int, at_least: bool = False,
+            names: Sequence[int] = ()) -> Iterator[Tuple[str, int, List[str]]]:
+    """(source, row, fields) of each row of the file at `path`, split by `_split`.
+
+    A row of other than `width` fields (of fewer, if `at_least`), or with
+    an empty field in one of the `names` columns, raises a ParseError
+    naming its line.
+    """
+    source, rows = _iter_rows(path)
+    for row, text in rows:
+        fields = _split(text)
+        if len(fields) < width if at_least else len(fields) != width:
+            raise ParseError(f"expected {'at least ' if at_least else ''}{width} columns, "
+                             f"got {len(fields)}", source, row)
+        if not all(fields[i] for i in names):
+            raise ParseError("empty node name", source, row)
+        yield source, row, fields
+
+
 def to_ticks(value: str | float | int, resolution: int, source: str, row: int) -> int:
     """Convert a timestamp in seconds to integer ticks; must land on the grid.
 
@@ -284,13 +306,12 @@ class _Records:
                     ) -> Tuple[int, int, List[tuple], Optional[ParseError]]:
         """(width, count, columns, refusal) of `rows`, parsed one by one.
 
-        Raises the ParseError of a row that cannot be parsed. A row the
-        stream refuses is left out of the columns, and the first one
-        makes the `refusal`.
+        Raises the ParseError of a row that cannot be parsed. The first
+        record the stream refuses makes the `refusal`, which keeps every
+        column from being gathered.
         """
         source, ticks, ints = self.source, self._ticks, self._ints
-        records = []
-        count, refusal = 0, None
+        records, refusal = [], None
         for row, text in rows:
             fields = _split(text)
             if width is None:  # "auto" takes the width of the first row
@@ -308,17 +329,14 @@ class _Records:
             u, v = fields[stamps], fields[stamps + 1]
             if not u or not v:
                 raise ParseError("empty node name", source, row)
-            count += 1
             record = (*map(ticks.__getitem__, fields[:stamps]), u, v)
-            if stamps == 2 and record[0] >= record[1]:
-                refused = f"empty interval [{record[0]}, {record[1]})"
-            elif u == v and not self.directed:
-                refused = f"self-interaction on node {u!r}"
-            else:
-                records.append(record)
-                continue
-            refusal = refusal or ParseError(refused, source, row)
-        return width, count, list(zip(*records)), refusal
+            records.append(record)
+            if refusal is None:
+                if stamps == 2 and record[0] >= record[1]:
+                    refusal = ParseError(f"empty interval [{record[0]}, {record[1]})", source, row)
+                elif u == v and not self.directed:
+                    refusal = ParseError(f"self-interaction on node {u!r}", source, row)
+        return width, len(records), list(zip(*records)), refusal
 
     def _gather(self, columns: List[Sequence]) -> None:
         """Merge a chunk's records, given as columns (`*stamps, us, vs`), into each pair's spans."""
@@ -509,15 +527,8 @@ def read_presence(path: Union[str, Path], *, resolution: int = 1) -> Dict[str, I
     row is read.
     """
     _check_resolution(resolution)
-    source, rows = _iter_rows(path)
     spans: Dict[str, List[Tuple[int, int]]] = {}
-    for row, text in rows:
-        fields = _split(text)
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 columns, got {len(fields)}", source, row)
-        b, e, v = fields
-        if not v:
-            raise ParseError("empty node name", source, row)
+    for source, row, (b, e, v) in _fields(path, 3, names=(2,)):
         bt = to_ticks(b, resolution, source, row)
         et = to_ticks(e, resolution, source, row)
         if bt >= et:
@@ -640,7 +651,7 @@ def read_attributes(path: Union[str, Path], *,
     return _context(descriptions)
 
 
-def _context(descriptions: Dict[str, List[str]]) -> AttributeContext:
+def _context(descriptions: Mapping[str, Iterable[str]]) -> AttributeContext:
     """Context over the items of `descriptions`, in first-appearance order."""
     universe = ItemUniverse(dict.fromkeys(
         name for names in descriptions.values() for name in names
@@ -687,43 +698,28 @@ def read_highschool_context(
     Produces items `C_<class>` and `G_<gender>` from the metadata table
     (tab-separated `id class gender`), `F_<id>` per Facebook friend,
     `D_<id>` per declared friend, and `M_<id>` per diary contact. Class
-    items can also be recovered from the contact rows themselves.
+    items can also be recovered from the contact rows themselves. A row
+    with a wrong field count or an empty node name is a ParseError naming
+    its line.
     """
-    tags: Dict[str, List[str]] = {}
+    tags: Dict[str, Dict[str, None]] = {}  # each node's items, as an ordered set
 
     def add(node: str, item: str) -> None:
-        bucket = tags.setdefault(node, [])
-        if item not in bucket:
-            bucket.append(item)
+        tags.setdefault(node, {})[item] = None
 
     if metadata is not None:
-        source, rows = _iter_rows(metadata)
-        for row, text in rows:
-            fields = _split(text)
-            if len(fields) < 2:
-                raise ParseError(f"expected at least 2 columns, got {len(fields)}", source, row)
-            node = fields[0]
-            add(node, f"C_{fields[1]}")
-            if len(fields) > 2 and fields[2] not in ("", "Unknown"):
-                add(node, f"G_{fields[2]}")
+        for _, _, (node, group, *rest) in _fields(metadata, 2, at_least=True, names=(0,)):
+            add(node, f"C_{group}")
+            if rest and rest[0] not in ("", "Unknown"):
+                add(node, f"G_{rest[0]}")
     if contacts is not None:
-        source, rows = _iter_rows(contacts)
-        for row, text in rows:
-            fields = _split(text)
-            if len(fields) != 5:
-                raise ParseError(f"expected 5 columns, got {len(fields)}", source, row)
-            _, i, j, ci, cj = fields
+        for _, _, (_, i, j, ci, cj) in _fields(contacts, 5, names=(1, 2)):
             add(i, f"C_{ci}")
             add(j, f"C_{cj}")
     for prefix, path in (("F", facebook), ("D", declared), ("M", diaries)):
         if path is None:
             continue
-        source, rows = _iter_rows(path)
-        for row, text in rows:
-            fields = _split(text)
-            if len(fields) < 2:
-                raise ParseError(f"expected at least 2 columns, got {len(fields)}", source, row)
-            u, v = fields[0], fields[1]
+        for _, _, (u, v, *_) in _fields(path, 2, at_least=True, names=(0, 1)):
             add(u, f"{prefix}_{v}")
             if prefix == "F":
                 add(v, f"{prefix}_{u}")  # Facebook friendship is mutual

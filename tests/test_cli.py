@@ -516,6 +516,17 @@ def test_manifest_values_must_have_their_json_type(
         assert (tmp_path / "rerun.jsonl").exists()
 
 
+def test_manifest_with_an_unknown_field_is_a_config_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "typo.manifest.json"
+    path.write_text(json.dumps({"command": "mine", "stream": "s.csv", "min_suport": 2,
+                                "output": str(tmp_path / "out.jsonl")}))
+    # refused before the stream is read: it does not exist
+    assert run("mine", "--manifest", path) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: manifest has unknown fields: ['min_suport']\n")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("text", ["[]", "{}", '"mine"'])
 def test_manifest_must_be_an_object_with_a_command(tmp_path, capsys, text):
     path = tmp_path / "bad.manifest.json"
@@ -797,6 +808,12 @@ class TestProcessExit:
         ]],
         (["mine", "--stream", "compare_toy.csv", "--min-support", 0, "--output", "out.jsonl"], 2,
          "configuration error: minimum support must be positive"),
+        # a required option left out
+        (["mine", "--output", "out.jsonl"], 2, "configuration error: no stream file given"),
+        (["mine", "--stream", "compare_toy.csv"], 2, "configuration error: mine needs --output"),
+        *[(argv, 2, "configuration error: select needs --input and --output") for argv in [
+            ["select", "--input", "compare_toy.csv"], ["select", "--output", "out.jsonl"]]],
+        (["inspect"], 2, "configuration error: inspect needs --input"),
         # a name longer than a directory entry can be
         *[(argv, 1, f"input error: [Errno 36] File name too long: '{'s' * 300}'") for argv in [
             ["mine", "--stream", "s" * 300, "--output", "out.jsonl"],
@@ -874,6 +891,13 @@ class TestInspectCommand:
         capsys.readouterr()
         assert run("inspect", "--input", out, "--limit", 2) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    def test_a_flagged_empty_support_has_no_span(self, tmp_path, capsys):
+        path = tmp_path / "patterns.jsonl"
+        path.write_text('{"intent": ["a"], "support": {}, "support_measure": 0, '
+                        '"node_count": 0, "below_min_support": true}\n')
+        assert run("inspect", "--input", path) == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == ["a", "0", "0", "-"]
 
     def test_negative_limit_is_a_config_error(self, tmp_path, capsys):
         # checked before the input is read: the file does not exist

@@ -54,6 +54,19 @@ class TestCoreSpec:
     def test_negative_thresholds_rejected(self):
         with pytest.raises(ValueError):
             CoreSpec.star_satellite(-1)
+        b = bipartite_toy_stream()
+        with pytest.raises(ValueError, match="^thresholds must be non-negative$"):
+            bha_bicore(b, b.presence_set(), b.presence_set(), 1, -1)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown core kind 'cores'$"):
+            CoreSpec("cores", k=2)
+
+    def test_immutable(self):
+        spec = CoreSpec.star_satellite(2)
+        with pytest.raises(AttributeError, match="^CoreSpec is immutable: cannot set k$"):
+            spec.k = 3
+        assert spec.k == 2
 
 
 class TestStarSatellite:

@@ -143,6 +143,13 @@ class TestReadLinkStream:
                              instant_extension_seconds=delta)
         assert not isinstance(err.value, ParseError)
 
+    @pytest.mark.parametrize("read", [read_link_stream, reference_read_link_stream])
+    def test_unknown_format_is_a_configuration_error(self, tmp_path, read):
+        # raised before any row is read: the file does not exist
+        with pytest.raises(ValueError, match="^unknown stream format 'pairs'$") as err:
+            read(tmp_path / "missing.txt", fmt="pairs")
+        assert not isinstance(err.value, ParseError)
+
     @pytest.mark.parametrize("read, options", [
         (read_link_stream, {"fmt": "triples"}),
         (read_link_stream, {"fmt": "quadruples"}),
@@ -312,6 +319,10 @@ def _plain_cases(draw):
     kinds = ["self-loop", "off-grid", "bad", "short", "field moved", "comment", "blank", "comma",
              "\v", "\u2028", "no final break"] + (["empty", "bad end"] if width == 4 else [])
     faults = draw(st.lists(st.sampled_from(kinds), max_size=2))
+    # two faults may land on one row: "empty" reads the start before another
+    # fault overwrites it, and a fault that shortens the row comes last, so
+    # that no other fault finds its field gone
+    faults.sort(key=lambda kind: {"empty": 0, "short": 2, "field moved": 2}.get(kind, 1))
     separator = {i: draw(st.sampled_from([" ", "\t", "  ", " \t"])) for i in range(len(rows))}
     inserted = []
     for kind in faults:
@@ -383,6 +394,9 @@ class TestReadLinkStreamAgainstReference:
     @given(case=_plain_cases(), chunk=st.integers(8, 64))
     @example(case=("0 1 a b\n1 y a b\nx 5 a b\n", {"fmt": "quadruples"}, 2), chunk=64)
     @example(case=("0 1 2\n20 1\n40 1 2 3\n", {"fmt": "triples"}, 1), chunk=64)
+    # a chunk of plain rows that the stream refuses: the row path names the row
+    @example(case=("0 5 a b\n4 4 a c\n", {"fmt": "quadruples"}, 1), chunk=64)
+    @example(case=("0 a b\n5 a a\n", {"fmt": "triples"}, 1), chunk=64)
     def test_plain_chunks(self, tmp_path_factory, case, chunk):
         # chunks of a few rows of one width: most of them are parsed whole, and
         # a faulty one goes down the row path, which names the first bad row
@@ -613,6 +627,10 @@ class TestPresence:
         with pytest.raises(ParseError, match="presence.txt:1: empty presence"):
             read_presence(write_lines(tmp_path / "presence.txt", ["5 5 a"]))
 
+    def test_wrong_column_count_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="presence.txt:2: expected 3 columns, got 4$"):
+            read_presence(write_lines(tmp_path / "presence.txt", ["0 5 a", "0 5 a b"]))
+
 
 class TestStreamRoundTrip:
     def test_star_toy(self, tmp_path):
@@ -730,6 +748,10 @@ class TestAttributes:
         ctx = read_attributes(write_lines(tmp_path / "a.csv", ["n1,z;a", "n2,m;z"]))
         assert ctx.universe.items == ("z", "a", "m")
 
+    def test_missing_node_id_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="a.csv:2: missing node id$"):
+            read_attributes(write_lines(tmp_path / "a.csv", ["n1,alpha", " ,beta"]))
+
     def test_duplicate_node_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="a.csv:2: duplicate description"):
             read_attributes(write_lines(tmp_path / "a.csv", ["n1,alpha", "n1,beta"]))
@@ -821,3 +843,18 @@ class TestHighschoolAdapter:
         # extra columns are accepted and ignored
         ctx = read_highschool_context(**{source: write_lines(path, ["650 27 1"])})
         assert ctx.universe.items_of(ctx.description("650")) == (f"{prefix}_27",)
+
+    @pytest.mark.parametrize("source, bad, error", [
+        ("metadata", ",2BIO1,F", "empty node name"),
+        ("contacts", "100,7,,2BIO1,MP", "empty node name"),
+        ("facebook", "650,", "empty node name"),
+        ("declared", ",27", "empty node name"),
+        ("diaries", "27,", "empty node name"),
+        ("metadata", "650", "expected at least 2 columns, got 1"),
+        ("contacts", "100\t7\t9\t2BIO1", "expected 5 columns, got 4"),
+    ])
+    def test_a_bad_row_is_refused_naming_its_line(self, tmp_path, source, bad, error):
+        good = {"metadata": "27\tMP\tM", "contacts": "100\t7\t9\t2BIO1\tMP"}.get(source, "650 27")
+        path = write_lines(tmp_path / "rows.txt", [good, "# x", bad])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: {error}$"):
+            read_highschool_context(**{source: path})

@@ -120,6 +120,10 @@ class TestMineEdgeCases:
         with pytest.raises(ValueError):
             self.run(stream, ctx, MinerConfig(min_support=0))
 
+    def test_unknown_support_measure_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(f"must be one of {SUPPORT_MEASURES}")):
+            MinerConfig(support_measure="ticks")
+
     def test_root_below_support_is_flagged_not_dropped(self):
         stream, ctx = contact_triple()
         records = self.run(stream, ctx, MinerConfig(min_support=99))

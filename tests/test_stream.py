@@ -80,6 +80,10 @@ class TestStreamGraph:
             StreamGraph({(1, 2): [(5, 10)]}, presence={"a": [(0, 20)], 1: [(0, 20)],
                                                       2: [(0, 20)]})
 
+    def test_in_adjacency_is_refused_when_undirected(self):
+        with pytest.raises(ValueError, match="only defined for directed streams"):
+            StreamGraph({("a", "b"): [(0, 1)]}).in_adjacency("a")
+
     def test_rejects_undirected_self_loop(self):
         with pytest.raises(ValueError):
             StreamGraph({("a", "a"): [(0, 1)]})
