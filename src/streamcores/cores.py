@@ -20,25 +20,20 @@ capped by the measure of the two input sides. `bha_bicore` returns the
 pair (hubs, authorities) and `ha_core` is their union, as
 `star_satellite_core` is that of `star_satellite_split`'s (stars, satellites).
 
-Both operators work on canonical span tuples (`intervals._clip`,
-`intervals._meet`) and build an `IntervalSet` only for a result they
-keep.
+Both operators work on canonical span tuples (`intervals._meet`) and
+build an `IntervalSet` only for a result they keep.
 
-Whole-presence rule: the star-satellite core clips a pair's spans to
-its two endpoints' time-nodes in the input set, except when both
-entries are the stream's own presence objects (`own is
-stream.presence(u)`); then the spans are taken as they are. The bi-core
-skips the meet of a pair with its far entry, and of a sweep's result
-with the node's input entry, when that entry is the presence object.
-That is sound because `StreamGraph` keeps every pair's spans inside
-both endpoints' presence: it derives the presence from the pairs, or
-checks a given presence against them, so the meet would return the
-spans unchanged. The identity test, not
-equality, makes the rule cost one pointer comparison per node; a set
-equal to the presence but built anew is clipped as before. When every
-node of the stream is in the input set with its whole presence (the
-root call of mining), the star-satellite core takes each node's
-adjacency as it is, without a per-pair loop.
+Whole-presence rule: `StreamGraph` keeps every pair's spans inside both
+endpoints' presence (it derives the presence from the pairs, or checks a
+given presence against them), so meeting a pair with a presence returns
+its spans unchanged. When every node of the stream is in the input set
+with its own presence object (the root call of mining), the
+star-satellite core takes each node's adjacency as it is, without a
+per-pair loop; any other input set has each of its pairs clipped. The
+bi-core skips the meet of a pair with its far entry, and of a sweep's
+result with the node's input entry, when that entry is the presence
+object. The identity test, not equality, costs one pointer comparison;
+a set equal to the presence but built anew is met as any other.
 
 A node with fewer active neighbours than its threshold (k, h or a) has
 no time at which it qualifies, so no coverage sweep runs for it. The
@@ -51,7 +46,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Tuple
 
-from .intervals import IntervalSet, Span, _clip, _meet, _merge, coverage_at_least
+from .intervals import IntervalSet, Span, _meet, _merge, coverage_at_least
 from .stream import StreamGraph, TimeNodeSet
 
 
@@ -103,27 +98,26 @@ class CoreSpec:
 def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, Mapping[str, IntervalSet]]:
     """Per-node neighbor intervals inside the substream induced by wp.
 
-    When every node of the stream is in wp with its whole presence (the
-    root call), each node's adjacency is handed back as it is. Otherwise
-    each pair u < v of wp is clipped once. For each u the loop walks the
-    smaller side: u's whole stream adjacency, or the nodes of wp after u
-    (wp's nodes are sorted once per call). Mining calls this on small
-    supports of high-degree nodes, where wp is usually the smaller side;
-    a root core of a sparse 6,000-node stream needs the adjacency side
-    (0.06 s, against 0.52 s walking wp only).
-    A pair between two whole-presence nodes is not clipped (module
-    docstring).
+    At the root (module docstring) each node's adjacency is handed back
+    as it is. Otherwise each pair u < v of wp is clipped once, to
+    `pair ∩ own ∩ other`, by two `_meet`s that stop at the first empty
+    one. For each u the loop walks the smaller side: u's whole stream
+    adjacency, or the nodes of wp after u (wp's nodes are sorted once
+    per call). Mining calls this on small supports of high-degree nodes,
+    where wp is usually the smaller side: the adjacency side is walked
+    for 101 of 1,856 nodes on hs-k4, 154 of 3,701 on hs-k2-wide and 152
+    of 6,647 on the contacts export at star-sat:2 and support 600. On a
+    sparse 6,000-node stream, with every entry built anew, a core over
+    5,887 nodes took 61.5 ms and one over 2,944 nodes 17.7 ms, against
+    720 and 206 ms walking wp only.
     """
     nodes = wp.nodes()
-    presence = stream.presence
-    whole = {v for v in nodes if wp.get(v) is presence(v)}
-    if len(whole) == len(stream.nodes):
+    if len(nodes) == len(stream.nodes) and all(wp.get(v) is stream.presence(v) for v in nodes):
         return {u: stream.adjacency(u) for u in nodes}
     spans_of = {v: wp.get(v).spans for v in nodes}
     active: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in nodes}
     for i, u in enumerate(nodes):
         own = spans_of[u]
-        own_whole = u in whole
         near = active[u]
         adjacency = stream.adjacency(u)
         if len(adjacency) <= len(nodes) - i - 1:
@@ -131,13 +125,11 @@ def _clipped_pairs(stream: StreamGraph, wp: TimeNodeSet) -> Dict[str, Mapping[st
         else:
             pairs = ((v, adjacency[v]) for v in nodes[i + 1:] if v in adjacency)
         for v, ivs in pairs:
-            if not (own_whole and v in whole):
-                got = _clip(ivs.spans, own, spans_of[v])
-                if not got:
-                    continue
-                ivs = IntervalSet._raw(got)
-            near[v] = ivs
-            active[v][u] = ivs
+            got = _meet(ivs.spans, own)
+            if got:
+                got = _meet(got, spans_of[v])
+            if got:
+                near[v] = active[v][u] = IntervalSet._raw(got)
     return active
 
 

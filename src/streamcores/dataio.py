@@ -19,8 +19,8 @@ iterated (`_chunks`), decodes them once (`_decode`, a leading byte-order
 mark dropped), numbers the lines in the same pass as `str.splitlines`
 cuts them, and skips blank and comment lines (`_numbered`). The
 presence and high-school readers split their rows with `_fields`, which
-refuses a row of the wrong field count, or with an empty node name,
-naming its line.
+refuses a row of the wrong field count, or with an empty node name or
+class, naming its line.
 `read_link_stream` reads the same chunks into one per-pair accumulator
 (`_Records`), which `ingest_link_stream` drives and hands to
 `StreamGraph`; no record outlives its chunk. A chunk is plain when the
@@ -164,13 +164,14 @@ def _split(text: str) -> List[str]:
     return text.split()
 
 
-def _fields(path: Union[str, Path], width: int, at_least: bool = False,
-            names: Sequence[int] = ()) -> Iterator[Tuple[str, int, List[str]]]:
+def _fields(path: Union[str, Path], width: int, required: Mapping[int, str],
+            at_least: bool = False) -> Iterator[Tuple[str, int, List[str]]]:
     """(source, row, fields) of each row of the file at `path`, split by `_split`.
 
-    A row of other than `width` fields (of fewer, if `at_least`), or with
-    an empty field in one of the `names` columns, raises a ParseError
-    naming its line.
+    `required` maps a column that may not be empty to what it holds. A
+    row of other than `width` fields (of fewer, if `at_least`), or with
+    an empty required column, raises a ParseError naming its line: the
+    first empty column's `empty <what it holds>`.
     """
     source, rows = _iter_rows(path)
     for row, text in rows:
@@ -178,8 +179,9 @@ def _fields(path: Union[str, Path], width: int, at_least: bool = False,
         if len(fields) < width if at_least else len(fields) != width:
             raise ParseError(f"expected {'at least ' if at_least else ''}{width} columns, "
                              f"got {len(fields)}", source, row)
-        if not all(fields[i] for i in names):
-            raise ParseError("empty node name", source, row)
+        for i, held in required.items():
+            if not fields[i]:
+                raise ParseError(f"empty {held}", source, row)
         yield source, row, fields
 
 
@@ -528,7 +530,7 @@ def read_presence(path: Union[str, Path], *, resolution: int = 1) -> Dict[str, I
     """
     _check_resolution(resolution)
     spans: Dict[str, List[Tuple[int, int]]] = {}
-    for source, row, (b, e, v) in _fields(path, 3, names=(2,)):
+    for source, row, (b, e, v) in _fields(path, 3, {2: "node name"}):
         bt = to_ticks(b, resolution, source, row)
         et = to_ticks(e, resolution, source, row)
         if bt >= et:
@@ -699,8 +701,8 @@ def read_highschool_context(
     (tab-separated `id class gender`), `F_<id>` per Facebook friend,
     `D_<id>` per declared friend, and `M_<id>` per diary contact. Class
     items can also be recovered from the contact rows themselves. A row
-    with a wrong field count or an empty node name is a ParseError naming
-    its line.
+    with a wrong field count, an empty node name or an empty class is a
+    ParseError naming its line.
     """
     tags: Dict[str, Dict[str, None]] = {}  # each node's items, as an ordered set
 
@@ -708,18 +710,20 @@ def read_highschool_context(
         tags.setdefault(node, {})[item] = None
 
     if metadata is not None:
-        for _, _, (node, group, *rest) in _fields(metadata, 2, at_least=True, names=(0,)):
+        rows = _fields(metadata, 2, {0: "node name", 1: "class"}, at_least=True)
+        for _, _, (node, group, *rest) in rows:
             add(node, f"C_{group}")
             if rest and rest[0] not in ("", "Unknown"):
                 add(node, f"G_{rest[0]}")
     if contacts is not None:
-        for _, _, (_, i, j, ci, cj) in _fields(contacts, 5, names=(1, 2)):
+        rows = _fields(contacts, 5, {1: "node name", 2: "node name", 3: "class", 4: "class"})
+        for _, _, (_, i, j, ci, cj) in rows:
             add(i, f"C_{ci}")
             add(j, f"C_{cj}")
     for prefix, path in (("F", facebook), ("D", declared), ("M", diaries)):
         if path is None:
             continue
-        for _, _, (u, v, *_) in _fields(path, 2, at_least=True, names=(0, 1)):
+        for _, _, (u, v, *_) in _fields(path, 2, {0: "node name", 1: "node name"}, at_least=True):
             add(u, f"{prefix}_{v}")
             if prefix == "F":
                 add(v, f"{prefix}_{u}")  # Facebook friendship is mutual

@@ -10,9 +10,7 @@ works on span tuples (`_meet`), and `IntervalSet.intersect` and
 `IntervalSet.issubset` wrap it. `_meet` bisects lopsided operands
 (`_clip_into`): 8,618 of the 41,684 `_meet` calls of hs-k2-wide's
 seed-1 mine take that path, and star-sat:2 at support 600 on the
-contacts export took 402 ms with it, 440 without. `_clip` is the
-three-way intersection the star-satellite core clips a pair with,
-`pair ∩ own ∩ other`, on span tuples, stopping at the first empty step.
+contacts export took 402 ms with it, 440 without.
 `coverage_at_least` sweeps two sorted lists of ints, the start and the
 end ticks.
 """
@@ -131,12 +129,6 @@ def _meet(xs: Tuple[Span, ...], ys: Tuple[Span, ...]) -> Tuple[Span, ...]:
     return tuple(out)
 
 
-def _clip(xs: Tuple[Span, ...], ys: Tuple[Span, ...], zs: Tuple[Span, ...]) -> Tuple[Span, ...]:
-    """Canonical xs ∩ ys ∩ zs, without building an `IntervalSet`; () once a step is empty."""
-    got = _meet(xs, ys)
-    return _meet(got, zs) if got else got
-
-
 class IntervalSet:
     """Immutable canonical union of half-open integer intervals."""
 
@@ -171,10 +163,6 @@ class IntervalSet:
         return (self._spans[0][0], self._spans[-1][1])
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        if not self._spans:
-            return other
-        if not other._spans:
-            return self
         return IntervalSet._raw(_merge([*self._spans, *other._spans]))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
@@ -227,8 +215,6 @@ def coverage_at_least(sets: Iterable[Iterable[Span]], k: int) -> IntervalSet:
         for a, b in spans:
             starts.append(a)
             ends.append(b)
-    if len(starts) < k:
-        return EMPTY
     starts.sort()
     ends.sort()
     # the i-th smallest end exceeds the i-th smallest start, since every span

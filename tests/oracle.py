@@ -43,7 +43,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 from streamcores.context import AttributeContext, Pattern, intent
 from streamcores.cores import CoreSpec, apply_core
 from streamcores.dataio import FORMAT_WIDTHS, ParseError, extension_ticks, open_output, to_ticks
-from streamcores.intervals import EMPTY, IntervalSet, _clip, coverage_at_least
+from streamcores.intervals import EMPTY, IntervalSet, _meet, coverage_at_least
 from streamcores.mining import ClosedPatternRecord, MinerConfig, filter_min_intent
 from streamcores.selection import INTEREST_MEASURES
 from streamcores.stream import StreamGraph, TimeNodeSet
@@ -222,7 +222,9 @@ def reference_bicore(
                             if own_whole and other is presence(v):
                                 clipped.append(ivs.spans)
                                 continue
-                            got = _clip(ivs.spans, own_spans, other.spans)
+                            got = _meet(ivs.spans, own_spans)
+                            if got:
+                                got = _meet(got, other.spans)
                             if got:
                                 clipped.append(got)
                     got = EMPTY

@@ -841,12 +841,13 @@ class TestProcessExit:
             self, tmp_path, monkeypatch, collecting):
         write_demo_files(tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert gc.get_freeze_count() == 0
+        # the interpreter may start with objects frozen (375 on CPython 3.12.1)
+        frozen = gc.get_freeze_count()
         (gc.enable if collecting else gc.disable)()
         try:
             for argv in (self.MINE, self.SELECT):
                 assert run(*argv) == 0
-                assert gc.get_freeze_count() == 0
+                assert gc.get_freeze_count() == frozen
                 assert gc.isenabled() is collecting
         finally:
             gc.enable()

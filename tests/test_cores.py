@@ -285,15 +285,23 @@ class TestRootFastPath:
                 assert sample_set(core) == brute_core(d, samples, CoreSpec.star_satellite(k))
 
     def test_the_root_takes_each_adjacency_as_it_is(self, monkeypatch):
-        clips = []
-        clip = cores._clip
-        monkeypatch.setattr(cores, "_clip", lambda *spans: clips.append(spans) or clip(*spans))
+        meets = []
+        meet = cores._meet
+        monkeypatch.setattr(cores, "_meet", lambda *spans: meets.append(spans) or meet(*spans))
         s = star_toy_stream()
         root = cores._clipped_pairs(s, s.presence_set())
-        assert all(root[v] is s.adjacency(v) for v in s.nodes) and clips == []
-        # an equal set built anew clips each pair once, to the same spans
+        assert all(root[v] is s.adjacency(v) for v in s.nodes) and meets == []
+        # an equal set built anew clips each pair once, by two meets, to the same spans
         assert cores._clipped_pairs(s, _anew(s.presence_set())) == root
-        assert len(clips) == s.interaction_count()
+        assert len(meets) == 2 * s.interaction_count()
+        # off the root, a pair between two presence objects is clipped too
+        meets.clear()
+        rest = s.presence_set().restrict(s.nodes[1:])
+        assert all(rest.get(v) is s.presence(v) for v in rest.nodes())
+        clipped = cores._clipped_pairs(s, rest)
+        assert clipped == {u: {v: ivs for v, ivs in root[u].items() if v != s.nodes[0]}
+                           for u in s.nodes[1:]}
+        assert len(meets) == 2 * (s.interaction_count() - len(s.adjacency(s.nodes[0])))
 
     def test_coverage_is_looked_up_by_module_name_and_skipped_below_k(self, monkeypatch):
         # b is the only node of the star toy with two neighbours
@@ -353,8 +361,8 @@ class TestInteriorLaws:
         for s, spec, x, rng in self._instances(31 + directed + 2 * presence, 120, directed,
                                                presence):
             d = discretize(s)
-            # random_subset builds new entries, which the core clips; a pair
-            # between two of the stream's own presence objects is not clipped
+            # random_subset builds new entries; the mixed subset keeps some of
+            # the stream's own presence objects, which the bi-core meets with nothing
             for y in (x, s.presence_set(), random_mixed_subset(rng, s)):
                 assert sample_set(apply_core(spec, s, y)) == brute_core(d, sample_set(y), spec)
 

@@ -829,6 +829,21 @@ class TestHighschoolAdapter:
         assert ctx.universe.items_of(ctx.description("7")) == ("C_2BIO1",)
         assert ctx.universe.items_of(ctx.description("9")) == ("C_MP",)
 
+    def test_stream_nodes_without_metadata_are_counted_in_a_warning(self, tmp_path, caplog):
+        s = StreamGraph({("650", "27"): [(0, 1)], ("27", "9"): [(0, 1)]})
+        metadata = write_lines(tmp_path / "metadata.txt", ["650\t2BIO1\tF"])
+        with caplog.at_level(logging.WARNING):
+            ctx = read_highschool_context(metadata=metadata, stream=s)
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 stream node(s) without metadata get the empty description"]
+        assert ctx.nodes() == ("650",)
+        # a stream whose every node has metadata gets no warning
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            read_highschool_context(metadata=metadata,
+                                    stream=StreamGraph({}, presence={"650": [(0, 1)]}))
+        assert caplog.records == []
+
     def test_unknown_gender_skipped(self, tmp_path):
         metadata = write_lines(tmp_path / "metadata.txt", ["650\t2BIO1\tUnknown"])
         ctx = read_highschool_context(metadata=metadata)
@@ -850,6 +865,10 @@ class TestHighschoolAdapter:
         ("facebook", "650,", "empty node name"),
         ("declared", ",27", "empty node name"),
         ("diaries", "27,", "empty node name"),
+        ("metadata", "650,,F", "empty class"),
+        ("contacts", "100,7,9,,MP", "empty class"),
+        ("contacts", "100,7,9,2BIO1,", "empty class"),
+        ("contacts", "100,,9,,MP", "empty node name"),
         ("metadata", "650", "expected at least 2 columns, got 1"),
         ("contacts", "100\t7\t9\t2BIO1", "expected 5 columns, got 4"),
     ])

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from streamcores.intervals import EMPTY, IntervalSet, _clip, _merge, coverage_at_least
+from streamcores.intervals import EMPTY, IntervalSet, _meet, _merge, coverage_at_least
 
 
 def ticks(ivs, lo=0, hi=32):
@@ -133,11 +133,12 @@ def test_lopsided_intersection_matches_pointwise_and_merge(pair):
 
 @given(interval_sets, lopsided_pairs())
 def test_three_way_clip_matches_pointwise(a, pair):
-    # lopsided operands take the bisecting path, and empty ones stop the clip
+    # the star-satellite core clips a pair as two chained meets; lopsided
+    # operands take the bisecting path, and an empty one empties the clip
     short, long, hi = pair
     for x, y, z in ((short, long, a), (long, a, short), (a, short, long), (EMPTY, long, a),
                     (long, a, EMPTY), (a, long, long)):
-        got = _clip(x.spans, y.spans, z.spans)
+        got = _meet(_meet(x.spans, y.spans), z.spans)
         assert isinstance(got, tuple)
         assert got == (x & y & z).spans
         assert ticks(IntervalSet._raw(got), 0, hi) == (

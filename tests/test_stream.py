@@ -80,6 +80,14 @@ class TestStreamGraph:
             StreamGraph({(1, 2): [(5, 10)]}, presence={"a": [(0, 20)], 1: [(0, 20)],
                                                       2: [(0, 20)]})
 
+    def test_a_type_error_that_is_no_name_clash_is_raised_as_it_is(self):
+        # a pair key that is no pair fails to unpack, and names of one type
+        # that cannot be ordered fail to sort; no two names clash by type
+        with pytest.raises(TypeError, match="cannot unpack non-iterable int object"):
+            StreamGraph({1: [(0, 1)]})
+        with pytest.raises(TypeError, match="'<' not supported between instances of 'object'"):
+            StreamGraph({}, presence={object(): [(0, 1)], object(): [(0, 1)]})
+
     def test_in_adjacency_is_refused_when_undirected(self):
         with pytest.raises(ValueError, match="only defined for directed streams"):
             StreamGraph({("a", "b"): [(0, 1)]}).in_adjacency("a")

@@ -178,18 +178,17 @@ def test_every_bicore_of_the_directed_mine_matches_the_double_clip_worklist(
 
 def test_the_directed_mine_stays_within_its_sweeps_and_meets(tmp_path, monkeypatch, capsys):
     # 994 coverage sweeps and 5,962 meets at seed 1; the double-clip
-    # worklist made 1,142 sweeps and 13,657 meets (a `_clip` is up to two)
+    # worklist made 1,142 sweeps and 13,657 meets (a three-way clip is up to two)
     counts = {"sweeps": 0, "meets": 0}
 
-    def counted(name, function, weight):
+    def counted(name, function):
         def call(*args):
-            counts[name] += weight
+            counts[name] += 1
             return function(*args)
         return call
 
-    monkeypatch.setattr(cores, "coverage_at_least", counted("sweeps", cores.coverage_at_least, 1))
-    monkeypatch.setattr(cores, "_meet", counted("meets", cores._meet, 1))
-    monkeypatch.setattr(cores, "_clip", counted("meets", cores._clip, 2))
+    monkeypatch.setattr(cores, "coverage_at_least", counted("sweeps", cores.coverage_at_least))
+    monkeypatch.setattr(cores, "_meet", counted("meets", cores._meet))
     inputs = _directed_inputs(1, tmp_path / "inputs")
     assert cli.main(RUN.WORKLOADS["directed-ha"].mine_args(inputs, tmp_path / "mined.jsonl")) == 0
     capsys.readouterr()
