@@ -4,20 +4,28 @@ Commands: mine, select, inspect, static-compare. `mine` and `select`
 write a manifest next to their output, with absolute file paths, and
 take --manifest, alone: a re-run with it, from any directory,
 reproduces the output byte for byte, and any other run option given
-with it is refused. A manifest value of the wrong JSON type, or a
-recorded item order other than the attribute file's, is a
-configuration error. `inspect` and `static-compare` record no
-manifest. `RunManifest` holds the default of every option it records;
-the parsers set none. Every command checks its options before it reads
-a file, the paths it will write among them: `--output` and its
-manifest, `--stream-output` and `--static-output` must not be a
-directory, their directory must exist, and none may resolve to a file
-the command reads (`--stream`, `--attributes`, `--presence`, `--input`
-or `--manifest`) or to another of its outputs, or the command exits 2
-naming the options. The one input a run may rewrite is the manifest of
-a `--manifest` re-run, when it is the manifest next to the output. A
-star-satellite core on a directed stream, or a hub-authority core on an
-undirected one, exits 2 before any read too.
+with it is refused. A manifest records its command and the
+`RunManifest` fields among that command's options, which
+`_build_parser` derives from the subparser: 12 for `mine`, 5 for
+`select`. A manifest value of the wrong JSON type is a configuration
+error. Earlier manifests record every field, and the retired
+`item_order` and `static_min_support`: a field the command does not
+take is dropped when it holds what they recorded for it, and any other
+value is a configuration error naming the field. `inspect` and
+`static-compare` record no manifest. `RunManifest` holds the default
+of every option it records, and the parsers set none; the options no
+manifest records (`--static-min-support`, `--stream-output`,
+`--static-output`, `--limit`) have their defaults in the parser.
+Every command checks its options before it reads a file, the paths it
+will write among them: `--output` and its manifest, `--stream-output`
+and `--static-output` must not be a directory, their directory must
+exist, and none may resolve to a file the command reads (`--stream`,
+`--attributes`, `--presence`, `--input` or `--manifest`) or to another
+of its outputs, or the command exits 2 naming the options. The one
+input a run may rewrite is the manifest of a `--manifest` re-run, when
+it is the manifest next to the output. A star-satellite core on a
+directed stream, or a hub-authority core on an undirected one, exits 2
+before any read too.
 Items are mined in the order they first appear in the attribute file;
 there is no item-order option.
 
@@ -91,6 +99,9 @@ class ConfigError(ValueError):
 # the manifest fields that name a file a run reads
 _INPUT_FIELDS = ("stream", "attributes", "presence", "input")
 
+# what earlier manifests recorded for fields that no command takes now
+_RETIRED = {"item_order": "file", "static_min_support": 1}
+
 # how a manifest field's type is written in JSON
 _JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", type(None): "null"}
@@ -100,8 +111,10 @@ class RunManifest:
     """Everything needed to reproduce a run.
 
     The annotated class attributes are the fields, in the order a
-    manifest file lists them, with their defaults; an instance holds
-    the fields it was given.
+    manifest file lists them, with their defaults. A command's fields
+    are those among its options (`_build_parser`); an instance holds
+    its command, the names of that command's fields and the values it
+    was given.
     """
 
     command: str
@@ -121,29 +134,33 @@ class RunManifest:
     beta: float = 0.0
     betas: str = "0,0.2,0.4,0.6,0.8"
     g: str = "duration"
-    static_min_support: int = 1
 
-    def __init__(self, command: str, **values) -> None:
+    def __init__(self, command: str, fields: Sequence[str], **values) -> None:
         # callers pass only field names; a field not given reads its default
         self.command = command
+        self.fields = fields
         self.__dict__.update(values)
 
     def write(self, path: Path) -> None:
-        record = {name: getattr(self, name) for name in self.__annotations__}
+        """Record the command and its fields, not the options of other commands."""
+        record = {"command": self.command, **{name: getattr(self, name) for name in self.fields}}
         # absolute, so that a re-run from any directory reads and writes the same files
         for name in (*_INPUT_FIELDS, "output"):
-            if record[name]:
+            if record.get(name):
                 record[name] = os.path.abspath(record[name])
         with dataio.open_output(path) as handle:
             handle.write(json.dumps(record, indent=2) + "\n")
 
     @classmethod
-    def load(cls, path: str) -> "RunManifest":
-        """The manifest at `path`; every field must have its JSON type.
+    def load(cls, path: str, command: str, fields: Sequence[str]) -> "RunManifest":
+        """The manifest at `path`, recorded for `command`, whose fields are `fields`.
 
-        Manifests of earlier versions record `"item_order": "file"`, the
-        order every run now mines in, so that field is dropped; a run
-        recorded in any other item order cannot be reproduced.
+        Each of `fields` it holds must have its JSON type. Manifests of
+        earlier versions record every field, and `item_order` and
+        `static_min_support`, which no command takes now. A field that
+        `command` does not take is dropped when it holds what those
+        manifests record for it, its default or its `_RETIRED` value;
+        any other value is a run that cannot be reproduced.
         """
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -151,40 +168,38 @@ class RunManifest:
             raise ConfigError(f"--manifest {path}: {err}") from None
         if type(data) is not dict or "command" not in data:
             raise ConfigError("a manifest must be a JSON object with a command field")
-        order = data.pop("item_order", "file")
-        if order != "file":
-            raise ConfigError(f"manifest field item_order is {order!r}: items are mined "
-                              f"in attribute-file order only, so the run cannot be reproduced")
-        unknown = data.keys() - cls.__annotations__.keys()
+        unknown = data.keys() - cls.__annotations__.keys() - _RETIRED.keys()
         if unknown:
             raise ConfigError(f"manifest has unknown fields: {sorted(unknown)}")
         hints = get_type_hints(cls)
-        for name, value in data.items():
-            kinds = get_args(hints[name]) or (hints[name],)
+        for name in [name for name in ("command", *fields) if name in data]:
+            value, kinds = data[name], get_args(hints[name]) or (hints[name],)
             # exact types, so a bool is no number; a float field also takes an integer
             accepted = (*kinds, int) if float in kinds else kinds
             if type(value) not in accepted:
                 wanted = " or ".join(_JSON_KINDS[kind] for kind in kinds)
                 raise ConfigError(f"manifest field {name} must be {wanted}, got {value!r}")
-        return cls(**data)
+        if data["command"] != command:
+            raise ConfigError(f"manifest was recorded for {data['command']!r}, not {command!r}")
+        for name in [name for name in data if name not in ("command", *fields)]:
+            value = data.pop(name)
+            recorded = _RETIRED[name] if name in _RETIRED else getattr(cls, name)
+            if type(value) is not type(recorded) or value != recorded:
+                raise ConfigError(f"manifest field {name} is {value!r}, but {command} does "
+                                  f"not take it, so the run cannot be reproduced")
+        return cls(fields=fields, **data)
 
 
-def _manifest_from_args(command: str, args: argparse.Namespace) -> RunManifest:
+def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     # the parsers set no defaults: a field is in `args` only when it was given
-    given = {name: getattr(args, name) for name in RunManifest.__annotations__
-             if name != "command" and hasattr(args, name)}
+    given = {name: getattr(args, name) for name in args.fields if hasattr(args, name)}
     if getattr(args, "manifest", None):
         if given:
             options = ", ".join("--" + name.replace("_", "-") for name in given)
             raise ConfigError(f"--manifest re-runs the recorded options and takes no "
                               f"others, got {options}")
-        manifest = RunManifest.load(args.manifest)
-        if manifest.command != command:
-            raise ConfigError(
-                f"manifest was recorded for {manifest.command!r}, not {command!r}"
-            )
-        return manifest
-    return RunManifest(command, **given)
+        return RunManifest.load(args.manifest, args.command, args.fields)
+    return RunManifest(args.command, args.fields, **given)
 
 
 def _manifest_path(output: str) -> Path:
@@ -286,7 +301,7 @@ def _mining_setup(manifest: RunManifest):
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    manifest = _manifest_from_args("mine", args)
+    manifest = _manifest_from_args(args)
     if not manifest.output:
         raise ConfigError("mine needs --output")
     _check_run_output(manifest, getattr(args, "manifest", None))
@@ -312,7 +327,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    manifest = _manifest_from_args("select", args)
+    manifest = _manifest_from_args(args)
     if not manifest.input or not manifest.output:
         raise ConfigError("select needs --input and --output")
     # the whole configuration is checked before any file is read or written
@@ -338,7 +353,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    manifest = _manifest_from_args("inspect", args)
+    manifest = _manifest_from_args(args)
     if not manifest.input:
         raise ConfigError("inspect needs --input")
     if args.limit < 0:
@@ -362,9 +377,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_static_compare(args: argparse.Namespace) -> int:
-    manifest = _manifest_from_args("static-compare", args)
+    manifest = _manifest_from_args(args)
     # checked with the other options, before any file is read
-    MinerConfig(min_support=manifest.static_min_support)
+    MinerConfig(min_support=args.static_min_support)
     taken = _inputs(manifest)
     for option, path in (("--stream-output", args.stream_output),
                          ("--static-output", args.static_output)):
@@ -377,7 +392,7 @@ def cmd_static_compare(args: argparse.Namespace) -> int:
     # either support measure counts nodes
     static_cfg = MinerConfig(
         core=cfg.core,
-        min_support=manifest.static_min_support,
+        min_support=args.static_min_support,
         min_intent_size=cfg.min_intent_size,
     )
     graph = induced_static_graph(stream)
@@ -467,12 +482,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("static-compare", cmd_static_compare, [stream_opts],
                 "mine the stream and its induced graph, check containment")
-    p.add_argument("--static-min-support", type=int,
-                   help="node-count threshold for the static miner")
+    p.add_argument("--static-min-support", type=int, default=1,
+                   help="node-count threshold for the static miner (default 1)")
     p.add_argument("--stream-output", default=None,
                    help="optional JSONL for the stream patterns")
     p.add_argument("--static-output", default=None,
                    help="optional JSONL for the static patterns")
+
+    # a command's manifest fields are the RunManifest fields among its options
+    for p in sub.choices.values():
+        options = {action.dest for action in p._actions}
+        p.set_defaults(fields=tuple(n for n in RunManifest.__annotations__ if n in options))
     return parser
 
 

@@ -20,7 +20,10 @@ mark dropped), numbers the lines in the same pass as `str.splitlines`
 cuts them, and skips blank and comment lines (`_numbered`). The
 presence and high-school readers split their rows with `_fields`, which
 refuses a row of the wrong field count, or with an empty node name or
-class, naming its line.
+class, naming its line. A row of the high-school metadata or contacts
+table that holds a tab is cut at each tab, so an empty column between
+two tabs is seen and refused; every other row is cut at commas, or at
+runs of whitespace when it has none.
 `read_link_stream` reads the same chunks into one per-pair accumulator
 (`_Records`), which `ingest_link_stream` drives and hands to
 `StreamGraph`; no record outlives its chunk. A chunk is plain when the
@@ -158,15 +161,20 @@ def _numbered(text: str, line: int) -> Tuple[Iterator[Tuple[int, str]], int]:
     return rows, line + len(lines)
 
 
-def _split(text: str) -> List[str]:
+def _split(text: str, tabs: bool = False) -> List[str]:
+    if tabs and "\t" in text:  # a tab-separated row may hold an empty column
+        return [f.strip() for f in text.split("\t")]
     if "," in text:
         return [f.strip() for f in text.split(",")]
     return text.split()
 
 
 def _fields(path: Union[str, Path], width: int, required: Mapping[int, str],
-            at_least: bool = False) -> Iterator[Tuple[str, int, List[str]]]:
+            at_least: bool = False, tabs: bool = False) -> Iterator[Tuple[str, int, List[str]]]:
     """(source, row, fields) of each row of the file at `path`, split by `_split`.
+
+    With `tabs`, a row that holds a tab is cut at each tab, so that two
+    tabs in a row leave an empty column.
 
     `required` maps a column that may not be empty to what it holds. A
     row of other than `width` fields (of fewer, if `at_least`), or with
@@ -175,7 +183,7 @@ def _fields(path: Union[str, Path], width: int, required: Mapping[int, str],
     """
     source, rows = _iter_rows(path)
     for row, text in rows:
-        fields = _split(text)
+        fields = _split(text, tabs)
         if len(fields) < width if at_least else len(fields) != width:
             raise ParseError(f"expected {'at least ' if at_least else ''}{width} columns, "
                              f"got {len(fields)}", source, row)
@@ -702,7 +710,8 @@ def read_highschool_context(
     `D_<id>` per declared friend, and `M_<id>` per diary contact. Class
     items can also be recovered from the contact rows themselves. A row
     with a wrong field count, an empty node name or an empty class is a
-    ParseError naming its line.
+    ParseError naming its line; a metadata or contacts row that holds a
+    tab is cut at each tab, so `650\\t\\tF` has an empty class.
     """
     tags: Dict[str, Dict[str, None]] = {}  # each node's items, as an ordered set
 
@@ -710,13 +719,14 @@ def read_highschool_context(
         tags.setdefault(node, {})[item] = None
 
     if metadata is not None:
-        rows = _fields(metadata, 2, {0: "node name", 1: "class"}, at_least=True)
+        rows = _fields(metadata, 2, {0: "node name", 1: "class"}, at_least=True, tabs=True)
         for _, _, (node, group, *rest) in rows:
             add(node, f"C_{group}")
             if rest and rest[0] not in ("", "Unknown"):
                 add(node, f"G_{rest[0]}")
     if contacts is not None:
-        rows = _fields(contacts, 5, {1: "node name", 2: "node name", 3: "class", 4: "class"})
+        rows = _fields(contacts, 5, {1: "node name", 2: "node name", 3: "class", 4: "class"},
+                       tabs=True)
         for _, _, (_, i, j, ci, cj) in rows:
             add(i, f"C_{ci}")
             add(j, f"C_{cj}")

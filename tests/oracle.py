@@ -20,6 +20,11 @@ every pair of every re-pruned node to both its endpoints' entries
 each node's clips and re-prunes only what a change touches, must return
 the same sides on inputs too large for the per-tick oracle.
 
+`certify` checks a mining run's records without enumerating the
+lattice, so it also runs on streams too large for the per-tick oracle:
+each record is sound, and one step from each record reaches only
+emitted intents.
+
 `reference_write_patterns` writes each record's line with one
 `json.dumps` of the whole record; `mining.write_patterns`, which writes
 the support in pieces, must write the same bytes.
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from streamcores.context import AttributeContext, Pattern, intent
+from streamcores.context import AttributeContext, Pattern, extent, intent
 from streamcores.cores import CoreSpec, apply_core
 from streamcores.dataio import FORMAT_WIDTHS, ParseError, extension_ticks, open_output, to_ticks
 from streamcores.intervals import EMPTY, IntervalSet, _meet, coverage_at_least
@@ -316,6 +321,67 @@ def reference_mine(
     records = [record(intent(root, ctx), root, 0)]
     expand(records[0].mask, root, 0, 0)
     return filter_min_intent(records, cfg.min_intent_size)
+
+
+def certify(
+    records: Sequence[ClosedPatternRecord], stream: StreamGraph, ctx: AttributeContext,
+    cfg: MinerConfig,
+) -> List[str]:
+    """The problems that keep `records` from being the closed patterns `cfg` mines.
+
+    Soundness: each support is the core of its intent's extent and has
+    that intent, and no intent is emitted twice. Completeness: the
+    closure of the empty pattern is emitted, and for each record R and
+    each item i outside R's intent, when the core of R's support
+    restricted to i's carriers reaches the threshold, its intent is
+    emitted. Those checks certify every closed pattern Q above the
+    threshold: from the emitted root, whose intent Q contains, an item
+    of Q missing from the current record R leads to an emitted record
+    whose intent lies in Q, has more items than R's and keeps a support
+    at least Q's.
+
+    Each record's support is tallied by item in one pass, as the
+    miner's occurrence deliver does, rather than taking one global
+    extent per record and item. Records are matched by their items, so
+    the records `mining.read_patterns` returns are certified as well.
+    """
+    if cfg.min_intent_size:
+        raise ValueError("a run that drops small intents breaks the chain from the root")
+    universe = ctx.universe
+
+    def size(support: TimeNodeSet) -> int:
+        return support.node_count() if cfg.support_measure == "nodes" else support.measure()
+
+    def core(support: TimeNodeSet) -> TimeNodeSet:
+        return apply_core(cfg.core, stream, support)
+
+    problems = []
+    masks = [universe.mask_of(rec.items) for rec in records]
+    emitted = set(masks)
+    if len(emitted) < len(masks):
+        problems.append("an intent is emitted twice")
+    if stream.nodes:
+        root = intent(core(stream.presence_set()), ctx)
+        if root not in emitted:
+            problems.append(f"the root {universe.items_of(root)} is not emitted")
+    for rec, mask in zip(records, masks):
+        if intent(rec.support, ctx) != mask:
+            problems.append(f"{rec.items}: the support has another intent")
+        if core(extent(mask, ctx, stream)) != rec.support:
+            problems.append(f"{rec.items}: the support is not the core of the extent")
+        carriers: Dict[Pattern, Dict[str, IntervalSet]] = {}
+        for v, ivs in rec.support.items():
+            rest = ctx.description(v) & ~mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                carriers.setdefault(bit, {})[v] = ivs
+        for bit, entries in carriers.items():
+            child = core(TimeNodeSet._raw(entries))
+            if size(child) >= cfg.min_support and intent(child, ctx) not in emitted:
+                problems.append(f"{rec.items} + {universe.items_of(bit)}: the closure "
+                                f"{universe.items_of(intent(child, ctx))} is not emitted")
+    return problems
 
 
 # -- pattern files -----------------------------------------------------------

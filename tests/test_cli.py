@@ -469,11 +469,18 @@ class TestMineCommand:
         assert not other.exists()
         assert out.read_bytes() == mined
 
-    def test_manifest_command_mismatch(self, demo, tmp_path):
+    def test_manifest_command_mismatch(self, demo, tmp_path, capsys):
         out = tmp_path / "out.jsonl"
         assert run("mine", "--stream", demo["star_stream"], "--output", out) == 0
-        code = run("select", "--manifest", tmp_path / "out.jsonl.manifest.json")
-        assert code == 2
+        manifest = tmp_path / "out.jsonl.manifest.json"
+        # the earlier layout also holds select's fields, each with a value select takes
+        earlier = tmp_path / "earlier.manifest.json"
+        earlier.write_text(json.dumps({**_EARLIER_LAYOUT, **json.loads(manifest.read_text())}))
+        capsys.readouterr()
+        for path in (manifest, earlier):
+            assert run("select", "--manifest", path) == 2
+            assert capsys.readouterr().err == (
+                "configuration error: manifest was recorded for 'mine', not 'select'\n")
 
 
 @pytest.mark.parametrize("command, field, value, code", [
@@ -533,6 +540,83 @@ def test_manifest_must_be_an_object_with_a_command(tmp_path, capsys, text):
     path.write_text(text)
     assert run("mine", "--manifest", path) == 2
     assert "must be a JSON object with a command field" in capsys.readouterr().err
+
+
+# every field of a manifest as earlier versions wrote it, with the value it
+# recorded when the command did not take the option
+_EARLIER_LAYOUT = {
+    "command": None, "stream": None, "format": "auto", "attributes": None, "presence": None,
+    "directed": False, "resolution": 1, "delta": 20.0, "core": "auto", "min_support": 1,
+    "min_intent_size": 0, "support_measure": "duration", "input": None, "output": None,
+    "beta": 0.0, "betas": "0,0.2,0.4,0.6,0.8", "g": "duration", "static_min_support": 1,
+}
+
+
+class TestManifestFields:
+    """A manifest records its command's options; an earlier one re-runs when it says the same."""
+
+    @pytest.fixture()
+    def recorded(self, demo, tmp_path, capsys):
+        """{command: (its output's bytes, its manifest, what it printed)} of a mine and a select."""
+        mined, selected = tmp_path / "mined.jsonl", tmp_path / "selected.jsonl"
+        runs = {}
+        for argv in (["mine", "--stream", demo["compare_stream"], "--attributes",
+                      demo["compare_attrs"], "--core", "star-sat:2", "--output", mined],
+                     ["select", "--input", mined, "--beta", 0.4, "--output", selected]):
+            assert run(*argv) == 0
+            out = Path(argv[-1])
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            runs[argv[0]] = out.read_bytes(), manifest, capsys.readouterr().out
+        return runs
+
+    def test_a_manifest_holds_its_command_and_the_fields_of_its_options(self, recorded):
+        assert list(recorded["mine"][1]) == [
+            "command", "stream", "format", "attributes", "presence", "directed", "resolution",
+            "delta", "core", "min_support", "min_intent_size", "support_measure", "output"]
+        assert list(recorded["select"][1]) == [
+            "command", "input", "output", "beta", "betas", "g"]
+
+    @pytest.mark.parametrize("item_order", [None, "file"])
+    @pytest.mark.parametrize("command", ["mine", "select"])
+    def test_a_manifest_of_the_earlier_layout_re_runs_byte_for_byte(
+            self, recorded, tmp_path, capsys, command, item_order):
+        output, manifest, printed = recorded[command]
+        again = tmp_path / "again.jsonl"
+        earlier = {**_EARLIER_LAYOUT, **manifest, "output": str(again)}
+        if item_order:
+            earlier["item_order"] = item_order
+        path = tmp_path / "earlier.manifest.json"
+        path.write_text(json.dumps(earlier))
+        assert run(command, "--manifest", path) == 0
+        assert again.read_bytes() == output
+        if command == "select":
+            assert capsys.readouterr().out == printed
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("select", "core", "ha:1,1"),
+        ("select", "min_support", 5),
+        ("select", "static_min_support", 7),
+        ("select", "directed", 0),  # not the false it recorded
+        ("select", "item_order", "name"),
+        ("mine", "beta", 0.9),
+        ("mine", "input", "/nonexistent"),
+        ("mine", "item_order", "name"),
+    ])
+    def test_a_field_the_command_does_not_take_must_hold_its_recorded_value(
+            self, recorded, tmp_path, capsys, command, field, value):
+        out = tmp_path / "again.jsonl"
+        # neither input exists, so reading one would be an input error (exit 1)
+        missing = str(tmp_path / "missing")
+        earlier = {**_EARLIER_LAYOUT, **recorded[command][1], "output": str(out), field: value}
+        earlier["stream" if command == "mine" else "input"] = missing
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(earlier))
+        assert run(command, "--manifest", path) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: manifest field {field} is {value!r}, but {command} does not "
+            f"take it, so the run cannot be reproduced\n")
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
 
 
 class TestSelectCommand:

@@ -844,6 +844,14 @@ class TestHighschoolAdapter:
                                     stream=StreamGraph({}, presence={"650": [(0, 1)]}))
         assert caplog.records == []
 
+    def test_a_row_without_a_tab_is_cut_as_before(self, tmp_path):
+        # runs of whitespace or commas; a tab row keeps a space inside a column
+        metadata = write_lines(tmp_path / "metadata.txt",
+                               ["650  2BIO1 F", "27,MP,M", "9\t2 BIO1\tF"])
+        ctx = read_highschool_context(metadata=metadata)
+        assert {v: set(ctx.universe.items_of(ctx.description(v))) for v in ctx.nodes()} == {
+            "27": {"C_MP", "G_M"}, "650": {"C_2BIO1", "G_F"}, "9": {"C_2 BIO1", "G_F"}}
+
     def test_unknown_gender_skipped(self, tmp_path):
         metadata = write_lines(tmp_path / "metadata.txt", ["650\t2BIO1\tUnknown"])
         ctx = read_highschool_context(metadata=metadata)
@@ -871,6 +879,10 @@ class TestHighschoolAdapter:
         ("contacts", "100,,9,,MP", "empty node name"),
         ("metadata", "650", "expected at least 2 columns, got 1"),
         ("contacts", "100\t7\t9\t2BIO1", "expected 5 columns, got 4"),
+        # a tab-separated row is cut at each tab: two tabs hold an empty column
+        ("metadata", "650\t\tF", "empty class"),
+        ("contacts", "100\t7\t9\t\tMP", "empty class"),
+        ("contacts", "100\t\t9\t2BIO1\tMP", "empty node name"),
     ])
     def test_a_bad_row_is_refused_naming_its_line(self, tmp_path, source, bad, error):
         good = {"metadata": "27\tMP\tM", "contacts": "100\t7\t9\t2BIO1\tMP"}.get(source, "650 27")

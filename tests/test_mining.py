@@ -5,7 +5,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from streamcores import (
     AttributeContext,
@@ -38,7 +38,9 @@ from helpers import (
     simultaneous_toy,
 )
 from oracle import (
+    SAMPLE_BUDGET,
     brute_enumerate,
+    certify,
     brute_static_enumerate,
     discretize,
     reference_mine,
@@ -223,6 +225,47 @@ class TestMineAgainstReference:
             ctx, cfg = random_config(rng, random_context(rng, s), directed, measure)
             got = [vars(rec) for rec in mine(s, ctx, cfg)]
             assert got == [vars(rec) for rec in reference_mine(s, ctx, cfg)]
+
+
+@st.composite
+def _large_runs(draw):
+    """(stream, context, config): up to 10 nodes over 6,000 ticks, more node-ticks
+    than the per-tick oracle's budget, up to 6 items and a core of the stream's kind."""
+    directed = draw(st.booleans())
+    names = [f"n{i}" for i in range(draw(st.integers(3, 10)))]
+    node = st.sampled_from(names)
+    rows = draw(st.lists(st.tuples(node, node, st.integers(0, 3_999), st.integers(1, 2_000)),
+                         min_size=3 * len(names), max_size=60))
+    pairs = {}
+    for u, v, start, length in rows:
+        if directed or u != v:
+            key = (u, v) if directed else tuple(sorted((u, v)))
+            pairs.setdefault(key, []).append((start, start + length))
+    s = StreamGraph(pairs, directed=directed)
+    assume(s.presence_set().measure() > SAMPLE_BUDGET)
+    universe = ItemUniverse([f"i{j}" for j in range(draw(st.integers(1, 6)))])
+    ctx = AttributeContext(universe, {v: draw(st.integers(0, universe.full_mask))
+                                      for v in s.nodes})
+    threshold = draw(st.sampled_from(SUPPORT_MEASURES))
+    if directed:
+        core = CoreSpec.hub_authority(draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    else:
+        core = CoreSpec.star_satellite(draw(st.integers(0, 3)))
+    return s, ctx, MinerConfig(
+        core=core, support_measure=threshold,
+        min_support=draw(st.integers(1, 6) if threshold == "nodes" else st.integers(1, 12_000)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_large_runs(), data=st.data())
+def test_mining_above_the_per_tick_budget_passes_the_certificate(run, data):
+    # too large for brute_enumerate; certify checks each record and one step from it
+    s, ctx, cfg = run
+    records = mine(s, ctx, cfg)
+    assert certify(records, s, ctx, cfg) == []
+    if len(records) > 1:
+        dropped = data.draw(st.integers(1, len(records) - 1))
+        assert certify(records[:dropped] + records[dropped + 1:], s, ctx, cfg)
 
 
 SEARCH_LOG = re.compile(

@@ -5,6 +5,10 @@ are generated with `perfbench/gen.py`, `mine` and then `select` run
 through `cli.main`, and the sha256 of both outputs is compared with
 `perfbench/reference.json`. The benchmark's own gate checks the same
 digests in fresh processes; this one runs with the local test suite.
+The same runs' `select` report must list, for each default beta, the
+number of records `oracle.reference_select` keeps, and the mined
+records must pass `oracle.certify`, the completeness certificate,
+which sees one record dropped from hs-k2-wide's.
 
 On directed-ha's inputs, every hub-authority bi-core that `mine` runs,
 the root's included, returns the sides of the oracle's double-clip
@@ -27,8 +31,10 @@ with a self-loop or a byte that is not UTF-8 past the first 64 KiB are
 refused naming their line. Nothing under `perfbench/` is written.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import random
 import sys
@@ -37,9 +43,10 @@ from pathlib import Path
 
 import pytest
 
-from oracle import reference_bicore
-from streamcores import cli, cores
+from oracle import certify, reference_bicore, reference_select
+from streamcores import CoreSpec, MinerConfig, cli, cores, read_patterns
 from streamcores.dataio import (
+    read_attributes,
     read_highschool_context,
     read_link_stream,
     write_attributes,
@@ -72,17 +79,79 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
-def test_outputs_match_the_reference_digests(name, seed, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def workload_run(tmp_path_factory):
+    """(inputs, mined file, selected file, select's report) of a workload at a seed.
+
+    Each workload runs once at each seed, whichever tests read it.
+    """
+    runs = {}
+
+    def get(name, seed):
+        if (name, seed) not in runs:
+            workload = RUN.WORKLOADS[name]
+            directory = tmp_path_factory.mktemp(f"{name}-{seed}")
+            inputs = GEN.generate(workload.kind, seed, directory / "inputs")
+            mined, selected = directory / "mined.jsonl", directory / "selected.jsonl"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(workload.mine_args(inputs, mined)) == 0
+            with contextlib.redirect_stdout(io.StringIO()) as report:
+                assert cli.main(["select", "--input", str(mined), "--output", str(selected)]) == 0
+            runs[name, seed] = inputs, mined, selected, report.getvalue()
+        return runs[name, seed]
+
+    return get
+
+
+def _mining_setup(name, inputs):
+    """(stream, attribute context, miner config) that the workload's `mine` reads and runs."""
     workload = RUN.WORKLOADS[name]
-    inputs = GEN.generate(workload.kind, seed, tmp_path / "inputs")
-    mined, selected = tmp_path / "mined.jsonl", tmp_path / "selected.jsonl"
-    assert cli.main(workload.mine_args(inputs, mined)) == 0
-    assert cli.main(["select", "--input", str(mined), "--output", str(selected)]) == 0
-    capsys.readouterr()  # select's sweep report
+    stream = read_link_stream(inputs["stream"], fmt=workload.fmt, directed=workload.directed)
+    ctx = read_attributes(inputs["attributes"], stream=stream)
+    return stream, ctx, MinerConfig(core=CoreSpec.parse(workload.core),
+                                    min_support=workload.min_support)
+
+
+WORKLOAD_RUNS = [pytest.param(name, seed, id=f"{name}-{seed}")
+                 for name in sorted(RUN.WORKLOADS) for seed in SEEDS]
+
+
+@pytest.mark.parametrize("name,seed", WORKLOAD_RUNS)
+def test_outputs_match_the_reference_digests(name, seed, workload_run):
+    _, mined, selected, _ = workload_run(name, seed)
     want = DIGESTS[name][str(seed)]
     assert {"mine": _sha(mined), "select": _sha(selected)} == want
+
+
+@pytest.mark.parametrize("name,seed", WORKLOAD_RUNS)
+def test_the_sweep_report_counts_what_the_reference_selection_keeps(name, seed, workload_run):
+    _, mined, _, report = workload_run(name, seed)
+    usable = [rec for rec in read_patterns(mined) if not rec.below_min_support]
+    beta, betas = cli.RunManifest.beta, [float(b) for b in cli.RunManifest.betas.split(",")]
+    kept = {b: len(reference_select(usable, b)) for b in {beta, *betas}}
+    if (name, seed) == ("hs-k2-wide", 1):
+        assert [kept[b] for b in betas] == [199, 189, 140, 108, 63]
+    assert report.splitlines() == [
+        f"beta={beta:g}: kept {kept[beta]} of {len(usable)}", "sweep:",
+        *(f"  beta={b:g} kept={kept[b]}" for b in betas)]
+
+
+@pytest.mark.parametrize("name,seed", WORKLOAD_RUNS)
+def test_the_mined_records_pass_the_completeness_certificate(name, seed, workload_run):
+    inputs, mined, _, _ = workload_run(name, seed)
+    records = read_patterns(mined)
+    assert records
+    assert certify(records, *_mining_setup(name, inputs)) == []
+
+
+def test_the_certificate_sees_a_dropped_record(workload_run):
+    inputs, mined, _, _ = workload_run("hs-k2-wide", 1)
+    records = read_patterns(mined)
+    setup = _mining_setup("hs-k2-wide", inputs)
+    for dropped in (1, len(records) // 2, len(records) - 1):
+        problems = certify(records[:dropped] + records[dropped + 1:], *setup)
+        assert problems
+        assert all(str(records[dropped].items) in problem for problem in problems)
 
 
 def _records(path):
