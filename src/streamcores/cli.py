@@ -39,9 +39,20 @@ a static support lies over the collapsed graph's one tick [0, 1), so
 its measure is its node count.
 
 Every output and manifest is written as a new file
-(`dataio.open_output`): a symlink is written through to its target, a
-hard-linked output loses the link, and the old file's mode is not
+(`patternio.open_output`): a symlink is written through to its target,
+a hard-linked output loses the link, and the old file's mode is not
 kept.
+
+A command loads only the modules it runs. This module imports the
+pattern-file layer (`patternio`, with `intervals` and `stream`) and the
+selector; `mine` and `static-compare` import the link-stream reader,
+the miner, the cores and the attribute context when they run
+(`_mining_setup`, `mine`), so `select` and `inspect` load none of them.
+`logging` is configured for `mine` and `static-compare`; `select`
+imports it only to report records flagged below min-support, and
+`inspect` never does. The names a tracer rebinds here (`mine`,
+`read_patterns`, `write_patterns`, `selection_counts`) are module
+globals that the commands call.
 
 The cyclic garbage collector is off while a command runs (`main`
 turns it off after parsing the arguments and back on when the command
@@ -67,7 +78,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import os
 import sys
 import time
@@ -75,15 +85,10 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
 
-from . import dataio
-from .context import AttributeContext, ItemUniverse, closure
-from .cores import CoreSpec, apply_core
-from .mining import SUPPORT_MEASURES, MinerConfig, mine, read_patterns, write_patterns
+from .patternio import (FORMAT_WIDTHS, SUPPORT_MEASURES, ParseError, open_output, read_patterns,
+                        write_patterns)
 from .selection import (INTEREST_MEASURES, PairDistances, SelectionConfig, g_beta_select,
                         interest_key, selection_counts)
-from .stream import PresenceError, induced_static_graph
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -148,7 +153,7 @@ class RunManifest:
         for name in (*_INPUT_FIELDS, "output"):
             if record.get(name):
                 record[name] = os.path.abspath(record[name])
-        with dataio.open_output(path) as handle:
+        with open_output(path) as handle:
             handle.write(json.dumps(record, indent=2) + "\n")
 
     @classmethod
@@ -264,6 +269,12 @@ def _mining_setup(manifest: RunManifest):
     resolved in `manifest` itself, so that its record names the core
     that ran.
     """
+    from . import dataio
+    from .context import AttributeContext, ItemUniverse
+    from .cores import CoreSpec
+    from .mining import MinerConfig
+    from .stream import PresenceError
+
     if not manifest.stream:
         raise ConfigError("no stream file given")
     # default family follows the stream kind; thresholds stay explicit
@@ -292,12 +303,18 @@ def _mining_setup(manifest: RunManifest):
             presence=presence,
         )
     except PresenceError as err:  # the two files disagree
-        raise dataio.ParseError(f"{err} in {manifest.stream}", manifest.presence) from None
+        raise ParseError(f"{err} in {manifest.stream}", manifest.presence) from None
     if manifest.attributes:
         ctx = dataio.read_attributes(manifest.attributes, stream=stream)
     else:
         ctx = AttributeContext(ItemUniverse([]), {})
     return stream, ctx, cfg
+
+
+def mine(stream, ctx, cfg):
+    """`mining.mine`, imported when a command first mines (module docstring)."""
+    from .mining import mine
+    return mine(stream, ctx, cfg)
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
@@ -337,7 +354,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     records = read_patterns(manifest.input)
     usable = [rec for rec in records if not rec.below_min_support]
     if len(usable) < len(records):
-        log.info("ignoring %d record(s) flagged below min-support", len(records) - len(usable))
+        _log_to_stderr().info("ignoring %d record(s) flagged below min-support",
+                              len(records) - len(usable))
 
     distances = PairDistances(usable)
     kept = g_beta_select(usable, cfg, distances)
@@ -377,6 +395,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_static_compare(args: argparse.Namespace) -> int:
+    from .context import closure
+    from .cores import apply_core
+    from .mining import MinerConfig
+    from .stream import induced_static_graph
+
     manifest = _manifest_from_args(args)
     # checked with the other options, before any file is read
     MinerConfig(min_support=args.static_min_support)
@@ -445,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="core operator: identity, star-sat:K or ha:H,A "
                                   "(default: star-sat:2, or ha:2,2 for directed streams)")
     stream_opts.add_argument("--stream", help="link-stream file")
-    stream_opts.add_argument("--format", choices=["auto", *dataio.FORMAT_WIDTHS])
+    stream_opts.add_argument("--format", choices=["auto", *FORMAT_WIDTHS])
     stream_opts.add_argument("--attributes", help="node attribute file")
     stream_opts.add_argument("--presence", help="explicit presence file")
     stream_opts.add_argument("--directed", action="store_true")
@@ -496,17 +519,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _log_to_stderr():
+    """This module's logger, its INFO records written to stderr as "LEVEL message"."""
+    import logging  # only for the commands that log: `select` logs one line at most
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    return logging.getLogger(__name__)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("mine", "static-compare"):  # the miner and the readers log
+        _log_to_stderr()
     collecting = gc.isenabled()
     gc.disable()
     try:
         return args.func(args)
     except BrokenPipeError:  # stdout's reader left: `entry` exits 141
         raise
-    except (dataio.ParseError, OSError) as err:
+    except (ParseError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as err:  # ConfigError among them

@@ -13,14 +13,16 @@ Record formats (whitespace- or comma-separated, `#` starts a comment):
 Timestamps are seconds; they are converted to integer ticks with a
 configurable ticks-per-second resolution and must land on the grid.
 
-Every file reader, `mining.read_patterns` too, takes a path and its
-rows from `_iter_rows`, which reads the file's bytes as they are
-iterated (`_chunks`), decodes them once (`_decode`, a leading byte-order
-mark dropped), numbers the lines in the same pass as `str.splitlines`
-cuts them, and skips blank and comment lines (`_numbered`). The
-presence and high-school readers split their rows with `_fields`, which
-refuses a row of the wrong field count, or with an empty node name or
-class, naming its line. A row of the high-school metadata or contacts
+Every reader here takes a path and its rows from the row reader of
+`patternio`, which `patternio.read_patterns` uses too: `_iter_rows`
+reads the file's bytes as they are iterated (`_chunks`), decodes them
+once (`_decode`, a leading byte-order mark dropped), numbers the lines
+in the same pass as `str.splitlines` cuts them, and skips blank and
+comment lines (`_numbered`). `ParseError`, `open_output` and the
+formats' row widths (`FORMAT_WIDTHS`) live there too, and are imported
+here under the same names. The presence and high-school readers split
+their rows with `_fields`, which refuses a row of the wrong field
+count, or with an empty node name or class, naming its line. A row of the high-school metadata or contacts
 table that holds a tab is cut at each tab, so an empty column between
 two tabs is seen and refused; every other row is cut at commas, or at
 runs of whitespace when it has none.
@@ -61,104 +63,20 @@ from __future__ import annotations
 
 import logging
 import operator
-import os
-import stat
-from functools import partial
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, TextIO,
-                    Tuple, Union)
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .context import AttributeContext, ItemUniverse
 from .intervals import IntervalSet, Span, _merge
+from .patternio import (FORMAT_WIDTHS, ParseError, _chunks, _decode, _iter_rows, _numbered,
+                        open_output)
 from .stream import StreamGraph
 
 log = logging.getLogger(__name__)
 
-# columns per row of each link-stream format
-FORMAT_WIDTHS = {"triples": 3, "quadruples": 4, "contacts": 5}
-
-_CHUNK_BYTES = 1 << 16
-
 # the default limit of Python's own int() on decimal text; it also keeps
 # an exponent such as 1e999999999 from building a huge integer
 MAX_TIMESTAMP_DIGITS = 4300
-
-
-class ParseError(ValueError):
-    """Malformed input with file/row context."""
-
-    def __init__(self, message: str, source: str = "", row: int = 0):
-        place = f"{source}:{row}" if source and row else source or f"row {row}"
-        super().__init__(f"{place}: {message}")
-        self.message = message
-        self.source = source
-        self.row = row
-
-
-def _iter_rows(path: Union[str, Path]) -> Tuple[str, Iterator[Tuple[int, str]]]:
-    """(source, rows): the numbered rows of the file at `path`, blank and `#` lines skipped.
-
-    The file is opened when the rows are first iterated and read by
-    `_chunks`, so a chunk never ends inside a line or a character. Each
-    chunk is decoded once by `_decode`, a byte-order mark dropped from
-    the first, and cut by `_numbered` where `str.splitlines` cuts, so a
-    row ends at every line break it knows (`\\r`, `\\v`, `\\f`,
-    `\\x1c`-`\\x1e`, `\\x85`, `\\u2028`, `\\u2029` as well as `\\n`) and
-    row numbers count them all. A file whose lines end in a lone `\\r`
-    has no b"\\n" to end a chunk at, so it is read as one chunk. Bytes
-    that are not UTF-8 raise a ParseError naming their line.
-    """
-    source = str(path)
-    return source, _rows(source)
-
-
-def _rows(source: str) -> Iterator[Tuple[int, str]]:
-    line = 0
-    for i, chunk in enumerate(_chunks(source)):
-        rows, line = _numbered(_decode(chunk, i == 0, source, line), line)
-        yield from rows
-
-
-def _chunks(source: str) -> Iterator[bytes]:
-    """The bytes of the file at `source` in pieces of about `_CHUNK_BYTES`, each ending at b"\\n".
-
-    Only the last piece may end elsewhere, at the end of the file.
-    """
-    with open(source, "rb") as handle:
-        for chunk in iter(partial(handle.read, _CHUNK_BYTES), b""):
-            if not chunk.endswith(b"\n"):  # the chunk ends inside a line: finish it
-                chunk += handle.readline()
-            yield chunk
-
-
-def _decode(chunk: bytes, first: bool, source: str, line: int) -> str:
-    """The text of `chunk`, whose first line follows file line `line`.
-
-    A byte-order mark is dropped at the start of the file (the `first`
-    chunk) only. Bytes that are not UTF-8 raise a ParseError naming
-    their line.
-    """
-    try:
-        return chunk.decode("utf-8-sig" if first else "utf-8")
-    except UnicodeDecodeError as err:
-        # err.object is the chunk after any byte-order mark; the sentinel ends its last line
-        before = err.object[:err.start].decode("utf-8") + "|"
-        raise ParseError(
-            f"not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}",
-            source, line + len(before.splitlines())) from None
-
-
-def _numbered(text: str, line: int) -> Tuple[Iterator[Tuple[int, str]], int]:
-    """(rows, last): the rows of `text`, whose first line is file line `line` + 1, and
-    the number of its last line.
-
-    Each row is stripped and numbered by its line; blank and `#` lines
-    are skipped.
-    """
-    lines = text.splitlines()
-    rows = ((number, row) for number, row in enumerate(map(str.strip, lines), start=line + 1)
-            if row and row[0] != "#")
-    return rows, line + len(lines)
 
 
 def _split(text: str, tabs: bool = False) -> List[str]:
@@ -545,27 +463,6 @@ def read_presence(path: Union[str, Path], *, resolution: int = 1) -> Dict[str, I
             raise ParseError(f"empty presence interval [{bt}, {et})", source, row)
         spans.setdefault(str(v), []).append((bt, et))
     return {v: IntervalSet(sp) for v, sp in spans.items()}
-
-
-def open_output(path: Union[str, Path]) -> TextIO:
-    """`path` opened for writing text, as a new file.
-
-    A symlink is resolved and its target written. An existing regular
-    file there is unlinked and a new one created, so the old file's
-    mode and any hard link to it are not kept. Truncating in place
-    would make a re-run wait: ext4 with its default `auto_da_alloc`
-    starts writing a truncated file back when it is closed, and the
-    next truncation of that file waits for the writeback. Renaming a
-    new file over the old one flushes it just the same. Any other kind
-    of entry, such as a FIFO, is opened as it is.
-    """
-    real = os.path.realpath(path)
-    try:
-        if stat.S_ISREG(os.lstat(real).st_mode):
-            os.unlink(real)
-    except FileNotFoundError:
-        pass
-    return open(real, "w")
 
 
 def _row_name(name: object, kind: str, separators: str) -> str:

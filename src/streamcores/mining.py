@@ -43,25 +43,24 @@ each intent) and nothing else; there is no item-order setting.
 
 Static closed patterns are mined by the same loop on the time-collapsed
 stream (`induced_static_graph`).
+
+The miner returns `ClosedPatternRecord`s; the record, its pattern file
+and the support measures a threshold takes (`SUPPORT_MEASURES`) live in
+`patternio`, which `select` and `inspect` load without this module.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-from json.encoder import encode_basestring_ascii as _quoted  # json.dumps' string encoder
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .context import AttributeContext, Pattern, intent
 from .cores import CoreSpec, apply_core
-from .dataio import ParseError, _iter_rows, open_output
 from .intervals import IntervalSet
+from .patternio import SUPPORT_MEASURES, ClosedPatternRecord
 from .stream import StreamGraph, TimeNodeSet
 
 log = logging.getLogger(__name__)
-
-SUPPORT_MEASURES = ("duration", "nodes")
 
 
 class MinerConfig:
@@ -77,19 +76,6 @@ class MinerConfig:
         self.min_support = min_support
         self.min_intent_size = min_intent_size
         self.support_measure = support_measure  # threshold unit: node-ticks or distinct nodes
-
-
-class ClosedPatternRecord:
-    def __init__(self, items: Tuple[str, ...], support: TimeNodeSet, support_measure: int,
-                 node_count: int, mask: Optional[Pattern] = None, depth: int = 0,
-                 below_min_support: bool = False) -> None:
-        self.items = items  # universe order
-        self.support = support
-        self.support_measure = support_measure  # node-ticks
-        self.node_count = node_count
-        self.mask = mask
-        self.depth = depth
-        self.below_min_support = below_min_support
 
 
 def _deliver(
@@ -223,152 +209,3 @@ def filter_min_intent(
     """Keep records with at least n items, preserving order."""
     return [rec for rec in records if len(rec.items) >= n]
 
-
-# -- pattern files ------------------------------------------------------------
-
-
-_PATTERN_FIELDS = {"intent", "support", "support_measure", "node_count", "below_min_support"}
-
-# the most spans that one piece of a record's support holds: about 100 KB of text
-_PIECE_SPANS = 4096
-
-
-def _support_pieces(support: TimeNodeSet) -> Iterator[str]:
-    """The JSON text of `support` without its braces, in pieces to be joined by ", ".
-
-    Each piece is `json.dumps` of the next nodes, holding at most
-    `_PIECE_SPANS` spans in all, with its braces stripped. A node with
-    more spans than that is cut into slices of its span list: its key
-    with the first slice, then each later slice without its brackets,
-    the last one closing the list.
-    """
-    piece, room = {}, _PIECE_SPANS
-    for v, ivs in support.items():
-        spans = ivs.spans
-        if len(spans) > room:
-            if piece:
-                yield json.dumps(piece)[1:-1]
-                piece, room = {}, _PIECE_SPANS
-            if len(spans) > room:
-                yield json.dumps({v: spans[:_PIECE_SPANS]})[1:-2]
-                for i in range(_PIECE_SPANS, len(spans), _PIECE_SPANS):
-                    text = json.dumps(spans[i:i + _PIECE_SPANS])
-                    yield text[1:] if i + _PIECE_SPANS >= len(spans) else text[1:-1]
-                continue
-        piece[v] = spans  # tuples dump as arrays
-        room -= len(spans)
-    if piece:
-        yield json.dumps(piece)[1:-1]
-
-
-def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path]) -> None:
-    """One JSON object per line, fields in a fixed order, each line break escaped.
-
-    A line holds the bytes of one `json.dumps` of the record's fields,
-    but it is written piece by piece: the fixed fields around the
-    support, and the support in pieces of at most `_PIECE_SPANS` spans
-    (`_support_pieces`), so no whole line is held, however large the
-    support. The intent's items are quoted by the string encoder that
-    `json.dumps` uses, and the first piece goes out with them, so a
-    small record costs one `json.dumps`.
-    """
-    with open_output(path) as handle:
-        write = handle.write
-        for rec in records:
-            pieces = _support_pieces(rec.support)
-            write('{"intent": [%s], "support": {%s' % (", ".join(map(_quoted, rec.items)),
-                                                        next(pieces, "")))
-            for piece in pieces:
-                write(", ")
-                write(piece)
-            write('}, "support_measure": %d, "node_count": %d%s}\n' % (
-                rec.support_measure, rec.node_count,
-                ', "below_min_support": true' if rec.below_min_support else ""))
-
-
-def _typed(value, kind: type, name: str):
-    """`value` itself when its type is exactly `kind` (so a bool is no int)."""
-    if type(value) is not kind:
-        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _node_support(node: str, spans) -> IntervalSet:
-    """One node's span list as `write_patterns` writes it, checked in one pass.
-
-    The spans must be [start, end] integer pairs, nonempty, sorted,
-    disjoint and non-touching, and there must be at least one: a list
-    that canonicalisation would change is refused, not repaired.
-    """
-    _typed(spans, list, f"spans of node {node!r}")
-    if not spans:
-        raise ValueError(f"node {node!r} has no spans")
-    out = []
-    end = None
-    for span in spans:
-        if type(span) is not list or len(span) != 2:
-            raise ValueError(f"span of node {node!r} must be a [start, end] pair, got {span!r}")
-        a, b = span
-        if type(a) is not int or type(b) is not int:
-            _typed(a, int, "span start")
-            _typed(b, int, "span end")
-        if a >= b:
-            raise ValueError(f"empty span [{a}, {b}) of node {node!r}")
-        if end is not None and a <= end:
-            raise ValueError(f"span [{a}, {b}) of node {node!r} does not start after "
-                             f"the end {end} of the span before it")
-        out.append((a, b))
-        end = b
-    return IntervalSet._raw(tuple(out))
-
-
-def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
-    """Records written by `write_patterns`.
-
-    A malformed record, one whose `support_measure` or `node_count`
-    disagrees with its support, or one with an empty support that is not
-    flagged `below_min_support`, raises `dataio.ParseError`. Values are
-    checked, never coerced or repaired: an intent must be a list of
-    strings, the support an object of canonical span lists (see
-    `_node_support`), every number a plain integer, and every key one
-    that `write_patterns` writes. Rows are cut as `dataio._iter_rows`
-    cuts any input file; a line that is not UTF-8 raises a ParseError.
-    """
-    records = []
-    source, rows = _iter_rows(path)
-    for i, line in rows:
-        try:
-            obj = json.loads(line)
-            unknown = _typed(obj, dict, "record").keys() - _PATTERN_FIELDS
-            if unknown:
-                raise ValueError(f"unknown fields {sorted(unknown)}")
-            items = tuple(_typed(obj["intent"], list, "intent"))
-            for item in items:
-                _typed(item, str, "intent item")
-            if len(set(items)) < len(items):
-                raise ValueError(f"intent {list(items)} repeats an item")
-            support = TimeNodeSet._raw({
-                v: _node_support(v, spans)
-                for v, spans in _typed(obj["support"], dict, "support").items()
-            })
-            rec = ClosedPatternRecord(
-                items=items,
-                support=support,
-                support_measure=_typed(obj["support_measure"], int, "support_measure"),
-                node_count=_typed(obj["node_count"], int, "node_count"),
-                below_min_support=_typed(obj.get("below_min_support", False), bool,
-                                         "below_min_support"),
-            )
-            # mine flags every empty support: min_support is at least 1
-            if not support and not rec.below_min_support:
-                raise ValueError("an empty support must be flagged below_min_support")
-            if rec.support_measure != support.measure():
-                raise ValueError(f"support_measure {rec.support_measure} but the "
-                                 f"support covers {support.measure()} node-ticks")
-            if rec.node_count != support.node_count():
-                raise ValueError(f"node_count {rec.node_count} but the "
-                                 f"support has {support.node_count()} nodes")
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
-            raise ParseError(f"bad pattern record: {err}", source, i) from None
-        records.append(rec)
-    return records

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .mining import ClosedPatternRecord
+from .patternio import ClosedPatternRecord
 from .stream import TimeNodeSet
 
 INTEREST_MEASURES: Dict[str, Callable[[ClosedPatternRecord], int]] = {

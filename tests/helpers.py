@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
+from unittest import mock
 
 import pytest
 
@@ -19,6 +21,7 @@ from streamcores import (
     TimeNodeSet,
     apply_core,
 )
+from streamcores import dataio, patternio
 from streamcores.context import extent, intent
 
 NODE_NAMES = ["a", "b", "c", "d", "e"]
@@ -35,6 +38,29 @@ def write_lines(path: Path, lines: Iterable[str]) -> Path:
     """`path` holding `lines`, each ended by a newline, as UTF-8; returns `path`."""
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
     return path
+
+
+@contextmanager
+def read_in_chunks(size: int) -> Iterator[List[int]]:
+    """Within the block, files are read in chunks of about `size` bytes.
+
+    The size is set in `patternio`, the module whose `_chunks` reads it.
+    Yields a list that gets the byte count of each chunk read, taken
+    where the readers call `_chunks`: the row reader and the link-stream
+    reader.
+    """
+    taken: List[int] = []
+    chunks = patternio._chunks
+
+    def counted(source):
+        for chunk in chunks(source):
+            taken.append(len(chunk))
+            yield chunk
+
+    with mock.patch.object(patternio, "_CHUNK_BYTES", size), \
+            mock.patch.object(patternio, "_chunks", counted), \
+            mock.patch.object(dataio, "_chunks", counted):
+        yield taken
 
 
 def random_stream(

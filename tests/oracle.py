@@ -26,7 +26,7 @@ each record is sound, and one step from each record reaches only
 emitted intents.
 
 `reference_write_patterns` writes each record's line with one
-`json.dumps` of the whole record; `mining.write_patterns`, which writes
+`json.dumps` of the whole record; `patternio.write_patterns`, which writes
 the support in pieces, must write the same bytes.
 
 `reference_read_link_stream` is the link-stream reader row by row: the
@@ -343,7 +343,7 @@ def certify(
     Each record's support is tallied by item in one pass, as the
     miner's occurrence deliver does, rather than taking one global
     extent per record and item. Records are matched by their items, so
-    the records `mining.read_patterns` returns are certified as well.
+    the records `patternio.read_patterns` returns are certified as well.
     """
     if cfg.min_intent_size:
         raise ValueError("a run that drops small intents breaks the chain from the root")
@@ -401,7 +401,7 @@ def _record_payload(rec: ClosedPatternRecord) -> dict:
 
 def reference_write_patterns(records: Sequence[ClosedPatternRecord],
                              path: Union[str, Path]) -> None:
-    """`mining.write_patterns` as one `json.dumps` of each whole record."""
+    """`patternio.write_patterns` as one `json.dumps` of each whole record."""
     with open_output(path) as handle:
         for rec in records:
             handle.write(json.dumps(_record_payload(rec)))

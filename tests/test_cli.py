@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from streamcores import dataio, read_patterns, selection, star_satellite_core
+from streamcores import read_patterns, selection, star_satellite_core
 from streamcores.cli import main
 from streamcores.toys import star_toy_stream, write_demo_files
+
+from helpers import read_in_chunks
 
 
 @pytest.fixture(scope="module")
@@ -235,15 +237,18 @@ _LONG_STREAM = "".join(f"{20 * i} a b\n" for i in range(1, 10_001)).encode()
 def test_a_data_file_that_is_not_utf8_is_an_input_error_naming_its_line(
         tmp_path, monkeypatch, capsys, argv, data, line, chunk):
     monkeypatch.chdir(tmp_path)
-    if chunk is not None:
-        monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
     write_demo_files(tmp_path)
     if data is None:  # seven mined records, then a bad line
         assert run("mine", *_TINY, "--output", "patterns.jsonl") == 0
         data = (tmp_path / "patterns.jsonl").read_bytes() + b'{"intent": ["\xff"]}\n'
     (tmp_path / "bad").write_bytes(data)
     capsys.readouterr()
-    assert run(*argv) == 1
+    if chunk is None:
+        assert run(*argv) == 1
+    else:
+        with read_in_chunks(chunk) as taken:
+            assert run(*argv) == 1
+        assert len(taken) == 3  # the bad byte is in the third chunk
     assert capsys.readouterr().err.startswith(f"input error: bad:{line}: not UTF-8 text")
     assert not (tmp_path / "o.jsonl").exists()
 
@@ -812,15 +817,113 @@ def test_mine_loads_decimal_only_for_a_delta_that_is_not_an_integer(tmp_path, op
     assert done.stdout.splitlines()[-1] == f"0 {decimal}"
 
 
-def test_every_package_module_is_one_a_command_runs():
+_DEMO_COMMANDS = {
+    "mine": ["mine", "--stream", "compare_toy.csv", "--attributes", "compare_toy_attrs.csv",
+             "--core", "star-sat:2", "--output", "patterns.jsonl"],
+    "select": ["select", "--input", "patterns.jsonl", "--beta", "0.4",
+               "--output", "selected.jsonl"],
+    "inspect": ["inspect", "--input", "patterns.jsonl"],
+    "static-compare": ["static-compare", "--stream", "compare_toy.csv",
+                       "--attributes", "compare_toy_attrs.csv", "--core", "star-sat:2"],
+}
+
+
+@pytest.fixture(scope="module")
+def loaded_by_command(tmp_path_factory):
+    """Each command on the demo files, in order, each in a fresh process that calls
+    `main`: the command -> the modules loaded when it returned, `site`'s excepted."""
+    cwd = write_demo_files(tmp_path_factory.mktemp("demo"))["compare_stream"].parent
+    loaded = {}
+    for command, argv in _DEMO_COMMANDS.items():
+        done = _python(["-c", "import sys; before = set(sys.modules); "
+                              f"from streamcores.cli import main; code = main({argv!r}); "
+                              "print(code, *sorted(set(sys.modules) - before))"], cwd)
+        assert done.returncode == 0, done.stderr
+        code, *modules = done.stdout.splitlines()[-1].split()
+        assert code == "0", done.stdout
+        loaded[command] = set(modules)
+    assert not any(rec.below_min_support for rec in read_patterns(cwd / "patterns.jsonl"))
+    return loaded
+
+
+def test_every_package_module_is_one_a_command_runs(loaded_by_command):
     # code only the tests use, the oracle among it, lives under tests/; `toys`
     # writes the demo files the README runs
     package = Path(selection.__file__).parent
-    done = _python(["-c", "import sys, streamcores.cli; "
-                          "print(*(m for m in sys.modules if m.startswith('streamcores.')))"])
-    assert done.returncode == 0, done.stderr
     modules = {f"streamcores.{path.stem}" for path in package.glob("*.py")}
-    assert modules - {"streamcores.__init__"} == set(done.stdout.split()) | {"streamcores.toys"}
+    ran = set().union(*loaded_by_command.values())
+    assert modules - {"streamcores.__init__"} == {
+        m for m in ran if m.startswith("streamcores.")} | {"streamcores.toys"}
+
+
+def test_select_and_inspect_load_no_miner_no_stream_reader_and_no_logging(loaded_by_command):
+    mining = {"logging", "streamcores.mining", "streamcores.cores", "streamcores.context",
+              "streamcores.dataio"}
+    # on a pattern file without a flagged record, which select would log
+    for command in ("select", "inspect"):
+        assert "streamcores.patternio" in loaded_by_command[command]
+        assert not mining & loaded_by_command[command], command
+    for command in ("mine", "static-compare"):
+        assert mining <= loaded_by_command[command], command
+
+
+def test_select_reports_the_records_flagged_below_min_support(tmp_path):
+    # a threshold above the root's support: the one record, the root, is
+    # flagged, as in the ingest-xl benchmark
+    write_demo_files(tmp_path)
+    mined = _cli_process(["mine", "--stream", "compare_toy.csv", "--core", "identity",
+                          "--min-support", "100000", "--output", "patterns.jsonl"], tmp_path)
+    assert mined.returncode == 0, mined.stderr
+    assert mined.stdout.startswith("patterns: 0 (+1 below min-support)\n")
+    done = _cli_process(["select", "--input", "patterns.jsonl", "--output", "selected.jsonl"],
+                        tmp_path)
+    assert done.returncode == 0
+    assert done.stderr == "INFO ignoring 1 record(s) flagged below min-support\n"
+    assert done.stdout == ("beta=0: kept 0 of 0\nsweep:\n  beta=0 kept=0\n  beta=0.2 kept=0\n"
+                           "  beta=0.4 kept=0\n  beta=0.6 kept=0\n  beta=0.8 kept=0\n")
+    assert (tmp_path / "selected.jsonl").read_bytes() == b""
+
+
+def test_tracing_finds_every_layer_the_benchmark_reports(tmp_path):
+    # perfbench/traced.py rebinds module globals of the package, cli.mine,
+    # cli.read_patterns, cli.write_patterns and cli.selection_counts among them;
+    # a span or note it loses is a benchmark metric that cannot be read
+    traced = Path(__file__).parents[1] / "perfbench" / "traced.py"
+    write_demo_files(tmp_path)
+    traces = {}
+    for command in ("mine", "select"):
+        done = _python([traced, f"{command}.trace.json", *_DEMO_COMMANDS[command]], tmp_path)
+        assert done.returncode == 0, done.stderr
+        traces[command] = json.loads((tmp_path / f"{command}.trace.json").read_text())
+    mined, selected = traces["mine"], traces["select"]
+    assert {"dataio.read", "dataio.ingest", "stream.build", "mining", "cores",
+            "context.intent", "cli.write_patterns"} <= set(mined["names"])
+    assert {"cli.read_patterns", "cli.write_patterns", "selection.sweep"} <= set(
+        selected["names"])
+    assert mined["counts"]["intervals.coverage"] > 0
+    assert mined["notes"]["rows"] > 0
+    assert mined["notes"]["patterns"] == len(read_patterns(tmp_path / "patterns.jsonl")) > 1
+    assert mined["notes"]["max_depth"] > 0
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    done = _python(["-c", "import sys, streamcores; "
+                          "print(*(m for m in sys.modules if m.startswith('streamcores')))"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["streamcores"]
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    import streamcores
+    assert set(streamcores.__all__) <= set(dir(streamcores))
+    for name in streamcores.__all__:
+        value = getattr(streamcores, name)
+        # the module of a class or function, or of the class of EMPTY
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("streamcores.")
+        assert getattr(home, name) is value
+    with pytest.raises(AttributeError, match="'streamcores' has no attribute 'no_such_name'"):
+        streamcores.no_such_name
 
 
 @pytest.mark.parametrize("stem", sorted(path.stem for path in
@@ -1074,10 +1177,11 @@ class TestStaticCompareCommand:
 
     def test_a_stream_intent_that_is_no_static_intent_is_a_violation(
             self, demo, monkeypatch, capsys):
-        from streamcores import StreamGraph, cli
-        # a collapsed graph without its pairs: no static 2-star-satellite core is left
-        monkeypatch.setattr(cli, "induced_static_graph", lambda stream: StreamGraph(
-            {}, presence={v: [(0, 1)] for v in stream.nodes}))
+        from streamcores import StreamGraph, stream
+        # a collapsed graph without its pairs: no static 2-star-satellite core is left;
+        # static-compare imports induced_static_graph from its module when it runs
+        monkeypatch.setattr(stream, "induced_static_graph", lambda s: StreamGraph(
+            {}, presence={v: [(0, 1)] for v in s.nodes}))
         code = run("static-compare", "--stream", demo["compare_stream"],
                    "--attributes", demo["compare_attrs"], "--core", "star-sat:2")
         out = capsys.readouterr().out

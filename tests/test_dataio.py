@@ -24,7 +24,7 @@ from streamcores.dataio import (
 from streamcores.toys import star_toy_stream
 
 import random
-from helpers import random_stream, write_lines
+from helpers import random_stream, read_in_chunks, write_lines
 from oracle import reference_read_link_stream
 
 
@@ -386,7 +386,7 @@ class TestReadLinkStreamAgainstReference:
         text = text if last_break else text.rstrip("".join(LINE_BREAKS))
         _write(path, "\ufeff" + text if mark else text)  # a byte-order mark, at times
         # small chunks end inside rows, and each is finished with the rest of its line
-        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+        with read_in_chunks(chunk):
             got = _outcome(read_link_stream, path, **options)
         assert got == _outcome(reference_read_link_stream, path, **options)
 
@@ -404,8 +404,7 @@ class TestReadLinkStreamAgainstReference:
         path = tmp_path_factory.mktemp("streams") / "stream.txt"
         _write(path, text)
         plain, spy = _plain_spy()
-        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk), \
-                mock.patch.object(dataio, "_plain_records", spy):
+        with read_in_chunks(chunk), mock.patch.object(dataio, "_plain_records", spy):
             got = _outcome(read_link_stream, path, **options)
         assert got == _outcome(reference_read_link_stream, path, **options)
         if not faults:
@@ -417,7 +416,7 @@ class TestReadLinkStreamAgainstReference:
         # one row per break; "\v" inside "1 2\va b" makes two short rows, never one
         rows = [f"{i} {i + 1} a b" for i in range(len(LINE_BREAKS))]
         _write(path, "".join(row + brk for row, brk in zip(rows, LINE_BREAKS)))
-        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+        with read_in_chunks(chunk):
             s = read_link_stream(path)
             assert s.adjacency("a")["b"] == IntervalSet.span(0, len(LINE_BREAKS))
             assert _outcome(read_link_stream, path) == _outcome(reference_read_link_stream, path)
@@ -432,7 +431,7 @@ class TestReadLinkStreamAgainstReference:
         path = tmp_path / "long.txt"
         long = f"0 1 {'n' * 300} b"
         _write(path, f"# x\r\n{long}\v1 2 c d\r\n{long[::-1]}")
-        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+        with read_in_chunks(chunk):
             _, rows = dataio._iter_rows(path)
             assert list(rows) == [(2, long), (3, "1 2 c d"), (4, long[::-1])]
 
@@ -440,7 +439,7 @@ class TestReadLinkStreamAgainstReference:
     def test_only_a_byte_order_mark_that_starts_the_file_is_dropped(self, tmp_path, chunk):
         path = tmp_path / "marks.txt"
         _write(path, "\ufeff0 1 a b\n\ufeff1 2 a b\n")
-        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+        with read_in_chunks(chunk):
             _, rows = dataio._iter_rows(path)
             assert list(rows) == [(1, "0 1 a b"), (2, "\ufeff1 2 a b")]
             # the stream reader keeps it too: "\ufeff1" is no timestamp
@@ -465,8 +464,9 @@ class TestReadLinkStreamAgainstReference:
         for chunk in (1, 1 << 16):  # row by row, and one plain chunk
             parsed.clear()
             built.clear()
-            monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
-            read_link_stream(path)
+            with read_in_chunks(chunk) as taken:
+                read_link_stream(path)
+            assert (len(taken) > 1) == (chunk == 1)
             # each timestamp text parsed once; the extension is the one number
             assert sorted(map(str, parsed)) == ["1385982020", "1385982040", "20"]
             (pairs,) = built
@@ -492,7 +492,7 @@ class TestRecordSource:
         rows = [f"{b} {u} {v}" if width == 3 else f"{b} {b + n} {u} {v}" for b, n, u, v in records]
         path = write_lines(tmp_path_factory.mktemp("streams") / "stream.txt", rows)
         options = {"directed": directed, "instant_extension_seconds": 5}
-        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+        with read_in_chunks(chunk):
             got = _outcome(read_link_stream, path, **options)
         assert got == _outcome(reference_read_link_stream, path, **options)
 
@@ -506,9 +506,9 @@ class TestRecordSource:
         path = write_lines(tmp_path / "s.txt", rows)
         plain, spy = _plain_spy()
         monkeypatch.setattr(dataio, "_plain_records", spy)
-        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 48)
-        s = read_link_stream(path)
-        assert len(plain) > 10 and all(plain)
+        with read_in_chunks(48) as taken:
+            s = read_link_stream(path)
+        assert len(taken) == len(plain) > 10 and all(plain)
         assert _outcome(lambda p: s, path) == _outcome(reference_read_link_stream, path)
         assert len(s.adjacency("1")["3"]) > 1  # a gap every seventh row keeps spans apart
 
@@ -517,7 +517,6 @@ class TestRecordSource:
         rng = random.Random(8)
         plain, spy = _plain_spy()
         monkeypatch.setattr(dataio, "_plain_records", spy)
-        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 16)
         chunks = 0
         for i in range(10):
             directed = bool(i % 2)
@@ -525,9 +524,11 @@ class TestRecordSource:
             path = tmp_path / f"s{i}.txt"
             write_link_stream(original, path)
             plain.clear()
-            s = read_link_stream(path, fmt="quadruples", directed=directed)
+            with read_in_chunks(16) as taken:
+                s = read_link_stream(path, fmt="quadruples", directed=directed)
             # the header comment is read row by row, every other chunk whole
             assert plain[0] is False and all(plain[1:])
+            assert len(taken) == len(plain)
             chunks += len(plain)
             assert _outcome(lambda p: s, path) == _outcome(reference_read_link_stream, path,
                                                            fmt="quadruples", directed=directed)
@@ -553,11 +554,12 @@ class TestRecordSource:
             merges.append(len(spans))
             return merge(spans)
 
-        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 500)
         monkeypatch.setattr(dataio, "_merge", counted)
-        want = _outcome(read_link_stream, ordered, fmt="contacts")
-        assert merges == []  # rows in time order are never merged
-        s = read_link_stream(shuffled, fmt="contacts")
+        with read_in_chunks(500) as taken:
+            want = _outcome(read_link_stream, ordered, fmt="contacts")
+            assert merges == []  # rows in time order are never merged
+            s = read_link_stream(shuffled, fmt="contacts")
+        assert len(taken) > 100  # two files of about 26 KB each
         # each out-of-order pair's spans were merged before the end of the file too
         assert len(merges) > 2 * s.interaction_count()
         assert _outcome(lambda p: s, shuffled) == want
@@ -590,11 +592,12 @@ class TestRecordSource:
         # the others row by row, and len() counts the records of both
         plain, spy = _plain_spy()
         monkeypatch.setattr(dataio, "_plain_records", spy)
-        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 16)
         lines = [f"{20 * i} a b" if i % 5 else "# x" for i in range(1, 61)]
         seen.clear()
-        s = read_link_stream(write_lines(path, lines))
+        with read_in_chunks(16) as taken:
+            s = read_link_stream(write_lines(path, lines))
         assert seen == ["built", 48]
+        assert len(taken) == len(plain)
         assert plain.count(True) > 5 and plain.count(False) > 5
         assert s.adjacency("a")["b"] == reference_read_link_stream(path).adjacency("a")["b"]
 

@@ -22,7 +22,7 @@ from streamcores import (
     read_patterns,
     write_patterns,
 )
-from streamcores import mining
+from streamcores import patternio
 from streamcores.dataio import ParseError
 from streamcores.mining import SUPPORT_MEASURES
 from streamcores.toys import compare_toy, triple_context_stream
@@ -507,7 +507,7 @@ class TestPatternFiles:
         assert rec.below_min_support and not rec.support
 
 
-PIECE = 4096  # mining._PIECE_SPANS, the most spans of one piece of a written support
+PIECE = 4096  # patternio._PIECE_SPANS, the most spans of one piece of a written support
 
 # quotes, backslashes, text outside ASCII (an astral character among it)
 # and every line break the row reader cuts at
@@ -553,15 +553,15 @@ class TestWriterAgainstReference:
         piece, records = case
         path = tmp_path_factory.mktemp("patterns")
         reference_write_patterns(records, path / "reference.jsonl")
-        with mock.patch.object(mining, "_PIECE_SPANS", piece, create=True):
+        with mock.patch.object(patternio, "_PIECE_SPANS", piece, create=True):
             write_patterns(records, path / "pieces.jsonl")
         assert (path / "pieces.jsonl").read_bytes() == (path / "reference.jsonl").read_bytes()
 
     def test_no_piece_holds_more_spans_than_the_bound(self):
-        assert mining._PIECE_SPANS == PIECE
+        assert patternio._PIECE_SPANS == PIECE
         support = _record([], {"a": 2 * PIECE + 1, "b": PIECE // 2, "c": PIECE // 2 + 1,
                                "d": 3}).support
-        pieces = list(mining._support_pieces(support))
+        pieces = list(patternio._support_pieces(support))
         spans = [len(re.findall(r"\[\d+, \d+\]", piece)) for piece in pieces]
         assert spans == [PIECE, PIECE, 1, PIECE // 2, PIECE // 2 + 4]
         assert "{" + ", ".join(pieces) + "}" == json.dumps(
