@@ -69,8 +69,8 @@ in process.
 Exit codes: 0 success, 1 input error, 2 configuration error,
 3 invariant violation, 141 standard output closed by its reader. A data
 file that is not UTF-8 text, or a presence file that does not cover the
-stream, is an input error; a manifest that is not JSON text is a
-configuration error.
+stream, is an input error; a manifest that is not JSON text, or that
+repeats a key, is a configuration error.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
 
-from .patternio import (FORMAT_WIDTHS, SUPPORT_MEASURES, ParseError, open_output, read_patterns,
-                        write_patterns)
+from .patternio import (FORMAT_WIDTHS, SUPPORT_MEASURES, ParseError, _unique_keys, open_output,
+                        read_patterns, write_patterns)
 from .selection import (INTEREST_MEASURES, PairDistances, SelectionConfig, g_beta_select,
                         interest_key, selection_counts)
 
@@ -168,8 +168,9 @@ class RunManifest:
         any other value is a run that cannot be reproduced.
         """
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            data = json.loads(Path(path).read_text(encoding="utf-8"),
+                              object_pairs_hook=_unique_keys)
+        except ValueError as err:  # not UTF-8, not JSON, or a key repeated
             raise ConfigError(f"--manifest {path}: {err}") from None
         if type(data) is not dict or "command" not in data:
             raise ConfigError("a manifest must be a JSON object with a command field")

@@ -80,16 +80,20 @@ class CoreSpec:
 
     @classmethod
     def parse(cls, text: str) -> "CoreSpec":
-        """Parse "identity", "star-sat:K" or "ha:H,A"."""
-        name, _, args = text.strip().partition(":")
+        """Parse "identity", "star-sat:K" or "ha:H,A", with K, H and A in ASCII digits.
+
+        Surrounding whitespace is stripped; `int` alone would also read "1_0", "+2" or "٣".
+        """
+        name, colon, args = text.strip().partition(":")
+        counts = args.split(",")
+        digits = all(n.isascii() and n.isdigit() for n in counts)
         try:
-            if name == "identity" and not args:
+            if name == "identity" and not colon:
                 return cls.identity()
-            if name == "star-sat":
+            if name == "star-sat" and digits and len(counts) == 1:
                 return cls.star_satellite(int(args))
-            if name == "ha":
-                h, a = args.split(",")
-                return cls.hub_authority(int(h), int(a))
+            if name == "ha" and digits and len(counts) == 2:
+                return cls.hub_authority(*map(int, counts))
         except ValueError as err:
             raise ValueError(f"bad core spec {text!r}: {err}") from None
         raise ValueError(f"bad core spec {text!r}")

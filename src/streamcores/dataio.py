@@ -36,21 +36,19 @@ whole into columns: one split, each column a stride slice, each
 distinct timestamp text parsed once with `to_ticks`, and its records
 checked column-wise for an undirected self-loop or an empty interval.
 Every other chunk, and a plain chunk whose checks fail, is parsed row
-by row into the same columns, so errors, their lines and their order
-are those of a row-by-row reader. Either way the chunk's records are
-grouped by pair, both orientations of an undirected pair in one group;
-a group's instants become spans `[t - delta, t)`, and its merged spans
-are merged into the pair's. A pair whose spans arrive out of time order
-across chunks is merged each time its span list has doubled since it
-was last in order, and once more when the file ends, so a shuffled
-file holds about as many spans per pair as a sorted one; `StreamGraph`
-takes each pair's canonical `IntervalSet` as it is. Each node name is
-kept as one string object, and each tick value, span starts `t - delta`
-included, as one int object. A row that cannot be parsed (column count,
-timestamp, empty node name) raises at once; the first self-loop or
-empty interval is raised once the whole file has parsed, so a later
-row that cannot be parsed is reported first, as if every row had been
-parsed before any record was checked. Errors name the file line.
+by row into the same columns, and its first bad row (column count,
+timestamp, empty node name, empty interval, undirected self-loop)
+raises a ParseError naming its file line: the file is read no further.
+Either way the chunk's records are grouped by pair, both orientations
+of an undirected pair in one group; a group's instants become spans
+`[t - delta, t)`, and its merged spans are merged into the pair's. A
+pair whose spans arrive out of time order across chunks is merged each
+time its span list has doubled since it was last in order, and once
+more when the file ends, so a shuffled file holds about as many spans
+per pair as a sorted one; `StreamGraph` takes each pair's canonical
+`IntervalSet` as it is. Each node name is kept as one string object,
+and each tick value, span starts `t - delta` included, as one int
+object.
 
 Every file the package writes is opened by `open_output`, which makes
 the output a new file rather than truncating the old one in place. The
@@ -163,9 +161,10 @@ def ingest_link_stream(records: _Records, *,
                        presence: Optional[Mapping[str, IntervalSet]] = None) -> StreamGraph:
     """The stream of the link-stream file that `records` reads (see `read_link_stream`).
 
-    The file is parsed here, its pairs' spans gathered by `records`, and
-    the stream built from them with the given `presence`. `len(records)`
-    is then the number of records read.
+    The file is parsed here, its first bad row raised where it is read,
+    its pairs' spans gathered by `records`, and the stream built from
+    them with the given `presence`. `len(records)` is then the number of
+    records read.
     """
     return StreamGraph(records.interactions(), presence=presence, directed=records.directed)
 
@@ -176,10 +175,8 @@ class _Records:
     `interactions()` reads the file a chunk at a time. Either producer,
     `_plain_records` for a plain chunk or `_parse_rows` for any other,
     makes the chunk's columns, and `_gather` merges them into each
-    pair's spans (see the module docstring). A row that cannot be parsed
-    raises a ParseError at once; the first self-loop of an undirected
-    stream, or empty interval, is raised once the whole file has parsed.
-    `len()` is the number of records read.
+    pair's spans (see the module docstring). The first bad row raises a
+    ParseError where it is read. `len()` is the number of records read.
     """
 
     def __init__(self, source: str, width: Optional[int], resolution: int, extension: int,
@@ -203,7 +200,7 @@ class _Records:
 
     def interactions(self) -> Dict[Tuple[str, str], IntervalSet]:
         """Each pair's canonical spans, keyed by the oriented pair, once the file has parsed."""
-        source, width, line, refusal = self.source, self._width, 0, None
+        source, width, line = self.source, self._width, 0
         for i, raw in enumerate(_chunks(source)):
             chunk = _decode(raw, i == 0, source, line)
             # for "auto", a plain chunk's first line is the file's first row
@@ -214,13 +211,10 @@ class _Records:
                 line += count  # one record a line
             else:
                 rows, line = _numbered(chunk, line)
-                width, count, columns, refused = self._parse_rows(rows, width)
-                refusal = refusal or refused
+                width, count, columns = self._parse_rows(rows, width)
             self._count += count
-            if refusal is None and columns:
+            if columns:
                 self._gather(columns)
-        if refusal is not None:
-            raise refusal
         self._names, self._ticks, self._ints = {}, {}, {}  # the caches are done with
         spans_of, unsorted = self._spans, self._unsorted
         pairs = {}
@@ -231,15 +225,10 @@ class _Records:
         return pairs
 
     def _parse_rows(self, rows: Iterator[Tuple[int, str]], width: Optional[int]
-                    ) -> Tuple[int, int, List[tuple], Optional[ParseError]]:
-        """(width, count, columns, refusal) of `rows`, parsed one by one.
-
-        Raises the ParseError of a row that cannot be parsed. The first
-        record the stream refuses makes the `refusal`, which keeps every
-        column from being gathered.
-        """
+                    ) -> Tuple[int, int, List[tuple]]:
+        """(width, count, columns) of `rows`, parsed one by one; a bad row raises a ParseError."""
         source, ticks, ints = self.source, self._ticks, self._ints
-        records, refusal = [], None
+        records = []
         for row, text in rows:
             fields = _split(text)
             if width is None:  # "auto" takes the width of the first row
@@ -258,13 +247,12 @@ class _Records:
             if not u or not v:
                 raise ParseError("empty node name", source, row)
             record = (*map(ticks.__getitem__, fields[:stamps]), u, v)
+            if stamps == 2 and record[0] >= record[1]:
+                raise ParseError(f"empty interval [{record[0]}, {record[1]})", source, row)
+            if u == v and not self.directed:
+                raise ParseError(f"self-interaction on node {u!r}", source, row)
             records.append(record)
-            if refusal is None:
-                if stamps == 2 and record[0] >= record[1]:
-                    refusal = ParseError(f"empty interval [{record[0]}, {record[1]})", source, row)
-                elif u == v and not self.directed:
-                    refusal = ParseError(f"self-interaction on node {u!r}", source, row)
-        return width, len(records), list(zip(*records)), refusal
+        return width, len(records), list(zip(*records))
 
     def _gather(self, columns: List[Sequence]) -> None:
         """Merge a chunk's records, given as columns (`*stamps, us, vs`), into each pair's spans."""
@@ -365,8 +353,8 @@ def _plain_records(text: str, width: int, resolution: int, directed: bool, ticks
     instants, two for intervals) and their two node names. None, where
     the row path must read the chunk: `width` is not a format's, the
     chunk is not plain, `to_ticks` refuses a timestamp, or the stream
-    would refuse a record (an undirected self-loop, an empty interval).
-    Never raises.
+    would refuse a record (an undirected self-loop, an empty interval),
+    which the row path then raises at its row. Never raises.
     """
     if (width not in FORMAT_WIDTHS.values() or any(map(text.__contains__, _NOT_PLAIN))
             or not text.isascii() and any(map(text.__contains__, _NOT_PLAIN_BEYOND_ASCII))):

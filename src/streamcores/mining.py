@@ -125,24 +125,16 @@ def mine(
         log.warning("mining an empty stream: no patterns")
         return []
 
-    def record(mask, support, size, depth) -> ClosedPatternRecord:
-        return ClosedPatternRecord(
-            items=universe.items_of(mask),
-            support=support,
-            support_measure=support.measure() if count_nodes else size,
-            node_count=support.node_count(),
-            mask=mask,
-            depth=depth,
-            below_min_support=size < cfg.min_support,
-        )
-
     count_nodes = cfg.support_measure == "nodes"
     # apply_core and intent are looked up at call time, so that
     # instrumentation rebinding them on this module sees every call
     root_support = apply_core(cfg.core, stream, stream.presence_set())
     root_mask = intent(root_support, ctx)
-    root_size = root_support.node_count() if count_nodes else root_support.measure()
-    records = [record(root_mask, root_support, root_size, 0)]
+    root = ClosedPatternRecord(universe.items_of(root_mask), root_support, root_mask)
+    # only the root is kept below the threshold: every other record has passed it
+    size = root.node_count if count_nodes else root.support_measure
+    root.below_min_support = size < cfg.min_support
+    records = [root]
 
     full = universe.full_mask
     describe = ctx.description
@@ -186,7 +178,8 @@ def mine(
             if closed & excluded:
                 pruned_after += 1
                 continue
-            records.append(record(closed, support, n, depth + 1))
+            records.append(ClosedPatternRecord(universe.items_of(closed), support, closed,
+                                               depth + 1))
             stack.append(frame(closed, support, excluded, depth + 1))
             top[1] = excluded | bit
             break

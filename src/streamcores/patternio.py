@@ -154,13 +154,12 @@ def open_output(path: Union[str, Path]) -> TextIO:
 
 
 class ClosedPatternRecord:
-    def __init__(self, items: Tuple[str, ...], support: TimeNodeSet, support_measure: int,
-                 node_count: int, mask: Optional[int] = None, depth: int = 0,
-                 below_min_support: bool = False) -> None:
+    def __init__(self, items: Tuple[str, ...], support: TimeNodeSet, mask: Optional[int] = None,
+                 depth: int = 0, below_min_support: bool = False) -> None:
         self.items = items  # universe order
         self.support = support
-        self.support_measure = support_measure  # node-ticks
-        self.node_count = node_count
+        self.support_measure = support.measure()  # node-ticks
+        self.node_count = support.node_count()
         self.mask = mask  # the intent as a `context.Pattern`; a read record has none
         self.depth = depth
         self.below_min_support = below_min_support
@@ -225,6 +224,21 @@ def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path
                 ', "below_min_support": true' if rec.below_min_support else ""))
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """The JSON object of `pairs`, the `object_pairs_hook` of every `json.loads` here and in `cli`.
+
+    A repeated key, whose last value `json.loads` alone keeps, is a ValueError naming it.
+    """
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def _typed(value, kind: type, name: str):
     """`value` itself when its type is exactly `kind` (so a bool is no int)."""
     if type(value) is not kind:
@@ -264,20 +278,21 @@ def _node_support(node: str, spans) -> IntervalSet:
 def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
     """Records written by `write_patterns`.
 
-    A malformed record, one whose `support_measure` or `node_count`
-    disagrees with its support, or one with an empty support that is not
-    flagged `below_min_support`, raises a `ParseError`. Values are
-    checked, never coerced or repaired: an intent must be a list of
-    strings, the support an object of canonical span lists (see
-    `_node_support`), every number a plain integer, and every key one
-    that `write_patterns` writes. Rows are cut as `_iter_rows` cuts any
-    input file; a line that is not UTF-8 raises a ParseError.
+    A malformed record, one whose stated `support_measure` or
+    `node_count` disagrees with its support, or one with an empty
+    support that is not flagged `below_min_support`, raises a
+    `ParseError`. Values are checked, never coerced or repaired: an
+    intent must be a list of strings, the support an object of canonical
+    span lists (see `_node_support`), every number a plain integer, and
+    every key one that `write_patterns` writes, none of them repeated in
+    its object. Rows are cut as `_iter_rows` cuts any input file; a line
+    that is not UTF-8 raises a ParseError.
     """
     records = []
     source, rows = _iter_rows(path)
     for i, line in rows:
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=_unique_keys)
             unknown = _typed(obj, dict, "record").keys() - _PATTERN_FIELDS
             if unknown:
                 raise ValueError(f"unknown fields {sorted(unknown)}")
@@ -290,24 +305,20 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
                 v: _node_support(v, spans)
                 for v, spans in _typed(obj["support"], dict, "support").items()
             })
-            rec = ClosedPatternRecord(
-                items=items,
-                support=support,
-                support_measure=_typed(obj["support_measure"], int, "support_measure"),
-                node_count=_typed(obj["node_count"], int, "node_count"),
-                below_min_support=_typed(obj.get("below_min_support", False), bool,
-                                         "below_min_support"),
-            )
+            measure = _typed(obj["support_measure"], int, "support_measure")
+            node_count = _typed(obj["node_count"], int, "node_count")
+            rec = ClosedPatternRecord(items, support, below_min_support=_typed(
+                obj.get("below_min_support", False), bool, "below_min_support"))
             # mine flags every empty support: min_support is at least 1
             if not support and not rec.below_min_support:
                 raise ValueError("an empty support must be flagged below_min_support")
-            if rec.support_measure != support.measure():
-                raise ValueError(f"support_measure {rec.support_measure} but the "
-                                 f"support covers {support.measure()} node-ticks")
-            if rec.node_count != support.node_count():
-                raise ValueError(f"node_count {rec.node_count} but the "
-                                 f"support has {support.node_count()} nodes")
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
+            if measure != rec.support_measure:
+                raise ValueError(f"support_measure {measure} but the "
+                                 f"support covers {rec.support_measure} node-ticks")
+            if node_count != rec.node_count:
+                raise ValueError(f"node_count {node_count} but the "
+                                 f"support has {rec.node_count} nodes")
+        except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"bad pattern record: {err}", source, i) from None
         records.append(rec)
     return records

@@ -81,7 +81,7 @@ class PairDistances:
 
     def __init__(self, records: Sequence[ClosedPatternRecord]) -> None:
         self.records = records
-        self.measures = [rec.support.measure() for rec in records]
+        self.measures = [rec.support_measure for rec in records]
         self.nodes = [rec.support.nodes() for rec in records]
         self._memo: Dict[Tuple[int, int], float] = {}
 

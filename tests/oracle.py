@@ -31,11 +31,12 @@ the support in pieces, must write the same bytes.
 
 `reference_read_link_stream` is the link-stream reader row by row: the
 whole file decoded as `utf-8-sig` and split with `str.splitlines`, each
-row split and converted through `dataio.to_ticks`, one span list per
-oriented pair, and every span checked and merged by `IntervalSet`;
-`dataio.read_link_stream` must build the same stream and raise the same
-errors. Both check their settings (resolution, format, instant
-extension) with `dataio.extension_ticks` before they read a row.
+row split, converted through `dataio.to_ticks` and checked in file
+order, one span list per oriented pair, and every list merged by
+`IntervalSet`; `dataio.read_link_stream` must build the same stream
+and raise the same first error. Both check their settings (resolution,
+format, instant extension) with `dataio.extension_ticks` before they
+read a row.
 """
 
 from __future__ import annotations
@@ -293,8 +294,6 @@ def reference_mine(
         return ClosedPatternRecord(
             items=universe.items_of(mask),
             support=support,
-            support_measure=support.measure(),
-            node_count=support.node_count(),
             mask=mask,
             depth=depth,
             below_min_support=size(support) < cfg.min_support,
@@ -512,7 +511,7 @@ def reference_read_link_stream(
     directed: bool = False,
     presence: Optional[Mapping[str, IntervalSet]] = None,
 ) -> StreamGraph:
-    """`dataio.read_link_stream` with every row held, split and checked on its own.
+    """`dataio.read_link_stream` with every row split and checked on its own, in file order.
 
     The settings are checked first, by the reader's own `extension_ticks`.
     """
@@ -521,7 +520,7 @@ def reference_read_link_stream(
     # read as the reader reads: a leading byte-order mark is dropped
     lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     width = FORMAT_WIDTHS.get(fmt)
-    records = []
+    pair_spans: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
     for row, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -538,26 +537,15 @@ def reference_read_link_stream(
             raise ParseError(f"expected {width} columns, got {len(fields)}", source, row)
         if width == 4:
             b, e, u, v = fields
-            record = (to_ticks(b, resolution, source, row), to_ticks(e, resolution, source, row),
-                      u, v)
+            b, e = to_ticks(b, resolution, source, row), to_ticks(e, resolution, source, row)
         else:
             u, v = fields[1], fields[2]
-            record = (to_ticks(fields[0], resolution, source, row), u, v)
+            e = to_ticks(fields[0], resolution, source, row)
+            b = e - delta
         if not u or not v:
             raise ParseError("empty node name", source, row)
-        records.append((row, record))
-
-    pair_spans: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-    for row, rec in records:
-        if len(rec) == 3:
-            t, u, v = rec
-            if delta <= 0:
-                raise ParseError("instant records need a positive extension", source, row)
-            b, e = t - delta, t
-        else:
-            b, e, u, v = rec
-            if b >= e:
-                raise ParseError(f"empty interval [{b}, {e})", source, row)
+        if b >= e:
+            raise ParseError(f"empty interval [{b}, {e})", source, row)
         if u == v and not directed:
             raise ParseError(f"self-interaction on node {u!r}", source, row)
         if not directed and u > v:

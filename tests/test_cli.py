@@ -253,12 +253,18 @@ def test_a_data_file_that_is_not_utf8_is_an_input_error_naming_its_line(
     assert not (tmp_path / "o.jsonl").exists()
 
 
-@pytest.mark.parametrize("text", [b'{"command": "mine", "stream": "\xff"}', b'{"command": '])
-def test_a_manifest_that_is_not_json_text_is_a_config_error_naming_it(tmp_path, capsys, text):
+@pytest.mark.parametrize("text,detail", [
+    (b'{"command": "mine", "stream": "\xff"}', ""), (b'{"command": ', ""),
+    # json.loads alone would keep the last value
+    (b'{"command": "mine", "stream": "s.csv", "min_support": 9, "min_support": 2}',
+     "repeated key 'min_support'\n"),
+])
+def test_a_manifest_that_is_not_json_text_is_a_config_error_naming_it(tmp_path, capsys, text,
+                                                                        detail):
     path = tmp_path / "bad.manifest.json"
     path.write_bytes(text)
     assert run("mine", "--manifest", path) == 2
-    assert capsys.readouterr().err.startswith(f"configuration error: --manifest {path}: ")
+    assert capsys.readouterr().err.startswith(f"configuration error: --manifest {path}: {detail}")
 
 
 class TestMineCommand:
@@ -683,14 +689,19 @@ class TestSelectCommand:
         lambda row: row["support"].update({v: [] for v in row["support"]}),
         # mine flags every empty support, as its min_support is at least 1
         lambda row: row.update(support={}, support_measure=0, node_count=0),
+        # json.loads alone would keep the last value of a repeated key: the record's own
+        lambda row: json.dumps(row).replace(
+            '"support": {', '"support": {%s: [[0, 9]], ' % json.dumps(next(iter(row["support"])))),
+        lambda row: json.dumps(row).replace('"intent": ', '"intent": ["x"], "intent": '),
     ], ids=["forged-measure", "forged-node-count", "no-support", "string-intent",
             "fractional-span", "float-measure", "float-node-count", "overlapping-spans",
-            "empty-span", "no-spans", "unflagged-empty-support"])
+            "empty-span", "no-spans", "unflagged-empty-support", "repeated-node",
+            "repeated-intent"])
     def test_bad_record_is_an_input_error(self, mined, tmp_path, capsys, edit):
         lines = mined.read_text().splitlines()
         row = json.loads(lines[0])
-        edit(row)
-        lines[0] = json.dumps(row)
+        text = edit(row)  # the edited line, from an edit that writes it itself
+        lines[0] = text if type(text) is str else json.dumps(row)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n")
         out = tmp_path / "selected.jsonl"

@@ -46,7 +46,11 @@ class TestCoreSpec:
         assert fields(CoreSpec.parse("star-sat:2")) == ("star-sat", 2, 0, 0)
         assert fields(CoreSpec.parse("ha:2,1")) == ("ha", 0, 2, 1)
 
-    @pytest.mark.parametrize("bad", ["", "star-sat", "star-sat:x", "ha:1", "cores:2", "identity:1"])
+    @pytest.mark.parametrize("bad", [
+        "", "star-sat", "star-sat:x", "ha:1", "cores:2", "identity:1",
+        # int() would read these as 10, 2, 3 and (2, 1)
+        "identity:", "star-sat:1_0", "star-sat:+2", "star-sat:\u0663", "ha:2, 1",
+    ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             CoreSpec.parse(bad)

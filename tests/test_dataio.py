@@ -602,9 +602,9 @@ class TestRecordSource:
         assert s.adjacency("a")["b"] == reference_read_link_stream(path).adjacency("a")["b"]
 
     @pytest.mark.parametrize("read", [read_link_stream, reference_read_link_stream])
-    def test_a_later_parse_error_comes_before_an_earlier_ingest_error(self, tmp_path, read):
+    def test_the_first_bad_row_is_named_whatever_its_fault(self, tmp_path, read):
         path = write_lines(tmp_path / "s.txt", ["20 a a", "# x", "40 a b", "x a b"])
-        with pytest.raises(ParseError, match=r"s.txt:4: bad timestamp 'x'"):
+        with pytest.raises(ParseError, match=r"s.txt:1: self-interaction"):
             read(path)
         path = write_lines(tmp_path / "s.txt", ["20 a b", "20 a a", "40 a b"])
         with pytest.raises(ParseError, match=r"s.txt:2: self-interaction"):

@@ -402,7 +402,7 @@ class TestPatternFiles:
         # record's line starts with "{", never with "#"
         names = [f"#{brk}" for brk in LINE_BREAKS] + [f"a{brk}b" for brk in LINE_BREAKS]
         records = [
-            ClosedPatternRecord((item,), TimeNodeSet({node: IntervalSet.span(0, 2)}), 2, 1)
+            ClosedPatternRecord((item,), TimeNodeSet({node: IntervalSet.span(0, 2)}))
             for item, node in zip(names, reversed(names))
         ]
         path = tmp_path / "patterns.jsonl"
@@ -523,8 +523,7 @@ def _spans(start, count):
 def _record(items, counts, start=0, below=False):
     """A record whose support gives the nodes of `counts` that many spans each."""
     support = TimeNodeSet({v: IntervalSet(_spans(start, n)) for v, n in counts.items()})
-    return ClosedPatternRecord(tuple(items), support, support.measure(), support.node_count(),
-                               below_min_support=below or not support)
+    return ClosedPatternRecord(tuple(items), support, below_min_support=below or not support)
 
 
 @st.composite

@@ -28,12 +28,7 @@ from oracle import reference_jaccard_distance, reference_select
 
 
 def record(items, support):
-    return ClosedPatternRecord(
-        items=tuple(items),
-        support=support,
-        support_measure=support.measure(),
-        node_count=support.node_count(),
-    )
+    return ClosedPatternRecord(items=tuple(items), support=support)
 
 
 def tns(**entries):

@@ -28,7 +28,9 @@ hs327 recipe runs on it and finds the README's pattern counts. Copies
 of it that the reader takes down its other paths (row by row, out of
 time order, as quadruples) mine the bytes the export mines, and copies
 with a self-loop or a byte that is not UTF-8 past the first 64 KiB are
-refused naming their line. Nothing under `perfbench/` is written.
+refused naming their line, and a copy with a self-loop in its first
+64 KiB and such a byte after it is refused naming the self-loop's.
+Nothing under `perfbench/` is written.
 """
 
 import contextlib
@@ -46,6 +48,7 @@ import pytest
 from oracle import certify, reference_bicore, reference_select
 from streamcores import CoreSpec, MinerConfig, cli, cores, read_patterns
 from streamcores.dataio import (
+    ParseError,
     read_attributes,
     read_highschool_context,
     read_link_stream,
@@ -353,6 +356,24 @@ def test_a_byte_that_is_not_utf8_past_the_first_chunk_is_named_at_its_line(conta
     code, err = _mine_error(path, capsys)
     assert code == 1
     assert "contacts.tsv:5000: not UTF-8 text" in err
+
+
+def test_a_self_loop_is_named_before_a_later_byte_that_is_not_utf8(contacts, tmp_path, capsys):
+    # a self-loop on line 1000, in the first chunk, and a byte that is not
+    # UTF-8 on line 5000, in a later one: the reader stops at the self-loop
+    data = contacts["stream"].read_bytes()
+    lines = data.splitlines(keepends=True)
+    t, u, _, *rest = lines[999].split(b"\t")
+    lines[999] = b"\t".join([t, u, u, *rest])
+    assert len(b"".join(lines[:1000])) < 65536 < len(b"".join(lines[:4999]))
+    lines[4999] = b"\xff" + lines[4999]
+    path = tmp_path / "contacts.tsv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError, match=r"contacts.tsv:1000: self-interaction"):
+        read_link_stream(path, fmt="contacts")
+    code, err = _mine_error(path, capsys)
+    assert code == 1
+    assert "contacts.tsv:1000: self-interaction" in err
 
 def _mine(stream, fmt, attributes, output):
     """The bytes that star-sat:4 at support 600 mines from `stream`."""
