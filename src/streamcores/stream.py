@@ -5,18 +5,20 @@ intervals of its nodes; its nodes are exactly the nodes with nonempty
 presence. Each pair's `IntervalSet` is kept once, in the adjacency
 (out- and in-adjacency when directed); `interaction_items` derives the
 pair keys from it: (src, dst) when directed, else the sorted pair.
-`StreamGraph` is built in one pass over the pairs it is given: each
-pair's key is oriented, an undirected self-loop is refused, and its
-spans are made canonical, merged with its other orientation's and
-added to both endpoints' presence lists, each merged once after the
-pass. Pairs and a given presence follow one rule (`_canonical`): an
+`StreamGraph` fills its adjacency in one pass over the pairs it is
+given: each pair's key is oriented, an undirected self-loop is refused,
+and its spans are made canonical and merged with its other
+orientation's in both endpoints' entries. Each node's default presence
+is then merged from its own entries, one node at a time, so no copy of
+the pairs or of their spans is held beside the adjacency. Pairs and a
+given presence follow one rule (`_canonical`): an
 `IntervalSet` is kept as it is, any other span collection normalised.
 Everything is immutable after construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .intervals import EMPTY, IntervalSet, Span, _merge
 
@@ -128,6 +130,21 @@ def _canonical(spans: Iterable[Span]) -> IntervalSet:
     return spans if isinstance(spans, IntervalSet) else IntervalSet(spans)
 
 
+def _pair_presence(adj: Dict[str, Dict[str, IntervalSet]],
+                   in_adj: Optional[Dict[str, Dict[str, IntervalSet]]]
+                   ) -> Iterator[Tuple[str, IntervalSet]]:
+    """Each node of `adj` and the union of its pairs' spans, merged one node at a time.
+
+    `in_adj` is the in-adjacency of a directed stream, whose pairs
+    count too, or None.
+    """
+    for w, out in adj.items():
+        spans = [span for ivs in out.values() for span in ivs.spans]
+        if in_adj is not None:
+            spans += [span for ivs in in_adj[w].values() for span in ivs.spans]
+        yield w, IntervalSet._raw(_merge(spans))
+
+
 class StreamGraph:
     """Nodes with presence intervals plus timed pairwise interactions."""
 
@@ -140,10 +157,11 @@ class StreamGraph:
         directed: bool = False,
     ) -> None:
         self.directed = directed
-        # one pass: both orientations of an undirected pair merge under its sorted key;
-        # each node's presence spans are merged once below (a union per pair is quadratic)
-        pairs: Dict[Tuple[str, str], IntervalSet] = {}
-        node_spans: Dict[str, List[Span]] = {}
+        # one pass fills the adjacency from `interactions`: both orientations of an
+        # undirected pair meet in one entry, and every endpoint has an entry on each
+        # side, made in the order it first appears (the presence check's order)
+        adj: Dict[str, Dict[str, IntervalSet]] = {}
+        in_adj: Dict[str, Dict[str, IntervalSet]] = {} if directed else adj
         u = v = None  # the handler reads them even when the first key fails to unpack
         try:
             for (u, v), spans in interactions.items():
@@ -154,25 +172,23 @@ class StreamGraph:
                     u, v = v, u
                 ivs = _canonical(spans)
                 if ivs:
-                    other = pairs.get((u, v))
-                    pairs[u, v] = ivs if other is None else other.union(ivs)
-                    for w in (u, v):
-                        node_spans.setdefault(w, []).extend(ivs.spans)
+                    out = adj.setdefault(u, {})
+                    other = out.get(v)
+                    out[v] = ivs = ivs if other is None else other.union(ivs)
+                    in_adj.setdefault(v, {})[u] = ivs
+                    if directed:
+                        adj.setdefault(v, {})
+                        in_adj.setdefault(u, {})
         except TypeError:
             _refuse_unordered((u, v))
             raise
         # the pair sets are canonical already, so their spans need no second check
-        default_presence: Dict[str, IntervalSet] = {}
-        for w, spans in node_spans.items():
-            node_spans[w] = None  # each node's list is freed once its presence is merged
-            default_presence[w] = IntervalSet._raw(_merge(spans))
-        del node_spans
-
+        default_presence = _pair_presence(adj, in_adj if directed else None)
         if presence is None:
-            pres = default_presence
+            pres = dict(default_presence)
         else:
             pres = {v: ivs for v, spans in presence.items() if (ivs := _canonical(spans))}
-            for v, needed in default_presence.items():
+            for v, needed in default_presence:
                 if not needed.issubset(pres.get(v, EMPTY)):
                     raise PresenceError(
                         f"presence of node {v!r} does not cover its interaction intervals"
@@ -185,12 +201,9 @@ class StreamGraph:
             _refuse_unordered(pres)
             raise
         self._presence = pres
-
-        adj: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in self.nodes}
-        in_adj: Dict[str, Dict[str, IntervalSet]] = {v: {} for v in self.nodes} if directed else adj
-        for (u, v), ivs in pairs.items():
-            adj[u][v] = ivs
-            in_adj[v][u] = ivs
+        for v in self.nodes:  # a present node without pairs has empty adjacencies
+            adj.setdefault(v, {})
+            in_adj.setdefault(v, {})
         self._adj = adj
         self._in_adj = in_adj
 

@@ -29,6 +29,13 @@ emitted intents.
 `json.dumps` of the whole record; `patternio.write_patterns`, which writes
 the support in pieces, must write the same bytes.
 
+`reference_stream_graph` is the `StreamGraph` build that gathers
+every pair first: an oriented pair dict of pairwise unions and one span
+list per node, each node's presence merged from its concatenated list
+once every pair is in; `StreamGraph`, which fills its adjacency in one
+pass and merges each node's presence from that, must build the same
+stream and raise the same errors.
+
 `reference_read_link_stream` is the link-stream reader row by row: the
 whole file decoded as `utf-8-sig` and split with `str.splitlines`, each
 row split, converted through `dataio.to_ticks` and checked in file
@@ -49,10 +56,11 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 from streamcores.context import AttributeContext, Pattern, extent, intent
 from streamcores.cores import CoreSpec, apply_core
 from streamcores.dataio import FORMAT_WIDTHS, ParseError, extension_ticks, open_output, to_ticks
-from streamcores.intervals import EMPTY, IntervalSet, _meet, coverage_at_least
+from streamcores.intervals import EMPTY, IntervalSet, _meet, _merge, coverage_at_least
 from streamcores.mining import ClosedPatternRecord, MinerConfig, filter_min_intent
 from streamcores.selection import INTEREST_MEASURES
-from streamcores.stream import StreamGraph, TimeNodeSet
+from streamcores.stream import (PresenceError, StreamGraph, TimeNodeSet, _canonical,
+                                _refuse_unordered)
 
 Sample = Tuple[int, str]
 
@@ -497,6 +505,66 @@ def reference_select(
         if all(reference_jaccard_distance(rec.support, k.support) >= beta for k in kept):
             kept.append(rec)
     return kept
+
+
+# -- stream build --------------------------------------------------------------
+
+
+def reference_stream_graph(
+    interactions: Mapping[Tuple[str, str], Sequence[Tuple[int, int]]],
+    presence: Optional[Mapping[str, Sequence[Tuple[int, int]]]] = None,
+    directed: bool = False,
+) -> StreamGraph:
+    """`StreamGraph(interactions, presence, directed)` built from every pair gathered first.
+
+    Each pair is oriented and unioned with its other orientation in a
+    pair dict, each node's spans are gathered into one list, and the
+    lists are merged once every pair is in; the adjacency is made from
+    the pair dict last. Self-loops, mixed name types and a presence
+    that does not cover a node are refused as `StreamGraph` refuses them.
+    """
+    pairs: Dict[Tuple[str, str], IntervalSet] = {}
+    node_spans: Dict[str, List[Tuple[int, int]]] = {}
+    u = v = None
+    try:
+        for (u, v), spans in interactions.items():
+            if u == v:
+                if not directed:
+                    raise ValueError(f"self-interaction on node {u!r} in an undirected stream")
+            elif not directed and u > v:
+                u, v = v, u
+            ivs = _canonical(spans)
+            if ivs:
+                other = pairs.get((u, v))
+                pairs[u, v] = ivs if other is None else other.union(ivs)
+                for w in (u, v):
+                    node_spans.setdefault(w, []).extend(ivs.spans)
+    except TypeError:
+        _refuse_unordered((u, v))
+        raise
+    default_presence = {w: IntervalSet._raw(_merge(spans)) for w, spans in node_spans.items()}
+    if presence is None:
+        pres = default_presence
+    else:
+        pres = {w: ivs for w, spans in presence.items() if (ivs := _canonical(spans))}
+        for w, needed in default_presence.items():
+            if not needed.issubset(pres.get(w, EMPTY)):
+                raise PresenceError(
+                    f"presence of node {w!r} does not cover its interaction intervals")
+    try:
+        nodes = tuple(sorted(pres))
+    except TypeError:
+        _refuse_unordered(pres)
+        raise
+    adj: Dict[str, Dict[str, IntervalSet]] = {w: {} for w in nodes}
+    in_adj = {w: {} for w in nodes} if directed else adj
+    for (u, v), ivs in pairs.items():
+        adj[u][v] = ivs
+        in_adj[v][u] = ivs
+    stream = object.__new__(StreamGraph)
+    stream.directed, stream.nodes, stream._presence = directed, nodes, pres
+    stream._adj, stream._in_adj = adj, in_adj
+    return stream
 
 
 # -- link-stream input -------------------------------------------------------

@@ -203,7 +203,7 @@ def test_two_outputs_that_are_one_file_are_refused_before_any_file_is_read(
 
 
 # 10,000 rows of about 10 characters: the bad byte lies past the reader's
-# first 64k-character chunk
+# first chunk (`patternio._CHUNK_BYTES`)
 _LONG_STREAM = "".join(f"{20 * i} a b\n" for i in range(1, 10_001)).encode()
 
 

@@ -1,8 +1,12 @@
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracle import reference_stream_graph
 from streamcores import IntervalSet, StreamGraph, TimeNodeSet, induced_static_graph
+from streamcores.stream import PresenceError
 from streamcores.toys import star_toy_stream
 
 from helpers import random_stream
@@ -142,6 +146,73 @@ def test_pair_items_and_count_are_derived_from_the_adjacency(directed):
             assert s.adjacency(u)[v] is ivs
             assert (s.in_adjacency(v) if directed else s.adjacency(v))[u] is ivs
         assert s.interaction_count() == len(items)
+
+
+_spans = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)).map(
+    lambda span: (span[0], span[0] + span[1])), max_size=3)  # empty spans and lists too
+
+
+@st.composite
+def _builds(draw):
+    """(interactions, presence, directed) for `StreamGraph`.
+
+    The pairs come in both orientations, with self-loops (refused when
+    undirected) and empty span lists; the presence is absent, covers the
+    pairs (with present isolated nodes) or is drawn on its own; node
+    names are of one type, or now and then of two.
+    """
+    directed = draw(st.booleans())
+    names = ["a", "b", "c", "d", "e"] + draw(st.sampled_from([[], [], [], [1, 2]]))
+    node = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(node, node, _spans), max_size=8))
+    interactions = {}
+    for u, v, spans in pairs:
+        if u == v and not directed and draw(st.integers(0, 9)):
+            continue  # an undirected self-loop is drawn in one pair list in ten
+        as_set = draw(st.booleans())  # an IntervalSet is kept as it is
+        interactions[u, v] = IntervalSet(spans) if as_set else spans
+        if draw(st.booleans()):  # the other orientation too
+            interactions[v, u] = draw(_spans)
+    kind = draw(st.sampled_from(["none", "covering", "drawn"]))
+    if kind == "none":
+        return interactions, None, directed
+    presence = {v: list(draw(_spans)) for v in draw(st.lists(node, unique=True))}
+    if kind == "covering":
+        for (u, v), spans in interactions.items():
+            for w in (u, v):
+                presence.setdefault(w, []).extend(IntervalSet(spans).spans)
+    return interactions, presence, directed
+
+
+def _built(interactions, presence, directed, build):
+    """What `build` makes of the arguments, read through the stream's methods, or
+    the type and message of the error it raises."""
+    try:
+        s = build(interactions, presence=presence, directed=directed)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    return (s.nodes, [s.presence(v) for v in s.nodes],
+            [list(s.adjacency(v).items()) for v in s.nodes],
+            [list(s.in_adjacency(v).items()) for v in s.nodes] if directed else None,
+            list(s.interaction_items()), s.interaction_count())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_builds())
+@example(({("a", "a"): [(0, 1)]}, None, False))
+@example(({("a", "a"): [(0, 1)], ("b", "a"): []}, {"c": [(0, 1)], "a": [(0, 1)]}, True))
+@example(({("a", "b"): [(0, 5)], ("b", "c"): [(2, 3)]}, {"a": [(0, 5)], "b": [(0, 5)]}, False))
+@example(({("a", "b"): [(0, 5)], (1, 2): [(2, 3)]}, None, True))
+@example(({("a", "b"): [(0, 5)], (1, "a"): [(2, 3)]}, None, False))
+def test_the_one_pass_build_matches_the_gathering_reference(build):
+    got = _built(*build, StreamGraph)
+    assert got == _built(*build, reference_stream_graph)
+    if got[0] is PresenceError:
+        assert re.fullmatch(r"presence of node \S+ does not cover its interaction intervals",
+                            got[1])
+    elif got[0] is TypeError:
+        assert re.fullmatch(r"node names \S+ and \S+ cannot be ordered; "
+                            r"name every node with one type", got[1])
 
 
 def edges(graph):

@@ -21,16 +21,18 @@ same records with every support shifted, and every timestamp written
 in seconds divided by 10 and read at `--resolution 10 --delta 2` mines
 the same bytes.
 
-The seed-1 contacts export (ingest-xl's input, 189k rows) is read
-within a traced-memory bound, with one int object per tick value, and
-ingest-xl's whole `mine` command runs within another. The README's
-hs327 recipe runs on it and finds the README's pattern counts. Copies
-of it that the reader takes down its other paths (row by row, out of
-time order, as quadruples) mine the bytes the export mines, and copies
-with a self-loop or a byte that is not UTF-8 past the first 64 KiB are
-refused naming their line, and a copy with a self-loop in its first
-64 KiB and such a byte after it is refused naming the self-loop's.
-Nothing under `perfbench/` is written.
+The seed-1 hs stream is read within a traced-memory bound. The seed-1
+contacts export (ingest-xl's input, 189k rows) is read within another,
+with one int object per tick value, and ingest-xl's whole `mine`
+command runs within a third. The README's hs327 recipe runs on it and
+finds the README's pattern counts. Copies of it that the reader takes
+down its other paths (row by row, some chunks row by row and the others
+whole, out of time order, as quadruples) mine the bytes the export
+mines, and copies with a self-loop or a byte that is not UTF-8 past the
+first chunk (`patternio._CHUNK_BYTES`, 16 KiB) are refused naming their
+line, and a copy with a self-loop in its first chunk and such a byte
+after it is refused naming the self-loop's. Nothing under `perfbench/`
+is written.
 """
 
 import contextlib
@@ -46,7 +48,7 @@ from pathlib import Path
 import pytest
 
 from oracle import certify, reference_bicore, reference_select
-from streamcores import CoreSpec, MinerConfig, cli, cores, read_patterns
+from streamcores import CoreSpec, MinerConfig, cli, cores, dataio, patternio, read_patterns
 from streamcores.dataio import (
     ParseError,
     read_attributes,
@@ -298,29 +300,43 @@ def test_equal_ticks_of_the_export_are_one_object(contacts):
     assert len(set(map(id, ends))) == len(set(ends))
 
 
-def test_reading_the_export_stays_under_its_traced_peak(contacts):
+def _traced_peak(function):
+    """(value, peak): what `function()` returns and the traced peak, in bytes, of the call."""
     tracemalloc.start()
     try:
-        read_link_stream(contacts["stream"], fmt="contacts")
-        peak = tracemalloc.get_traced_memory()[1]
+        return function(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 7 MB; 13 MB with a new int per span start and the scratch lists held to the end
-    assert peak <= 9.5e6
+
+
+def test_reading_the_hs_stream_stays_under_its_traced_peak(hs_inputs):
+    inputs, _, _ = hs_inputs
+    _, peak = _traced_peak(lambda: read_link_stream(inputs["stream"]))
+    # about 3.8 MB, of which the built stream holds 2.8 MB; 4.6 MB when the
+    # stream was built from gathered copies of its pairs and spans, and the
+    # file read in 64 KiB pieces
+    assert peak <= 4.3e6
+
+
+def test_reading_the_export_stays_under_its_traced_peak(contacts):
+    _, peak = _traced_peak(lambda: read_link_stream(contacts["stream"], fmt="contacts"))
+    # about 5.9 MB, of which the built stream holds 5.2 MB; 6.75 MB when the
+    # stream was built from gathered copies of its pairs and spans, and the
+    # file read in 64 KiB pieces; 13 MB with a new int per span start and the
+    # scratch lists held to the end
+    assert peak <= 6.5e6
 
 
 def test_mining_the_export_stays_under_its_traced_peak(contacts, tmp_path, capsys):
     args = RUN.WORKLOADS["ingest-xl"].mine_args(contacts, tmp_path / "mined.jsonl")
-    tracemalloc.start()
-    try:
-        assert cli.main(args) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = _traced_peak(lambda: cli.main(args))
     capsys.readouterr()
-    # about 7 MB, at the reader; 8.7-9.1 MB when the root record's line
-    # (1,015,212 characters) is dumped whole
-    assert peak <= 7.8e6
+    assert code == 0
+    # about 6.0 MB; 6.8 MB, at the reader, when the stream was built from
+    # gathered copies of its pairs and spans, and the file read in 64 KiB
+    # pieces; 8.7-9.1 MB when the root record's line (1,015,212 characters)
+    # is dumped whole
+    assert peak <= 6.7e6
 
 
 def _mine_error(path, capsys):
@@ -339,7 +355,7 @@ def test_a_self_loop_past_the_first_chunk_is_named_at_its_line(contacts, tmp_pat
     lines.insert(1, "# a comment line the error must count\n")
     path = tmp_path / "contacts.tsv"
     path.write_text("".join(lines))
-    assert len("".join(lines[:5000]).encode()) > 65536
+    assert len("".join(lines[:5000]).encode()) > patternio._CHUNK_BYTES
     code, err = _mine_error(path, capsys)
     assert code == 1
     assert "contacts.tsv:5001: self-interaction" in err
@@ -350,7 +366,7 @@ def test_a_byte_that_is_not_utf8_past_the_first_chunk_is_named_at_its_line(conta
     data = contacts["stream"].read_bytes()
     lines = data.splitlines(keepends=True)
     head = b"".join(lines[:4999])
-    assert len(head) > 65536
+    assert len(head) > patternio._CHUNK_BYTES
     path = tmp_path / "contacts.tsv"
     path.write_bytes(head + b"\xff" + data[len(head):])
     code, err = _mine_error(path, capsys)
@@ -359,21 +375,21 @@ def test_a_byte_that_is_not_utf8_past_the_first_chunk_is_named_at_its_line(conta
 
 
 def test_a_self_loop_is_named_before_a_later_byte_that_is_not_utf8(contacts, tmp_path, capsys):
-    # a self-loop on line 1000, in the first chunk, and a byte that is not
+    # a self-loop on line 200, in the first chunk, and a byte that is not
     # UTF-8 on line 5000, in a later one: the reader stops at the self-loop
     data = contacts["stream"].read_bytes()
     lines = data.splitlines(keepends=True)
-    t, u, _, *rest = lines[999].split(b"\t")
-    lines[999] = b"\t".join([t, u, u, *rest])
-    assert len(b"".join(lines[:1000])) < 65536 < len(b"".join(lines[:4999]))
+    t, u, _, *rest = lines[199].split(b"\t")
+    lines[199] = b"\t".join([t, u, u, *rest])
+    assert len(b"".join(lines[:200])) < patternio._CHUNK_BYTES < len(b"".join(lines[:4999]))
     lines[4999] = b"\xff" + lines[4999]
     path = tmp_path / "contacts.tsv"
     path.write_bytes(b"".join(lines))
-    with pytest.raises(ParseError, match=r"contacts.tsv:1000: self-interaction"):
+    with pytest.raises(ParseError, match=r"contacts.tsv:200: self-interaction"):
         read_link_stream(path, fmt="contacts")
     code, err = _mine_error(path, capsys)
     assert code == 1
-    assert "contacts.tsv:1000: self-interaction" in err
+    assert "contacts.tsv:200: self-interaction" in err
 
 def _mine(stream, fmt, attributes, output):
     """The bytes that star-sat:4 at support 600 mines from `stream`."""
@@ -433,7 +449,8 @@ def test_the_readme_hs327_recipe_finds_the_readme_counts(contacts, mined_export,
 
 
 @pytest.mark.parametrize("copy", sorted(COPIES))
-def test_a_copy_of_the_export_mines_its_bytes(copy, contacts, mined_export, tmp_path):
+def test_a_copy_of_the_export_mines_its_bytes(copy, contacts, mined_export, tmp_path,
+                                              monkeypatch):
     text = contacts["stream"].read_text()
     lines = text.splitlines(keepends=True)
     changed = COPIES[copy](list(lines))
@@ -442,7 +459,17 @@ def test_a_copy_of_the_export_mines_its_bytes(copy, contacts, mined_export, tmp_
     assert changed.count("# a comment line") == (len(lines) // 3000 if copy == "comments" else 0)
     path = tmp_path / "contacts.tsv"
     path.write_bytes(changed.encode())
+    plain = []  # for each chunk, what `_plain_records` made of it: None when read row by row
+    plain_records = dataio._plain_records
+
+    def spied(*args):
+        plain.append(plain_records(*args))
+        return plain[-1]
+
+    monkeypatch.setattr(dataio, "_plain_records", spied)
     assert _mine(path, "contacts", contacts["attributes"], tmp_path / "copy.jsonl") == mined_export
+    if copy == "comments":  # the chunks with a `#` line are read row by row, the others whole
+        assert None in plain and any(plain)
 
 
 def test_the_quadruples_of_the_export_mine_its_bytes(contacts, mined_export, tmp_path):
