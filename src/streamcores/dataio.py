@@ -28,27 +28,25 @@ two tabs is seen and refused; every other row is cut at commas, or at
 runs of whitespace when it has none.
 `read_link_stream` reads the same chunks into one per-pair accumulator
 (`_Records`), which `ingest_link_stream` drives and hands to
-`StreamGraph`; no record outlives its chunk. A chunk is plain when the
-width is known (from the format, or for "auto" from the file's first
-row), it has no `#`, no `,` and no line break other than `\\n`, and each
-of its lines holds exactly that many fields. A plain chunk is parsed
-whole into columns: one split, each column a stride slice, each
-distinct timestamp text parsed once with `to_ticks`, and its records
-checked column-wise for an undirected self-loop or an empty interval.
+`StreamGraph`. A chunk is plain when the width is known (from the
+format, or for "auto" from the file's first row), it has no `#`, no `,`
+and no line break other than `\\n`, and each of its lines holds exactly
+that many fields. A plain chunk is parsed whole into columns: one
+split, each column a stride slice, each distinct timestamp text parsed
+once with `to_ticks`, and its records checked column-wise for an
+undirected self-loop or an empty interval.
 Every other chunk, and a plain chunk whose checks fail, is parsed row
 by row into the same columns, and its first bad row (column count,
 timestamp, empty node name, empty interval, undirected self-loop)
 raises a ParseError naming its file line: the file is read no further.
-Either way the chunk's records are grouped by pair, both orientations
-of an undirected pair in one group; a group's instants become spans
-`[t - delta, t)`, and its merged spans are merged into the pair's. A
-pair whose spans arrive out of time order across chunks is merged each
-time its span list has doubled since it was last in order, and once
-more when the file ends, so a shuffled file holds about as many spans
-per pair as a sorted one; `StreamGraph` takes each pair's canonical
-`IntervalSet` as it is. Each node name is kept as one string object,
-and each tick value, span starts `t - delta` included, as one int
-object.
+Either way each record is appended to its pair's list, both
+orientations of an undirected pair in one list: its tick, or its
+`(b, e)` for quadruples. Once the file has parsed, each pair's spans
+are made once, in any order of its rows: its instants sorted and
+extended to `[t - delta, t)`, or its intervals merged, and
+`StreamGraph` takes each pair's canonical `IntervalSet` as it is. Each
+node name is kept as one string object, and each tick value, span
+starts `t - delta` included, as one int object.
 
 Every file the package writes is opened by `open_output`, which makes
 the output a new file rather than truncating the old one in place. The
@@ -174,9 +172,11 @@ class _Records:
 
     `interactions()` reads the file a chunk at a time. Either producer,
     `_plain_records` for a plain chunk or `_parse_rows` for any other,
-    makes the chunk's columns, and `_gather` merges them into each
-    pair's spans (see the module docstring). The first bad row raises a
-    ParseError where it is read. `len()` is the number of records read.
+    makes the chunk's columns, and `_gather` appends each record to its
+    pair's list; each pair's spans are made from that list once the
+    file has parsed (see the module docstring). The first bad row
+    raises a ParseError where it is read. `len()` is the number of
+    records read.
     """
 
     def __init__(self, source: str, width: Optional[int], resolution: int, extension: int,
@@ -187,9 +187,8 @@ class _Records:
         self._resolution = resolution
         self._extension = extension
         self._count = 0
-        self._spans: Dict[Tuple[str, str], List[Span]] = {}  # by oriented pair
-        # pairs whose spans are out of time order -> their span count when they went out
-        self._unsorted: Dict[Tuple[str, str], int] = {}
+        # by oriented pair: its records' ticks, or their (b, e) for quadruples
+        self._values: Dict[Tuple[str, str], list] = {}
         self._names: Dict[str, str] = {}  # one string object per node name
         self._ticks: Dict[str, int] = {}  # one parse per timestamp text
         # one int object per tick value, span starts `t - extension` included
@@ -199,7 +198,11 @@ class _Records:
         return self._count
 
     def interactions(self) -> Dict[Tuple[str, str], IntervalSet]:
-        """Each pair's canonical spans, keyed by the oriented pair, once the file has parsed."""
+        """Each pair's canonical spans, keyed by the oriented pair, once the file has parsed.
+
+        Each pair's list is replaced by its set, made in one step:
+        `_instant_spans` for instants, `_merge` for quadruples.
+        """
         source, width, line = self.source, self._width, 0
         for i, raw in enumerate(_chunks(source)):
             chunk = _decode(raw, i == 0, source, line)
@@ -215,13 +218,12 @@ class _Records:
             self._count += count
             if columns:
                 self._gather(columns)
-        self._names, self._ticks, self._ints = {}, {}, {}  # the caches are done with
-        spans_of, unsorted = self._spans, self._unsorted
-        pairs = {}
-        for key, spans in spans_of.items():
-            spans_of[key] = None  # each pair's list is freed as its set is made
-            pairs[key] = IntervalSet._raw(_merge(spans) if key in unsorted else tuple(spans))
-        spans_of.clear()
+        self._names, self._ticks = {}, {}  # the caches are done with
+        pairs, extension, ints = self._values, self._extension, self._ints
+        for key, values in pairs.items():
+            pairs[key] = IntervalSet._raw(_merge(values) if width == 4
+                                          else _instant_spans(values, extension, ints))
+        self._ints = {}
         return pairs
 
     def _parse_rows(self, rows: Iterator[Tuple[int, str]], width: Optional[int]
@@ -255,53 +257,23 @@ class _Records:
         return width, len(records), list(zip(*records))
 
     def _gather(self, columns: List[Sequence]) -> None:
-        """Merge a chunk's records, given as columns (`*stamps, us, vs`), into each pair's spans."""
+        """Append each of a chunk's records, given as columns (`*stamps, us, vs`), to its pair.
+
+        A record's value is its tick, or its `(b, e)` for quadruples.
+        """
         *stamps, us, vs = columns
-        instants = len(stamps) == 1
-        groups: Dict[Tuple[str, str], list] = {}  # by the pair as written
-        for key, value in zip(zip(us, vs), stamps[0] if instants else zip(*stamps)):
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [value]
+        values_of, names, directed = self._values, self._names, self.directed
+        for u, v, value in zip(us, vs, stamps[0] if len(stamps) == 1 else zip(*stamps)):
+            key = (u, v) if directed or u < v else (v, u)
+            values = values_of.get(key)
+            if values is None:
+                u, v = key
+                values_of[names.setdefault(u, u), names.setdefault(v, v)] = [value]
             else:
-                group.append(value)
-        if not self.directed:  # both orientations of a pair make one group
-            for u, v in [key for key in groups if key[0] > key[1]]:
-                group = groups.pop((u, v))
-                other = groups.get((v, u))
-                if other is None:
-                    groups[v, u] = group
-                else:
-                    other += group
-        spans_of, unsorted, names = self._spans, self._unsorted, self._names
-        for (u, v), group in groups.items():
-            new = (_instant_spans(group, self._extension, self._ints) if instants
-                   else list(_merge(group)))
-            spans = spans_of.get((u, v))
-            if spans is None:
-                spans_of[names.setdefault(u, u), names.setdefault(v, v)] = new
-                continue
-            b, e = spans[-1]
-            first_b, first_e = new[0]
-            sorted_count = unsorted.get((u, v))
-            if sorted_count is not None or first_b < b or first_e < e:
-                # the chunk's spans reach back into the pair's: they are merged
-                # once the list has doubled since it was last in order, and
-                # once more when the file ends
-                if sorted_count is None:
-                    sorted_count = unsorted[u, v] = len(spans)
-                spans += new
-                if len(spans) >= 2 * sorted_count:
-                    spans[:] = _merge(spans)
-                    del unsorted[u, v]
-            elif first_b <= e:  # the chunk's first span extends the pair's last one
-                spans[-1] = (b, first_e)
-                spans += new[1:]
-            else:
-                spans += new
+                values.append(value)
 
 
-def _instant_spans(ticks: List[int], extension: int, ints: Dict[int, int]) -> List[Span]:
+def _instant_spans(ticks: List[int], extension: int, ints: Dict[int, int]) -> Tuple[Span, ...]:
     """The canonical spans of the instants `ticks`, each extended to `[t - extension, t)`.
 
     Each span start is taken from `ints`, the one object of its value,
@@ -319,7 +291,7 @@ def _instant_spans(ticks: List[int], extension: int, ints: Dict[int, int]) -> Li
             b = ints.setdefault(b, b)
         e = t
     spans.append((b, e))
-    return spans
+    return tuple(spans)
 
 
 # a plain chunk has no comment, no comma and, besides "\n", none of the line

@@ -34,8 +34,8 @@ def _merge(spans: list[Span]) -> Tuple[Span, ...]:
     A span that no other span extends is returned as the same tuple
     object, so the spans must be tuples. Its callers all pass tuples:
     `_normalize` and `IntervalSet.union`; `stream._pair_presence` (each
-    node's presence from its pairs' spans); `dataio._Records` (a chunk's
-    quadruples of a pair, and a pair's spans out of time order); the
+    node's presence from its pairs' spans); `dataio._Records` (the
+    quadruples of a pair, once the file has parsed); the
     star-satellite core (each node's satellite spans, and its star spans).
     """
     if not spans:

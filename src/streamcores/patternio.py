@@ -169,8 +169,8 @@ class ClosedPatternRecord:
 
 _PATTERN_FIELDS = {"intent", "support", "support_measure", "node_count", "below_min_support"}
 
-# the most spans that one piece of a record's support holds: about 100 KB of text
-_PIECE_SPANS = 4096
+# the most spans that one piece of a record's support holds: about 25 KB of text
+_PIECE_SPANS = 1024
 
 
 def _support_pieces(support: TimeNodeSet) -> Iterator[str]:

@@ -507,7 +507,7 @@ class TestPatternFiles:
         assert rec.below_min_support and not rec.support
 
 
-PIECE = 4096  # patternio._PIECE_SPANS, the most spans of one piece of a written support
+PIECE = 1024  # patternio._PIECE_SPANS, the most spans of one piece of a written support
 
 # quotes, backslashes, text outside ASCII (an astral character among it)
 # and every line break the row reader cuts at

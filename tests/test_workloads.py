@@ -23,16 +23,16 @@ the same bytes.
 
 The seed-1 hs stream is read within a traced-memory bound. The seed-1
 contacts export (ingest-xl's input, 189k rows) is read within another,
-with one int object per tick value, and ingest-xl's whole `mine`
-command runs within a third. The README's hs327 recipe runs on it and
-finds the README's pattern counts. Copies of it that the reader takes
-down its other paths (row by row, some chunks row by row and the others
-whole, out of time order, as quadruples) mine the bytes the export
-mines, and copies with a self-loop or a byte that is not UTF-8 past the
-first chunk (`patternio._CHUNK_BYTES`, 16 KiB) are refused naming their
-line, and a copy with a self-loop in its first chunk and such a byte
-after it is refused naming the self-loop's. Nothing under `perfbench/`
-is written.
+with one int object per tick value, and so is a copy of it with its
+rows shuffled; ingest-xl's whole `mine` command runs within a third.
+The README's hs327 recipe runs on it and finds the README's pattern
+counts. Copies of it that the reader takes down its other paths (row by
+row, some chunks row by row and the others whole, out of time order, as
+quadruples) mine the bytes the export mines, and copies with a
+self-loop or a byte that is not UTF-8 past the first chunk
+(`patternio._CHUNK_BYTES`, 16 KiB) are refused naming their line, and a
+copy with a self-loop in its first chunk and such a byte after it is
+refused naming the self-loop's. Nothing under `perfbench/` is written.
 """
 
 import contextlib
@@ -312,19 +312,33 @@ def _traced_peak(function):
 def test_reading_the_hs_stream_stays_under_its_traced_peak(hs_inputs):
     inputs, _, _ = hs_inputs
     _, peak = _traced_peak(lambda: read_link_stream(inputs["stream"]))
-    # about 3.8 MB, of which the built stream holds 2.8 MB; 4.6 MB when the
-    # stream was built from gathered copies of its pairs and spans, and the
-    # file read in 64 KiB pieces
-    assert peak <= 4.3e6
+    # about 3.2 MB after the fixture's mine, 3.5 MB in a process that has read
+    # nothing else, of which the built stream holds 2.8 MB; 3.8-3.9 MB when
+    # each chunk's records were grouped and merged into their pairs' spans,
+    # 4.6 MB when the stream was also built from gathered copies of its pairs
+    # and spans, and the file read in 64 KiB pieces
+    assert peak <= 3.6e6
 
 
 def test_reading_the_export_stays_under_its_traced_peak(contacts):
     _, peak = _traced_peak(lambda: read_link_stream(contacts["stream"], fmt="contacts"))
-    # about 5.9 MB, of which the built stream holds 5.2 MB; 6.75 MB when the
-    # stream was built from gathered copies of its pairs and spans, and the
-    # file read in 64 KiB pieces; 13 MB with a new int per span start and the
-    # scratch lists held to the end
-    assert peak <= 6.5e6
+    # about 5.6 MB after other reads, 5.9 MB in a process that has read nothing
+    # else, of which the built stream holds 5.2 MB; 5.9-6.0 MB when each
+    # chunk's records were grouped and merged into their pairs' spans, 6.75 MB
+    # when the stream was also built from gathered copies of its pairs and
+    # spans, and the file read in 64 KiB pieces; 13 MB with a new int per span
+    # start and the scratch lists held to the end
+    assert peak <= 6.2e6
+
+
+def test_reading_the_shuffled_export_stays_under_the_export_s_traced_peak(contacts, tmp_path):
+    path = tmp_path / "shuffled.tsv"
+    path.write_text(_shuffled(contacts["stream"].read_text().splitlines(keepends=True)))
+    _, peak = _traced_peak(lambda: read_link_stream(path, fmt="contacts"))
+    # the sorted export's figures: every pair's ticks are kept until the file
+    # ends, in time order or not; 9.4-9.5 MB when each chunk's spans were
+    # merged into the pair's once its list had doubled
+    assert peak <= 6.2e6
 
 
 def test_mining_the_export_stays_under_its_traced_peak(contacts, tmp_path, capsys):
@@ -332,10 +346,13 @@ def test_mining_the_export_stays_under_its_traced_peak(contacts, tmp_path, capsy
     code, peak = _traced_peak(lambda: cli.main(args))
     capsys.readouterr()
     assert code == 0
-    # about 6.0 MB; 6.8 MB, at the reader, when the stream was built from
-    # gathered copies of its pairs and spans, and the file read in 64 KiB
-    # pieces; 8.7-9.1 MB when the root record's line (1,015,212 characters)
-    # is dumped whole
+    # about 5.65 MB after other runs, at the reader, and 5.9 MB in a process
+    # that has run nothing else; 5.9 MB after other runs, at the writer, when
+    # a support was written in pieces of 4,096 spans; 6.0 MB when each chunk's
+    # records were grouped and merged into their pairs' spans; 6.8 MB when
+    # the stream was also built from gathered copies of its pairs and spans,
+    # and the file read in 64 KiB pieces; 8.7-9.1 MB when the root record's
+    # line (1,015,212 characters) is dumped whole
     assert peak <= 6.7e6
 
 
