@@ -50,7 +50,17 @@ class ItemUniverse:
         return mask
 
     def items_of(self, mask: Pattern) -> Tuple[str, ...]:
-        return tuple(name for i, name in enumerate(self._items) if mask >> i & 1)
+        """The items of `mask`, a pattern over this universe, in universe order.
+
+        Only the set bits are walked, lowest first, not every item.
+        """
+        items = self._items
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(items[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"ItemUniverse({', '.join(self._items)})"

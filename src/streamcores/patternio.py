@@ -172,11 +172,15 @@ _PATTERN_FIELDS = {"intent", "support", "support_measure", "node_count", "below_
 # the most spans that one piece of a record's support holds: about 25 KB of text
 _PIECE_SPANS = 1024
 
+# `json.dumps` with its default settings but no circular-reference check: a
+# support is a dict of tuples of int pairs, acyclic by construction
+_dumps = json.JSONEncoder(check_circular=False).encode
+
 
 def _support_pieces(support: TimeNodeSet) -> Iterator[str]:
     """The JSON text of `support` without its braces, in pieces to be joined by ", ".
 
-    Each piece is `json.dumps` of the next nodes, holding at most
+    Each piece is the JSON text (`_dumps`) of the next nodes, holding at most
     `_PIECE_SPANS` spans in all, with its braces stripped. A node with
     more spans than that is cut into slices of its span list: its key
     with the first slice, then each later slice without its brackets,
@@ -187,18 +191,18 @@ def _support_pieces(support: TimeNodeSet) -> Iterator[str]:
         spans = ivs.spans
         if len(spans) > room:
             if piece:
-                yield json.dumps(piece)[1:-1]
+                yield _dumps(piece)[1:-1]
                 piece, room = {}, _PIECE_SPANS
             if len(spans) > room:
-                yield json.dumps({v: spans[:_PIECE_SPANS]})[1:-2]
+                yield _dumps({v: spans[:_PIECE_SPANS]})[1:-2]
                 for i in range(_PIECE_SPANS, len(spans), _PIECE_SPANS):
-                    text = json.dumps(spans[i:i + _PIECE_SPANS])
+                    text = _dumps(spans[i:i + _PIECE_SPANS])
                     yield text[1:] if i + _PIECE_SPANS >= len(spans) else text[1:-1]
                 continue
         piece[v] = spans  # tuples dump as arrays
         room -= len(spans)
     if piece:
-        yield json.dumps(piece)[1:-1]
+        yield _dumps(piece)[1:-1]
 
 
 def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path]) -> None:
@@ -210,7 +214,7 @@ def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path
     (`_support_pieces`), so no whole line is held, however large the
     support. The intent's items are quoted by the string encoder that
     `json.dumps` uses, and the first piece goes out with them, so a
-    small record costs one `json.dumps`.
+    small record costs one encoder call.
     """
     with open_output(path) as handle:
         write = handle.write
@@ -227,7 +231,7 @@ def write_patterns(records: Sequence[ClosedPatternRecord], path: Union[str, Path
 
 
 def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
-    """The JSON object of `pairs`, the `object_pairs_hook` of every `json.loads` here and in `cli`.
+    """The JSON object of `pairs`, the `object_pairs_hook` of every JSON decoder here and in `cli`.
 
     A repeated key, whose last value `json.loads` alone keeps, is a ValueError naming it.
     """
@@ -291,10 +295,12 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
     that is not UTF-8 raises a ParseError.
     """
     records = []
+    # one decoder for the file: `json.loads` with a hook builds one per call
+    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
     source, rows = _iter_rows(path)
     for i, line in rows:
         try:
-            obj = json.loads(line, object_pairs_hook=_unique_keys)
+            obj = decode(line)
             unknown = _typed(obj, dict, "record").keys() - _PATTERN_FIELDS
             if unknown:
                 raise ValueError(f"unknown fields {sorted(unknown)}")

@@ -13,16 +13,21 @@ size filter comes first: with sizes lo <= hi, the distance is at least
 in floating point too, because |A ∩ B| <= lo, |A ∪ B| >= hi, and
 correctly rounded division and subtraction are monotone.
 
-The remaining pairs take |A ∪ B| as |A| + |B| - |A ∩ B|, so they only
-build the intersection. A `PairDistances` memo over one list of records
-computes each such pair's distance at most once, with each |A| summed
-once; a `select` command shares one memo between the scan at its beta
-and every scan of its sweep.
+The remaining pairs take |A ∪ B| as |A| + |B| - |A ∩ B|, and |A ∩ B|
+is summed node by node from the spans the intersection would hold,
+which is not built. A `PairDistances` over one list of records does
+each piece of the work once: it sums each |A| once, computes each such
+pair's distance at most once, sorts the records into each interest
+order once, and keeps each scan's result by (beta, g), so a scan is
+run once whatever asks for it again. A `select` command shares one
+between the scan at its beta and every scan of its sweep, and the
+default beta, 0, is also the default sweep's first. A scan at beta 0
+compares nothing: no distance is below 0, so it keeps every record.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .patternio import ClosedPatternRecord
 from .stream import TimeNodeSet
@@ -59,13 +64,14 @@ def temporal_jaccard_distance(
     """1 - |intersection| / |union| in node-ticks; 0 iff equal, 1 iff disjoint.
 
     `measure_i` and `measure_j` are `wi.measure()` and `wj.measure()`
-    when the caller already has them.
+    when the caller already has them. |intersection| is summed from the
+    spans the intersection would hold, which is not built.
     """
     if measure_i is None:
         measure_i = wi.measure()
     if measure_j is None:
         measure_j = wj.measure()
-    inter = wi.intersect(wj).measure()
+    inter = wi.intersection_measure(wj)
     union = measure_i + measure_j - inter
     if union == 0:
         raise ValueError("the distance of two empty supports is undefined")
@@ -75,8 +81,10 @@ def temporal_jaccard_distance(
 class PairDistances:
     """Distances between the supports of `records`, by position, each computed once.
 
-    Also holds each support's measure and node tuple, which the scan's
-    filters read.
+    Also holds what every scan over `records` reads: each support's
+    measure and node tuple, the interest order of each measure `g`, and
+    the positions each scan kept, by (beta, g), so a scan at a beta
+    already scanned is not run again.
     """
 
     def __init__(self, records: Sequence[ClosedPatternRecord]) -> None:
@@ -84,6 +92,8 @@ class PairDistances:
         self.measures = [rec.support_measure for rec in records]
         self.nodes = [rec.support.nodes() for rec in records]
         self._memo: Dict[Tuple[int, int], float] = {}
+        self._orders: Dict[str, List[int]] = {}
+        self._scans: Dict[Tuple[float, str], List[int]] = {}
 
     def __call__(self, i: int, j: int) -> float:
         key = (i, j) if i < j else (j, i)
@@ -96,24 +106,55 @@ class PairDistances:
             )
         return got
 
-    def at_least(self, i: int, j: int, beta: float) -> bool:
-        """Whether distance(i, j) >= beta, by the sizes alone when they suffice.
+    def _order(self, g: str) -> List[int]:
+        """The positions of `records` in decreasing interestingness `g`, ties broken by intent."""
+        got = self._orders.get(g)
+        if got is None:
+            keys = list(map(interest_key(g), self.records))
+            got = self._orders[g] = sorted(range(len(keys)), key=keys.__getitem__)
+        return got
 
-        Both supports must be non-empty.
-        """
-        a, b = self.measures[i], self.measures[j]
-        lo, hi = (a, b) if a <= b else (b, a)
-        return 1.0 - lo / hi >= beta or self(i, j) >= beta
+    def _kept(self, beta: float, g: str) -> List[int]:
+        """The positions the greedy scan keeps at `beta` and `g`, in scan order."""
+        got = self._scans.get((beta, g))
+        if got is None:
+            got = self._scans[beta, g] = _scan(self, self._order(g), beta)
+        return got
 
 
-def _sharing(holders: Dict[str, List[int]], nodes: Sequence[str]) -> Iterator[int]:
-    """The positions listed under any of `nodes`, each once."""
-    seen = set()
-    for v in nodes:
-        for k in holders.get(v, ()):
-            if k not in seen:
-                seen.add(k)
-                yield k
+def _scan(distances: PairDistances, order: Sequence[int], beta: float) -> List[int]:
+    """The positions of `order` kept by the greedy scan at `beta`.
+
+    A position is compared only with the kept ones whose support shares
+    a node with its own, each once, and the size filter decides a pair
+    before its distance is asked for.
+    """
+    if beta <= 0.0:  # no distance is below 0: every position is kept
+        return list(order)
+    measures, node_tuples = distances.measures, distances.nodes
+    kept: List[int] = []
+    holders: Dict[str, List[int]] = {}  # node -> kept positions whose support holds it
+    for i in order:
+        a = measures[i]
+        nodes = node_tuples[i]
+        seen = set()
+        near = False
+        for v in nodes:
+            for k in holders.get(v, ()):
+                if k not in seen:
+                    seen.add(k)
+                    b = measures[k]
+                    # 1 - lo / hi bounds the distance from below; both supports are non-empty
+                    if 1.0 - (a / b if a <= b else b / a) < beta and distances(i, k) < beta:
+                        near = True
+                        break
+            if near:
+                break
+        if not near:
+            kept.append(i)
+            for v in nodes:
+                holders.setdefault(v, []).append(i)
+    return kept
 
 
 def g_beta_select(
@@ -123,9 +164,9 @@ def g_beta_select(
 ) -> List[ClosedPatternRecord]:
     """Greedy scan in decreasing interestingness, ties broken by intent.
 
-    `distances`, when given, must be built over `records` itself. Two
-    empty supports raise `ValueError` at any beta, as their distance is
-    undefined.
+    `distances`, when given, must be built over `records` itself; a scan
+    it already holds is not run again. Two empty supports raise
+    `ValueError` at any beta, as their distance is undefined.
     """
     if distances is None:
         distances = PairDistances(records)
@@ -135,18 +176,7 @@ def g_beta_select(
     # always kept and a second one always meets it
     if distances.measures.count(0) > 1:
         raise ValueError("the distance of two empty supports is undefined")
-    key = interest_key(cfg.g)
-    ordered = sorted(range(len(records)), key=lambda i: key(records[i]))
-    beta = cfg.beta
-    kept: List[int] = []
-    holders: Dict[str, List[int]] = {}  # node -> kept positions whose support holds it
-    for i in ordered:
-        nodes = distances.nodes[i]
-        if all(distances.at_least(i, k, beta) for k in _sharing(holders, nodes)):
-            kept.append(i)
-            for v in nodes:
-                holders.setdefault(v, []).append(i)
-    return [records[i] for i in kept]
+    return [records[i] for i in distances._kept(cfg.beta, cfg.g)]
 
 
 def selection_counts(

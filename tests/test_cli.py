@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from streamcores import read_patterns, selection, star_satellite_core
+from streamcores import read_patterns, selection, star_satellite_core, write_patterns
 from streamcores.cli import main
 from streamcores.toys import star_toy_stream, write_demo_files
 
 from helpers import read_in_chunks
+from oracle import reference_select
 
 
 @pytest.fixture(scope="module")
@@ -747,6 +748,34 @@ class TestSelectCommand:
         assert calls
         assert len(calls) == len(set(calls))
         assert len(calls) <= 7 * 6 // 2
+
+    @pytest.mark.parametrize("beta,scans", [(0.4, 5), (0.3, 6)])
+    def test_each_distinct_beta_is_scanned_once_in_one_interest_order(
+            self, mined, tmp_path, capsys, monkeypatch, beta, scans):
+        calls = {"scans": 0, "orders": 0}
+
+        def counted(name, original):
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+            return counting
+
+        monkeypatch.setattr(selection, "_scan", counted("scans", selection._scan))
+        monkeypatch.setattr(selection, "interest_key",
+                            counted("orders", selection.interest_key))
+        betas = [0, 0.2, 0.4, 0.6, 0.8]
+        out = tmp_path / "s.jsonl"
+        assert run("select", "--input", mined, "--beta", beta,
+                   "--betas", ",".join(map(str, betas)), "--output", out) == 0
+        assert calls == {"scans": scans, "orders": 1}
+        records = read_patterns(mined)
+        want = tmp_path / "want.jsonl"
+        write_patterns(reference_select(records, beta), want)
+        assert out.read_bytes() == want.read_bytes()
+        assert capsys.readouterr().out == (
+            f"beta={beta:g}: kept {len(reference_select(records, beta))} of {len(records)}\n"
+            "sweep:\n" + "".join(f"  beta={b:g} kept={len(reference_select(records, b))}\n"
+                                 for b in betas))
 
     def test_a_reader_that_leaves_early_ends_it_with_exit_141(self, mined, tmp_path):
         # the sweep report outgrows a pipe's buffer, so select is still

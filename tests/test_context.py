@@ -24,6 +24,17 @@ class TestItemUniverse:
         assert u.full_mask == 0b1111
         assert len(u) == 4
 
+    def test_items_of_walks_the_set_bits_in_universe_order(self):
+        u = ItemUniverse(f"i{n}" for n in range(100))
+        masks = [0, u.full_mask, 1 << 63 | 1 << 64 | 1 << 99, (1 << 70) - (1 << 65) | 0b101]
+        masks += [1 << n for n in range(100)]
+        rng = random.Random(3)
+        masks += [rng.getrandbits(100) for _ in range(50)]
+        for mask in masks:
+            want = tuple(name for i, name in enumerate(u.items) if mask >> i & 1)
+            assert u.items_of(mask) == want
+            assert u.mask_of(want) == mask
+
     def test_unknown_item(self):
         with pytest.raises(KeyError):
             ItemUniverse(["a"]).bit("zz")
