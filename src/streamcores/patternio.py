@@ -300,6 +300,8 @@ def read_patterns(path: Union[str, Path]) -> List[ClosedPatternRecord]:
     source, rows = _iter_rows(path)
     for i, line in rows:
         try:
+            if line[:1] == "\ufeff":  # the check `json.loads` makes and `decode` does not
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
             obj = decode(line)
             unknown = _typed(obj, dict, "record").keys() - _PATTERN_FIELDS
             if unknown:

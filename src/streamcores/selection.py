@@ -21,14 +21,14 @@ pair's distance at most once, sorts the records into each interest
 order once, and keeps each scan's result by (beta, g), so a scan is
 run once whatever asks for it again. A `select` command shares one
 between the scan at its beta and every scan of its sweep, and the
-default beta, 0, is also the default sweep's first. A scan at beta 0
-compares nothing: no distance is below 0, so it keeps every record.
+default beta, 0, is also the default sweep's first.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .intervals import _meet
 from .patternio import ClosedPatternRecord
 from .stream import TimeNodeSet
 
@@ -71,11 +71,25 @@ def temporal_jaccard_distance(
         measure_i = wi.measure()
     if measure_j is None:
         measure_j = wj.measure()
-    inter = wi.intersection_measure(wj)
+    inter = _intersection_measure(wi, wj)
     union = measure_i + measure_j - inter
     if union == 0:
         raise ValueError("the distance of two empty supports is undefined")
     return 1.0 - inter / union
+
+
+def _intersection_measure(wi: TimeNodeSet, wj: TimeNodeSet) -> int:
+    """The node-ticks of `wi.intersect(wj)`, summed without building it."""
+    small, big = wi._entries, wj._entries
+    if len(big) < len(small):
+        small, big = big, small
+    total = 0
+    for v, ivs in small.items():
+        o = big.get(v)
+        if o is not None:
+            for a, b in _meet(ivs.spans, o.spans):
+                total += b - a
+    return total
 
 
 class PairDistances:
@@ -129,8 +143,6 @@ def _scan(distances: PairDistances, order: Sequence[int], beta: float) -> List[i
     a node with its own, each once, and the size filter decides a pair
     before its distance is asked for.
     """
-    if beta <= 0.0:  # no distance is below 0: every position is kept
-        return list(order)
     measures, node_tuples = distances.measures, distances.nodes
     kept: List[int] = []
     holders: Dict[str, List[int]] = {}  # node -> kept positions whose support holds it

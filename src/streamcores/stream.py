@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from .intervals import EMPTY, IntervalSet, Span, _meet, _merge
+from .intervals import EMPTY, IntervalSet, Span, _merge
 
 
 class TimeNodeSet:
@@ -78,19 +78,6 @@ class TimeNodeSet:
                 if got:
                     out[v] = got
         return TimeNodeSet._raw(out)
-
-    def intersection_measure(self, other: "TimeNodeSet") -> int:
-        """The node-ticks of `self.intersect(other)`, summed without building it."""
-        small, big = self._entries, other._entries
-        if len(big) < len(small):
-            small, big = big, small
-        total = 0
-        for v, ivs in small.items():
-            o = big.get(v)
-            if o is not None:
-                for a, b in _meet(ivs.spans, o.spans):
-                    total += b - a
-        return total
 
     def issubset(self, other: "TimeNodeSet") -> bool:
         return all(ivs.issubset(other.get(v)) for v, ivs in self._entries.items())

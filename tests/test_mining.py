@@ -491,6 +491,16 @@ class TestPatternFiles:
             read_patterns(path)
         assert str(err.value) == f"{path}:2: bad pattern record: {message}"
 
+    def test_a_byte_order_mark_after_the_first_line_is_named(self, tmp_path):
+        good = json.dumps({"intent": ["a"], "support": {"v": [[0, 2]]},
+                           "support_measure": 2, "node_count": 1})
+        path = tmp_path / "patterns.jsonl"
+        path.write_text(f"{good}\n\ufeff{good}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_patterns(path)
+        assert str(err.value) == (f"{path}:2: bad pattern record: Unexpected UTF-8 BOM "
+                                  "(decode using utf-8-sig): line 1 column 1 (char 0)")
+
     def test_a_record_must_be_an_object(self, tmp_path):
         path = tmp_path / "patterns.jsonl"
         path.write_text('["intent", "support"]\n')
